@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Time the compiled kernels against their plain-numpy twins.
+"""Time the hot kernels: Monte Carlo and the batched exact-error evaluators.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
 
-Each kernel pair is checked for identical output before timing, so this
-doubles as a quick backend-parity smoke test.
+The Monte-Carlo kernel is timed on each available backend and the counts
+are checked for identity; each batched evaluator is checked against the
+scalar exact_error on a sample of its rows before its rows/s are reported.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
 from gmacpam import _kernels
+from gmacpam.analysis import exact_error_collinear, exact_error_planar
 from gmacpam.design import DesignInput, design_collinear
-from gmacpam.geometry import priors_array
+from gmacpam.geometry import CombinedConstellation
 from gmacpam.simulate import _decoder_tables
 from gmacpam.sources import from_marginals_correlation
 
@@ -50,31 +53,33 @@ def bench_mc(trials, repeat):
     return rows
 
 
+def _assert_matches_scalar(pts, got, priors, sigma2, exact):
+    """The batch agrees with the scalar engine on a sample of rows."""
+    for k in range(0, pts.shape[0], max(1, pts.shape[0] // 50)):
+        want = exact(CombinedConstellation(*map(complex, pts[k]), priors), sigma2)
+        assert abs(got[k] - want.p_err_exact) <= 1e-12 * want.p_err_exact, k
+
+
 def bench_batch(rows_n, repeat):
     rng = np.random.default_rng(7)
-    priors = priors_array(
-        design_collinear(
-            DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1, 1, 1, 0.1)
-        ).combined(
-            DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1, 1, 1, 0.1)
-        )
-    )
+    priors = from_marginals_correlation(0.2, 0.5, 0.4)
+    pa = priors.as_array()
+
     pts = np.sort(rng.uniform(-3.0, 3.0, (rows_n, 4)), axis=1)
     pts += np.arange(4) * 0.05  # keep the sorted points apart
+    got, t_col = best_of(lambda: _kernels.collinear_pe_batch(pts, pa, 0.04), repeat)
+    _assert_matches_scalar(pts, got, priors, 0.04, exact_error_collinear)
 
-    out = []
-    ref, t_np = best_of(
-        lambda: _kernels.collinear_pe_batch_numpy(pts, priors, 0.04), repeat
-    )
-    out.append(("collinear-batch", "numpy", t_np, rows_n / t_np))
-    if _kernels.collinear_pe_batch_numba is not None:
-        _kernels.collinear_pe_batch_numba(pts[:64], priors, 0.04)
-        got, t_nb = best_of(
-            lambda: _kernels.collinear_pe_batch_numba(pts, priors, 0.04), repeat
-        )
-        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
-        out.append(("collinear-batch", "numba", t_nb, rows_n / t_nb))
-    return out
+    u2 = complex(0.707, math.sqrt(1.0 - 0.707**2))
+    amp = rng.uniform(-2.0, 2.0, (rows_n, 4))
+    planar = amp[:, [0, 0, 1, 1]] + amp[:, [2, 3, 2, 3]] * u2
+    got, t_pl = best_of(lambda: _kernels.planar_pe_batch(planar, pa, 0.04), repeat)
+    _assert_matches_scalar(planar, got, priors, 0.04, exact_error_planar)
+
+    return [
+        ("collinear-batch", "numpy", t_col, rows_n / t_col),
+        ("planar-batch", "numpy", t_pl, rows_n / t_pl),
+    ]
 
 
 def main():

@@ -17,9 +17,7 @@ from . import _kernels
 from .analysis import exact_error, exact_error_collinear
 from .errors import (
     ConfigError,
-    DegenerateConstellation,
     InfeasibleRoot,
-    NonBijective,
     WrongGammaPhi,
 )
 from .geometry import ChannelGeometry, CombinedConstellation, combine, from_amplitudes
@@ -233,15 +231,21 @@ def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.nda
 
 _SIGN_BRANCHES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
+# Search candidates whose errors agree to this relative tolerance are tied,
+# and the first in search order wins. Mirror images (the global sign flip,
+# and the sender swap for symmetric sources) have equal exact error, which
+# rounding alone would otherwise split.
+_TIE_RTOL = 1e-12
+
 
 def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> DesignResult:
     """Exhaustive search of both energy shells for the lowest exact error.
 
     Each sender's bit-0 amplitude runs over `grid` points of its feasible
     range; the bit-1 amplitude is then fixed by the energy budget up to a
-    sign, giving four sign branches. Collinear geometries are scored with
-    the batched kernel; anything else falls back to the reference planar
-    analysis, which is slow, so keep `grid` modest (around 20) there.
+    sign, giving four sign branches. Each branch is scored in one batched
+    tail-form call, the collinear kernel for |gamma_phi| = 1 and the planar
+    one otherwise, so the full default grid is practical in both geometries.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -256,7 +260,7 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
     best = (math.inf, None, None)
     for sgn1, sgn2 in _SIGN_BRANCHES:
         cand, pe = _search_branch(inp, g1, g2, sgn1, sgn2, priors_arr, collinear)
-        if pe < best[0]:
+        if pe < best[0] * (1.0 - _TIE_RTOL):
             best = (pe, cand, (sgn1, sgn2))
     pe_best, cand, signs = best
 
@@ -274,41 +278,36 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
 
 
 def _search_branch(inp, g1, g2, sgn1, sgn2, priors_arr, collinear):
-    """Best candidate over one sign branch of the two energy shells."""
+    """Best candidate over one sign branch of the two energy shells.
+
+    Every candidate is scored in one batched call; ties (within
+    _TIE_RTOL) go to the first minimum in row-major (g1, g2) order, and
+    rows the planar kernel rejects as non-bijective (+inf) are passed over.
+    """
     pr = inp.priors
     b1 = _shell_amplitudes(g1, pr.p1, inp.e1, sgn1)
     b2 = _shell_amplitudes(g2, pr.p2, inp.e2, sgn2)
-    n1 = g1.size
-    n2 = g2.size
+    # sender 2's unit vector as from_amplitudes places it, kept real on
+    # the line so the collinear kernel reads the points as they are
     if collinear:
-        u = inp.gamma_phi
-        points = np.empty((n1 * n2, 4))
-        points[:, 0] = np.add.outer(g1, u * g2).ravel()
-        points[:, 1] = np.add.outer(g1, u * b2).ravel()
-        points[:, 2] = np.add.outer(b1, u * g2).ravel()
-        points[:, 3] = np.add.outer(b1, u * b2).ravel()
+        u2 = float(inp.gamma_phi)
+    else:
+        u2 = complex(inp.gamma_phi, math.sqrt(1.0 - inp.gamma_phi**2))
+    points = np.empty((g1.size * g2.size, 4), dtype=type(u2))
+    points[:, 0] = np.add.outer(g1, g2 * u2).ravel()
+    points[:, 1] = np.add.outer(g1, b2 * u2).ravel()
+    points[:, 2] = np.add.outer(b1, g2 * u2).ravel()
+    points[:, 3] = np.add.outer(b1, b2 * u2).ravel()
+    if collinear:
         pe = _kernels.collinear_pe_batch(points, priors_arr, inp.sigma2)
-        k = int(np.argmin(pe))
-        i, j = divmod(k, n2)
-        return (g1[i], b1[i], g2[j], b2[j]), float(pe[k])
-
-    geom = ChannelGeometry(inp.gamma_phi, inp.sigma2)
-    best_pe = math.inf
-    best_cand = None
-    for i in range(n1):
-        for j in range(n2):
-            try:
-                c1, c2 = from_amplitudes(g1[i], b1[i], g2[j], b2[j], geom)
-                cc = combine(c1, c2, pr)
-                pe_ij = exact_error(cc, inp.sigma2).p_err_exact
-            except (DegenerateConstellation, NonBijective):
-                continue
-            if pe_ij < best_pe:
-                best_pe = pe_ij
-                best_cand = (g1[i], b1[i], g2[j], b2[j])
-    if best_cand is None:
+    else:
+        pe = _kernels.planar_pe_batch(points, priors_arr, inp.sigma2)
+    pe_min = np.min(pe)
+    if not np.isfinite(pe_min):
         raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-    return best_cand, best_pe
+    k = int(np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL)))
+    i, j = divmod(k, g2.size)
+    return (g1[i], b1[i], g2[j], b2[j]), float(pe[k])
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

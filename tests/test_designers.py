@@ -21,7 +21,7 @@ from gmacpam import (
 )
 from gmacpam.design import _signed_root_pair
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
-from gmacpam.geometry import check_energy, from_amplitudes, ChannelGeometry
+from gmacpam.geometry import check_energy, combine, from_amplitudes, ChannelGeometry
 
 from conftest import build_cc, collinear_cc
 
@@ -332,6 +332,45 @@ def test_search_planar_close_to_designer(case1):
     res = numerical_search(inp, grid=60)
     pe_design = exact_error(design_general(inp).combined(inp), s2).p_err_exact
     assert res.p_err <= pe_design * 1.05
+
+
+def _brute_scores(inp, grid):
+    """Every candidate of numerical_search's grid (no refinement) with its
+    scalar exact_error; degenerate candidates are skipped."""
+    from gmacpam.errors import DegenerateConstellation, NonBijective
+
+    pr = inp.priors
+    g1 = np.linspace(-math.sqrt(inp.e1 / pr.p1), math.sqrt(inp.e1 / pr.p1), grid)
+    g2 = np.linspace(-math.sqrt(inp.e2 / pr.p2), math.sqrt(inp.e2 / pr.p2), grid)
+    geom = ChannelGeometry(inp.gamma_phi, inp.sigma2)
+    scores = []
+    for sgn1, sgn2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        b1 = sgn1 * np.sqrt(np.maximum(inp.e1 - pr.p1 * g1 * g1, 0.0) / (1.0 - pr.p1))
+        b2 = sgn2 * np.sqrt(np.maximum(inp.e2 - pr.p2 * g2 * g2, 0.0) / (1.0 - pr.p2))
+        for i in range(grid):
+            for j in range(grid):
+                cand = (g1[i], b1[i], g2[j], b2[j])
+                try:
+                    cc = combine(*from_amplitudes(*cand, geom), pr)
+                    scores.append((exact_error(cc, inp.sigma2).p_err_exact, cand))
+                except (DegenerateConstellation, NonBijective):
+                    continue
+    return scores
+
+
+@pytest.mark.parametrize("gamma_phi, sigma2", [(0.383, 0.05), (0.924, 10.0**-1.2)])
+def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
+    inp = DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2)
+    res = numerical_search(inp, grid=12, refine=False)
+    scores = _brute_scores(inp, 12)
+    best = min(pe for pe, _ in scores)
+    # negating all four amplitudes mirrors the constellation through the
+    # origin, so each grid optimum has a twin in the opposite sign branch
+    # whose error differs only by rounding
+    ties = [cand for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
+    assert len(ties) <= 2
+    assert (res.a10, res.a11, res.a20, res.a21) in ties
+    assert res.p_err == pytest.approx(best, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

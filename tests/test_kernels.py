@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import gmacpam
-from gmacpam import exact_error_collinear
+from gmacpam import (
+    CombinedConstellation,
+    DesignInput,
+    design_collinear,
+    exact_error_collinear,
+    exact_error_planar,
+)
 from gmacpam import _kernels as K
 from gmacpam.simulate import _decoder_tables
 
@@ -83,30 +89,113 @@ def test_mc_backends_agree(case1):
     assert a1 + a2 == a
 
 
-def test_collinear_batch_matches_exact(case1, case2):
-    from gmacpam import CombinedConstellation
+# SNRs of the batch-versus-scalar checks; sigma2 = 10^(-snr/10) against
+# points of order one carries the error rates from about 0.5 down to
+# values that underflow to 0.
+BATCH_SNRS_DB = range(0, 41, 4)
 
+
+def _assert_batch_matches(batch, scalar):
+    """Batch equals scalar to 1e-12 relative, and exactly where it underflows."""
+    for got, want in zip(batch, scalar):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_collinear_batch_matches_exact(case1, case2):
     rng = np.random.Generator(np.random.PCG64(55))
     for pri in (case1, case2):
-        pts = np.sort(rng.uniform(-2.0, 2.0, size=(64, 4)), axis=1)
-        pts += rng.uniform(0.05, 0.2, size=(64, 1)) * np.arange(4)  # keep gaps
-        pe = K.collinear_pe_batch(pts, pri.as_array(), 0.04)
-        for row, want in zip(pts, pe):
-            cc = CombinedConstellation(
-                complex(row[0]), complex(row[1]), complex(row[2]), complex(row[3]), pri
-            )
-            got = exact_error_collinear(cc, 0.04).p_err_exact
-            assert got == pytest.approx(want, rel=1e-10)
+        for snr in BATCH_SNRS_DB:
+            sigma2 = 10.0 ** (-snr / 10.0)
+            pts = np.sort(rng.uniform(-2.0, 2.0, size=(64, 4)), axis=1)
+            pts += rng.uniform(0.05, 0.2, size=(64, 1)) * np.arange(4)  # keep gaps
+            pe = K.collinear_pe_batch(pts, pri.as_array(), sigma2)
+            want = [
+                exact_error_collinear(
+                    CombinedConstellation(*map(complex, row), pri), sigma2
+                ).p_err_exact
+                for row in pts
+            ]
+            _assert_batch_matches(pe, want)
 
 
-def test_batch_backends_agree(case2):
-    if not (K.HAVE_NUMBA and not K.numba_disabled_by_env()):
-        pytest.skip("numba backend unavailable")
-    rng = np.random.Generator(np.random.PCG64(56))
-    pts = np.sort(rng.uniform(-2.0, 2.0, size=(32, 4)), axis=1)
-    a = K.collinear_pe_batch_numpy(pts, case2.as_array(), 0.1)
-    b = K.collinear_pe_batch_numba(pts, case2.as_array(), 0.1)
-    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+def test_collinear_batch_keeps_tail_precision(case1):
+    """The design_collinear point stays exact where 1 - P_correct would not."""
+    for snr in (20.0, 22.0, 24.0, 30.0, 36.0):
+        sigma2 = 2.0 / 10.0 ** (snr / 10.0)
+        inp = DesignInput(case1, 1.0, 1.0, 1.0, sigma2)
+        cc = design_collinear(inp).combined(inp)
+        want = exact_error_collinear(cc, sigma2).p_err_exact
+        got = K.collinear_pe_batch(cc.as_array().real[None, :], case1.as_array(), sigma2)
+        assert 0.0 < want < 1e-9
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_collinear_batch_coincident_rivals(case1):
+    # a00 = a01: the more probable pair keeps the shared point, the other
+    # misses surely, exactly as the scalar path resolves it
+    row = np.array([[-1.0, -1.0, 0.5, 2.0]])
+    cc = CombinedConstellation(*map(complex, row[0]), case1)
+    want = exact_error_collinear(cc, 0.1).p_err_exact
+    assert K.collinear_pe_batch(row, case1.as_array(), 0.1)[0] == pytest.approx(want, rel=1e-12)
+    assert want >= case1.prob(0, 1)
+
+
+def _planar_rows(rng, gamma_phi, n):
+    """n random amplitude quadruples placed as combined points."""
+    u2 = complex(gamma_phi, np.sqrt(1.0 - gamma_phi**2))
+    a = rng.uniform(-2.0, 2.0, size=(n, 4))
+    s1 = a[:, :2]
+    s2 = a[:, 2:] * u2
+    return np.stack(
+        [s1[:, 0] + s2[:, 0], s1[:, 0] + s2[:, 1], s1[:, 1] + s2[:, 0], s1[:, 1] + s2[:, 1]],
+        axis=1,
+    )
+
+
+def _alpha(row, priors, sigma2):
+    """Diagonal offsets alpha_uv of the four pairs (see analysis)."""
+    out = []
+    for uv in range(4):
+        c_x = row[uv ^ 2] - row[uv]
+        c_y = row[uv ^ 1] - row[uv]
+        ratio = priors[uv] * priors[uv ^ 3] / (priors[uv ^ 2] * priors[uv ^ 1])
+        out.append(sigma2 * np.log(ratio) - (c_x * np.conj(c_y)).real)
+    return out
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.383, 0.707, 0.924])
+def test_planar_batch_matches_exact(case1, case2, gamma_phi):
+    rng = np.random.Generator(np.random.PCG64(57))
+    branches = set()
+    for pri in (case1, case2):
+        priors = pri.as_array()
+        for snr in BATCH_SNRS_DB:
+            sigma2 = 10.0 ** (-snr / 10.0)
+            pts = _planar_rows(rng, gamma_phi, 32)
+            pe = K.planar_pe_batch(pts, priors, sigma2)
+            want = [
+                exact_error_planar(CombinedConstellation(*row, pri), sigma2).p_err_exact
+                for row in pts
+            ]
+            _assert_batch_matches(pe, want)
+            for row in pts:
+                branches.update(a > 0.0 for a in _alpha(row, priors, sigma2))
+    assert branches == {True, False}
+
+
+def test_planar_batch_non_bijective_is_inf(case2):
+    from gmacpam.errors import NonBijective
+
+    u2 = complex(0.5, np.sqrt(0.75))
+    good = [-1.0 - u2, -1.0 + u2, 1.0 - u2, 1.0 + u2]
+    # sender 2's own points coincide; then sender 1's within the tolerance
+    same_s2 = [-1.0 + u2, -1.0 + u2, 1.0 + u2, 1.0 + u2]
+    near_s1 = [0.3 - u2, 0.3 + u2, 0.3 + 1e-11 - u2, 0.3 + 1e-11 + u2]
+    pe = K.planar_pe_batch(np.array([good, same_s2, near_s1]), case2.as_array(), 0.1)
+    assert np.isfinite(pe[0])
+    assert pe[1] == np.inf and pe[2] == np.inf
+    with pytest.raises(NonBijective):
+        exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
 
 
 def test_warmup_runs():
