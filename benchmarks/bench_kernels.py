@@ -6,9 +6,10 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
 
-The Monte-Carlo kernel is timed on each available backend and the counts
-are checked for identity; each batched evaluator is checked against the
-scalar exact_error on a sample of its rows before its rows/s are reported.
+The Monte-Carlo kernel is timed on one collinear and one planar
+constellation, after checking that its count over all trials equals the
+sum over two chunks; each batched evaluator is checked against the scalar
+exact_error on a sample of its rows before its rows/s are reported.
 """
 
 import argparse
@@ -38,18 +39,20 @@ def bench_mc(trials, repeat):
     priors = from_marginals_correlation(0.1, 0.1, 0.9)
     sigma2 = 10.0**-0.8
     inp = DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
-    cc = design_collinear(inp).combined(inp)
-    ax, ay, bias, cdf = _decoder_tables(cc, sigma2)
-    args = (ax, ay, bias, cdf, sigma2, 20260815, 0, trials)
+    collinear = design_collinear(inp).combined(inp)
+    u2 = complex(0.707, math.sqrt(1.0 - 0.707**2))
+    planar = CombinedConstellation(-1.0 - 0.9 * u2, -1.0 + 0.7 * u2, 0.8 - 0.9 * u2,
+                                   0.8 + 0.7 * u2, from_marginals_correlation(0.2, 0.5, 0.4))
 
     rows = []
-    ref, t_np = best_of(lambda: _kernels.mc_error_count_numpy(*args), repeat)
-    rows.append(("monte-carlo", "numpy", t_np, trials / t_np))
-    if _kernels.mc_error_count_numba is not None:
-        _kernels.mc_error_count_numba(ax, ay, bias, cdf, sigma2, 1, 0, 1000)
-        got, t_nb = best_of(lambda: _kernels.mc_error_count_numba(*args), repeat)
-        assert got == ref, f"backend mismatch: {got} != {ref}"
-        rows.append(("monte-carlo", "numba", t_nb, trials / t_nb))
+    for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, 0.25)):
+        tables = _decoder_tables(cc, s2)
+        count, t = best_of(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials), repeat)
+        half = trials // 2
+        chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
+                   + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
+        assert chunked == count, f"{name}: chunked count {chunked} != {count}"
+        rows.append((name, t, trials / t))
     return rows
 
 
@@ -77,8 +80,8 @@ def bench_batch(rows_n, repeat):
     _assert_matches_scalar(planar, got, priors, 0.04, exact_error_planar)
 
     return [
-        ("collinear-batch", "numpy", t_col, rows_n / t_col),
-        ("planar-batch", "numpy", t_pl, rows_n / t_pl),
+        ("collinear-batch", t_col, rows_n / t_col),
+        ("planar-batch", t_pl, rows_n / t_pl),
     ]
 
 
@@ -89,18 +92,11 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     ns = ap.parse_args()
 
-    print(f"active backend: {_kernels.backend_name()}")
     rows = bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-
-    print(f"{'kernel':<16} {'backend':<7} {'best time':>10} {'throughput':>14}")
-    by_kernel = {}
-    for kernel, backend, t, rate in rows:
-        unit = "trials/s" if kernel == "monte-carlo" else "rows/s"
-        print(f"{kernel:<16} {backend:<7} {t:>9.3f}s {rate:>10.3g} {unit}")
-        by_kernel.setdefault(kernel, {})[backend] = t
-    for kernel, t in by_kernel.items():
-        if "numba" in t:
-            print(f"{kernel}: numba is {t['numpy'] / t['numba']:.1f}x faster")
+    print(f"{'kernel':<16} {'best time':>10} {'throughput':>14}")
+    for kernel, t, rate in rows:
+        unit = "trials/s" if kernel.startswith("mc-") else "rows/s"
+        print(f"{kernel:<16} {t:>9.3f}s {rate:>10.3g} {unit}")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,16 @@
 """Hot numeric kernels: Monte-Carlo decoding and batched exact error.
 
-The Monte-Carlo kernel has a numba fast path and a pure numpy fallback;
-set GMACPAM_NO_NUMBA=1 to force the numpy one (the flag is read at import
-time). Both are always importable individually so tests and benchmarks can
-compare them directly. The batched exact-error kernels are numpy only.
-
-Randomness is counter based: uniform draw j of trial t is a pure function
-of (seed, 3 t + j) through a splitmix-style 64-bit finaliser, so Monte
-Carlo error counts are invariant to chunking, worker count and backend.
-Each trial consumes exactly three uniforms: one source draw and two
-Box-Muller uniforms for the complex noise sample.
+All kernels are numpy. Randomness is counter based: uniform draw j of
+trial t is a pure function of (seed, 3 t + j) through a SplitMix64
+finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), so Monte Carlo error counts are invariant to chunking, worker
+count and block size. Each trial consumes exactly three uniforms: one
+source draw and two Box-Muller uniforms for the complex noise sample.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -26,47 +21,52 @@ from .geometry import COINCIDENCE_RTOL
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("GMACPAM_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
-
-
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# counter-based uniforms (numpy)
+# counter-based uniforms
 # ---------------------------------------------------------------------------
 
 
 def mask64(seed: int) -> int:
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    return seed & 0xFFFFFFFFFFFFFFFF
+    return seed & _MASK64
+
+
+def _splitmix_uniforms(seed: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Uniform [0,1) draws at the uint64 counters in z, overwriting z.
+
+    tmp is scratch of z's shape. seed + (counter + 1) * golden is folded
+    into counter * golden + (seed + golden); uint64 arithmetic wraps, so
+    both forms give the same word.
+    """
+    z *= _U64(_GOLDEN)
+    z += _U64((mask64(seed) + _GOLDEN) & _MASK64)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        z *= _U64(mix)
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
+    z >>= _U64(11)
+    # below 2**53, so the signed view converts exactly (and faster)
+    u = z.view(np.int64).astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform [0,1) draws at the given 64-bit counters."""
-    z = (_U64(mask64(seed)) + (counters.astype(_U64) + _U64(1)) * _U64(_GOLDEN))
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-    z = z ^ (z >> _U64(31))
-    return (z >> _U64(11)).astype(np.float64) * _INV_2_53
+    z = counters.astype(_U64)
+    return _splitmix_uniforms(seed, z, np.empty_like(z))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -87,10 +87,12 @@ def derive_seed(seed: int, index: int) -> int:
 # Monte-Carlo trial kernel
 # ---------------------------------------------------------------------------
 
-_MC_BLOCK = 1 << 20
+# Trials per block: small enough that a block's temporaries (about 3 MB
+# in all) stay in cache.
+_MC_BLOCK = 1 << 14
 
 
-def mc_error_count_numpy(
+def mc_error_count(
     ax: np.ndarray,
     ay: np.ndarray,
     bias: np.ndarray,
@@ -100,24 +102,72 @@ def mc_error_count_numpy(
     start: int,
     n: int,
 ) -> int:
-    """Number of MAP decoding errors over trials [start, start + n)."""
+    """Number of MAP decoding errors over trials [start, start + n).
+
+    Per trial: pair idx = #{k < 3 : u0 >= cdf[k]} (the source draw),
+    received sample a[idx] + r exp(i 2 pi u2) with Box-Muller radius
+    r = sigma sqrt(-2 log1p(-u1)), and the decision is the first k that
+    maximises bias[k] + (re * ax[k] + im * ay[k]) / sigma2, as argmax
+    breaks ties (a NaN score, as in argmax, counts as the maximum). When
+    every ay is 0 (collinear geometry) the quadrature terms are skipped:
+    they add only +-0 to a score, which cannot change a comparison, so sin
+    is never evaluated there.
+    """
     sigma = math.sqrt(sigma2)
-    cdf3 = cdf[:3]
+    c0, c1, c2 = (float(c) for c in cdf[:3])
+    planar = bool(np.any(ay != 0.0))
+    b = min(_MC_BLOCK, n)
+    # counter of uniform j of trial i in a block, laid out (3, b) so that
+    # each uniform stream is contiguous
+    ramp = np.arange(3, dtype=_U64)[:, None] + np.arange(0, 3 * b, 3, dtype=_U64)
+    z = np.empty_like(ramp)
+    tmp = np.empty_like(ramp)
     errors = 0
     done = 0
     while done < n:
-        m = min(_MC_BLOCK, n - done)
-        t = np.arange(start + done, start + done + m, dtype=_U64) * _U64(3)
-        u0 = uniforms_numpy(seed, t)
-        u1 = uniforms_numpy(seed, t + _U64(1))
-        u2 = uniforms_numpy(seed, t + _U64(2))
-        idx = np.searchsorted(cdf3, u0, side="right")
-        r = sigma * np.sqrt(-2.0 * np.log1p(-u1))
-        ang = (2.0 * math.pi) * u2
-        rre = ax[idx] + r * np.cos(ang)
-        rim = ay[idx] + r * np.sin(ang)
-        scores = bias[None, :] + (np.outer(rre, ax) + np.outer(rim, ay)) / sigma2
-        best = np.argmax(scores, axis=1)
+        m = min(b, n - done)
+        zm = z[:, :m]
+        np.add(ramp[:, :m], _U64(3 * (start + done) & _MASK64), out=zm)
+        u0, u1, u2 = _splitmix_uniforms(seed, zm, tmp[:, :m])
+
+        idx = (u0 >= c0).view(np.uint8) + (u0 >= c1).view(np.uint8)
+        idx += (u0 >= c2).view(np.uint8)
+        r = np.negative(u1, out=u1)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        r *= sigma
+        ang = np.multiply(u2, 2.0 * math.pi, out=u2)
+        rre = np.cos(ang)
+        rre *= r
+        rre += ax.take(idx)
+        if planar:
+            rim = np.sin(ang, out=ang)
+            rim *= r
+            rim += ay.take(idx)
+            quad = u0  # u0 is spent; reuse it for the quadrature terms
+
+        scores = []
+        for k in range(4):
+            s = rre * ax[k]
+            if planar:
+                s += np.multiply(rim, ay[k], out=quad)
+            s /= sigma2
+            s += bias[k]
+            scores.append(s)
+        top = np.maximum(scores[0], scores[1])
+        np.maximum(top, scores[2], out=top)
+        np.maximum(top, scores[3], out=top)
+        if np.isnan(top).any():
+            # overflowing inputs; argmax counts a NaN as the maximum
+            best = np.argmax(np.stack(scores), axis=0)
+        else:
+            # first k attaining the maximum = the number of leading scores below it
+            below = scores[0] != top
+            best = below.view(np.uint8).copy()
+            for s in scores[1:3]:
+                below &= s != top
+                best += below.view(np.uint8)
         errors += int(np.count_nonzero(best != idx))
         done += m
     return errors
@@ -265,69 +315,3 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     miss = np.where(wedge, adj + t_d - first - second, adj - first)
     p_err = np.clip(np.clip(miss, 0.0, 1.0) @ p, 0.0, 1.0)
     return np.where(bijective, p_err, np.inf)
-
-
-# ---------------------------------------------------------------------------
-# numba fast path
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
-
-    @_njit
-    def _uniform_nb(seed: np.uint64, counter: np.uint64) -> float:
-        z = seed + (counter + _U64(1)) * _U64(_GOLDEN)
-        z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-        z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-        z = z ^ (z >> _U64(31))
-        return (z >> _U64(11)) * _INV_2_53
-
-    @_njit
-    def mc_error_count_numba(ax, ay, bias, cdf, sigma2, seed, start, n):
-        sigma = math.sqrt(sigma2)
-        seed_u = _U64(seed)
-        errors = 0
-        for t in range(start, start + n):
-            base = _U64(3 * t)
-            u0 = _uniform_nb(seed_u, base)
-            if u0 < cdf[0]:
-                idx = 0
-            elif u0 < cdf[1]:
-                idx = 1
-            elif u0 < cdf[2]:
-                idx = 2
-            else:
-                idx = 3
-            u1 = _uniform_nb(seed_u, base + _U64(1))
-            u2 = _uniform_nb(seed_u, base + _U64(2))
-            r = sigma * math.sqrt(-2.0 * math.log1p(-u1))
-            ang = (2.0 * math.pi) * u2
-            rre = ax[idx] + r * math.cos(ang)
-            rim = ay[idx] + r * math.sin(ang)
-            best = 0
-            best_score = bias[0] + (rre * ax[0] + rim * ay[0]) / sigma2
-            for k in range(1, 4):
-                s = bias[k] + (rre * ax[k] + rim * ay[k]) / sigma2
-                if s > best_score:
-                    best_score = s
-                    best = k
-            if best != idx:
-                errors += 1
-        return errors
-
-else:  # pragma: no cover - exercised via the env flag instead
-    mc_error_count_numba = None
-
-
-mc_error_count = mc_error_count_numba if USING_NUMBA else mc_error_count_numpy
-
-
-def warmup() -> None:
-    """Trigger jit compilation so timing runs exclude compile cost."""
-    if not USING_NUMBA:
-        return
-    ax = np.array([-1.0, 0.0, 0.0, 1.0])
-    ay = np.zeros(4)
-    bias = np.zeros(4)
-    cdf = np.array([0.25, 0.5, 0.75, 1.0])
-    mc_error_count(ax, ay, bias, cdf, 0.1, 1, 0, 8)

@@ -13,7 +13,7 @@ import sys
 
 from ._kernels import backend_name, derive_seed
 from .analysis import exact_error, union_bound
-from .config import ExperimentConfig, build_config, parse_config_file
+from .config import _KEYS, ExperimentConfig, build_config, parse_config_file
 from .design import DesignInput, DesignResult, design
 from .errors import ConfigError, GmacpamError, UnknownConvention
 from .geometry import ChannelGeometry, check_energy, from_amplitudes, is_bijective
@@ -275,13 +275,6 @@ def cmd_reproduce(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = (
-    "p00", "p01", "p10", "p11", "p1", "p2", "gamma_m",
-    "e1", "e2", "gamma_phi", "snr_db", "sigma2", "snr_convention",
-    "schemes", "trials", "seed", "workers", "grid", "out",
-)
-
-
 def _parse_amplitudes(text: str) -> tuple[float, float, float, float]:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key = value file with defaults")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="set any config key (repeatable); known keys: "
-                             + ", ".join(_FLAG_KEYS))
+                             + ", ".join(_KEYS))
 
     p = sub.add_parser("design", parents=[common],
                        help="print designed constellations, optionally as CSV")

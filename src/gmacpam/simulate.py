@@ -28,9 +28,7 @@ def _decoder_tables(cc: CombinedConstellation, sigma2: float):
     ay = np.ascontiguousarray(pts.imag)
     priors = priors_array(cc)
     bias = np.log(priors) - (ax * ax + ay * ay) / (2.0 * sigma2)
-    cdf = np.cumsum(priors)
-    cdf[3] = 1.0
-    return ax, ay, bias, cdf
+    return ax, ay, bias, cc.priors.cdf()
 
 
 def simulate(

@@ -1,13 +1,10 @@
-"""Numerical kernels: counter-based RNG, backend parity, batched evaluators."""
+"""Numerical kernels: counter-based RNG, Monte-Carlo counts, batched evaluators."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-import gmacpam
 from gmacpam import (
     CombinedConstellation,
     DesignInput,
@@ -19,9 +16,6 @@ from gmacpam import _kernels as K
 from gmacpam.simulate import _decoder_tables
 
 from conftest import build_cc
-
-TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
-PACKAGE_FILE = os.path.realpath(gmacpam.__file__)
 
 # FROZEN canaries: these pin the exact output stream across refactors.
 DERIVED_0 = 6021866472996949974
@@ -78,15 +72,77 @@ def test_mask64_rejects_negative():
 def test_mc_backends_agree(case1):
     cc = build_cc(-3.0, 1.0 / 3.0, -2.421, -0.678, 1.0, case1)
     tables = _decoder_tables(cc, 10.0**-0.8)
-    a = K.mc_error_count_numpy(*tables, 10.0**-0.8, 20260815, 0, 200_000)
+    a = K.mc_error_count(*tables, 10.0**-0.8, 20260815, 0, 200_000)
     assert a > 0
-    if K.HAVE_NUMBA and not K.numba_disabled_by_env():
-        b = K.mc_error_count_numba(*tables, 10.0**-0.8, 20260815, 0, 200_000)
-        assert a == b
     # chunked starts compose exactly
-    a1 = K.mc_error_count_numpy(*tables, 10.0**-0.8, 20260815, 0, 120_000)
-    a2 = K.mc_error_count_numpy(*tables, 10.0**-0.8, 20260815, 120_000, 80_000)
+    a1 = K.mc_error_count(*tables, 10.0**-0.8, 20260815, 0, 120_000)
+    a2 = K.mc_error_count(*tables, 10.0**-0.8, 20260815, 120_000, 80_000)
     assert a1 + a2 == a
+
+
+# FROZEN Monte-Carlo counts, recorded from the unblocked searchsorted and
+# argmax kernel: any change means a trial's stream or decision moved. Each
+# case is (amplitudes, gamma_phi, source, sigma2); the rows are MC_SEEDS and
+# the columns MC_RANGES, whose (start, n) pairs straddle 1 << 14 block edges
+# from even, odd and 2**40-scale starts.
+MC_SEEDS = (1, 20260815, 2**62 + 12345)
+MC_RANGES = ((0, 16_385), (16_383, 16_385), (49_159, 32_773), (2**40 + 1, 40_001))
+_T2 = (-3.0, 1.0 / 3.0, -2.421, -0.678)
+_PLANAR = (-1.0, 0.8, -0.9, 0.7)
+MC_FROZEN = {
+    "gamma+1": (_T2, 1.0, "case1", 10.0**-0.8,
+                [[46, 42, 75, 105], [42, 53, 99, 106], [46, 39, 86, 123]]),
+    "gamma-1": (_T2, -1.0, "case1", 10.0**-0.8,
+                [[231, 235, 478, 528], [236, 207, 438, 574], [226, 220, 438, 570]]),
+    "gamma0": (_PLANAR, 0.0, "case2", 0.25,
+               [[1132, 1187, 2315, 2799], [1164, 1131, 2344, 2918], [1153, 1201, 2248, 2824]]),
+    "gamma0.707": (_PLANAR, 0.707, "case2", 0.25,
+                   [[1203, 1230, 2396, 2924], [1206, 1196, 2416, 2967], [1234, 1227, 2310, 2927]]),
+    # identical antipodal senders, as in test_ambiguity_floor: two pairs
+    # share a point, so every decision between them is an exact tie
+    "tied": ((-1.0, 1.0, -1.0, 1.0), 1.0, "uniform", 1e-4,
+             [[4042, 4143, 8226, 9896], [4032, 3995, 8246, 9887], [4190, 4151, 8246, 10012]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MC_FROZEN))
+def test_mc_counts_frozen(request, name):
+    amps, gamma_phi, source, sigma2, want = MC_FROZEN[name]
+    cc = build_cc(*amps, gamma_phi, request.getfixturevalue(source))
+    tables = _decoder_tables(cc, sigma2)
+    got = [
+        [K.mc_error_count(*tables, sigma2, seed, start, n) for start, n in MC_RANGES]
+        for seed in MC_SEEDS
+    ]
+    assert got == want
+
+
+def _reference_count(ax, ay, bias, cdf, sigma2, seed, start, n):
+    """The unblocked kernel: searchsorted draw, (n, 4) score matrix, argmax."""
+    t = np.arange(start, start + n, dtype=np.uint64) * np.uint64(3)
+    u0, u1, u2 = (K.uniforms_numpy(seed, t + np.uint64(j)) for j in range(3))
+    idx = np.searchsorted(cdf[:3], u0, side="right")
+    r = math.sqrt(sigma2) * np.sqrt(-2.0 * np.log1p(-u1))
+    ang = (2.0 * math.pi) * u2
+    rre = ax[idx] + r * np.cos(ang)
+    rim = ay[idx] + r * np.sin(ang)
+    scores = bias[None, :] + (np.outer(rre, ax) + np.outer(rim, ay)) / sigma2
+    return int(np.count_nonzero(np.argmax(scores, axis=1) != idx))
+
+
+@pytest.mark.parametrize("name", ["gamma+1", "gamma0.707", "tied", "overflow"])
+def test_mc_matches_reference(request, name):
+    # "overflow": a subnormal sigma2 turns scores into NaN, which argmax
+    # takes as the maximum; the kernel must break those the same way
+    amps, gamma_phi, source, sigma2, _ = MC_FROZEN["gamma+1" if name == "overflow" else name]
+    if name == "overflow":
+        sigma2 = 1e-310
+    cc = build_cc(*amps, gamma_phi, request.getfixturevalue(source))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        tables = _decoder_tables(cc, sigma2)
+        for seed in MC_SEEDS:
+            want = _reference_count(*tables, sigma2, seed, 16_383, 40_001)
+            assert K.mc_error_count(*tables, sigma2, seed, 16_383, 40_001) == want
 
 
 # SNRs of the batch-versus-scalar checks; sigma2 = 10^(-snr/10) against
@@ -196,62 +252,3 @@ def test_planar_batch_non_bijective_is_inf(case2):
     assert pe[1] == np.inf and pe[2] == np.inf
     with pytest.raises(NonBijective):
         exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
-
-
-def test_warmup_runs():
-    K.warmup()
-
-
-def _child_env(**extra):
-    """Environment for a fresh interpreter that imports this very gmacpam.
-
-    PYTHONPATH is rebuilt from absolute paths, so the child finds the same
-    package whatever its working directory: the directory that holds the
-    imported package, then tests/ (for conftest helpers), then the entries
-    already set, each made absolute against the current directory.
-    """
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    path = [os.path.dirname(os.path.dirname(PACKAGE_FILE)), TESTS_DIR]
-    path += [os.path.abspath(p) for p in inherited if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
-
-
-def test_backend_flag_env():
-    env = _child_env(GMACPAM_NO_NUMBA="1")
-    code = (
-        "from gmacpam._kernels import backend_name, USING_NUMBA;"
-        "print(backend_name(), USING_NUMBA)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-def test_disabled_backend_same_counts(case1):
-    """The numpy fallback must reproduce the accelerated stream bit-for-bit."""
-    cc = build_cc(-3.0, 1.0 / 3.0, -2.421, -0.678, 1.0, case1)
-    tables = _decoder_tables(cc, 10.0**-0.8)
-    here = K.mc_error_count(*tables, 10.0**-0.8, 777, 0, 150_000)
-    env = _child_env(GMACPAM_NO_NUMBA="1")
-    code = (
-        "import gmacpam\n"
-        "from gmacpam import simulate, from_marginals_correlation\n"
-        "pri = from_marginals_correlation(0.1, 0.1, 0.9)\n"
-        "from conftest import build_cc\n"
-        "cc = build_cc(-3.0, 1.0/3.0, -2.421, -0.678, 1.0, pri)\n"
-        "print(gmacpam.__file__)\n"
-        "print(simulate(cc, 10.0**-0.8, 150_000, 777).errors)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=TESTS_DIR,
-    )
-    assert out.returncode == 0, out.stderr
-    child_file, errors = out.stdout.splitlines()
-    assert os.path.realpath(child_file) == PACKAGE_FILE
-    assert int(errors) == here

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 from gmacpam import DesignInput, decode, design_collinear, exact_error, simulate, sweep
-from gmacpam._kernels import derive_seed, uniforms_numpy
+from gmacpam._kernels import derive_seed, mc_error_count, uniforms_numpy
 from gmacpam.errors import EmptySweep
 from gmacpam.simulate import _decoder_tables
 from gmacpam.sources import BIT_PAIRS
@@ -76,14 +76,8 @@ def test_argument_validation(t2cc):
         simulate(t2cc, 0.1, 10, 2**63)
 
 
-def test_trials_match_decoder_replay(case2):
-    """Every simulated trial reproduces decode() on the reconstructed draw."""
-    cc = build_cc(-1.0, 0.8, -0.9, 0.7, 0.6, case2)
-    sigma2 = 0.25
-    seed = 424242
-    n = 4096
-    res = simulate(cc, sigma2, n, seed)
-
+def _replay_misses(cc, sigma2, seed, n):
+    """Per trial in [0, n): does decode() miss on the rebuilt received sample?"""
     t = np.arange(n, dtype=np.uint64) * np.uint64(3)
     u0 = uniforms_numpy(seed, t)
     u1 = uniforms_numpy(seed, t + np.uint64(1))
@@ -92,13 +86,38 @@ def test_trials_match_decoder_replay(case2):
     sent = np.searchsorted(cdf[:3], u0, side="right")
     radius = math.sqrt(sigma2) * np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * math.pi * u2
-    errors = 0
+    misses = []
     for k in range(n):
         a = cc.as_array()[sent[k]]
         r = a + radius[k] * complex(math.cos(angle[k]), math.sin(angle[k]))
-        if decode(r, cc, sigma2) != BIT_PAIRS[sent[k]]:
-            errors += 1
-    assert res.errors == errors
+        misses.append(int(decode(r, cc, sigma2) != BIT_PAIRS[sent[k]]))
+    return misses
+
+
+def test_trials_match_decoder_replay(case2):
+    """Every simulated trial reproduces decode() on the reconstructed draw."""
+    cc = build_cc(-1.0, 0.8, -0.9, 0.7, 0.6, case2)
+    sigma2 = 0.25
+    seed = 424242
+    n = 4096
+    res = simulate(cc, sigma2, n, seed)
+    assert res.errors == sum(_replay_misses(cc, sigma2, seed, n))
+
+
+def test_collinear_trials_match_decoder_replay(case2):
+    """Trial by trial, the collinear path (it never evaluates sin) agrees
+    with decode() on the full complex sample, quadrature noise included."""
+    cc = build_cc(-1.0, 0.8, -0.9, 0.7, 1.0, case2)
+    assert not cc.as_array().imag.any()
+    sigma2 = 0.25
+    seed = 424243
+    n = 4096
+    tables = _decoder_tables(cc, sigma2)
+    got = [mc_error_count(*tables, sigma2, seed, k, 1) for k in range(n)]
+    want = _replay_misses(cc, sigma2, seed, n)
+    assert sum(want) > 0
+    assert got == want
+    assert simulate(cc, sigma2, n, seed).errors == sum(want)
 
 
 def test_collinear_decisions_ignore_imaginary_noise(case1, t2cc):
