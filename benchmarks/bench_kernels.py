@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hot kernels: Monte Carlo and the batched exact-error evaluators.
+"""Time the hot kernels: Monte Carlo, batched and scalar exact error.
 
 Run from the repository root:
 
@@ -9,7 +9,9 @@ Run from the repository root:
 The Monte-Carlo kernel is timed on one collinear and one planar
 constellation, after checking that its count over all trials equals the
 sum over two chunks; each batched evaluator is checked against the scalar
-exact_error on a sample of its rows before its rows/s are reported.
+exact_error on a sample of its rows before its rows/s are reported. The
+scalar rows give microseconds per call of exact_error on the same two
+constellations and of union_bound on the collinear one.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import time
 import numpy as np
 
 from gmacpam import _kernels
-from gmacpam.analysis import exact_error_collinear, exact_error_planar
+from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
 from gmacpam.design import DesignInput, design_collinear
 from gmacpam.geometry import CombinedConstellation
 from gmacpam.simulate import _decoder_tables
@@ -35,7 +37,13 @@ def best_of(fn, repeat):
     return out, min(times)
 
 
-def bench_mc(trials, repeat):
+# Scalar calls per timed repeat.
+SCALAR_CALLS = 2000
+
+
+def _constellations():
+    """(collinear, sigma2), (planar, sigma2): the design_collinear point for
+    the case-1 source and a gamma_phi = 0.707 point for the case-2 source."""
     priors = from_marginals_correlation(0.1, 0.1, 0.9)
     sigma2 = 10.0**-0.8
     inp = DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
@@ -43,16 +51,33 @@ def bench_mc(trials, repeat):
     u2 = complex(0.707, math.sqrt(1.0 - 0.707**2))
     planar = CombinedConstellation(-1.0 - 0.9 * u2, -1.0 + 0.7 * u2, 0.8 - 0.9 * u2,
                                    0.8 + 0.7 * u2, from_marginals_correlation(0.2, 0.5, 0.4))
+    return (collinear, sigma2), (planar, 0.25)
 
+
+def bench_mc(trials, repeat):
+    (collinear, sigma2), (planar, s2_planar) = _constellations()
     rows = []
-    for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, 0.25)):
+    for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar)):
         tables = _decoder_tables(cc, s2)
         count, t = best_of(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials), repeat)
         half = trials // 2
         chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
                    + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
         assert chunked == count, f"{name}: chunked count {chunked} != {count}"
-        rows.append((name, t, trials / t))
+        rows.append((name, t, trials / t, "trials/s"))
+    return rows
+
+
+def bench_scalar(repeat):
+    (collinear, s2c), (planar, s2p) = _constellations()
+    rows = []
+    for name, fn in (
+        ("exact-collinear", lambda: exact_error(collinear, s2c)),
+        ("exact-planar", lambda: exact_error(planar, s2p)),
+        ("union", lambda: union_bound(collinear, s2c)),
+    ):
+        _, t = best_of(lambda: [fn() for _ in range(SCALAR_CALLS)], repeat)
+        rows.append((name, t, t / SCALAR_CALLS * 1e6, "us/call"))
     return rows
 
 
@@ -80,8 +105,8 @@ def bench_batch(rows_n, repeat):
     _assert_matches_scalar(planar, got, priors, 0.04, exact_error_planar)
 
     return [
-        ("collinear-batch", t_col, rows_n / t_col),
-        ("planar-batch", t_pl, rows_n / t_pl),
+        ("collinear-batch", t_col, rows_n / t_col, "rows/s"),
+        ("planar-batch", t_pl, rows_n / t_pl, "rows/s"),
     ]
 
 
@@ -92,10 +117,10 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     ns = ap.parse_args()
 
-    rows = bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-    print(f"{'kernel':<16} {'best time':>10} {'throughput':>14}")
-    for kernel, t, rate in rows:
-        unit = "trials/s" if kernel.startswith("mc-") else "rows/s"
+    rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
+            + bench_scalar(ns.repeat))
+    print(f"{'kernel':<16} {'best time':>10} {'rate':>14}")
+    for kernel, t, rate, unit in rows:
         print(f"{kernel:<16} {t:>9.3f}s {rate:>10.3g} {unit}")
 
 

@@ -4,14 +4,12 @@ senders on a shared Gaussian channel."""
 from . import errors
 from ._kernels import backend_name, derive_seed
 from .analysis import (
-    DeltaStats,
     ErrorReport,
     bvn_lower_orthant,
     closed_form_qam,
     collinear_decision_interval,
     collinear_pair_threshold,
     collinear_sign_case,
-    delta_stats,
     exact_error,
     exact_error_collinear,
     exact_error_planar,
@@ -56,11 +54,6 @@ from .geometry import (
     pair_geometry,
 )
 from .simulate import SimResult, simulate, sweep
-from .sources import (
-    JointSourceDistribution,
-    from_joint,
-    from_marginals_correlation,
-    marginals_and_correlation,
-)
+from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
 
 __version__ = "0.1.0"

@@ -10,7 +10,11 @@ which is Gaussian with mean -|a_lm - a_uv|^2/2 - sigma2 ln(p_uv/p_lm) and
 standard deviation sigma |a_lm - a_uv|. Correct decoding of (u, v) is the
 event that all three statistics are negative.
 
-Two exact evaluation paths cover every constellation:
+Each public call builds one pairwise table for its constellation and noise
+level: the points, the priors, the coincidence tolerance, the collinear and
+bijective flags and, for each of the 12 ordered pairs, the standardised
+bound z with Pr(Delta > 0) = Phi(z) and that tail probability. Two exact
+evaluation paths read it and cover every constellation:
 
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
@@ -28,16 +32,17 @@ Two exact evaluation paths cover every constellation:
 
 Both paths accumulate tail terms directly (never 1 - P_correct), keeping
 relative precision at arbitrarily small error rates. The union bound sums
-p_uv Pr(Delta_{uv,lm} > 0) over ordered pairs, starting each per-pair sum
-from the exact path's own leading floats so the bound cannot round below
-the exact value; the high-SNR variants replace the tilted thresholds by
-plain midpoints.
+p_uv Pr(Delta_{uv,lm} > 0) over ordered pairs from the same table, starting
+each per-pair sum from the exact path's own leading floats so the bound
+cannot round below the exact value; the high-SNR variants replace the
+tilted thresholds by plain midpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erfc, ndtr, owens_t
@@ -49,7 +54,7 @@ from .errors import (
     NonBijective,
     NotCollinear,
 )
-from .geometry import BIT_PAIRS, COINCIDENCE_RTOL, CombinedConstellation, is_bijective
+from .geometry import COINCIDENCE_RTOL, CombinedConstellation
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -68,22 +73,14 @@ def qfunc(x):
 
 
 @dataclass(frozen=True)
-class DeltaStats:
-    """Mean and standard deviation of one pairwise decision statistic."""
-
-    mu: float
-    sd: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """System error probability with per-pair conditional correct probabilities.
 
     p_c_per_pair holds Pr(correct | (u, v) sent) in lexicographic pair
     order; p_err_exact is the prior-weighted sum of the per-pair miss
     probabilities 1 - p_c_uv, accumulated in tail form so small values keep
-    relative precision. method is 'collinear', 'planar' or 'closed-form'.
+    relative precision. method names the exact path that ran: 'collinear'
+    or 'planar'.
     """
 
     p_err_exact: float
@@ -91,14 +88,11 @@ class ErrorReport:
     method: str
 
 
-def _coincidence_tol(cc: CombinedConstellation) -> float:
-    return COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
-
-
-def is_collinear(cc: CombinedConstellation, rtol: float = COINCIDENCE_RTOL) -> bool:
-    """True when every combined point sits on the real axis within rtol."""
-    pts = cc.as_array()
-    return float(np.max(np.abs(pts.imag))) <= rtol * max(cc.scale(), 1e-300)
+def is_collinear(cc: CombinedConstellation) -> bool:
+    """True when every combined point sits on the real axis within the
+    coincidence tolerance."""
+    tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
+    return all(abs(p.imag) <= tol for p in (cc.a00, cc.a01, cc.a10, cc.a11))
 
 
 def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool:
@@ -108,52 +102,75 @@ def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool
     return uv_idx < lm_idx
 
 
-def delta_stats(
-    cc: CombinedConstellation, uv: tuple[int, int], lm: tuple[int, int], sigma2: float
-) -> DeltaStats:
-    """Gaussian parameters of Delta_{uv,lm}; degenerate when the points coincide."""
-    a_uv = cc.point(*uv)
-    a_lm = cc.point(*lm)
-    p = cc.priors
-    dist = abs(a_lm - a_uv)
-    mu = -(dist**2) / 2.0 - sigma2 * math.log(p.prob(*uv) / p.prob(*lm))
-    degenerate = dist <= _coincidence_tol(cc)
-    return DeltaStats(mu=mu, sd=math.sqrt(sigma2) * dist, degenerate=degenerate)
+class _PairTable:
+    """Pairwise statistics of one constellation at one noise level.
 
-
-def _exceed_bound(
-    cc: CombinedConstellation, sigma2: float, uv: tuple[int, int], lm: tuple[int, int]
-) -> float:
-    """Standardised bound z with Pr(Delta_{uv,lm} > 0) = Phi(z).
-
-    Coincident pairs resolve deterministically by the same prior /
-    lexicographic rule the decoder applies: -inf when (u,v) keeps the shared
-    point, +inf when it loses it.
+    Point i = 2u + v is a_uv. Construction reads the geometry: the points
+    as stored, their real parts as a float64 array, the priors, the
+    coincidence tolerance, the pairwise distances and the collinear and
+    bijective flags. z[i][j], the standardised bound with
+    Pr(Delta_ij > 0) = Phi(z[i][j]), and tail[i][j] = Q(-z[i][j]) are filled
+    on first use, so a view that rejects the geometry raises before any
+    noise-dependent arithmetic. A coincident rival resolves by the decoder's
+    prior / lexicographic rule: z = -inf when i keeps the shared point, +inf
+    when it loses it.
     """
-    st = delta_stats(cc, uv, lm, sigma2)
-    if st.degenerate:
-        uv_idx = 2 * uv[0] + uv[1]
-        lm_idx = 2 * lm[0] + lm[1]
-        priors = cc.priors.as_tuple()
-        wins = _wins_degenerate(uv_idx, lm_idx, priors[uv_idx], priors[lm_idx])
-        return -math.inf if wins else math.inf
-    return st.mu / st.sd
 
+    def __init__(self, cc: CombinedConstellation, sigma2: float):
+        pts = (cc.a00, cc.a01, cc.a10, cc.a11)
+        tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
+        self.pts = pts
+        self.re = cc.as_array().real
+        self.priors = cc.priors.as_tuple()
+        self.sigma2 = sigma2
+        self.tol = tol
+        self.collinear = all(abs(p.imag) <= tol for p in pts)
+        self.dist = [[abs(b - a) for b in pts] for a in pts]
+        self.bijective = not any(
+            self.dist[j][i] <= tol for i in range(4) for j in range(i + 1, 4)
+        )
 
-def _pairwise_error_prob(
-    cc: CombinedConstellation, sigma2: float, uv: tuple[int, int], lm: tuple[int, int]
-) -> float:
-    """Pr(Delta_{uv,lm} > 0): the pairwise MAP error from (u,v) toward (l,m).
+    @cached_property
+    def z(self) -> list[list[float]]:
+        p, sigma2 = self.priors, self.sigma2
+        sd_unit = math.sqrt(sigma2)
+        z = [[math.nan] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(4):
+                if j == i:
+                    continue
+                d = self.dist[i][j]
+                if d <= self.tol:
+                    z[i][j] = -math.inf if _wins_degenerate(i, j, p[i], p[j]) else math.inf
+                else:
+                    mu = -(d**2) / 2.0 - sigma2 * math.log(p[i] / p[j])
+                    z[i][j] = mu / (sd_unit * d)
+        return z
 
-    Both exact paths and the union bound draw their tail terms from here so
-    the shared leading terms are bit-identical.
-    """
-    return float(qfunc(-_exceed_bound(cc, sigma2, uv, lm)))
+    @cached_property
+    def tail(self) -> list[list[float]]:
+        return qfunc(-np.array(self.z)).tolist()
+
+    def threshold(self, i: int, j: int) -> tuple[str, float]:
+        """Rival j's constraint on Re[N] around point i; see collinear_pair_threshold."""
+        c = self.re[j] - self.re[i]
+        p = self.priors
+        if abs(c) <= self.tol:
+            return ("win" if _wins_degenerate(i, j, p[i], p[j]) else "lose"), math.nan
+        t = c * c / 2.0 + self.sigma2 * math.log(p[i] / p[j])
+        return ("upper" if c > 0.0 else "lower"), t / c
 
 
 # ---------------------------------------------------------------------------
 # collinear exact path
 # ---------------------------------------------------------------------------
+
+
+def _line_table(cc: CombinedConstellation, sigma2: float) -> _PairTable:
+    table = _PairTable(cc, sigma2)
+    if not table.collinear:
+        raise NotCollinear("combined constellation has points off the real axis")
+    return table
 
 
 def collinear_pair_threshold(
@@ -166,20 +183,42 @@ def collinear_pair_threshold(
     ('lower', t/c) when c < 0. A coincident rival gives ('win', nan) or
     ('lose', nan) by prior comparison, lexicographic order on exact ties.
     """
-    if not is_collinear(cc):
-        raise NotCollinear("combined constellation has points off the real axis")
-    pts = cc.as_array().real
-    priors = cc.priors.as_tuple()
+    table = _line_table(cc, sigma2)
     uv_idx = 2 * uv[0] + uv[1]
     lm_idx = 2 * lm[0] + lm[1]
     if lm_idx == uv_idx:
         raise ValueError("rival must differ from the transmitted pair")
-    c = pts[lm_idx] - pts[uv_idx]
-    if abs(c) <= _coincidence_tol(cc):
-        wins = _wins_degenerate(uv_idx, lm_idx, priors[uv_idx], priors[lm_idx])
-        return ("win" if wins else "lose"), math.nan
-    t = c * c / 2.0 + sigma2 * math.log(priors[uv_idx] / priors[lm_idx])
-    return ("upper" if c > 0.0 else "lower"), t / c
+    return table.threshold(uv_idx, lm_idx)
+
+
+def _collinear_binding(table: _PairTable, i: int):
+    """The binding rivals of point i on the real axis.
+
+    Returns (up, hi, low, lo, rest, dead): the rival with the lowest upper
+    threshold and that threshold (None and +inf when no rival bounds from
+    above), the same for the highest lower threshold, the other rivals in
+    the order met, and whether a coincident rival takes the shared point.
+    """
+    up = low = None
+    hi, lo = math.inf, -math.inf
+    rest = []
+    dead = False
+    for j in range(4):
+        if j == i:
+            continue
+        kind, value = table.threshold(i, j)
+        if kind == "upper" and (up is None or value < hi):
+            if up is not None:
+                rest.append(up)
+            up, hi = j, value
+        elif kind == "lower" and (low is None or value > lo):
+            if low is not None:
+                rest.append(low)
+            low, lo = j, value
+        else:
+            dead = dead or kind == "lose"
+            rest.append(j)
+    return up, hi, low, lo, rest, dead
 
 
 def collinear_decision_interval(
@@ -190,25 +229,14 @@ def collinear_decision_interval(
     Intersects the three rival constraints from collinear_pair_threshold;
     a losing coincident rival kills the region outright.
     """
-    lo = -math.inf
-    hi = math.inf
-    for lm in BIT_PAIRS:
-        if lm == uv:
-            continue
-        kind, value = collinear_pair_threshold(cc, sigma2, uv, lm)
-        if kind == "lose":
-            return 0.0, 0.0, False
-        if kind == "upper":
-            hi = min(hi, value)
-        elif kind == "lower":
-            lo = max(lo, value)
+    _, hi, _, lo, _, dead = _collinear_binding(_line_table(cc, sigma2), 2 * uv[0] + uv[1])
+    if dead:
+        return 0.0, 0.0, False
     return lo, hi, True
 
 
-def _collinear_uv_terms(
-    cc: CombinedConstellation, sigma2: float, uv: tuple[int, int]
-) -> tuple[float, float]:
-    """(miss probability, union term) for one transmitted pair on the real axis.
+def _collinear_terms(table: _PairTable, i: int) -> tuple[float, float]:
+    """(miss probability, union term) for point i on the real axis.
 
     The miss probability sums the two tails past the binding thresholds, so
     it keeps full relative precision however small it gets. The union term
@@ -216,33 +244,12 @@ def _collinear_uv_terms(
     terms; floating-point addition of non-negatives is monotone, so the
     computed bound can never round below the computed exact value.
     """
-    binding_up: tuple[float, tuple[int, int]] | None = None
-    binding_lo: tuple[float, tuple[int, int]] | None = None
-    rest = []
-    dead = False
-    for lm in BIT_PAIRS:
-        if lm == uv:
-            continue
-        kind, value = collinear_pair_threshold(cc, sigma2, uv, lm)
-        if kind == "upper" and (binding_up is None or value < binding_up[0]):
-            if binding_up is not None:
-                rest.append(binding_up[1])
-            binding_up = (value, lm)
-        elif kind == "lower" and (binding_lo is None or value > binding_lo[0]):
-            if binding_lo is not None:
-                rest.append(binding_lo[1])
-            binding_lo = (value, lm)
-        else:
-            dead = dead or kind == "lose"
-            rest.append(lm)
-    q_up = 0.0 if binding_up is None else _pairwise_error_prob(cc, sigma2, uv, binding_up[1])
-    q_lo = 0.0 if binding_lo is None else _pairwise_error_prob(cc, sigma2, uv, binding_lo[1])
-    core = q_up + q_lo
+    up, hi, low, lo, rest, dead = _collinear_binding(table, i)
+    tail = table.tail[i]
+    core = (0.0 if up is None else tail[up]) + (0.0 if low is None else tail[low])
     union_term = core
-    for lm in rest:
-        union_term += _pairwise_error_prob(cc, sigma2, uv, lm)
-    lo = -math.inf if binding_lo is None else binding_lo[0]
-    hi = math.inf if binding_up is None else binding_up[0]
+    for j in rest:
+        union_term += tail[j]
     if dead:
         miss = 1.0
     elif lo >= hi:
@@ -252,15 +259,6 @@ def _collinear_uv_terms(
     else:
         miss = core
     return miss, union_term
-
-
-def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
-    """Exact MAP error probability for a real-axis combined constellation."""
-    priors = cc.priors.as_tuple()
-    miss = [_collinear_uv_terms(cc, sigma2, uv)[0] for uv in BIT_PAIRS]
-    p_err = math.fsum(p * m for p, m in zip(priors, miss))
-    p_c = tuple(1.0 - m for m in miss)
-    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method="collinear")
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +313,8 @@ def _pair_corr(c_a: complex, c_b: complex) -> float:
     return min(max(rho, -_RHO_LIMIT), _RHO_LIMIT)
 
 
-def _planar_uv_terms(
-    cc: CombinedConstellation, sigma2: float, uv: tuple[int, int]
-) -> tuple[float, float]:
-    """(miss probability, union term) for one pair off the real axis.
+def _planar_miss(table: _PairTable, i: int) -> float:
+    """Miss probability for point i off the real axis.
 
     Inclusion-exclusion over the three rival exceedance events, split on the
     diagonal offset alpha_uv. For alpha_uv <= 0 the two adjacent conditions
@@ -328,41 +324,51 @@ def _planar_uv_terms(
     collapsing the triple term, and miss = T_x + T_y + T_d - B_dx - B_dy
     with B the diagonal-adjacent joint exceedances. Every piece is a small
     orthant quantity, so miss keeps relative precision at high SNR; the
-    union term extends the same partial sums by non-negative tails only, so
-    it cannot round below miss.
+    union term T_x + T_y + T_d extends the same partial sums by
+    non-negative tails only, so it cannot round below miss.
     """
-    u, v = uv
-    adj_x = (1 - u, v)
-    adj_y = (u, 1 - v)
-    diag = (1 - u, 1 - v)
-    z_x = _exceed_bound(cc, sigma2, uv, adj_x)
-    z_y = _exceed_bound(cc, sigma2, uv, adj_y)
-    z_d = _exceed_bound(cc, sigma2, uv, diag)
-    t_x = float(qfunc(-z_x))
-    t_y = float(qfunc(-z_y))
-    t_d = float(qfunc(-z_d))
-    pts = cc.as_array()
-    priors = cc.priors.as_tuple()
-    base = pts[2 * u + v]
-    c_x = pts[2 * adj_x[0] + adj_x[1]] - base
-    c_y = pts[2 * adj_y[0] + adj_y[1]] - base
-    c_d = pts[2 * diag[0] + diag[1]] - base
+    # rivals that flip u, flip v, and flip both
+    x, y, d = i ^ 2, i ^ 1, i ^ 3
+    z, tail, p, pts = table.z[i], table.tail[i], table.priors, table.pts
+    c_x = pts[x] - pts[i]
+    c_y = pts[y] - pts[i]
+    c_d = pts[d] - pts[i]
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
-    prior_ratio = (
-        priors[2 * u + v] * priors[2 * diag[0] + diag[1]]
-        / (priors[2 * adj_x[0] + adj_x[1]] * priors[2 * adj_y[0] + adj_y[1]])
-    )
-    alpha = sigma2 * math.log(prior_ratio) - cross
-    adj = t_x + t_y
-    union_term = adj + t_d
+    alpha = table.sigma2 * math.log(p[i] * p[d] / (p[x] * p[y])) - cross
+    adj = tail[x] + tail[y]
     if alpha > 0.0:
-        b_dx = bvn_lower_orthant(z_d, z_x, _pair_corr(c_d, c_x))
-        b_dy = bvn_lower_orthant(z_d, z_y, _pair_corr(c_d, c_y))
-        miss = union_term - b_dx - b_dy
+        b_dx = bvn_lower_orthant(z[d], z[x], _pair_corr(c_d, c_x))
+        b_dy = bvn_lower_orthant(z[d], z[y], _pair_corr(c_d, c_y))
+        miss = adj + tail[d] - b_dx - b_dy
     else:
-        joint = bvn_lower_orthant(z_x, z_y, _pair_corr(c_x, c_y))
-        miss = adj - joint
-    return min(1.0, max(0.0, miss)), union_term
+        miss = adj - bvn_lower_orthant(z[x], z[y], _pair_corr(c_x, c_y))
+    return min(1.0, max(0.0, miss))
+
+
+# ---------------------------------------------------------------------------
+# exact error and union bound: views of the pairwise table
+# ---------------------------------------------------------------------------
+
+
+def _exact(table: _PairTable) -> ErrorReport:
+    if table.collinear:
+        method = "collinear"
+        miss = [_collinear_terms(table, i)[0] for i in range(4)]
+    else:
+        if not table.bijective:
+            raise NonBijective(
+                "combined points coincide; planar analysis requires distinct points"
+            )
+        method = "planar"
+        miss = [_planar_miss(table, i) for i in range(4)]
+    p_err = math.fsum(p * m for p, m in zip(table.priors, miss))
+    p_c = tuple(1.0 - m for m in miss)
+    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method=method)
+
+
+def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
+    """Exact MAP error probability for a real-axis combined constellation."""
+    return _exact(_line_table(cc, sigma2))
 
 
 def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
@@ -372,22 +378,31 @@ def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     their bivariate-normal joint exceedances; the branch on the diagonal
     offset alpha_uv absorbs the wedge correction exactly.
     """
-    if is_collinear(cc):
+    table = _PairTable(cc, sigma2)
+    if table.collinear:
         raise CollinearInput("use exact_error_collinear for real-axis constellations")
-    if not is_bijective(cc):
-        raise NonBijective("combined points coincide; planar analysis requires distinct points")
-    priors = cc.priors.as_tuple()
-    miss = [_planar_uv_terms(cc, sigma2, uv)[0] for uv in BIT_PAIRS]
-    p_err = math.fsum(p * m for p, m in zip(priors, miss))
-    p_c = tuple(1.0 - m for m in miss)
-    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method="planar")
+    return _exact(table)
 
 
 def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     """Exact MAP error probability, routed by constellation geometry."""
-    if is_collinear(cc):
-        return exact_error_collinear(cc, sigma2)
-    return exact_error_planar(cc, sigma2)
+    return _exact(_PairTable(cc, sigma2))
+
+
+def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
+    """Sum of pairwise error probabilities p_uv Pr(Delta_{uv,lm} > 0).
+
+    Coincident pairs contribute their deterministic outcome: the full prior
+    when the rival wins the shared point, nothing when it loses. Per-pair
+    terms accumulate in the order the exact path of the same geometry uses,
+    so the computed bound never rounds below the computed exact error.
+    """
+    table = _PairTable(cc, sigma2)
+    if table.collinear:
+        terms = [_collinear_terms(table, i)[1] for i in range(4)]
+    else:
+        terms = [tail[i ^ 2] + tail[i ^ 1] + tail[i ^ 3] for i, tail in enumerate(table.tail)]
+    return math.fsum(p * t for p, t in zip(table.priors, terms))
 
 
 def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:
@@ -403,22 +418,8 @@ def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# union bounds
+# high-SNR union bound
 # ---------------------------------------------------------------------------
-
-
-def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
-    """Sum of pairwise error probabilities p_uv Pr(Delta_{uv,lm} > 0).
-
-    Coincident pairs contribute their deterministic outcome: the full prior
-    when the rival wins the shared point, nothing when it loses. Per-pair
-    terms accumulate in the order the exact path of the same geometry uses,
-    so the computed bound never rounds below the computed exact error.
-    """
-    priors = cc.priors.as_tuple()
-    per_uv = _collinear_uv_terms if is_collinear(cc) else _planar_uv_terms
-    terms = (per_uv(cc, sigma2, uv)[1] for uv in BIT_PAIRS)
-    return math.fsum(p * t for p, t in zip(priors, terms))
 
 
 def high_snr_union_bound(
@@ -432,7 +433,7 @@ def high_snr_union_bound(
     """
     if not (d1_len > 0.0 and d2_len > 0.0):
         raise ValueError("separations must be positive")
-    p00, p01, p10, p11 = _priors_tuple(priors)
+    p00, p01, p10, p11 = priors.as_tuple()
     cos_psi = math.cos(psi)
     diag_plus = math.sqrt(d1_len**2 + d2_len**2 + 2.0 * d1_len * d2_len * cos_psi)
     diag_minus = math.sqrt(max(d1_len**2 + d2_len**2 - 2.0 * d1_len * d2_len * cos_psi, 0.0))
@@ -443,13 +444,6 @@ def high_snr_union_bound(
         + (p00 + p11) * qfunc(diag_plus / two_sigma)
         + (p01 + p10) * qfunc(diag_minus / two_sigma)
     )
-
-
-def _priors_tuple(priors) -> tuple[float, float, float, float]:
-    if hasattr(priors, "as_tuple"):
-        return priors.as_tuple()
-    p00, p01, p10, p11 = priors
-    return float(p00), float(p01), float(p10), float(p11)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +491,7 @@ def high_snr_correct_prob(case: int, d1: float, d2: float, priors, sigma: float)
         raise CaseMismatch(
             f"(d1, d2) = {(d1, d2)} does not satisfy the conditions of case {case}"
         )
-    p00, p01, p10, p11 = _priors_tuple(priors)
+    p00, p01, p10, p11 = priors.as_tuple()
     s_anti = p10 + p01
     s_diag = p00 + p11
     two_sigma = 2.0 * sigma

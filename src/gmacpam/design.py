@@ -112,8 +112,9 @@ def _roles(inp: DesignInput) -> tuple[bool, float, float, float, float]:
 
 def _assemble(swapped: bool, first: tuple[float, float], second: tuple[float, float],
               branch: str, gamma_phi: float = 1.0) -> DesignResult:
-    # sender 2's amplitudes are designed on the combined line, where they
-    # appear scaled by gamma_phi; undo that (gamma_phi is +-1 here)
+    # design_collinear places sender 2 on the combined line, where its
+    # amplitudes appear scaled by gamma_phi = +-1, so that is undone here;
+    # design_general works in sender 2's own coordinates and keeps 1
     if swapped:
         s1, s2 = second, first
     else:
@@ -203,26 +204,16 @@ def design_general(inp: DesignInput) -> DesignResult:
 
     if d_len >= db:
         second = max_separation(p_b, e_b, sign=orient)
-        return _place_general(inp, swapped, first, second, "boundary")
+        return _assemble(swapped, first, second, "boundary")
 
     d = orient * d_len
     minus = _signed_root_pair(d, p_b, e_b, -1.0)
     plus = _signed_root_pair(d, p_b, e_b, +1.0)
-    res_minus = _place_general(inp, swapped, first, minus, "minus")
-    res_plus = _place_general(inp, swapped, first, plus, "plus")
+    res_minus = _assemble(swapped, first, minus, "minus")
+    res_plus = _assemble(swapped, first, plus, "plus")
     pe_minus = exact_error(res_minus.combined(inp), inp.sigma2).p_err_exact
     pe_plus = exact_error(res_plus.combined(inp), inp.sigma2).p_err_exact
     return res_plus if pe_plus < pe_minus else res_minus
-
-
-def _place_general(inp: DesignInput, swapped: bool, first, second, branch: str) -> DesignResult:
-    # own-axis amplitudes already carry the orientation sign, so assembly
-    # is a straight role swap (no combined-line rescaling off the line)
-    if swapped:
-        s1, s2 = second, first
-    else:
-        s1, s2 = first, second
-    return DesignResult(s1[0], s1[1], s2[0], s2[1], branch=branch, swapped=swapped)
 
 
 def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.ndarray:

@@ -81,7 +81,7 @@ class CombinedConstellation:
 
     def scale(self) -> float:
         """Largest point magnitude, used for relative coincidence tests."""
-        return max(abs(p) for p in self.as_array())
+        return max(abs(p) for p in (self.a00, self.a01, self.a10, self.a11))
 
 
 def from_amplitudes(
@@ -142,11 +142,6 @@ def pair_geometry(c1: Constellation, c2: Constellation) -> tuple[complex, comple
     return d1, d2, psi
 
 
-def priors_array(cc: CombinedConstellation) -> np.ndarray:
-    """Priors in the same lexicographic order as as_array()."""
-    return cc.priors.as_array()
-
-
 __all__ = [
     "BIT_PAIRS",
     "COINCIDENCE_RTOL",
@@ -158,5 +153,4 @@ __all__ = [
     "from_amplitudes",
     "is_bijective",
     "pair_geometry",
-    "priors_array",
 ]

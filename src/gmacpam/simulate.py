@@ -10,7 +10,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptySweep
-from .geometry import CombinedConstellation, priors_array
+from .geometry import CombinedConstellation
+
+# Largest Box-Muller radius, in units of sigma, that the uniform stream can
+# draw: u1 <= 1 - 2**-53 gives sqrt(-2 ln 2**-53).
+_RADIUS_MAX = math.sqrt(106.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -26,8 +30,7 @@ def _decoder_tables(cc: CombinedConstellation, sigma2: float):
     pts = cc.as_array()
     ax = np.ascontiguousarray(pts.real)
     ay = np.ascontiguousarray(pts.imag)
-    priors = priors_array(cc)
-    bias = np.log(priors) - (ax * ax + ay * ay) / (2.0 * sigma2)
+    bias = np.log(cc.priors.as_array()) - (ax * ax + ay * ay) / (2.0 * sigma2)
     return ax, ay, bias, cc.priors.cdf()
 
 
@@ -51,6 +54,15 @@ def simulate(
         raise ValueError("workers must be at least 1")
     if not 0 <= seed < 2**63:
         raise ValueError("seed must be a nonnegative integer below 2**63")
+    # Every decoder score bias_k + <r, a_k> / sigma2 is below this in
+    # magnitude, with a factor 2 to spare for rounding; past it a score can
+    # be inf or NaN and the error count would mean nothing.
+    amax = cc.scale()
+    reach = amax + _RADIUS_MAX * math.sqrt(sigma2)
+    log_pmin = math.log(min(cc.priors.as_tuple()))
+    bound = 2.0 * ((amax * amax / 2.0 + reach * amax) / sigma2 - log_pmin)
+    if not math.isfinite(bound):
+        raise ValueError(f"decoder scores overflow at sigma2 = {sigma2!r} for these points")
     if trials == 0:
         return SimResult(0, 0, math.nan, math.nan, seed)
 

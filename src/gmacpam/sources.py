@@ -99,35 +99,3 @@ def from_marginals_correlation(p1: float, p2: float, gamma_m: float) -> JointSou
             f"gamma_m={gamma_m} with marginals {(p1, p2)} yields cells {cells}"
         )
     return JointSourceDistribution(*cells)
-
-
-def marginals_and_correlation(d: JointSourceDistribution) -> tuple[float, float, float]:
-    """Return (p1, p2, gamma_m); inverse of from_marginals_correlation."""
-    return d.p1, d.p2, d.gamma_m
-
-
-def pair_from_uniform(d: JointSourceDistribution, x: float) -> tuple[int, int]:
-    """Map one uniform [0,1) draw to a bit pair via the fixed CDF cell order."""
-    if x < d.p00:
-        return (0, 0)
-    if x < d.p00 + d.p01:
-        return (0, 1)
-    if x < d.p00 + d.p01 + d.p10:
-        return (1, 0)
-    return (1, 1)
-
-
-def sample(d: JointSourceDistribution, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one bit pair, consuming exactly one uniform from the stream."""
-    return pair_from_uniform(d, rng.random())
-
-
-def sample_pairs(d: JointSourceDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n bit pairs as an (n, 2) int array, one uniform per pair."""
-    u = rng.random(n)
-    idx = np.searchsorted(d.cdf(), u, side="right")
-    idx = np.minimum(idx, 3)
-    out = np.empty((n, 2), dtype=np.int64)
-    out[:, 0] = idx >> 1
-    out[:, 1] = idx & 1
-    return out

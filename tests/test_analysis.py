@@ -35,7 +35,6 @@ from gmacpam.analysis import (
     bvn_lower_orthant,
     collinear_decision_interval,
     collinear_pair_threshold,
-    delta_stats,
     qfunc,
 )
 from gmacpam.errors import (
@@ -75,30 +74,6 @@ def test_qfunc_values():
     assert qfunc(1.0) == pytest.approx(0.15865525393145707, abs=1e-15)  # FROZEN
     assert qfunc(-1.0) == pytest.approx(1.0 - 0.15865525393145707, abs=1e-15)
     assert qfunc(40.0) == 0.0  # underflow is exact zero, not garbage
-
-
-def test_delta_stats_formula(case1):
-    cc = t2_cc(case1)
-    sigma2 = 0.04
-    for uv in BIT_PAIRS:
-        for lm in BIT_PAIRS:
-            if lm == uv:
-                continue
-            st = delta_stats(cc, uv, lm, sigma2)
-            dist = abs(cc.point(*lm) - cc.point(*uv))
-            mu = -dist * dist / 2.0 - sigma2 * math.log(
-                cc.priors.prob(*uv) / cc.priors.prob(*lm)
-            )
-            assert st.mu == pytest.approx(mu, rel=1e-14)
-            assert st.sd == pytest.approx(math.sqrt(sigma2) * dist, rel=1e-14)
-            assert not st.degenerate
-
-
-def test_delta_stats_degenerate(uniform):
-    cc = build_cc(-1.0, 1.0, -1.0, 1.0, 1.0, uniform)  # A01 == A10 == 0
-    st = delta_stats(cc, (0, 1), (1, 0), 1.0)
-    assert st.degenerate
-    assert st.sd == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +294,65 @@ def test_frozen_design_point_errors(case1, case2):
     assert exact_error(cc, S18).p_err_exact == pytest.approx(T2_PE, rel=1e-12)
     cc3 = build_cc(*T3_AMPS, 1.0, case2)
     assert exact_error(cc3, S18).p_err_exact == pytest.approx(T3_PE, rel=1e-12)
+
+
+# (sigma2, p_err_exact, p_c_per_pair, union_bound) recorded from the exact
+# engine itself, not from an oracle, and asserted bit for bit, so any change
+# to its floating-point operations shows. The planar point takes both alpha branches; at the T3 point's
+# sigma2 values and the planar point's 10^-1.3 the bound's last digit
+# depends on the order of the union-term additions.
+EXACT_AND_UNION = {
+    "t2-collinear": (
+        (10.0**-0.8, 0.00282653265734159,
+         (0.9967123337884441, 0.9287236076013078, 0.8498972478775262, 0.9993996153407413),
+         0.0028295283910614944),
+        (10.0**-1.8, 2.917504663892292e-12,
+         (0.9999999999993292, 0.9999999998586392, 0.9999999998438966, 0.9999999999997988),
+         2.917504663892292e-12),
+    ),
+    "planar-0.707": (
+        (0.25, 0.07332057083045661,
+         (0.9452278677155045, 0.466831706833585, 0.8998149864473359, 0.9567937149602778),
+         0.08205466179091146),
+        (0.04, 0.00010561031731354942,
+         (0.9999862352643683, 0.9978014670344969, 0.9998541036234112, 0.9999740100727471),
+         0.00010597527366397698),
+        (10.0**-1.3, 0.00041599155211004735,
+         (0.9999125936487502, 0.9924979728006944, 0.9994357067945144, 0.9998549082517842),
+         0.000419763255329743),
+    ),
+    "t3-collinear": (
+        (10.0**-0.3, 0.18046532965329767,
+         (0.9455041074068052, 0.0, 0.7240456628730716, 0.8701027476960301),
+         0.201514048057348),
+        (10.0**-0.9, 0.037231720596588525,
+         (0.9920317546149574, 0.7036969247644866, 0.9484949818318451, 0.9721046476900812),
+         0.03737209239768364),
+    ),
+    "coincident": (
+        (1.0, 0.4086552539314571,
+         (0.8413447460685429, 0.6826894921370859, 0.0, 0.8413447460685429),
+         0.5786855738370038),
+        (0.01, 0.25, (1.0, 1.0, 0.0, 1.0), 0.25),
+    ),
+}
+
+
+def test_exact_and_union_frozen(case1, case2, uniform):
+    ccs = {
+        "t2-collinear": t2_cc(case1),
+        "planar-0.707": build_cc(-1.0, 0.8, -0.9, 0.7, 0.707, case2),
+        "t3-collinear": build_cc(*T3_AMPS, 1.0, case2),
+        "coincident": build_cc(-1.0, 1.0, -1.0, 1.0, 1.0, uniform),
+    }
+    for name, rows in EXACT_AND_UNION.items():
+        cc = ccs[name]
+        for sigma2, p_err, p_c, bound in rows:
+            rep = exact_error(cc, sigma2)
+            assert rep.method == ("planar" if name.startswith("planar") else "collinear")
+            assert rep.p_err_exact == p_err, (name, sigma2)
+            assert rep.p_c_per_pair == p_c, (name, sigma2)
+            assert union_bound(cc, sigma2) == bound, (name, sigma2)
 
 
 def test_report_invariants(case1, case2, uniform):

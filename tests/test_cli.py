@@ -299,6 +299,15 @@ def test_cli_exit_codes(capsys, tmp_path):
         )
         == 3
     )
+    # a noise variance at which the Monte-Carlo decoder scores overflow
+    assert (
+        main(
+            ["simulate", "--amplitudes=-3,0.3333333333333333,-2.421,-0.678",
+             *CASE1_SETS, "--set", "gamma_phi=1", "--set", "sigma2=1e-310",
+             "--set", "trials=1000"]
+        )
+        == 2
+    )
     capsys.readouterr()
 
 

@@ -18,7 +18,7 @@ from gmacpam import (
     pair_geometry,
 )
 from gmacpam.errors import DegenerateConstellation
-from gmacpam.geometry import COINCIDENCE_RTOL, priors_array
+from gmacpam.geometry import COINCIDENCE_RTOL
 
 from conftest import build_cc
 
@@ -147,7 +147,7 @@ def test_combine_translation(uniform):
 
 def test_priors_array_order(case2):
     cc = build_cc(-1.0, 1.0, -0.5, 0.5, 0.0, case2)
-    assert priors_array(cc) == pytest.approx(np.array(case2.as_tuple()), abs=1e-15)
+    assert cc.priors.as_array() == pytest.approx(np.array(case2.as_tuple()), abs=1e-15)
 
 
 def test_coincidence_rtol_value():

@@ -39,9 +39,10 @@ def test_seed_changes_stream(t2cc):
 
 
 def test_negligible_noise_no_errors(t2cc):
-    res = simulate(t2cc, 1e-6, 50_000, 7)
-    assert res.errors == 0
-    assert res.p_hat == 0.0
+    for sigma2 in (1e-6, 1e-300):
+        res = simulate(t2cc, sigma2, 50_000, 7)
+        assert res.errors == 0
+        assert res.p_hat == 0.0
 
 
 def test_ambiguity_floor(uniform):
@@ -68,6 +69,9 @@ def test_argument_validation(t2cc):
         simulate(t2cc, 0.1, -1, 3)
     with pytest.raises(ValueError):
         simulate(t2cc, 0.0, 10, 3)
+    # the decoder scores would overflow (bias -inf, NaN scores)
+    with pytest.raises(ValueError):
+        simulate(t2cc, 1e-310, 1000, 3)
     with pytest.raises(ValueError):
         simulate(t2cc, 0.1, 10, 3, workers=0)
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Joint binary source model: construction, validation, sampling."""
+"""Joint binary source model: construction and validation."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
 from gmacpam import from_joint, from_marginals_correlation
 from gmacpam.errors import (
@@ -14,13 +13,7 @@ from gmacpam.errors import (
     NonPositiveProbability,
     SumOutOfTolerance,
 )
-from gmacpam.sources import (
-    BIT_PAIRS,
-    marginals_and_correlation,
-    pair_from_uniform,
-    sample,
-    sample_pairs,
-)
+from gmacpam.sources import BIT_PAIRS
 
 # Frozen cell values for the two reference sources.
 CASE1_CELLS = (0.091, 0.009, 0.009, 0.891)
@@ -93,7 +86,7 @@ def test_marginals_correlation_round_trip(p1, p2, gm):
         d = from_marginals_correlation(p1, p2, gm)
     except InfeasibleCorrelation:
         assume(False)
-    q1, q2, g = marginals_and_correlation(d)
+    q1, q2, g = d.p1, d.p2, d.gamma_m
     assert abs(q1 - p1) <= 1e-12
     assert abs(q2 - p2) <= 1e-12
     assert abs(g - gm) <= 1e-12
@@ -105,49 +98,6 @@ def test_cdf_layout(case1):
     assert np.all(np.diff(c) > 0.0)
     assert c[-1] == 1.0  # exact, so no uniform draw can fall off the end
     assert c[0] == pytest.approx(0.091, abs=1e-15)
-
-
-def test_pair_from_uniform_edges(case1):
-    assert pair_from_uniform(case1, 0.0) == (0, 0)
-    assert pair_from_uniform(case1, 0.9999999) == (1, 1)
-    # cdf = (0.091, 0.100, 0.109, 1.0)
-    assert pair_from_uniform(case1, 0.095) == (0, 1)
-    assert pair_from_uniform(case1, 0.105) == (1, 0)
-    assert pair_from_uniform(case1, 0.5) == (1, 1)
-
-
-def test_sample_matches_pair_from_uniform(case2):
-    class FixedRng:
-        def __init__(self, x):
-            self.x = x
-
-        def random(self):
-            return self.x
-
-    for x in (0.0, 0.17, 0.19, 0.5, 0.99):
-        assert sample(case2, FixedRng(x)) == pair_from_uniform(case2, x)
-
-
-def test_sample_pairs_matches_scalar_path(case2):
-    rng = np.random.Generator(np.random.PCG64(7))
-    pairs = sample_pairs(case2, np.random.Generator(np.random.PCG64(7)), 500)
-    expect = np.array(
-        [pair_from_uniform(case2, u) for u in rng.random(500)], dtype=np.int64
-    )
-    assert pairs.shape == (500, 2)
-    assert np.array_equal(pairs, expect)
-
-
-def test_sample_pairs_frequencies(case1):
-    # chi-square goodness of fit at the 0.001 level, 3 degrees of freedom
-    n = 1_000_000
-    rng = np.random.Generator(np.random.PCG64(123456))
-    pairs = sample_pairs(case1, rng, n)
-    idx = 2 * pairs[:, 0] + pairs[:, 1]
-    counts = np.bincount(idx, minlength=4)
-    expected = n * case1.as_array()
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    assert stat < chi2.isf(0.001, df=3)
 
 
 def test_bit_pairs_order():
