@@ -11,7 +11,9 @@ constellation, after checking that its count over all trials equals the
 sum over two chunks; each batched evaluator is checked against the scalar
 exact_error on a sample of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
-constellations and of union_bound on the collinear one.
+constellations, of union_bound on the collinear one, and of the joint
+designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
+(collinear) and 0.924 (planar).
 """
 
 import argparse
@@ -22,7 +24,7 @@ import numpy as np
 
 from gmacpam import _kernels
 from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
-from gmacpam.design import DesignInput, design_collinear
+from gmacpam.design import DesignInput, design, design_collinear
 from gmacpam.geometry import CombinedConstellation
 from gmacpam.simulate import _decoder_tables
 from gmacpam.sources import from_marginals_correlation
@@ -70,11 +72,16 @@ def bench_mc(trials, repeat):
 
 def bench_scalar(repeat):
     (collinear, s2c), (planar, s2p) = _constellations()
+    case1 = from_marginals_correlation(0.1, 0.1, 0.9)
+    joint_collinear = DesignInput(case1, 1.0, 1.0, 1.0, 10.0**-1.8)
+    joint_planar = DesignInput(case1, 1.0, 1.0, 0.924, 10.0**-1.8)
     rows = []
     for name, fn in (
         ("exact-collinear", lambda: exact_error(collinear, s2c)),
         ("exact-planar", lambda: exact_error(planar, s2p)),
         ("union", lambda: union_bound(collinear, s2c)),
+        ("design-joint-collinear", lambda: design("joint", joint_collinear)),
+        ("design-joint-planar", lambda: design("joint", joint_planar)),
     ):
         _, t = best_of(lambda: [fn() for _ in range(SCALAR_CALLS)], repeat)
         rows.append((name, t, t / SCALAR_CALLS * 1e6, "us/call"))
@@ -119,9 +126,9 @@ def main():
 
     rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
             + bench_scalar(ns.repeat))
-    print(f"{'kernel':<16} {'best time':>10} {'rate':>14}")
+    print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
     for kernel, t, rate, unit in rows:
-        print(f"{kernel:<16} {t:>9.3f}s {rate:>10.3g} {unit}")
+        print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit}")
 
 
 if __name__ == "__main__":

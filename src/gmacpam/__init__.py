@@ -53,7 +53,7 @@ from .geometry import (
     is_bijective,
     pair_geometry,
 )
-from .simulate import SimResult, simulate, sweep
+from .simulate import SimResult, simulate
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
 
 __version__ = "0.1.0"

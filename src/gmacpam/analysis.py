@@ -117,6 +117,8 @@ class _PairTable:
     """
 
     def __init__(self, cc: CombinedConstellation, sigma2: float):
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
         pts = (cc.a00, cc.a01, cc.a10, cc.a11)
         tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
         self.pts = pts

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from ._kernels import backend_name, derive_seed
 from .analysis import exact_error, union_bound
-from .config import _KEYS, ExperimentConfig, build_config, parse_config_file
+from .config import _KEYS, ExperimentConfig, NoisePoint, build_config, parse_config_file
 from .design import DesignInput, DesignResult, design
 from .errors import ConfigError, GmacpamError, UnknownConvention
-from .geometry import ChannelGeometry, check_energy, from_amplitudes, is_bijective
+from .geometry import (ChannelGeometry, CombinedConstellation, check_energy, combine,
+                       from_amplitudes, is_bijective)
 from .simulate import simulate
 
 SWEEP_COLUMNS = (
@@ -30,11 +32,32 @@ DESIGN_COLUMNS = (
     "a10_re", "a10_im", "a11_re", "a11_im", "energy_ok",
 )
 
-_PRESETS = ("table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
-
 # source cases used throughout the experiments (marginals + correlation)
 _CASE1 = {"p1": "0.1", "p2": "0.1", "gamma_m": "0.9"}
 _CASE2 = {"p1": "0.2", "p2": "0.5", "gamma_m": "0.4"}
+_TABLE = {"gamma_phi": "1", "e1": "1", "e2": "1", "snr_db": "18",
+          "snr_convention": "table-reproduction",
+          "schemes": "antipodal individual joint numerical"}
+_FIGURE = {"snr_db": " ".join(str(s) for s in range(0, 21)),
+           "snr_convention": "sum-energy", "e1": "1", "e2": "1"}
+
+# config keys of each preset; the table presets print designs, the figure
+# presets write sweeps
+_PRESETS = {
+    "table2": {**_CASE1, **_TABLE},
+    "table3": {**_CASE2, **_TABLE},
+    "fig4": {**_FIGURE, **_CASE1, "gamma_phi": "1",
+             "schemes": "antipodal individual joint numerical"},
+    "fig5": {**_FIGURE, **_CASE2, "gamma_phi": "1",
+             "schemes": "antipodal individual joint numerical"},
+    "fig6": {**_FIGURE, **_CASE1, "gamma_phi": "0.924", "schemes": "antipodal individual joint"},
+    "fig7": {**_FIGURE, **_CASE2, "gamma_phi": "0.924", "schemes": "antipodal individual joint"},
+    "fig8": {**_FIGURE, **_CASE2, "schemes": "antipodal individual joint"},
+    "fig9": {**_FIGURE, **_CASE1, "gamma_phi": "1", "e1": "2", "e2": "1",
+             "schemes": "individual joint"},
+}
+# fig8 sweeps the pulse correlation; its rows carry an @gphi=<g> label
+_FIG8_GAMMAS = ("0", "0.383", "0.707", "0.924", "1")
 
 
 def _fmt(value) -> str:
@@ -55,12 +78,14 @@ def _fmt_sigma2(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _design_row(cfg: ExperimentConfig, scheme: str, sigma2: float) -> tuple[DesignResult, dict]:
-    inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, sigma2)
-    res = design(scheme, inp, grid=cfg.grid)
-    cc = res.combined(inp)
-    geom = ChannelGeometry(cfg.gamma_phi, sigma2)
-    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, geom)
+def _design_row(cfg: ExperimentConfig, scheme: str,
+                sigma2: float) -> tuple[DesignResult, CombinedConstellation, dict]:
+    """One designed scheme: its result, combined constellation and CSV row."""
+    res = design(scheme, DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, sigma2),
+                 grid=cfg.grid)
+    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21,
+                             ChannelGeometry(cfg.gamma_phi, sigma2))
+    cc = combine(c1, c2, cfg.priors)
     ok = check_energy(c1, cfg.priors.p1, cfg.e1) and check_energy(c2, cfg.priors.p2, cfg.e2)
     row = {
         "scheme": scheme,
@@ -74,7 +99,7 @@ def _design_row(cfg: ExperimentConfig, scheme: str, sigma2: float) -> tuple[Desi
                         (cc.a00, cc.a01, cc.a10, cc.a11)):
         row[name + "_re"] = _fmt(pt.real)
         row[name + "_im"] = _fmt(pt.imag)
-    return res, row
+    return res, cc, row
 
 
 def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "", seed_base: int = 0) -> list[dict]:
@@ -130,17 +155,15 @@ def _write_csv(rows: list[dict], columns: tuple[str, ...], out: str | None) -> N
 # ---------------------------------------------------------------------------
 
 
-def cmd_design(args) -> int:
-    cfg = _resolve_config(args, need_schemes=True)
+def _print_designs(cfg: ExperimentConfig) -> int:
     sigma2 = cfg.noise[0].sigma2
     rows = []
     for scheme in cfg.schemes:
-        res, row = _design_row(cfg, scheme, sigma2)
+        res, cc, row = _design_row(cfg, scheme, sigma2)
         rows.append(row)
         print(f"scheme={scheme} branch={res.branch} swapped={res.swapped}")
         print(f"  S1 = ({res.a10:.9g}, {res.a11:.9g})")
         print(f"  S2 = ({res.a20:.9g}, {res.a21:.9g})")
-        cc = res.combined(DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, sigma2))
         pts = ", ".join(f"{p:.6g}" for p in cc.as_array())
         print(f"  A  = [{pts}]")
         print(f"  energy check: {row['energy_ok']}")
@@ -149,19 +172,25 @@ def cmd_design(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args, need_schemes=args.amplitudes is None)
+def _single_point(args, cfg: ExperimentConfig) -> tuple[str, NoisePoint, CombinedConstellation]:
+    """The given amplitudes, or else the first scheme, at the first noise point."""
     point = cfg.noise[0]
+    inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
     if args.amplitudes is not None:
-        amps = _parse_amplitudes(args.amplitudes)
-        inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
-        res = DesignResult(*amps, branch="given", swapped=False)
         label = "given"
+        res = DesignResult(*_parse_amplitudes(args.amplitudes), branch=label, swapped=False)
     else:
-        inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
-        res = design(cfg.schemes[0], inp, grid=cfg.grid)
         label = cfg.schemes[0]
-    cc = res.combined(inp)
+        res = design(label, inp, grid=cfg.grid)
+    return label, point, res.combined(inp)
+
+
+def cmd_design(args) -> int:
+    return _print_designs(_resolve_config(args))
+
+
+def cmd_evaluate(args) -> int:
+    label, point, cc = _single_point(args, _resolve_config(args))
     report = exact_error(cc, point.sigma2)
     bound = union_bound(cc, point.sigma2)
     print(f"scheme = {label}")
@@ -176,18 +205,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args, need_schemes=args.amplitudes is None)
+    cfg = _resolve_config(args)
     if cfg.trials < 1:
         raise ConfigError("simulate needs trials >= 1")
-    point = cfg.noise[0]
-    inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
-    if args.amplitudes is not None:
-        res = DesignResult(*_parse_amplitudes(args.amplitudes), branch="given", swapped=False)
-        label = "given"
-    else:
-        res = design(cfg.schemes[0], inp, grid=cfg.grid)
-        label = cfg.schemes[0]
-    cc = res.combined(inp)
+    label, point, cc = _single_point(args, cfg)
     sim = simulate(cc, point.sigma2, cfg.trials, cfg.seed, cfg.workers)
     report = exact_error(cc, point.sigma2)
     print(f"scheme = {label}")
@@ -202,72 +223,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args, need_schemes=True)
-    rows = _sweep_rows(cfg)
-    _write_csv(rows, SWEEP_COLUMNS, cfg.out)
+    cfg = _resolve_config(args)
+    _write_csv(_sweep_rows(cfg), SWEEP_COLUMNS, cfg.out)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    name = args.preset
-    overrides = {}
+    raw = dict(_PRESETS[args.preset])
     for key in ("trials", "seed", "workers", "grid", "out"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
-            overrides[key] = str(val)
+            raw[key] = str(val)
+    if args.preset in ("table2", "table3"):
+        return _print_designs(build_config(raw))
 
-    if name in ("table2", "table3"):
-        raw = dict(_CASE1 if name == "table2" else _CASE2)
-        raw.update({
-            "gamma_phi": "1", "e1": "1", "e2": "1",
-            "snr_db": "18", "snr_convention": "table-reproduction",
-            "schemes": "antipodal individual joint numerical",
-        })
-        raw.update(overrides)
-        ns = argparse.Namespace(config=None, set=_dict_to_sets(raw), amplitudes=None)
-        return cmd_design(ns)
-
-    base = {
-        "snr_db": " ".join(str(s) for s in range(0, 21)),
-        "snr_convention": "sum-energy",
-        "e1": "1", "e2": "1",
-    }
-    gamma_list = None
-    if name == "fig4":
-        raw = {**base, **_CASE1, "gamma_phi": "1",
-               "schemes": "antipodal individual joint numerical"}
-    elif name == "fig5":
-        raw = {**base, **_CASE2, "gamma_phi": "1",
-               "schemes": "antipodal individual joint numerical"}
-    elif name == "fig6":
-        raw = {**base, **_CASE1, "gamma_phi": "0.924",
-               "schemes": "antipodal individual joint"}
-    elif name == "fig7":
-        raw = {**base, **_CASE2, "gamma_phi": "0.924",
-               "schemes": "antipodal individual joint"}
-    elif name == "fig8":
-        raw = {**base, **_CASE2, "schemes": "antipodal individual joint"}
-        gamma_list = ("0", "0.383", "0.707", "0.924", "1")
-    elif name == "fig9":
-        raw = {**base, **_CASE1, "gamma_phi": "1", "e1": "2", "e2": "1",
-               "schemes": "individual joint"}
-    else:
-        raise ConfigError(f"unknown preset {name!r}")
-    raw.update(overrides)
-
-    if gamma_list is None:
-        cfg = build_config(raw)
-        rows = _sweep_rows(cfg)
-        _write_csv(rows, SWEEP_COLUMNS, cfg.out)
-        return 0
-
+    labelled = args.preset == "fig8"
     rows = []
-    out = raw.pop("out", None)
-    for k, g in enumerate(gamma_list):
+    for g in _FIG8_GAMMAS if labelled else (raw["gamma_phi"],):
         cfg = build_config({**raw, "gamma_phi": g})
-        rows.extend(_sweep_rows(cfg, label_suffix=f"@gphi={g}",
-                                seed_base=k * len(cfg.noise) * len(cfg.schemes)))
-    _write_csv(rows, SWEEP_COLUMNS, out)
+        rows.extend(_sweep_rows(cfg, label_suffix=f"@gphi={g}" if labelled else "",
+                                seed_base=len(rows)))
+    _write_csv(rows, SWEEP_COLUMNS, cfg.out)
     return 0
 
 
@@ -280,16 +256,15 @@ def _parse_amplitudes(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ConfigError("amplitudes need exactly four values: a10 a11 a20 a21")
     try:
-        return tuple(float(p) for p in parts)
+        amps = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"could not parse amplitudes from {text!r}") from None
+    if not all(math.isfinite(a) for a in amps):
+        raise ConfigError(f"amplitudes must be finite numbers, got {text!r}")
+    return amps
 
 
-def _dict_to_sets(raw: dict[str, str]) -> list[str]:
-    return [f"{k}={v}" for k, v in raw.items()]
-
-
-def _resolve_config(args, need_schemes: bool) -> ExperimentConfig:
+def _resolve_config(args) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         raw.update(parse_config_file(args.config))
@@ -298,7 +273,7 @@ def _resolve_config(args, need_schemes: bool) -> ExperimentConfig:
             raise ConfigError(f"--set wants key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
-    if not need_schemes and "schemes" not in raw:
+    if getattr(args, "amplitudes", None) is not None and "schemes" not in raw:
         raw["schemes"] = "joint"  # placeholder; bypassed by --amplitudes
     return build_config(raw)
 
@@ -320,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", parents=[common],
                        help="print designed constellations, optionally as CSV")
-    p.set_defaults(func=cmd_design, amplitudes=None)
+    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="exact error and union bound at one noise point")
@@ -335,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="CSV of exact/bound/Monte-Carlo error over noise points")
-    p.set_defaults(func=cmd_sweep, amplitudes=None)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="run a named preset experiment")
-    p.add_argument("--preset", required=True, choices=_PRESETS)
+    p.add_argument("--preset", required=True, choices=tuple(_PRESETS))
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
@@ -360,7 +335,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GmacpamError as exc:
+    except (GmacpamError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -8,6 +8,7 @@ is just a bag of defaults that the flags may override.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 from .errors import ConfigError, UnknownConvention
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
@@ -108,9 +109,12 @@ def _parse_float(raw: dict[str, str], key: str, default: float | None = None) ->
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: could not parse {raw[key]!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw[key]!r} is not a finite number")
+    return value
 
 
 def _parse_int(raw: dict[str, str], key: str, default: int) -> int:
@@ -127,9 +131,12 @@ def _parse_float_list(raw: dict[str, str], key: str) -> list[float] | None:
         return None
     items = raw[key].replace(",", " ").split()
     try:
-        return [float(v) for v in items]
+        values = [float(v) for v in items]
     except ValueError:
         raise ConfigError(f"key {key!r}: could not parse {raw[key]!r} as numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: {raw[key]!r} holds a value that is not a finite number")
+    return values
 
 
 def _build_priors(raw: dict[str, str]) -> JointSourceDistribution:
@@ -151,6 +158,15 @@ def _build_priors(raw: dict[str, str]) -> JointSourceDistribution:
         return from_marginals_correlation(
             _parse_float(raw, "p1"), _parse_float(raw, "p2"), _parse_float(raw, "gamma_m"))
     raise ConfigError("no source distribution given (p00..p11 or p1/p2/gamma_m)")
+
+
+def _snr_sigma2(snr_db: float, convention: str, e1: float, e2: float, gamma_phi: float) -> float:
+    # an SNR far outside the float range has no noise variance; NaN lets
+    # build_config reject it with the others
+    try:
+        return convert_snr(snr_db, convention, e1, e2, gamma_phi)
+    except ArithmeticError:
+        return math.nan
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
@@ -179,17 +195,20 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("snr_db needs snr_convention")
         if convention == "direct-sigma2":
             raise ConfigError("convention direct-sigma2 goes with the sigma2 key")
-        noise = tuple(
-            NoisePoint(s, convert_snr(s, convention, e1, e2, gamma_phi)) for s in snrs)
+        noise = tuple(NoisePoint(s, _snr_sigma2(s, convention, e1, e2, gamma_phi))
+                      for s in snrs)
     elif sigmas is not None:
         if convention not in (None, "direct-sigma2"):
             raise ConfigError(f"sigma2 values conflict with convention {convention!r}")
-        for s in sigmas:
-            if s <= 0.0:
-                raise ConfigError(f"sigma2 must be positive, got {s!r}")
         noise = tuple(NoisePoint(None, s) for s in sigmas)
     else:
         raise ConfigError("no noise points given (snr_db or sigma2)")
+    for point in noise:
+        if not 0.0 < point.sigma2 < math.inf:
+            if point.snr_db is None:
+                raise ConfigError(f"sigma2 must be positive, got {point.sigma2!r}")
+            raise ConfigError(f"snr_db {point.snr_db!r} under {convention} leaves "
+                              "no finite positive sigma2")
 
     schemes = tuple(raw["schemes"].replace(",", " ").split()) if "schemes" in raw else ()
     return ExperimentConfig(

@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from . import _kernels
-from .analysis import exact_error, exact_error_collinear
+# unused here; perfbench/spans.py wraps design.exact_error and
+# design.exact_error_collinear by attribute lookup
+from .analysis import exact_error, exact_error_collinear  # noqa: F401
 from .errors import (
     ConfigError,
     InfeasibleRoot,
@@ -35,8 +37,8 @@ class DesignInput:
     def __post_init__(self):
         if self.e1 <= 0.0 or self.e2 <= 0.0:
             raise ValueError("per-sender energies must be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError("sigma2 must be finite and positive")
         if abs(self.gamma_phi) > 1.0:
             raise ValueError("gamma_phi must lie in [-1, 1]")
 
@@ -71,12 +73,13 @@ def max_separation(p: float, e: float, sign: float = 1.0) -> tuple[float, float]
     return s0, s1
 
 
-def _signed_root_pair(d: float, p: float, e: float, root_sign: float) -> tuple[float, float]:
-    # bit-1 amplitude solving p*s0^2 + (1-p)*s1^2 = e with s1 - s0 = d
+def _signed_root_pair(d: float, p: float, e: float) -> tuple[float, float]:
+    # bit-1 amplitude solving p*s0^2 + (1-p)*s1^2 = e with s1 - s0 = d, on
+    # the negative root
     disc = d * d * p * (p - 1.0) + e
     if disc < 0.0:
         raise InfeasibleRoot(f"no real amplitude pair for separation {d!r}")
-    s1 = d * p + root_sign * math.sqrt(disc)
+    s1 = d * p - math.sqrt(disc)
     return s1 - d, s1
 
 
@@ -100,35 +103,37 @@ def design_orthogonal(inp: DesignInput) -> DesignResult:
     return DesignResult(res.a10, res.a11, res.a20, res.a21, branch="orthogonal", swapped=False)
 
 
-def _roles(inp: DesignInput) -> tuple[bool, float, float, float, float]:
-    """Order the senders so the one with the larger d_max is designed first."""
-    d1m = d_max(inp.priors.p1, inp.e1)
-    d2m = d_max(inp.priors.p2, inp.e2)
-    swapped = d2m > d1m
-    if swapped:
-        return True, d2m, d1m, inp.priors.p1, inp.e1
-    return False, d1m, d2m, inp.priors.p2, inp.e2
+def _roles(inp: DesignInput) -> tuple[bool, tuple[float, float, float], tuple[float, float, float]]:
+    """(swapped, stronger, weaker), each sender as (marginal, energy, d_max).
+
+    The stronger sender is the one with the larger d_max; sender 1 on a tie.
+    """
+    one = (inp.priors.p1, inp.e1, d_max(inp.priors.p1, inp.e1))
+    two = (inp.priors.p2, inp.e2, d_max(inp.priors.p2, inp.e2))
+    if two[2] > one[2]:
+        return True, two, one
+    return False, one, two
 
 
-def _assemble(swapped: bool, first: tuple[float, float], second: tuple[float, float],
-              branch: str, gamma_phi: float = 1.0) -> DesignResult:
-    # design_collinear places sender 2 on the combined line, where its
-    # amplitudes appear scaled by gamma_phi = +-1, so that is undone here;
-    # design_general works in sender 2's own coordinates and keeps 1
-    if swapped:
-        s1, s2 = second, first
+def _place(swapped: bool, strong: tuple[float, float, float], weak: tuple[float, float, float],
+           d: float, gamma_phi: float = 1.0) -> DesignResult:
+    """Stronger sender at full separation, weaker one at signed separation d.
+
+    From the weaker sender's d_max on it sits on its energy boundary,
+    oriented by the sign of d; below it, on the negative shell root.
+    design_collinear places sender 2 on the combined line, where its
+    amplitudes appear scaled by gamma_phi = +-1, so that is undone here;
+    design_general works in sender 2's own coordinates and keeps 1.
+    """
+    first = max_separation(strong[0], strong[1])
+    p_b, e_b, d_b = weak
+    if abs(d) >= d_b:
+        branch, second = "boundary", max_separation(p_b, e_b, sign=math.copysign(1.0, d))
     else:
-        s1, s2 = first, second
+        branch, second = "minus", _signed_root_pair(d, p_b, e_b)
+    s1, s2 = (second, first) if swapped else (first, second)
     return DesignResult(s1[0], s1[1], gamma_phi * s2[0], gamma_phi * s2[1],
                         branch=branch, swapped=swapped)
-
-
-def _collinear_pe(t1: tuple[float, float], t2: tuple[float, float],
-                  priors: JointSourceDistribution, sigma2: float) -> float:
-    cc = CombinedConstellation(
-        complex(t1[0] + t2[0]), complex(t1[0] + t2[1]),
-        complex(t1[1] + t2[0]), complex(t1[1] + t2[1]), priors)
-    return exact_error_collinear(cc, sigma2).p_err_exact
 
 
 def design_collinear(inp: DesignInput) -> DesignResult:
@@ -136,37 +141,24 @@ def design_collinear(inp: DesignInput) -> DesignResult:
 
     The stronger sender takes its full separation; the weaker one trades
     separation against the prior tilt of the diagonal versus anti-diagonal
-    source pairs. Both quadratic roots place the weaker pair and the one
-    with the lower exact error wins (the negative root on a tie).
+    source pairs. When that separation reaches the weaker sender's d_max it
+    sits on its energy boundary (branch "boundary"); otherwise it takes the
+    negative root of its energy shell ("minus"). The positive root only
+    translates the combined constellation, which leaves the MAP error
+    unchanged, so it is never evaluated.
     """
     if abs(inp.gamma_phi) != 1.0:
         raise WrongGammaPhi("collinear design needs |gamma_phi| = 1")
     pr = inp.priors
-    swapped, da, db, p_b, e_b = _roles(inp)
-    p_a = pr.p2 if swapped else pr.p1
-    e_a = inp.e2 if swapped else inp.e1
-    first = max_separation(p_a, e_a)
-
+    swapped, strong, weak = _roles(inp)
+    da = strong[2]
     s_diag = pr.p00 + pr.p11
     s_anti = pr.p01 + pr.p10
     if s_diag >= s_anti:
         d = -4.0 * inp.sigma2 * math.log(s_anti) / da + da / 2.0
-        orient = 1.0
     else:
         d = 4.0 * inp.sigma2 * math.log(s_diag) / da - da / 2.0
-        orient = -1.0
-
-    if abs(d) >= db:
-        second = max_separation(p_b, e_b, sign=orient)
-        return _assemble(swapped, first, second, "boundary", inp.gamma_phi)
-
-    minus = _signed_root_pair(d, p_b, e_b, -1.0)
-    plus = _signed_root_pair(d, p_b, e_b, +1.0)
-    pe_minus = _collinear_pe(first, minus, pr, inp.sigma2)
-    pe_plus = _collinear_pe(first, plus, pr, inp.sigma2)
-    if pe_plus < pe_minus:
-        return _assemble(swapped, first, plus, "plus", inp.gamma_phi)
-    return _assemble(swapped, first, minus, "minus", inp.gamma_phi)
+    return _place(swapped, strong, weak, d, inp.gamma_phi)
 
 
 def design_general(inp: DesignInput) -> DesignResult:
@@ -175,45 +167,27 @@ def design_general(inp: DesignInput) -> DesignResult:
     The weaker sender's difference vector sits at angle psi to the
     stronger one's: theta itself when diagonal pairs dominate, theta + pi
     otherwise. Its length is capped by both the energy shell and the
-    closest-approach condition between the cross pairs.
+    closest-approach condition between the cross pairs. The weaker sender
+    is then placed as in design_collinear: on its energy boundary at d_max,
+    on the negative shell root below it.
     """
     if abs(inp.gamma_phi) == 1.0:
         raise WrongGammaPhi("use the collinear designer when |gamma_phi| = 1")
     pr = inp.priors
+    swapped, strong, weak = _roles(inp)
+    da, db = strong[2], weak[2]
+    orient = 1.0 if pr.p00 + pr.p11 >= pr.p01 + pr.p10 else -1.0
     theta = math.acos(inp.gamma_phi)
-    swapped, da, db, p_b, e_b = _roles(inp)
-    p_a = pr.p2 if swapped else pr.p1
-    e_a = inp.e2 if swapped else inp.e1
-    first = max_separation(p_a, e_a)
+    abs_cos_psi = abs(math.cos(theta))  # |cos psi| for psi = theta or theta + pi
 
-    s_diag = pr.p00 + pr.p11
-    if s_diag >= pr.p01 + pr.p10:
-        cos_psi = math.cos(theta)
-        orient = 1.0
-    else:
-        cos_psi = -math.cos(theta)
-        orient = -1.0
-
-    abs2c = 2.0 * abs(cos_psi)
+    abs2c = 2.0 * abs_cos_psi
     interior = da / abs2c if abs2c > 0.0 else math.inf
-    cross = da * da + db * db - 2.0 * da * db * abs(cos_psi)
+    cross = da * da + db * db - 2.0 * da * db * abs_cos_psi
     if cross <= interior * interior <= db * db:
         d_len = interior
     else:
         d_len = db
-
-    if d_len >= db:
-        second = max_separation(p_b, e_b, sign=orient)
-        return _assemble(swapped, first, second, "boundary")
-
-    d = orient * d_len
-    minus = _signed_root_pair(d, p_b, e_b, -1.0)
-    plus = _signed_root_pair(d, p_b, e_b, +1.0)
-    res_minus = _assemble(swapped, first, minus, "minus")
-    res_plus = _assemble(swapped, first, plus, "plus")
-    pe_minus = exact_error(res_minus.combined(inp), inp.sigma2).p_err_exact
-    pe_plus = exact_error(res_plus.combined(inp), inp.sigma2).p_err_exact
-    return res_plus if pe_plus < pe_minus else res_minus
+    return _place(swapped, strong, weak, orient * d_len)
 
 
 def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.ndarray:

@@ -49,10 +49,6 @@ class InfeasibleRoot(GmacpamError):
     """The energy constraint admits no real amplitude root."""
 
 
-class EmptySweep(GmacpamError):
-    """A sweep was requested over an empty configuration list."""
-
-
 class UnknownConvention(GmacpamError):
     """Unrecognised SNR-to-noise-variance convention tag."""
 

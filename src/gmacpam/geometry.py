@@ -53,8 +53,8 @@ class ChannelGeometry:
     def __post_init__(self) -> None:
         if not abs(self.gamma_phi) <= 1.0:
             raise ValueError(f"gamma_phi must lie in [-1, 1], got {self.gamma_phi}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
 
     @property
     def theta(self) -> float:

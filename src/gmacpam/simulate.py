@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import EmptySweep
 from .geometry import CombinedConstellation
 
 # Largest Box-Muller radius, in units of sigma, that the uniform stream can
@@ -84,17 +83,3 @@ def simulate(
     ci = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return SimResult(trials, errors, p_hat, ci, seed)
 
-
-def sweep(
-    configs: list[tuple[CombinedConstellation, float]],
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list[SimResult]:
-    """Simulate each (constellation, sigma2) pair with its own sub-seed."""
-    if not configs:
-        raise EmptySweep("sweep needs at least one configuration")
-    out = []
-    for i, (cc, sigma2) in enumerate(configs):
-        out.append(simulate(cc, sigma2, trials, _kernels.derive_seed(seed, i), workers))
-    return out

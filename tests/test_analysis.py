@@ -136,6 +136,14 @@ def test_threshold_rejects_noncollinear(case1):
         collinear_pair_threshold(cc, 1.0, (0, 0), (0, 1))
 
 
+@pytest.mark.parametrize("sigma2", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_error_paths_reject_bad_sigma2(case1, sigma2):
+    cc = t2_cc(case1)
+    for fn in (exact_error, union_bound):
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            fn(cc, sigma2)
+
+
 def test_threshold_rejects_self(case1):
     cc = t2_cc(case1)
     with pytest.raises(ValueError):

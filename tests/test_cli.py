@@ -155,6 +155,20 @@ def test_build_config_noise_rules():
         build_config(cfg_with(sigma2="-0.5"))
     with pytest.raises(ConfigError, match="no noise"):
         build_config(cfg_with(sigma2=None))
+    # non-finite numbers are rejected for every numeric key
+    for key, bad in (("sigma2", "inf"), ("sigma2", "nan"), ("e1", "inf"),
+                     ("e2", "-inf"), ("gamma_phi", "nan"), ("p1", "nan")):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            build_config(cfg_with(**{key: bad}))
+    # an SNR whose noise variance over- or underflows leaves no noise point
+    for convention in ("sum-energy", "table-reproduction"):
+        for snr in ("nan", "-inf", "inf"):
+            with pytest.raises(ConfigError, match="not a finite number"):
+                build_config(cfg_with(sigma2=None, snr_db=snr, snr_convention=convention))
+        for snr in ("4000", "-4000", "-3200"):
+            with pytest.raises(ConfigError, match="finite positive sigma2"):
+                build_config(cfg_with(sigma2=None, snr_db=f"10 {snr}",
+                                      snr_convention=convention))
     ok = build_config(cfg_with(snr_convention="direct-sigma2"))
     assert ok.noise[0].sigma2 == 0.1 and ok.noise[0].snr_db is None
 
@@ -308,7 +322,22 @@ def test_cli_exit_codes(capsys, tmp_path):
         )
         == 2
     )
-    capsys.readouterr()
+    # non-finite numbers and noise variances out of the float range
+    one = [*CASE1_SETS, "--set", "schemes=joint"]
+    for sets in (["sigma2=inf"], ["sigma2=0.1", "e1=inf"],
+                 *([f"snr_db={snr}", "snr_convention=sum-energy"]
+                   for snr in ("nan", "-inf", "4000", "-4000"))):
+        argv = [a for kv in sets for a in ("--set", kv)]
+        assert main(["evaluate", *one, *argv]) == 2, sets
+    assert main(["evaluate", "--amplitudes=inf,1,-1,1", *one, "--set", "sigma2=0.1"]) == 2
+    # amplitudes whose squares overflow are a numerical failure
+    for amps, gphi in (("1e200,1,-1,1", "1"), ("1e308,1,-1,1", "1"),
+                       ("1e200,-1e200,1e200,-1e200", "0.707"),
+                       ("1e308,-1e308,1e308,-1e308", "0.707")):
+        assert main(["evaluate", f"--amplitudes={amps}", *one, "--set", f"gamma_phi={gphi}",
+                     "--set", "sigma2=0.1"]) == 3, amps
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
 
 
 def test_cli_reproduce_table_preset(tmp_path, capsys):
@@ -329,6 +358,26 @@ def test_cli_reproduce_table_preset(tmp_path, capsys):
     assert float(joint["s20"]) == pytest.approx(-2.421145692566857, abs=1e-8)
     assert float(joint["s21"]) == pytest.approx(-0.6780735403712947, abs=1e-8)
     assert "scheme=joint" in text
+
+
+def test_cli_reproduce_fig8_gamma_loop(tmp_path, capsys):
+    out = tmp_path / "fig8.csv"
+    rc = main(["reproduce", "--preset", "fig8", "--trials", "10", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    gammas = ("0", "0.383", "0.707", "0.924", "1")
+    assert len(rows) == 5 * 21 * 3 == 315
+    want_schemes = [f"{s}@gphi={g}" for g in gammas
+                    for _ in range(21) for s in ("antipodal", "individual", "joint")]
+    assert [r["scheme"] for r in rows] == want_schemes
+    for idx, row in enumerate(rows):
+        assert row["trials"] == "10"
+        assert int(row["seed"]) == derive_seed(20260815, idx)
+    # each gamma block carries its own sum-energy noise variances
+    assert float(rows[0]["sigma2"]) == convert_snr(0.0, "sum-energy", 1.0, 1.0, 0.0)
+    assert float(rows[-1]["sigma2"]) == convert_snr(20.0, "sum-energy", 1.0, 1.0, 1.0)
 
 
 def test_cli_reproduce_fig9_shape(tmp_path, capsys):

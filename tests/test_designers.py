@@ -71,11 +71,13 @@ def test_max_separation_hits_cap_and_energy():
 
 
 def test_signed_root_pair_energy():
-    s0, s1 = _signed_root_pair(1.2, 0.3, 1.0, +1.0)
+    s0, s1 = _signed_root_pair(1.2, 0.3, 1.0)
     assert s1 - s0 == pytest.approx(1.2, abs=1e-14)
     assert 0.3 * s0 * s0 + 0.7 * s1 * s1 == pytest.approx(1.0, rel=1e-14)
+    # the negative root: s1 = d p - sqrt(disc)
+    assert s1 == pytest.approx(1.2 * 0.3 - math.sqrt(1.0 - 1.44 * 0.3 * 0.7), rel=1e-14)
     with pytest.raises(InfeasibleRoot):
-        _signed_root_pair(10.0, 0.5, 1.0, +1.0)
+        _signed_root_pair(10.0, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,29 @@ def test_collinear_root_twin_ties(case2):
     pe_a = exact_error(cc_a, S18).p_err_exact
     pe_b = exact_error(cc_b, S18).p_err_exact
     assert pe_b == pytest.approx(pe_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("which,gamma_phi,sigma2", [
+    ("case1", 1.0, 10.0**-0.8),
+    ("case2", 0.924, 10.0**-1.0),
+])
+def test_joint_design_takes_negative_root(request, which, gamma_phi, sigma2):
+    """Below the weaker sender's d_max the joint designers take the negative
+    shell root; the positive root, its translation twin, has the same error."""
+    pri = request.getfixturevalue(which)
+    inp = DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2)
+    res = design("joint", inp)
+    assert res.branch == "minus" and not res.swapped
+    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21,
+                             ChannelGeometry(gamma_phi, sigma2))
+    assert check_energy(c1, pri.p1, 1.0)
+    assert check_energy(c2, pri.p2, 1.0)
+    # the negative root puts the bit-1 amplitude below d * p2
+    assert res.a21 < (res.a21 - res.a20) * pri.p2
+    twin = sender2_twin(res.a20, res.a21, pri.p2)
+    pe = exact_error(res.combined(inp), sigma2).p_err_exact
+    pe_twin = exact_error(build_cc(res.a10, res.a11, *twin, gamma_phi, pri), sigma2).p_err_exact
+    assert pe_twin == pytest.approx(pe, rel=1e-12)
 
 
 def test_opposed_orientation_never_helps(case1, case2):
@@ -382,9 +407,9 @@ def test_design_dispatch(case1):
     inp0 = DesignInput(case1, 1.0, 1.0, 0.0, 0.1)
     assert design("joint", inp0).branch == "orthogonal"
     inp1 = DesignInput(case1, 1.0, 1.0, 1.0, 0.1)
-    assert design("joint", inp1).branch in ("minus", "plus", "boundary")
+    assert design("joint", inp1).branch in ("minus", "boundary")
     inpg = DesignInput(case1, 1.0, 1.0, 0.5, 0.1)
-    assert design("joint", inpg).branch in ("minus", "plus", "boundary")
+    assert design("joint", inpg).branch in ("minus", "boundary")
     assert design("antipodal", inp1).branch == "antipodal"
     assert design("individual", inp1).branch == "individual"
     assert design("numerical", inp1, grid=24).p_err is not None
@@ -397,5 +422,6 @@ def test_design_input_validation(case1):
         DesignInput(case1, 0.0, 1.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         DesignInput(case1, 1.0, 1.0, 1.5, 0.1)
-    with pytest.raises(ValueError):
-        DesignInput(case1, 1.0, 1.0, 0.5, 0.0)
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            DesignInput(case1, 1.0, 1.0, 0.5, bad)

@@ -38,8 +38,9 @@ def test_degenerate_constellation_rejected():
 def test_channel_geometry_validation():
     with pytest.raises(ValueError):
         ChannelGeometry(1.5, 1.0)
-    with pytest.raises(ValueError):
-        ChannelGeometry(0.5, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            ChannelGeometry(0.5, bad)
 
 
 @pytest.mark.parametrize("gphi", [0.0, 0.383, 0.707, 0.924, 1.0, -1.0])

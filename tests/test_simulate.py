@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gmacpam import DesignInput, decode, design_collinear, exact_error, simulate, sweep
+from gmacpam import DesignInput, decode, design_collinear, exact_error, simulate
 from gmacpam._kernels import derive_seed, mc_error_count, uniforms_numpy
-from gmacpam.errors import EmptySweep
 from gmacpam.simulate import _decoder_tables
 from gmacpam.sources import BIT_PAIRS
 
@@ -144,21 +143,6 @@ def test_estimator_calibration(t2cc):
         for k in range(100)
     ]
     assert kstest(zs, "norm").pvalue > 0.001
-
-
-def test_sweep_rows_match_singles(case1, t2cc):
-    cc2 = build_cc(-1.0, 0.8, -0.9, 0.7, 0.6, case1)
-    configs = [(t2cc, 10.0**-0.8), (cc2, 0.2), (t2cc, 0.1)]
-    rows = sweep(configs, 50_000, 99, workers=2)
-    for i, (cc, s2) in enumerate(configs):
-        single = simulate(cc, s2, 50_000, derive_seed(99, i), workers=1)
-        assert rows[i].errors == single.errors
-        assert rows[i].seed == derive_seed(99, i)
-
-
-def test_sweep_rejects_empty():
-    with pytest.raises(EmptySweep):
-        sweep([], 100, 1)
 
 
 def test_decoder_tables_layout(t2cc):
