@@ -43,8 +43,6 @@ from .design import (
     numerical_search,
 )
 from .geometry import (
-    BIT_PAIRS,
-    ChannelGeometry,
     CombinedConstellation,
     Constellation,
     check_energy,

@@ -15,8 +15,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .analysis import _RHO_LIMIT, qfunc
-from .geometry import COINCIDENCE_RTOL
+from .analysis import _RHO_LIMIT, _wins_degenerate, qfunc
+from .geometry import coincidence_tol
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -185,10 +185,6 @@ _ADJ_Y = _UV ^ 1
 _DIAG = _UV ^ 3
 
 
-def _coincidence_tol(pts: np.ndarray) -> np.ndarray:
-    return COINCIDENCE_RTOL * np.maximum(np.max(np.abs(pts), axis=1), 1e-300)
-
-
 def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:
     """Exact collinear MAP error for a batch of real-axis constellations.
 
@@ -201,7 +197,7 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     pts = np.asarray(points, dtype=np.float64)
     m = pts.shape[0]
     sigma = math.sqrt(sigma2)
-    tol = _coincidence_tol(pts)
+    tol = coincidence_tol(np.max(np.abs(pts), axis=1))
     p_err = np.zeros(m)
     for uv in range(4):
         lo = np.full(m, -np.inf)
@@ -211,11 +207,7 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
             if lm == uv:
                 continue
             c = pts[:, lm] - pts[:, uv]
-            if priors[uv] != priors[lm]:
-                wins = priors[uv] > priors[lm]
-            else:
-                wins = uv < lm
-            if not wins:
+            if not _wins_degenerate(uv, lm, priors[uv], priors[lm]):
                 dead |= np.abs(c) <= tol
             t = c * c / 2.0 + sigma2 * math.log(priors[uv] / priors[lm])
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,7 +270,7 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
     sigma = math.sqrt(sigma2)
-    tol = _coincidence_tol(pts)
+    tol = coincidence_tol(np.max(np.abs(pts), axis=1))
     bijective = np.ones(pts.shape[0], dtype=bool)
     for i in range(4):
         for j in range(i + 1, 4):

@@ -54,7 +54,7 @@ from .errors import (
     NonBijective,
     NotCollinear,
 )
-from .geometry import COINCIDENCE_RTOL, CombinedConstellation
+from .geometry import CombinedConstellation, coincidence_tol
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -91,7 +91,7 @@ class ErrorReport:
 def is_collinear(cc: CombinedConstellation) -> bool:
     """True when every combined point sits on the real axis within the
     coincidence tolerance."""
-    tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
+    tol = coincidence_tol(cc.scale())
     return all(abs(p.imag) <= tol for p in (cc.a00, cc.a01, cc.a10, cc.a11))
 
 
@@ -108,7 +108,9 @@ class _PairTable:
     Point i = 2u + v is a_uv. Construction reads the geometry: the points
     as stored, their real parts as a float64 array, the priors, the
     coincidence tolerance, the pairwise distances and the collinear and
-    bijective flags. z[i][j], the standardised bound with
+    bijective flags; a constellation whose largest pairwise distance
+    squares past the float range raises OverflowError here. z[i][j], the
+    standardised bound with
     Pr(Delta_ij > 0) = Phi(z[i][j]), and tail[i][j] = Q(-z[i][j]) are filled
     on first use, so a view that rejects the geometry raises before any
     noise-dependent arithmetic. A coincident rival resolves by the decoder's
@@ -120,7 +122,7 @@ class _PairTable:
         if not 0.0 < sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
         pts = (cc.a00, cc.a01, cc.a10, cc.a11)
-        tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
+        tol = coincidence_tol(cc.scale())
         self.pts = pts
         self.re = cc.as_array().real
         self.priors = cc.priors.as_tuple()
@@ -128,6 +130,9 @@ class _PairTable:
         self.tol = tol
         self.collinear = all(abs(p.imag) <= tol for p in pts)
         self.dist = [[abs(b - a) for b in pts] for a in pts]
+        far = float(max(map(max, self.dist)))
+        if not math.isfinite(far * far):
+            raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
         self.bijective = not any(
             self.dist[j][i] <= tol for i in range(4) for j in range(i + 1, 4)
         )

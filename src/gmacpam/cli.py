@@ -17,8 +17,8 @@ from .analysis import exact_error, union_bound
 from .config import _KEYS, ExperimentConfig, NoisePoint, build_config, parse_config_file
 from .design import DesignInput, DesignResult, design
 from .errors import ConfigError, GmacpamError, UnknownConvention
-from .geometry import (ChannelGeometry, CombinedConstellation, check_energy, combine,
-                       from_amplitudes, is_bijective)
+from .geometry import (CombinedConstellation, check_energy, combine, from_amplitudes,
+                       is_bijective)
 from .simulate import simulate
 
 SWEEP_COLUMNS = (
@@ -83,8 +83,7 @@ def _design_row(cfg: ExperimentConfig, scheme: str,
     """One designed scheme: its result, combined constellation and CSV row."""
     res = design(scheme, DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, sigma2),
                  grid=cfg.grid)
-    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21,
-                             ChannelGeometry(cfg.gamma_phi, sigma2))
+    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, cfg.gamma_phi)
     cc = combine(c1, c2, cfg.priors)
     ok = check_energy(c1, cfg.priors.p1, cfg.e1) and check_energy(c2, cfg.priors.p2, cfg.e2)
     row = {

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .geometry import BIT_PAIRS, CombinedConstellation
+from .geometry import CombinedConstellation
+from .sources import BIT_PAIRS
 
 
 def score(r: complex, a: complex, prior: float, sigma2: float) -> float:

@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleRoot,
     WrongGammaPhi,
 )
-from .geometry import ChannelGeometry, CombinedConstellation, combine, from_amplitudes
+from .geometry import CombinedConstellation, combine, from_amplitudes, sender2_axis
 from .sources import JointSourceDistribution
 
 
@@ -35,11 +35,11 @@ class DesignInput:
     sigma2: float
 
     def __post_init__(self):
-        if self.e1 <= 0.0 or self.e2 <= 0.0:
-            raise ValueError("per-sender energies must be positive")
+        if not (0.0 < self.e1 < math.inf and 0.0 < self.e2 < math.inf):
+            raise ValueError("per-sender energies must be finite and positive")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive")
-        if abs(self.gamma_phi) > 1.0:
+        if not abs(self.gamma_phi) <= 1.0:
             raise ValueError("gamma_phi must lie in [-1, 1]")
 
 
@@ -56,8 +56,7 @@ class DesignResult:
     p_err: float | None = None
 
     def combined(self, inp: DesignInput) -> CombinedConstellation:
-        geom = ChannelGeometry(inp.gamma_phi, inp.sigma2)
-        c1, c2 = from_amplitudes(self.a10, self.a11, self.a20, self.a21, geom)
+        c1, c2 = from_amplitudes(self.a10, self.a11, self.a20, self.a21, inp.gamma_phi)
         return combine(c1, c2, inp.priors)
 
 
@@ -252,12 +251,10 @@ def _search_branch(inp, g1, g2, sgn1, sgn2, priors_arr, collinear):
     pr = inp.priors
     b1 = _shell_amplitudes(g1, pr.p1, inp.e1, sgn1)
     b2 = _shell_amplitudes(g2, pr.p2, inp.e2, sgn2)
-    # sender 2's unit vector as from_amplitudes places it, kept real on
-    # the line so the collinear kernel reads the points as they are
+    # kept real on the line so the collinear kernel reads the points as they are
+    u2 = sender2_axis(inp.gamma_phi)
     if collinear:
-        u2 = float(inp.gamma_phi)
-    else:
-        u2 = complex(inp.gamma_phi, math.sqrt(1.0 - inp.gamma_phi**2))
+        u2 = u2.real
     points = np.empty((g1.size * g2.size, 4), dtype=type(u2))
     points[:, 0] = np.add.outer(g1, g2 * u2).ravel()
     points[:, 1] = np.add.outer(g1, b2 * u2).ravel()

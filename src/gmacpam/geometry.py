@@ -17,10 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstellation
-from .sources import BIT_PAIRS, JointSourceDistribution
+from .sources import JointSourceDistribution
 
 # Relative scale below which two combined points count as coincident.
 COINCIDENCE_RTOL = 1e-9
+
+
+def coincidence_tol(scale):
+    """Distance at or below which two points of a constellation coincide.
+
+    scale is the constellation's largest point magnitude, or an array of
+    them, one per row, for which the tolerances come back elementwise. The
+    rule is relative, so it is invariant to rescaling the constellation.
+    """
+    return COINCIDENCE_RTOL * np.maximum(scale, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -41,25 +51,6 @@ class Constellation:
 
     def point(self, bit: int) -> complex:
         return self.s1 if bit else self.s0
-
-
-@dataclass(frozen=True)
-class ChannelGeometry:
-    """Pulse correlation gamma_phi in [-1, 1] and noise variance sigma2 > 0."""
-
-    gamma_phi: float
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if not abs(self.gamma_phi) <= 1.0:
-            raise ValueError(f"gamma_phi must lie in [-1, 1], got {self.gamma_phi}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2}")
-
-    @property
-    def theta(self) -> float:
-        """Angle between the two senders' rays, arccos(gamma_phi)."""
-        return math.acos(self.gamma_phi)
 
 
 @dataclass(frozen=True)
@@ -84,16 +75,26 @@ class CombinedConstellation:
         return max(abs(p) for p in (self.a00, self.a01, self.a10, self.a11))
 
 
+def sender2_axis(gamma_phi: float) -> complex:
+    """Sender 2's unit vector (gamma_phi, sqrt(1 - gamma_phi^2)).
+
+    For gamma_phi = -1 it is exactly -1, so sender 2's points are its
+    negated amplitudes. gamma_phi outside [-1, 1], or NaN, is rejected.
+    """
+    if not abs(gamma_phi) <= 1.0:
+        raise ValueError(f"gamma_phi must lie in [-1, 1], got {gamma_phi}")
+    return complex(gamma_phi, math.sqrt(1.0 - gamma_phi**2))
+
+
 def from_amplitudes(
-    a10: float, a11: float, a20: float, a21: float, geom: ChannelGeometry
+    a10: float, a11: float, a20: float, a21: float, gamma_phi: float
 ) -> tuple[Constellation, Constellation]:
     """Place real pulse amplitudes into signal space.
 
     Sender 1's amplitudes land on the real axis; sender 2's are scaled onto
-    the unit vector (gamma_phi, sqrt(1 - gamma_phi^2)). For gamma_phi = -1
-    that vector is exactly -1, so sender 2's points are negated amplitudes.
+    sender2_axis(gamma_phi).
     """
-    u2 = complex(geom.gamma_phi, math.sqrt(max(0.0, 1.0 - geom.gamma_phi**2)))
+    u2 = sender2_axis(gamma_phi)
     c1 = Constellation(complex(a10, 0.0), complex(a11, 0.0))
     c2 = Constellation(a20 * u2, a21 * u2)
     return c1, c2
@@ -112,15 +113,11 @@ def combine(
     )
 
 
-def is_bijective(cc: CombinedConstellation, tol: float | None = None) -> bool:
-    """True when all four combined points are pairwise distinct within tol.
-
-    The default tolerance is COINCIDENCE_RTOL times the largest point
-    magnitude, so the test is invariant to rescaling the constellation.
-    """
+def is_bijective(cc: CombinedConstellation) -> bool:
+    """True when no two of the four combined points coincide, by the
+    coincidence_tol rule."""
     pts = cc.as_array()
-    if tol is None:
-        tol = COINCIDENCE_RTOL * max(cc.scale(), 1e-300)
+    tol = coincidence_tol(cc.scale())
     for i in range(4):
         for j in range(i + 1, 4):
             if abs(pts[i] - pts[j]) <= tol:
@@ -143,12 +140,11 @@ def pair_geometry(c1: Constellation, c2: Constellation) -> tuple[complex, comple
 
 
 __all__ = [
-    "BIT_PAIRS",
     "COINCIDENCE_RTOL",
-    "ChannelGeometry",
     "CombinedConstellation",
     "Constellation",
     "check_energy",
+    "coincidence_tol",
     "combine",
     "from_amplitudes",
     "is_bijective",

@@ -47,8 +47,8 @@ def simulate(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if not 0 <= seed < 2**63:

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from gmacpam import (
-    ChannelGeometry,
     CombinedConstellation,
     combine,
     from_amplitudes,
@@ -29,10 +28,9 @@ def uniform():
     return from_joint(0.25, 0.25, 0.25, 0.25)
 
 
-def build_cc(a10, a11, a20, a21, gamma_phi, priors, sigma2=1.0):
+def build_cc(a10, a11, a20, a21, gamma_phi, priors):
     """Amplitudes -> combined constellation, one call."""
-    geom = ChannelGeometry(gamma_phi, sigma2)
-    c1, c2 = from_amplitudes(a10, a11, a20, a21, geom)
+    c1, c2 = from_amplitudes(a10, a11, a20, a21, gamma_phi)
     return combine(c1, c2, priors)
 
 

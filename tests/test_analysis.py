@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from gmacpam import (
-    ChannelGeometry,
     DesignInput,
     closed_form_qam,
     collinear_sign_case,
@@ -60,8 +59,8 @@ T3_AMPS = (-2.000000000000001, 0.4999999999999997,
 T3_PE = 2.684676541251541e-07
 
 
-def t2_cc(case1, sigma2=1.0):
-    return build_cc(*T2_AMPS, 1.0, case1, sigma2)
+def t2_cc(case1):
+    return build_cc(*T2_AMPS, 1.0, case1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ def test_report_invariants(case1, case2, uniform):
 def test_translation_invariance(case2):
     cc = build_cc(-1.1, 0.8, -0.7, 0.9, 0.4, case2)
     shifted = combine(
-        *from_amplitudes(-1.1 + 0.6, 0.8 + 0.6, -0.7, 0.9, ChannelGeometry(0.4, 1.0)),
+        *from_amplitudes(-1.1 + 0.6, 0.8 + 0.6, -0.7, 0.9, 0.4),
         case2,
     )
     a = exact_error(cc, 0.12).p_err_exact
@@ -526,7 +525,7 @@ def test_high_snr_union_bound_formula(case2):
 def test_high_snr_union_bound_equals_union_for_uniform(uniform):
     """With no prior tilts the midpoint bound IS the union bound, any noise."""
     cc = build_cc(-1.2, 1.0, -0.8, 0.9, 0.45, uniform)
-    c1, c2 = from_amplitudes(-1.2, 1.0, -0.8, 0.9, ChannelGeometry(0.45, 1.0))
+    c1, c2 = from_amplitudes(-1.2, 1.0, -0.8, 0.9, 0.45)
     d1, d2, psi = pair_geometry(c1, c2)
     for s2 in (0.5, 0.05):
         approx = high_snr_union_bound(abs(d1), abs(d2), psi, uniform, math.sqrt(s2))

@@ -338,6 +338,8 @@ def test_cli_exit_codes(capsys, tmp_path):
                      "--set", "sigma2=0.1"]) == 3, amps
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert "largest pairwise distance" in err
 
 
 def test_cli_reproduce_table_preset(tmp_path, capsys):

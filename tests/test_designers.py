@@ -21,7 +21,7 @@ from gmacpam import (
 )
 from gmacpam.design import _signed_root_pair
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
-from gmacpam.geometry import check_energy, combine, from_amplitudes, ChannelGeometry
+from gmacpam.geometry import check_energy, combine, from_amplitudes
 
 from conftest import build_cc, collinear_cc
 
@@ -166,9 +166,7 @@ def test_collinear_swaps_roles(case2):
     assert res.swapped
     assert abs(res.a21 - res.a20) == pytest.approx(4.0, rel=1e-12)
     assert abs(res.a11 - res.a10) < 2.5
-    c1, c2 = from_amplitudes(
-        res.a10, res.a11, res.a20, res.a21, ChannelGeometry(1.0, S18)
-    )
+    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, 1.0)
     assert check_energy(c1, case2.p1, 1.0)
     assert check_energy(c2, case2.p2, 4.0)
 
@@ -194,9 +192,7 @@ def test_collinear_energy_and_dominance(case1, case2):
         for s2 in (S18, 10.0**-1.2):
             inp = DesignInput(pri, 1.0, 1.0, 1.0, s2)
             res = design_collinear(inp)
-            c1, c2 = from_amplitudes(
-                res.a10, res.a11, res.a20, res.a21, ChannelGeometry(1.0, s2)
-            )
+            c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, 1.0)
             assert check_energy(c1, pri.p1, 1.0)
             assert check_energy(c2, pri.p2, 1.0)
             ref = individually_optimized(inp)
@@ -228,8 +224,7 @@ def test_joint_design_takes_negative_root(request, which, gamma_phi, sigma2):
     inp = DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2)
     res = design("joint", inp)
     assert res.branch == "minus" and not res.swapped
-    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21,
-                             ChannelGeometry(gamma_phi, sigma2))
+    c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, gamma_phi)
     assert check_energy(c1, pri.p1, 1.0)
     assert check_energy(c2, pri.p2, 1.0)
     # the negative root puts the bit-1 amplitude below d * p2
@@ -303,9 +298,7 @@ def test_general_energy_invariants(case2):
         for s2 in (S18, 0.05):
             inp = DesignInput(case2, 1.0, 1.0, g, s2)
             res = design_general(inp)
-            c1, c2 = from_amplitudes(
-                res.a10, res.a11, res.a20, res.a21, ChannelGeometry(g, s2)
-            )
+            c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, g)
             assert check_energy(c1, case2.p1, 1.0)
             assert check_energy(c2, case2.p2, 1.0)
 
@@ -367,7 +360,6 @@ def _brute_scores(inp, grid):
     pr = inp.priors
     g1 = np.linspace(-math.sqrt(inp.e1 / pr.p1), math.sqrt(inp.e1 / pr.p1), grid)
     g2 = np.linspace(-math.sqrt(inp.e2 / pr.p2), math.sqrt(inp.e2 / pr.p2), grid)
-    geom = ChannelGeometry(inp.gamma_phi, inp.sigma2)
     scores = []
     for sgn1, sgn2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         b1 = sgn1 * np.sqrt(np.maximum(inp.e1 - pr.p1 * g1 * g1, 0.0) / (1.0 - pr.p1))
@@ -376,7 +368,7 @@ def _brute_scores(inp, grid):
             for j in range(grid):
                 cand = (g1[i], b1[i], g2[j], b2[j])
                 try:
-                    cc = combine(*from_amplitudes(*cand, geom), pr)
+                    cc = combine(*from_amplitudes(*cand, inp.gamma_phi), pr)
                     scores.append((exact_error(cc, inp.sigma2).p_err_exact, cand))
                 except (DegenerateConstellation, NonBijective):
                     continue
@@ -420,8 +412,14 @@ def test_design_dispatch(case1):
 def test_design_input_validation(case1):
     with pytest.raises(ValueError):
         DesignInput(case1, 0.0, 1.0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        DesignInput(case1, 1.0, 1.0, 1.5, 0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energies"):
+            DesignInput(case1, bad, 1.0, 0.5, 0.1)
+        with pytest.raises(ValueError, match="energies"):
+            DesignInput(case1, 1.0, bad, 0.5, 0.1)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match="gamma_phi"):
+            DesignInput(case1, 1.0, 1.0, bad, 0.1)
     for bad in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma2"):
             DesignInput(case1, 1.0, 1.0, 0.5, bad)

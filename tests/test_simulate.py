@@ -66,8 +66,9 @@ def test_trials_zero(t2cc):
 def test_argument_validation(t2cc):
     with pytest.raises(ValueError):
         simulate(t2cc, 0.1, -1, 3)
-    with pytest.raises(ValueError):
-        simulate(t2cc, 0.0, 10, 3)
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            simulate(t2cc, bad, 10, 3)
     # the decoder scores would overflow (bias -inf, NaN scores)
     with pytest.raises(ValueError):
         simulate(t2cc, 1e-310, 1000, 3)
