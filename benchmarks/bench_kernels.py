@@ -13,19 +13,22 @@ exact_error on a sample of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
 constellations, of union_bound on the collinear one, and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
-(collinear) and 0.924 (planar).
+(collinear) and 0.924 (planar). The search rows give seconds per
+numerical_search call at the case-1 source (the fig4 source), 10 dB
+sum-energy SNR: gamma_phi = 1 at grid 400 and gamma_phi = 0.924 at grid
+100, each checked to report the exact error of its own design.
 """
 
 import argparse
-import math
 import time
 
 import numpy as np
 
 from gmacpam import _kernels
 from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
-from gmacpam.design import DesignInput, design, design_collinear
-from gmacpam.geometry import CombinedConstellation
+from gmacpam.config import convert_snr
+from gmacpam.design import DesignInput, design, design_collinear, numerical_search
+from gmacpam.geometry import CombinedConstellation, sender2_axis
 from gmacpam.simulate import _decoder_tables
 from gmacpam.sources import from_marginals_correlation
 
@@ -50,7 +53,7 @@ def _constellations():
     sigma2 = 10.0**-0.8
     inp = DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
     collinear = design_collinear(inp).combined(inp)
-    u2 = complex(0.707, math.sqrt(1.0 - 0.707**2))
+    u2 = sender2_axis(0.707)
     planar = CombinedConstellation(-1.0 - 0.9 * u2, -1.0 + 0.7 * u2, 0.8 - 0.9 * u2,
                                    0.8 + 0.7 * u2, from_marginals_correlation(0.2, 0.5, 0.4))
     return (collinear, sigma2), (planar, 0.25)
@@ -105,7 +108,7 @@ def bench_batch(rows_n, repeat):
     got, t_col = best_of(lambda: _kernels.collinear_pe_batch(pts, pa, 0.04), repeat)
     _assert_matches_scalar(pts, got, priors, 0.04, exact_error_collinear)
 
-    u2 = complex(0.707, math.sqrt(1.0 - 0.707**2))
+    u2 = sender2_axis(0.707)
     amp = rng.uniform(-2.0, 2.0, (rows_n, 4))
     planar = amp[:, [0, 0, 1, 1]] + amp[:, [2, 3, 2, 3]] * u2
     got, t_pl = best_of(lambda: _kernels.planar_pe_batch(planar, pa, 0.04), repeat)
@@ -117,6 +120,19 @@ def bench_batch(rows_n, repeat):
     ]
 
 
+def bench_search(repeat):
+    case1 = from_marginals_correlation(0.1, 0.1, 0.9)
+    rows = []
+    for name, gamma_phi, grid in (("search-collinear", 1.0, 400), ("search-planar", 0.924, 100)):
+        sigma2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
+        inp = DesignInput(case1, 1.0, 1.0, gamma_phi, sigma2)
+        res, t = best_of(lambda: numerical_search(inp, grid=grid), repeat)
+        want = exact_error(res.combined(inp), inp.sigma2).p_err_exact
+        assert abs(res.p_err - want) <= 1e-12 * want, name
+        rows.append((name, t, t, "s/call"))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=5_000_000)
@@ -125,7 +141,7 @@ def main():
     ns = ap.parse_args()
 
     rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-            + bench_scalar(ns.repeat))
+            + bench_scalar(ns.repeat) + bench_search(ns.repeat))
     print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
     for kernel, t, rate, unit in rows:
         print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit}")

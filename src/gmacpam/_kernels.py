@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 
 from .analysis import _RHO_LIMIT, _wins_degenerate, qfunc
-from .geometry import coincidence_tol
+from .geometry import coincidence_tol, pairwise_distinct
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -270,11 +270,7 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
     sigma = math.sqrt(sigma2)
-    tol = coincidence_tol(np.max(np.abs(pts), axis=1))
-    bijective = np.ones(pts.shape[0], dtype=bool)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            bijective &= np.abs(pts[:, i] - pts[:, j]) > tol
+    bijective = pairwise_distinct(pts.T, coincidence_tol(np.max(np.abs(pts), axis=1)))
 
     def rival(idx):
         c = pts[:, idx] - pts

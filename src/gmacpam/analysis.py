@@ -54,7 +54,7 @@ from .errors import (
     NonBijective,
     NotCollinear,
 )
-from .geometry import CombinedConstellation, coincidence_tol
+from .geometry import CombinedConstellation, coincidence_tol, on_real_axis, pairwise_distinct
 
 _TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -91,8 +91,7 @@ class ErrorReport:
 def is_collinear(cc: CombinedConstellation) -> bool:
     """True when every combined point sits on the real axis within the
     coincidence tolerance."""
-    tol = coincidence_tol(cc.scale())
-    return all(abs(p.imag) <= tol for p in (cc.a00, cc.a01, cc.a10, cc.a11))
+    return on_real_axis(cc.as_array(), coincidence_tol(cc.scale()))
 
 
 def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool:
@@ -128,14 +127,12 @@ class _PairTable:
         self.priors = cc.priors.as_tuple()
         self.sigma2 = sigma2
         self.tol = tol
-        self.collinear = all(abs(p.imag) <= tol for p in pts)
+        self.collinear = on_real_axis(pts, tol)
         self.dist = [[abs(b - a) for b in pts] for a in pts]
         far = float(max(map(max, self.dist)))
         if not math.isfinite(far * far):
             raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
-        self.bijective = not any(
-            self.dist[j][i] <= tol for i in range(4) for j in range(i + 1, 4)
-        )
+        self.bijective = bool(pairwise_distinct(pts, tol))
 
     @cached_property
     def z(self) -> list[list[float]]:
@@ -457,32 +454,17 @@ def high_snr_union_bound(
 # collinear high-SNR closed forms
 # ---------------------------------------------------------------------------
 
-# The eight sign cases of (d1, d2, |d1| vs |d2|) for collinear geometry.
-_SIGN_CASES = {
-    1: (1, 1, 1),
-    2: (1, 1, -1),
-    3: (1, -1, 1),
-    4: (1, -1, -1),
-    5: (-1, 1, 1),
-    6: (-1, 1, -1),
-    7: (-1, -1, 1),
-    8: (-1, -1, -1),
-}
-
-
 def collinear_sign_case(d1: float, d2: float) -> int:
     """Classify signed separations into sign cases 1 through 8.
 
-    Zero separations and |d1| = |d2| sit on case boundaries and are
-    rejected.
+    The case is 1 + 4 [d1 < 0] + 2 [d2 < 0] + [|d1| < |d2|]: cases 1-4
+    have d1 > 0, and within each half d2 > 0 comes first, |d1| > |d2|
+    before |d1| < |d2|. Zero separations and |d1| = |d2| sit on case
+    boundaries and are rejected.
     """
     if d1 == 0.0 or d2 == 0.0 or abs(d1) == abs(d2):
         raise CaseMismatch(f"(d1, d2) = {(d1, d2)} lies on a sign-case boundary")
-    key = (1 if d1 > 0 else -1, 1 if d2 > 0 else -1, 1 if abs(d1) > abs(d2) else -1)
-    for case, pattern in _SIGN_CASES.items():
-        if key == pattern:
-            return case
-    raise CaseMismatch(f"unclassifiable separations {(d1, d2)}")
+    return 1 + 4 * (not d1 > 0) + 2 * (not d2 > 0) + (not abs(d1) > abs(d2))
 
 
 def high_snr_correct_prob(case: int, d1: float, d2: float, priors, sigma: float) -> float:
@@ -492,7 +474,7 @@ def high_snr_correct_prob(case: int, d1: float, d2: float, priors, sigma: float)
     they approach the exact collinear result as sigma -> 0. The requested
     case must match the actual signs of (d1, d2).
     """
-    if case not in _SIGN_CASES:
+    if case not in range(1, 9):
         raise CaseMismatch(f"case must be 1..8, got {case}")
     if collinear_sign_case(d1, d2) != case:
         raise CaseMismatch(

@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownConvention, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, UnknownConvention, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (GmacpamError, ArithmeticError) as exc:

@@ -193,12 +193,10 @@ def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.nda
     return sign * np.sqrt(np.maximum(e - p * a0 * a0, 0.0) / (1.0 - p))
 
 
-_SIGN_BRANCHES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-
 # Search candidates whose errors agree to this relative tolerance are tied,
-# and the first in search order wins. Mirror images (the global sign flip,
-# and the sender swap for symmetric sources) have equal exact error, which
-# rounding alone would otherwise split.
+# and the first in search order wins. The twins with equal exact error left
+# on the searched shells, the sender swap for symmetric sources and sender
+# 2's two shell roots, would otherwise be split by rounding alone.
 _TIE_RTOL = 1e-12
 
 
@@ -206,34 +204,36 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
     """Exhaustive search of both energy shells for the lowest exact error.
 
     Each sender's bit-0 amplitude runs over `grid` points of its feasible
-    range; the bit-1 amplitude is then fixed by the energy budget up to a
-    sign, giving four sign branches. Each branch is scored in one batched
-    tail-form call, the collinear kernel for |gamma_phi| = 1 and the planar
-    one otherwise, so the full default grid is practical in both geometries.
+    range; its bit-1 amplitude sits on its energy shell, sender 1's on the
+    positive root and sender 2's on either. Each of these two sign branches
+    is scored in one batched tail-form call, and the refinement stays in the
+    winning one. Sender 1's negative root would add only mirrors a -> -a of
+    searched candidates (up to the rounding of the symmetric grids): the
+    MAP error depends on point differences and priors alone, the noise is
+    circularly symmetric, both batch kernels return bit-identical errors for
+    negated rows, and the first-in-order tie rule passes over a mirror.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
-    priors_arr = pr.as_array()
     amax1 = math.sqrt(inp.e1 / pr.p1)
     amax2 = math.sqrt(inp.e2 / pr.p2)
     g1 = np.linspace(-amax1, amax1, grid)
     g2 = np.linspace(-amax2, amax2, grid)
-    collinear = abs(inp.gamma_phi) == 1.0
 
     best = (math.inf, None, None)
-    for sgn1, sgn2 in _SIGN_BRANCHES:
-        cand, pe = _search_branch(inp, g1, g2, sgn1, sgn2, priors_arr, collinear)
+    for sgn2 in (1.0, -1.0):
+        cand, pe = _search_branch(inp, g1, g2, sgn2)
         if pe < best[0] * (1.0 - _TIE_RTOL):
-            best = (pe, cand, (sgn1, sgn2))
-    pe_best, cand, signs = best
+            best = (pe, cand, sgn2)
+    pe_best, cand, sgn2 = best
 
     if refine:
         step1 = g1[1] - g1[0]
         step2 = g2[1] - g2[0]
         r1 = np.clip(np.linspace(cand[0] - step1, cand[0] + step1, 21), -amax1, amax1)
         r2 = np.clip(np.linspace(cand[2] - step2, cand[2] + step2, 21), -amax2, amax2)
-        fine, pe_fine = _search_branch(inp, r1, r2, signs[0], signs[1], priors_arr, collinear)
+        fine, pe_fine = _search_branch(inp, r1, r2, sgn2)
         if pe_fine < pe_best:
             cand, pe_best = fine, pe_fine
 
@@ -241,29 +241,28 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
                         branch="search", swapped=False, p_err=pe_best)
 
 
-def _search_branch(inp, g1, g2, sgn1, sgn2, priors_arr, collinear):
-    """Best candidate over one sign branch of the two energy shells.
+def _search_branch(inp, g1, g2, sgn2):
+    """Best candidate on sender 1's positive and sender 2's sgn2 shell root.
 
     Every candidate is scored in one batched call; ties (within
     _TIE_RTOL) go to the first minimum in row-major (g1, g2) order, and
     rows the planar kernel rejects as non-bijective (+inf) are passed over.
     """
     pr = inp.priors
-    b1 = _shell_amplitudes(g1, pr.p1, inp.e1, sgn1)
+    b1 = _shell_amplitudes(g1, pr.p1, inp.e1, 1.0)
     b2 = _shell_amplitudes(g2, pr.p2, inp.e2, sgn2)
-    # kept real on the line so the collinear kernel reads the points as they are
     u2 = sender2_axis(inp.gamma_phi)
-    if collinear:
-        u2 = u2.real
+    # kept real on the line so the collinear kernel reads the points as they are
+    if abs(inp.gamma_phi) == 1.0:
+        u2, kernel = u2.real, _kernels.collinear_pe_batch
+    else:
+        kernel = _kernels.planar_pe_batch
     points = np.empty((g1.size * g2.size, 4), dtype=type(u2))
     points[:, 0] = np.add.outer(g1, g2 * u2).ravel()
     points[:, 1] = np.add.outer(g1, b2 * u2).ravel()
     points[:, 2] = np.add.outer(b1, g2 * u2).ravel()
     points[:, 3] = np.add.outer(b1, b2 * u2).ravel()
-    if collinear:
-        pe = _kernels.collinear_pe_batch(points, priors_arr, inp.sigma2)
-    else:
-        pe = _kernels.planar_pe_batch(points, priors_arr, inp.sigma2)
+    pe = kernel(points, pr.as_array(), inp.sigma2)
     pe_min = np.min(pe)
     if not np.isfinite(pe_min):
         raise InfeasibleRoot("no nondegenerate candidate on the search grid")

@@ -11,6 +11,7 @@ per-component variance sigma2.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,20 @@ def coincidence_tol(scale):
     rule is relative, so it is invariant to rescaling the constellation.
     """
     return COINCIDENCE_RTOL * np.maximum(scale, 1e-300)
+
+
+def on_real_axis(pts, tol) -> bool:
+    """True when every point's imaginary part is within tol of 0."""
+    return all(abs(p.imag) <= tol for p in pts)
+
+
+def pairwise_distinct(pts, tol):
+    """True where no two of pts[0..3] lie within tol: complex scalars, or
+    arrays of one point per row with tol a scalar or one value per row."""
+    distinct = True
+    for i, j in itertools.combinations(range(4), 2):
+        distinct = distinct & (abs(pts[i] - pts[j]) > tol)
+    return distinct
 
 
 @dataclass(frozen=True)
@@ -72,7 +87,13 @@ class CombinedConstellation:
 
     def scale(self) -> float:
         """Largest point magnitude, used for relative coincidence tests."""
-        return max(abs(p) for p in (self.a00, self.a01, self.a10, self.a11))
+        mags = []
+        for p in (self.a00, self.a01, self.a10, self.a11):
+            try:
+                mags.append(abs(p))
+            except OverflowError:
+                raise OverflowError(f"magnitude of combined point {p!r} overflows") from None
+        return max(mags)
 
 
 def sender2_axis(gamma_phi: float) -> complex:
@@ -116,13 +137,7 @@ def combine(
 def is_bijective(cc: CombinedConstellation) -> bool:
     """True when no two of the four combined points coincide, by the
     coincidence_tol rule."""
-    pts = cc.as_array()
-    tol = coincidence_tol(cc.scale())
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(pts[i] - pts[j]) <= tol:
-                return False
-    return True
+    return bool(pairwise_distinct(cc.as_array(), coincidence_tol(cc.scale())))
 
 
 def check_energy(c: Constellation, p: float, e: float, tol: float = 1e-9) -> bool:

@@ -57,6 +57,8 @@ def simulate(
     # magnitude, with a factor 2 to spare for rounding; past it a score can
     # be inf or NaN and the error count would mean nothing.
     amax = cc.scale()
+    if not math.isfinite(amax * amax):
+        raise OverflowError(f"largest point magnitude {amax!r} squares past the float range")
     reach = amax + _RADIUS_MAX * math.sqrt(sigma2)
     log_pmin = math.log(min(cc.priors.as_tuple()))
     bound = 2.0 * ((amax * amax / 2.0 + reach * amax) / sigma2 - log_pmin)

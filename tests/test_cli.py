@@ -330,16 +330,20 @@ def test_cli_exit_codes(capsys, tmp_path):
         argv = [a for kv in sets for a in ("--set", kv)]
         assert main(["evaluate", *one, *argv]) == 2, sets
     assert main(["evaluate", "--amplitudes=inf,1,-1,1", *one, "--set", "sigma2=0.1"]) == 2
-    # amplitudes whose squares overflow are a numerical failure
+    # amplitudes whose squares overflow are a numerical failure in both
+    # subcommands
     for amps, gphi in (("1e200,1,-1,1", "1"), ("1e308,1,-1,1", "1"),
                        ("1e200,-1e200,1e200,-1e200", "0.707"),
                        ("1e308,-1e308,1e308,-1e308", "0.707")):
-        assert main(["evaluate", f"--amplitudes={amps}", *one, "--set", f"gamma_phi={gphi}",
-                     "--set", "sigma2=0.1"]) == 3, amps
+        for cmd in ("evaluate", "simulate"):
+            assert main([cmd, f"--amplitudes={amps}", *one, "--set", f"gamma_phi={gphi}",
+                         "--set", "sigma2=0.1", "--set", "trials=100"]) == 3, (cmd, amps)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
     assert "largest pairwise distance" in err
+    assert "largest point magnitude 1e+200 squares past the float range" in err
+    assert "magnitude of combined point (1.707e+308" in err
 
 
 def test_cli_reproduce_table_preset(tmp_path, capsys):

@@ -390,6 +390,21 @@ def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
     assert res.p_err == pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma_phi, sigma2", [(1.0, S18), (-1.0, 0.05), (1.0, 0.5)])
+def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
+    # the search leaves out sender 1's negative root; its candidates mirror
+    # searched ones, so the result still ties the best of all four branches
+    # (the ties also hold sender 2's root twins and, for case1, the swap)
+    for pri in (case1, case2):
+        inp = DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2)
+        res = numerical_search(inp, grid=12, refine=False)
+        scores = _brute_scores(inp, 12)
+        best = min(pe for pe, _ in scores)
+        ties = [cand for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
+        assert (res.a10, res.a11, res.a20, res.a21) in ties
+        assert res.p_err == pytest.approx(best, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gmacpam import (
     exact_error_planar,
 )
 from gmacpam import _kernels as K
+from gmacpam.geometry import sender2_axis
 from gmacpam.simulate import _decoder_tables
 
 from conftest import build_cc
@@ -198,7 +199,7 @@ def test_collinear_batch_coincident_rivals(case1):
 
 def _planar_rows(rng, gamma_phi, n):
     """n random amplitude quadruples placed as combined points."""
-    u2 = complex(gamma_phi, np.sqrt(1.0 - gamma_phi**2))
+    u2 = sender2_axis(gamma_phi)
     a = rng.uniform(-2.0, 2.0, size=(n, 4))
     s1 = a[:, :2]
     s2 = a[:, 2:] * u2
@@ -252,3 +253,20 @@ def test_planar_batch_non_bijective_is_inf(case2):
     assert pe[1] == np.inf and pe[2] == np.inf
     with pytest.raises(NonBijective):
         exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
+
+
+@pytest.mark.parametrize("gamma_phi", [1.0, -1.0, 0.383, 0.924])
+def test_batch_errors_invariant_under_negation(case1, case2, gamma_phi):
+    """Mirroring every row through the origin leaves both batch errors
+    bit-identical, so numerical_search need not score the mirror images."""
+    rng = np.random.Generator(np.random.PCG64(61))
+    collinear = abs(gamma_phi) == 1.0
+    kernel = K.collinear_pe_batch if collinear else K.planar_pe_batch
+    for pri in (case1, case2):
+        for sigma2 in np.logspace(0.0, -3.0, 7):
+            pts = _planar_rows(rng, gamma_phi, 500)
+            if collinear:
+                pts = pts.real
+            pe = kernel(pts, pri.as_array(), sigma2)
+            assert np.all(np.isfinite(pe))
+            assert np.array_equal(kernel(-pts, pri.as_array(), sigma2), pe)
