@@ -16,7 +16,11 @@ designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
 (collinear) and 0.924 (planar). The search rows give seconds per
 numerical_search call at the case-1 source (the fig4 source), 10 dB
 sum-energy SNR: gamma_phi = 1 at grid 400 and gamma_phi = 0.924 at grid
-100, each checked to report the exact error of its own design.
+100, each checked to report the exact error of its own design. The
+sweep-row rows give microseconds per row of the CLI sweep loop
+(cli._sweep_rows) at the case-1 source: antipodal, individual and joint
+designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
+gamma_phi = 1 (collinear) and 0.707 (planar).
 """
 
 import argparse
@@ -26,7 +30,8 @@ import numpy as np
 
 from gmacpam import _kernels
 from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
-from gmacpam.config import convert_snr
+from gmacpam.cli import _sweep_rows
+from gmacpam.config import build_config, convert_snr
 from gmacpam.design import DesignInput, design, design_collinear, numerical_search
 from gmacpam.geometry import CombinedConstellation, sender2_axis
 from gmacpam.simulate import _decoder_tables
@@ -133,6 +138,23 @@ def bench_search(repeat):
     return rows
 
 
+# Sweeps per timed repeat.
+SWEEP_PASSES = 10
+
+
+def bench_sweep(repeat):
+    snr_db = " ".join(str(k / 2) for k in range(41))
+    rows = []
+    for name, gamma_phi in (("sweep-row-collinear", "1"), ("sweep-row-planar", "0.707")):
+        cfg = build_config({"p1": "0.1", "p2": "0.1", "gamma_m": "0.9", "gamma_phi": gamma_phi,
+                            "snr_db": snr_db, "snr_convention": "sum-energy",
+                            "schemes": "antipodal individual joint", "trials": "0"})
+        out, t = best_of(lambda: [_sweep_rows(cfg) for _ in range(SWEEP_PASSES)], repeat)
+        n_rows = SWEEP_PASSES * len(out[0])
+        rows.append((name, t, t / n_rows * 1e6, "us/row"))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=5_000_000)
@@ -141,7 +163,7 @@ def main():
     ns = ap.parse_args()
 
     rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-            + bench_scalar(ns.repeat) + bench_search(ns.repeat))
+            + bench_scalar(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat))
     print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
     for kernel, t, rate, unit in rows:
         print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit}")

@@ -80,12 +80,15 @@ class ErrorReport:
     order; p_err_exact is the prior-weighted sum of the per-pair miss
     probabilities 1 - p_c_uv, accumulated in tail form so small values keep
     relative precision. method names the exact path that ran: 'collinear'
-    or 'planar'.
+    or 'planar'. p_err_union (what union_bound returns) and bijective (what
+    is_bijective returns) are read from the same pairwise table.
     """
 
     p_err_exact: float
     p_c_per_pair: tuple[float, float, float, float]
     method: str
+    p_err_union: float
+    bijective: bool
 
 
 def is_collinear(cc: CombinedConstellation) -> bool:
@@ -367,7 +370,8 @@ def _exact(table: _PairTable) -> ErrorReport:
         miss = [_planar_miss(table, i) for i in range(4)]
     p_err = math.fsum(p * m for p, m in zip(table.priors, miss))
     p_c = tuple(1.0 - m for m in miss)
-    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method=method)
+    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method=method,
+                       p_err_union=_union(table), bijective=table.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
@@ -401,7 +405,10 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
     terms accumulate in the order the exact path of the same geometry uses,
     so the computed bound never rounds below the computed exact error.
     """
-    table = _PairTable(cc, sigma2)
+    return _union(_PairTable(cc, sigma2))
+
+
+def _union(table: _PairTable) -> float:
     if table.collinear:
         terms = [_collinear_terms(table, i)[1] for i in range(4)]
     else:

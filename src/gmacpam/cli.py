@@ -13,12 +13,12 @@ import math
 import sys
 
 from ._kernels import backend_name, derive_seed
-from .analysis import exact_error, union_bound
+# union_bound is unused here; perfbench/spans.py wraps cli.union_bound
+from .analysis import exact_error, union_bound  # noqa: F401
 from .config import _KEYS, ExperimentConfig, NoisePoint, build_config, parse_config_file
 from .design import DesignInput, DesignResult, design
 from .errors import ConfigError, GmacpamError, UnknownConvention
-from .geometry import (CombinedConstellation, check_energy, combine, from_amplitudes,
-                       is_bijective)
+from .geometry import CombinedConstellation, check_energy, combine, from_amplitudes
 from .simulate import simulate
 
 SWEEP_COLUMNS = (
@@ -109,20 +109,18 @@ def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "", seed_base: int = 
         for scheme in cfg.schemes:
             res = design(scheme, inp, grid=cfg.grid)
             cc = res.combined(inp)
-            status = "ok" if is_bijective(cc) else "non-bijective"
             report = exact_error(cc, point.sigma2)
-            bound = union_bound(cc, point.sigma2)
             row = {
                 "snr_db": _fmt(point.snr_db),
                 "sigma2": _fmt_sigma2(point.sigma2),
                 "scheme": scheme + label_suffix,
                 "p_err_exact": _fmt(report.p_err_exact),
-                "p_err_union": _fmt(bound),
+                "p_err_union": _fmt(report.p_err_union),
                 "p_err_mc": "",
                 "mc_ci_halfwidth": "",
                 "trials": str(cfg.trials),
                 "seed": "",
-                "status": status,
+                "status": "ok" if report.bijective else "non-bijective",
             }
             if cfg.trials > 0:
                 sub = derive_seed(cfg.seed, idx)
@@ -191,15 +189,14 @@ def cmd_design(args) -> int:
 def cmd_evaluate(args) -> int:
     label, point, cc = _single_point(args, _resolve_config(args))
     report = exact_error(cc, point.sigma2)
-    bound = union_bound(cc, point.sigma2)
     print(f"scheme = {label}")
     if point.snr_db is not None:
         print(f"snr_db = {_fmt(point.snr_db)}")
     print(f"sigma2 = {_fmt_sigma2(point.sigma2)}")
     print(f"method = {report.method}")
-    print(f"bijective = {str(is_bijective(cc)).lower()}")
+    print(f"bijective = {str(report.bijective).lower()}")
     print(f"p_err_exact = {_fmt(report.p_err_exact)}")
-    print(f"p_err_union = {_fmt(bound)}")
+    print(f"p_err_union = {_fmt(report.p_err_union)}")
     return 0
 
 

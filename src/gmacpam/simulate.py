@@ -5,6 +5,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
+import os
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def simulate(
     """Estimate the error probability with `trials` MAP-decoded samples.
 
     The draw for trial t depends only on (seed, t), so the result is
-    identical for any worker count.
+    identical for any worker count; at most one thread runs per usable CPU.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -68,6 +69,8 @@ def simulate(
         return SimResult(0, 0, math.nan, math.nan, seed)
 
     ax, ay, bias, cdf = _decoder_tables(cc, sigma2)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     edges = [trials * i // workers for i in range(workers + 1)]
     chunks = [(lo, hi - lo) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 

@@ -26,6 +26,7 @@ from gmacpam import (
     from_marginals_correlation,
     high_snr_correct_prob,
     high_snr_union_bound,
+    is_bijective,
     is_collinear,
     pair_geometry,
     union_bound,
@@ -360,6 +361,8 @@ def test_exact_and_union_frozen(case1, case2, uniform):
             assert rep.p_err_exact == p_err, (name, sigma2)
             assert rep.p_c_per_pair == p_c, (name, sigma2)
             assert union_bound(cc, sigma2) == bound, (name, sigma2)
+            assert rep.p_err_union == bound, (name, sigma2)
+            assert rep.bijective == is_bijective(cc) == (name != "coincident"), (name, sigma2)
 
 
 def test_report_invariants(case1, case2, uniform):

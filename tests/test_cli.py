@@ -2,17 +2,25 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gmacpam
 from gmacpam import (
+    DesignInput,
     build_config,
     convert_snr,
+    design,
     exact_error,
+    is_bijective,
     parse_config_file,
+    union_bound,
 )
 from gmacpam._kernels import backend_name, derive_seed
-from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, main
+from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, main
 from gmacpam.errors import ConfigError, UnknownConvention
 
 from conftest import build_cc
@@ -404,3 +412,44 @@ def test_cli_reproduce_fig9_shape(tmp_path, capsys):
         assert float(r["sigma2"]) == convert_snr(
             float(r["snr_db"]), "sum-energy", 2.0, 1.0, 1.0
         )
+
+
+@pytest.mark.parametrize("gamma_phi", ["1", "0.707"])
+def test_cli_sweep_rows_match_standalone_views(tmp_path, capsys, case1, gamma_phi):
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        ["sweep", *CASE1_SETS, "--set", f"gamma_phi={gamma_phi}",
+         "--set", "snr_db=4 12 20", "--set", "snr_convention=sum-energy",
+         "--set", "schemes=individual joint", "--set", f"out={out}"]
+    )
+    capsys.readouterr()
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    for row in rows:
+        sigma2 = float(row["sigma2"])
+        inp = DesignInput(case1, 1.0, 1.0, float(gamma_phi), sigma2)
+        cc = design(row["scheme"], inp).combined(inp)
+        assert row["p_err_exact"] == _fmt(exact_error(cc, sigma2).p_err_exact)
+        assert row["p_err_union"] == _fmt(union_bound(cc, sigma2))
+        assert row["status"] == ("ok" if is_bijective(cc) else "non-bijective")
+    statuses = {row["status"] for row in rows}
+    assert statuses == ({"ok", "non-bijective"} if gamma_phi == "1" else {"ok"})
+
+
+def test_perfbench_tracer_finds_its_wrap_points():
+    # the benchmark's tracer wraps package functions by attribute lookup
+    # (cli.union_bound, design.exact_error, ...); a renamed or dropped name
+    # breaks every traced run, so install it in a fresh interpreter
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(gmacpam.__file__))),
+            os.path.join(repo, "perfbench")]
+    path += [os.path.abspath(p) for p in inherited if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from spans import Tracer; Tracer().install()"],
+        env=env, cwd=repo, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Seeded Monte-Carlo estimator: determinism, calibration, edge cases."""
 
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from gmacpam.sources import BIT_PAIRS
 from conftest import build_cc
 
 S18 = 10.0**-1.8
+# the package exports a function under the module's name
+simulate_mod = importlib.import_module("gmacpam.simulate")
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,42 @@ def test_worker_determinism(t2cc):
         assert got.errors == ref.errors
         assert got.p_hat == ref.p_hat
     assert ref.errors > 0
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_threads_capped_at_usable_cpus(t2cc, monkeypatch):
+    monkeypatch.setattr(simulate_mod, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "seen", [])
+    monkeypatch.setattr(simulate_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: 2)
+    ref = simulate(t2cc, 10.0**-0.8, 5000, 20260815, workers=1)
+    got = simulate(t2cc, 10.0**-0.8, 5000, 20260815, workers=10**6)
+    assert _SerialPool.seen == [2]
+    assert got.errors == ref.errors > 0
+    # below the cap the requested chunking still runs, with the same count
+    monkeypatch.setattr(simulate_mod.os, "sched_getaffinity", lambda pid: set(range(16)),
+                        raising=False)
+    monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: 16)
+    got = simulate(t2cc, 10.0**-0.8, 5000, 20260815, workers=7)
+    assert _SerialPool.seen == [2, 7]
+    assert got.errors == ref.errors
 
 
 def test_seed_changes_stream(t2cc):
