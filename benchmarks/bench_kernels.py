@@ -20,14 +20,23 @@ sum-energy SNR: gamma_phi = 1 at grid 400 and gamma_phi = 0.924 at grid
 sweep-row rows give microseconds per row of the CLI sweep loop
 (cli._sweep_rows) at the case-1 source: antipodal, individual and joint
 designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
-gamma_phi = 1 (collinear) and 0.707 (planar).
+gamma_phi = 1 (collinear) and 0.707 (planar). The cold-start rows give
+the median seconds of fresh interpreters that import gmacpam and make one
+joint design and one exact_error call at the case-1 source, 18 dB table
+convention: gamma_phi = 1 (collinear, which never loads scipy.special)
+and 0.924 (planar, which does).
 """
 
 import argparse
+import os
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import gmacpam
 from gmacpam import _kernels
 from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
 from gmacpam.cli import _sweep_rows
@@ -110,6 +119,7 @@ def bench_batch(rows_n, repeat):
 
     pts = np.sort(rng.uniform(-3.0, 3.0, (rows_n, 4)), axis=1)
     pts += np.arange(4) * 0.05  # keep the sorted points apart
+    _kernels.collinear_pe_batch(pts[:1], pa, 0.04)  # untimed: loads scipy.special
     got, t_col = best_of(lambda: _kernels.collinear_pe_batch(pts, pa, 0.04), repeat)
     _assert_matches_scalar(pts, got, priors, 0.04, exact_error_collinear)
 
@@ -155,6 +165,35 @@ def bench_sweep(repeat):
     return rows
 
 
+# Fresh interpreters per cold-start row.
+COLD_STARTS = 7
+
+_COLD_START = """
+import gmacpam
+inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.1, 0.1, 0.9), 1.0, 1.0, {gamma_phi},
+                          10.0**-1.8)
+gmacpam.exact_error(gmacpam.design("joint", inp).combined(inp), inp.sigma2)
+"""
+
+
+def bench_cold_start():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gmacpam.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
+    rows = []
+    for name, gamma_phi in (("cold-start-collinear", 1.0), ("cold-start-planar", 0.924)):
+        argv = [sys.executable, "-c", _COLD_START.format(gamma_phi=gamma_phi)]
+        subprocess.run(argv, env=env, check=True)  # untimed: fills the bytecode cache
+        times = []
+        for _ in range(COLD_STARTS):
+            t0 = time.perf_counter()
+            subprocess.run(argv, env=env, check=True)
+            times.append(time.perf_counter() - t0)
+        t = statistics.median(times)
+        rows.append((name, t, t, "s/start"))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=5_000_000)
@@ -163,7 +202,8 @@ def main():
     ns = ap.parse_args()
 
     rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-            + bench_scalar(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat))
+            + bench_scalar(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat)
+            + bench_cold_start())
     print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
     for kernel, t, rate, unit in rows:
         print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit}")

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
-from .analysis import _RHO_LIMIT, _wins_degenerate, qfunc
+from .analysis import _RHO_LIMIT, _qfunc_array, _special, _wins_degenerate
 from .geometry import coincidence_tol, pairwise_distinct
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -215,8 +214,8 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
             # a coincident rival (|c| <= tol) sets no threshold
             np.minimum(hi, ratio, out=hi, where=c > tol)
             np.maximum(lo, ratio, out=lo, where=c < -tol)
-        miss = qfunc(hi / sigma)
-        miss += qfunc(lo / -sigma)
+        miss = _qfunc_array(hi / sigma)
+        miss += _qfunc_array(lo / -sigma)
         # an empty interval misses surely; its two tails overlap to >= 1
         np.minimum(miss, 1.0, out=miss, where=lo >= hi)
         miss[dead] = 1.0
@@ -229,6 +228,8 @@ def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndar
 
     rho must already lie within +-_RHO_LIMIT (the callers clip it).
     """
+    special = _special()
+    ndtr, owens_t = special.ndtr, special.owens_t
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         finite = np.isfinite(h) & np.isfinite(k)
         hh = np.where(h == 0.0, 1e-14, np.where(finite, h, 1.0))
@@ -283,9 +284,9 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     c_x, z_x = rival(_ADJ_X)
     c_y, z_y = rival(_ADJ_Y)
     c_d, z_d = rival(_DIAG)
-    t_x = qfunc(-z_x)
-    t_y = qfunc(-z_y)
-    t_d = qfunc(-z_d)
+    t_x = _qfunc_array(-z_x)
+    t_y = _qfunc_array(-z_y)
+    t_d = _qfunc_array(-z_d)
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
     alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
     wedge = alpha > 0.0

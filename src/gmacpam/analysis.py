@@ -41,11 +41,11 @@ tilted thresholds by plain midpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import erfc, ndtr, owens_t
 
 from .errors import (
     CaseMismatch,
@@ -63,13 +63,72 @@ _SQRT2 = math.sqrt(2.0)
 _RHO_LIMIT = 1.0 - 1e-12
 
 
-def qfunc(x):
-    """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)).
+# Both Gaussian tails flush a value below the smallest normal double to 0
+# (NaN passes through), so the scalar and batched paths agree exactly where
+# the tail underflows: math.erfc and scipy's erfc return different
+# subnormals there, or 0 where the other does not.
+_TINY = sys.float_info.min
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+_RSQRT2 = math.sqrt(0.5)
+_RSQRT2_ERR = -4.833646656726457e-17  # 1/sqrt(2) - _RSQRT2
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _split(a: float) -> tuple[float, float]:
+    """Dekker's split of a into two halves of at most 26 significant bits,
+    so that the product of two halves is exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_RSQRT2_HI, _RSQRT2_LO = _split(_RSQRT2)
+
+
+@cache
+def _special():
+    """scipy.special, imported on first use.
+
+    Only the planar orthants and the batched kernels need it; collinear
+    scalar work (designers, exact error, union bound) never loads it.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
+def qfunc(x: float) -> float:
+    """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)) of a scalar.
 
     Stays relatively accurate far into the tail (erfc based, no 1 - CDF
-    cancellation); underflows gracefully to 0 near x ~ 38.6.
+    cancellation): within a few ulp of Q at the given double x, as close
+    as the libm erfc allows. A tail below the smallest normal double, from
+    x ~ 37.5 on, is exactly 0; NaN gives NaN.
     """
-    return 0.5 * erfc(x / _SQRT2)
+    t = x * _RSQRT2
+    e = math.erfc(t)
+    if abs(t) < 27.0:
+        # t misses x / sqrt(2) by r, up to half an ulp of t, which moves
+        # the tail by up to about 2 t^2 ulp (some 1500 ulp at x = 37). r is
+        # the exact error of the product x * _RSQRT2 (Dekker) plus x times
+        # the rounding of 1/sqrt(2), and the first-order correction
+        # erfc(t + r) = erfc(t) - r 2/sqrt(pi) exp(-t^2) leaves far less
+        # than an ulp. Past |t| = 27 the tail is 0 or 1 anyway.
+        x_hi, x_lo = _split(x)
+        r = (((x_hi * _RSQRT2_HI - t) + x_hi * _RSQRT2_LO + x_lo * _RSQRT2_HI)
+             + x_lo * _RSQRT2_LO + x * _RSQRT2_ERR)
+        e -= r * _TWO_OVER_SQRT_PI * math.exp(-t * t)
+    q = 0.5 * e
+    return q if not q < _TINY else 0.0
+
+
+def _qfunc_array(x: np.ndarray) -> np.ndarray:
+    """qfunc elementwise, on scipy's erfc, with the same underflow rule."""
+    q = _special().erfc(x / _SQRT2)
+    q *= 0.5
+    np.copyto(q, 0.0, where=q < _TINY)
+    return q
 
 
 @dataclass(frozen=True)
@@ -156,7 +215,13 @@ class _PairTable:
 
     @cached_property
     def tail(self) -> list[list[float]]:
-        return qfunc(-np.array(self.z)).tolist()
+        return [[qfunc(-z) for z in row] for row in self.z]
+
+    @cached_property
+    def line_terms(self) -> list[tuple[float, float]]:
+        """(miss probability, union term) of each point on the real axis,
+        walked once for both the exact value and the union bound."""
+        return [_collinear_terms(self, i) for i in range(4)]
 
     def threshold(self, i: int, j: int) -> tuple[str, float]:
         """Rival j's constraint on Re[N] around point i; see collinear_pair_threshold."""
@@ -283,14 +348,15 @@ def bvn_lower_orthant(h: float, k: float, rho: float) -> float:
     """
     if not abs(rho) <= _RHO_LIMIT:
         raise CorrelationAtUnity(f"|rho| = {abs(rho)} exceeds {_RHO_LIMIT}")
+    sp = _special()
     if math.isinf(h) or math.isinf(k):
         if h == -math.inf or k == -math.inf:
             return 0.0
         if h == math.inf and k == math.inf:
             return 1.0
-        return float(ndtr(k if h == math.inf else h))
+        return float(sp.ndtr(k if h == math.inf else h))
     if rho == 0.0:
-        return float(ndtr(h) * ndtr(k))
+        return float(sp.ndtr(h) * sp.ndtr(k))
     if h == 0.0 and k == 0.0:
         return 0.25 + math.asin(rho) / _TWO_PI
     # Nudging an exactly zero bound sidesteps the T limit cases; the induced
@@ -301,7 +367,7 @@ def bvn_lower_orthant(h: float, k: float, rho: float) -> float:
     ah = (kk / hh - rho) / s
     ak = (hh / kk - rho) / s
     c = 0.0 if hh * kk > 0.0 else 0.5
-    val = 0.5 * (ndtr(hh) + ndtr(kk)) - owens_t(hh, ah) - owens_t(kk, ak) - c
+    val = 0.5 * (sp.ndtr(hh) + sp.ndtr(kk)) - sp.owens_t(hh, ah) - sp.owens_t(kk, ak) - c
     return min(1.0, max(0.0, float(val)))
 
 
@@ -360,7 +426,7 @@ def _planar_miss(table: _PairTable, i: int) -> float:
 def _exact(table: _PairTable) -> ErrorReport:
     if table.collinear:
         method = "collinear"
-        miss = [_collinear_terms(table, i)[0] for i in range(4)]
+        miss = [m for m, _ in table.line_terms]
     else:
         if not table.bijective:
             raise NonBijective(
@@ -410,7 +476,7 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
 
 def _union(table: _PairTable) -> float:
     if table.collinear:
-        terms = [_collinear_terms(table, i)[1] for i in range(4)]
+        terms = [u for _, u in table.line_terms]
     else:
         terms = [tail[i ^ 2] + tail[i ^ 1] + tail[i ^ 3] for i, tail in enumerate(table.tail)]
     return math.fsum(p * t for p, t in zip(table.priors, terms))

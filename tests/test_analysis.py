@@ -7,6 +7,7 @@ reduced resolution as a second line of defence.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,29 @@ def test_qfunc_values():
     assert qfunc(1.0) == pytest.approx(0.15865525393145707, abs=1e-15)  # FROZEN
     assert qfunc(-1.0) == pytest.approx(1.0 - 0.15865525393145707, abs=1e-15)
     assert qfunc(40.0) == 0.0  # underflow is exact zero, not garbage
+
+
+def test_qfunc_matches_mpmath():
+    """Q(x) at the double x to within 4 ulp: the libm erfc's own error (up
+    to about 3.7 ulp near erfc argument 1.25 with glibc), the argument's
+    rounding compensated. Without that compensation the rounding of
+    x / sqrt(2) alone costs up to about x^2 ulp, some 1500 ulp at x = 37."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    tiny = sys.float_info.min
+    worst = 0.0
+    for x in np.linspace(-37.0, 40.0, 7701).tolist():
+        want = mp.erfc(mp.mpf(x) / mp.sqrt(2)) / 2
+        if want < tiny:
+            assert qfunc(x) == 0.0, x
+        else:
+            worst = max(worst, abs(float((mp.mpf(qfunc(x)) - want) / math.ulp(float(want)))))
+    assert worst <= 4.0
+    for x in (37.6, 38.6, 1e3, 1e300):
+        assert qfunc(x) == 0.0
+    assert math.isnan(qfunc(math.nan))
+    assert qfunc(math.inf) == 0.0 and qfunc(-math.inf) == 1.0
+    assert qfunc(-1e300) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,40 +331,40 @@ def test_frozen_design_point_errors(case1, case2):
 # (sigma2, p_err_exact, p_c_per_pair, union_bound) recorded from the exact
 # engine itself, not from an oracle, and asserted bit for bit, so any change
 # to its floating-point operations shows. The planar point takes both alpha branches; at the T3 point's
-# sigma2 values and the planar point's 10^-1.3 the bound's last digit
+# 10^-0.3 and the planar point's 0.04 the bound's last digit
 # depends on the order of the union-term additions.
 EXACT_AND_UNION = {
     "t2-collinear": (
-        (10.0**-0.8, 0.00282653265734159,
-         (0.9967123337884441, 0.9287236076013078, 0.8498972478775262, 0.9993996153407413),
-         0.0028295283910614944),
+        (10.0**-0.8, 0.002826532657341588,
+         (0.9967123337884441, 0.9287236076013078, 0.8498972478775263, 0.9993996153407413),
+         0.0028295283910614926),
         (10.0**-1.8, 2.917504663892292e-12,
          (0.9999999999993292, 0.9999999998586392, 0.9999999998438966, 0.9999999999997988),
          2.917504663892292e-12),
     ),
     "planar-0.707": (
-        (0.25, 0.07332057083045661,
-         (0.9452278677155045, 0.466831706833585, 0.8998149864473359, 0.9567937149602778),
-         0.08205466179091146),
-        (0.04, 0.00010561031731354942,
+        (0.25, 0.0733205708304566,
+         (0.9452278677155045, 0.4668317068335852, 0.8998149864473359, 0.9567937149602778),
+         0.08205466179091145),
+        (0.04, 0.00010561031731354936,
          (0.9999862352643683, 0.9978014670344969, 0.9998541036234112, 0.9999740100727471),
-         0.00010597527366397698),
-        (10.0**-1.3, 0.00041599155211004735,
+         0.00010597527366397692),
+        (10.0**-1.3, 0.00041599155211004713,
          (0.9999125936487502, 0.9924979728006944, 0.9994357067945144, 0.9998549082517842),
-         0.000419763255329743),
+         0.0004197632553297427),
     ),
     "t3-collinear": (
-        (10.0**-0.3, 0.18046532965329767,
-         (0.9455041074068052, 0.0, 0.7240456628730716, 0.8701027476960301),
+        (10.0**-0.3, 0.1804653296532977,
+         (0.9455041074068052, 0.0, 0.7240456628730716, 0.87010274769603),
          0.201514048057348),
-        (10.0**-0.9, 0.037231720596588525,
-         (0.9920317546149574, 0.7036969247644866, 0.9484949818318451, 0.9721046476900812),
-         0.03737209239768364),
+        (10.0**-0.9, 0.03723172059658852,
+         (0.9920317546149574, 0.7036969247644869, 0.9484949818318451, 0.9721046476900812),
+         0.03737209239768363),
     ),
     "coincident": (
         (1.0, 0.4086552539314571,
          (0.8413447460685429, 0.6826894921370859, 0.0, 0.8413447460685429),
-         0.5786855738370038),
+         0.5786855738370037),
         (0.01, 0.25, (1.0, 1.0, 0.0, 1.0), 0.25),
     ),
 }

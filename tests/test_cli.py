@@ -1,6 +1,8 @@
 """Config parsing, SNR conventions, and the command line surface."""
 
+import ast
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -438,18 +440,78 @@ def test_cli_sweep_rows_match_standalone_views(tmp_path, capsys, case1, gamma_ph
     assert statuses == ({"ok", "non-bijective"} if gamma_phi == "1" else {"ok"})
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_child(code, *extra_path):
+    """Run code in a fresh interpreter that imports this gmacpam; every
+    PYTHONPATH entry is absolute, so the child's working directory does
+    not matter."""
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    path = [os.path.dirname(os.path.dirname(os.path.abspath(gmacpam.__file__))), *extra_path]
+    path += [os.path.abspath(p) for p in inherited if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_perfbench_tracer_finds_its_wrap_points():
     # the benchmark's tracer wraps package functions by attribute lookup
     # (cli.union_bound, design.exact_error, ...); a renamed or dropped name
     # breaks every traced run, so install it in a fresh interpreter
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    path = [os.path.dirname(os.path.dirname(os.path.abspath(gmacpam.__file__))),
-            os.path.join(repo, "perfbench")]
-    path += [os.path.abspath(p) for p in inherited if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from spans import Tracer; Tracer().install()"],
-        env=env, cwd=repo, capture_output=True, text=True, timeout=120,
+    _run_child("from spans import Tracer; Tracer().install()", os.path.join(REPO, "perfbench"))
+
+
+_COLLINEAR_CLI = """
+import contextlib, io, sys
+from gmacpam.cli import main
+sets = ["--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9", "--set", "gamma_phi=1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (
+        main(["evaluate", *sets, "--set", "sigma2=0.1", "--set", "schemes=joint"]),
+        main(["sweep", *sets, "--set", "snr_db=4 12", "--set", "snr_convention=sum-energy",
+              "--set", "schemes=individual joint", "--set", "trials=2000",
+              "--set", "out=" + {out!r}]),
     )
-    assert proc.returncode == 0, proc.stderr
+print(repr((codes, "scipy.special" in sys.modules)))
+"""
+
+_SCIPY_USER = """
+import sys
+from dataclasses import astuple
+import gmacpam
+before = "scipy.special" in sys.modules
+inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, {gphi},
+                          0.1)
+{call}
+print(repr((before, "scipy.special" in sys.modules, repr(value))))
+"""
+
+
+def test_collinear_cli_never_loads_scipy_special(tmp_path):
+    # scipy.special takes about two thirds of a cold start; the collinear
+    # scalar path (designers, exact error, union bound, Monte Carlo) must
+    # not pay for it
+    csv_path = tmp_path / "sweep.csv"
+    out = _run_child(_COLLINEAR_CLI.format(out=str(csv_path)))
+    assert ast.literal_eval(out) == ((0, 0), False)
+    with open(csv_path, newline="") as fh:
+        assert [row["trials"] for row in csv.DictReader(fh)] == ["2000"] * 4
+
+
+@pytest.mark.parametrize("gphi, call", [
+    (0.707, "value = gmacpam.exact_error(gmacpam.design('joint', inp).combined(inp), 0.1)"
+            ".p_err_exact"),
+    (1.0, "res = gmacpam.numerical_search(inp, grid=12); value = astuple(res)"),
+    (0.707, "res = gmacpam.numerical_search(inp, grid=6); value = astuple(res)"),
+])
+def test_planar_and_batched_paths_load_scipy_special(gphi, call):
+    out = _run_child(_SCIPY_USER.format(gphi=gphi, call=call))
+    before, after, value = ast.literal_eval(out)
+    assert (before, after) == (False, True)
+    inp = DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, gphi, 0.1)
+    scope = {"gmacpam": gmacpam, "inp": inp, "astuple": dataclasses.astuple}
+    exec(call, scope)
+    assert value == repr(scope["value"])

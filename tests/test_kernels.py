@@ -13,6 +13,7 @@ from gmacpam import (
     exact_error_planar,
 )
 from gmacpam import _kernels as K
+from gmacpam.analysis import _qfunc_array, qfunc
 from gmacpam.geometry import sender2_axis
 from gmacpam.simulate import _decoder_tables
 
@@ -156,6 +157,17 @@ def _assert_batch_matches(batch, scalar):
     """Batch equals scalar to 1e-12 relative, and exactly where it underflows."""
     for got, want in zip(batch, scalar):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_batch_tail_matches_scalar_tail():
+    # the two libraries' erfc reach their subnormals at different x (scipy
+    # from about 37.5 to 37.68, glibc on to about 38.5); the shared rule
+    # flushes both to 0 from the smallest normal double on
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001), [math.nan, math.inf, -math.inf]])
+    got = _qfunc_array(x)
+    want = [qfunc(v) for v in x.tolist()]
+    _assert_batch_matches(got[:-3], want[:-3])
+    assert math.isnan(got[-3]) and got[-2] == 0.0 and got[-1] == 1.0
 
 
 def test_collinear_batch_matches_exact(case1, case2):
