@@ -15,8 +15,8 @@ constellations, of union_bound on the collinear one, and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
 (collinear) and 0.924 (planar). The search rows give seconds per
 numerical_search call at the case-1 source (the fig4 source), 10 dB
-sum-energy SNR: gamma_phi = 1 at grid 400 and gamma_phi = 0.924 at grid
-100, each checked to report the exact error of its own design. The
+sum-energy SNR and grid 400: gamma_phi = 1 and gamma_phi = 0.924, each
+checked to report the exact error of its own design. The
 sweep-row rows give microseconds per row of the CLI sweep loop
 (cli._sweep_rows) at the case-1 source: antipodal, individual and joint
 designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
@@ -138,7 +138,7 @@ def bench_batch(rows_n, repeat):
 def bench_search(repeat):
     case1 = from_marginals_correlation(0.1, 0.1, 0.9)
     rows = []
-    for name, gamma_phi, grid in (("search-collinear", 1.0, 400), ("search-planar", 0.924, 100)):
+    for name, gamma_phi, grid in (("search-collinear", 1.0, 400), ("search-planar", 0.924, 400)):
         sigma2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
         inp = DesignInput(case1, 1.0, 1.0, gamma_phi, sigma2)
         res, t = best_of(lambda: numerical_search(inp, grid=grid), repeat)

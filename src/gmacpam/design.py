@@ -199,76 +199,198 @@ def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.nda
 # 2's two shell roots, would otherwise be split by rounding alone.
 _TIE_RTOL = 1e-12
 
+# Sender 2's shell roots; sender 1 stays on its positive one.
+_SIGNS = (1.0, -1.0)
+# Points per axis and sign branch of the exhaustive pass.
+_COARSE = 40
+# Local minima of the exhaustive pass refined when it is coarser than grid.
+_STARTS = 4
+# Points per axis of one refinement window.
+_WINDOW = 21
+# Each round's window half-width is this fraction of the one before.
+_SHRINK = 0.15
+# Rounds past those that reach grid's resolution. On a recorded collinear
+# sweep (990 searches at grids 60/61/400) stopping at that resolution lost
+# to the exhaustive grid in 22 cases, by up to 0.23%; one more round lost
+# none.
+_EXTRA_ROUNDS = 2
+
 
 def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> DesignResult:
-    """Exhaustive search of both energy shells for the lowest exact error.
+    """Coarse-to-fine search of both energy shells for the lowest exact error.
 
-    Each sender's bit-0 amplitude runs over `grid` points of its feasible
-    range; its bit-1 amplitude sits on its energy shell, sender 1's on the
-    positive root and sender 2's on either. Each of these two sign branches
-    is scored in one batched tail-form call, and the refinement stays in the
-    winning one. Sender 1's negative root would add only mirrors a -> -a of
-    searched candidates (up to the rounding of the symmetric grids): the
-    MAP error depends on point differences and priors alone, the noise is
-    circularly symmetric, both batch kernels return bit-identical errors for
-    negated rows, and the first-in-order tie rule passes over a mirror.
+    Each sender's bit-0 amplitude ranges over its feasible interval; its
+    bit-1 amplitude sits on its energy shell, sender 1's on the positive
+    root and sender 2's on either. Sender 1's negative root would add only
+    mirrors a -> -a of searched candidates (up to the rounding of the
+    symmetric grids): the MAP error depends on point differences and priors
+    alone, the noise is circularly symmetric, both batch kernels return
+    bit-identical errors for negated rows, and the first-in-order tie rule
+    passes over a mirror.
+
+    `grid` is the resolution per axis. An exhaustive pass scores
+    min(grid, 40) points per axis in each of sender 2's two sign branches,
+    one batched tail-form call per branch. Refinement starts from the best
+    point of that pass and, when grid > 40, from the next best local
+    minima, 4 starts in all (see _starts). Each round scores a 21 x 21
+    window around every start's best point so far, all windows in one
+    batched call; the first window spans one coarse step either side, each
+    later one 0.15 of the one before. For grid <= 40 one round runs, so
+    the result is the exhaustive grid's best point refined once. Above 40
+    the rounds go on until the window spacing is at most 2 amax /
+    (10 (grid - 1)), what one round gives after an exhaustive pass at
+    grid, and then two more. So no call scores more than 40^2 rows, and
+    the rounds grow as log(grid). refine=False returns the exhaustive
+    pass's best point.
+
+    For a swap-symmetric input (p01 == p10, e1 == e2) the sender swap is a
+    twin with equal error; the result is put in the form where sender 1
+    has the wider separation and sits on its positive root.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
-    amax1 = math.sqrt(inp.e1 / pr.p1)
-    amax2 = math.sqrt(inp.e2 / pr.p2)
-    g1 = np.linspace(-amax1, amax1, grid)
-    g2 = np.linspace(-amax2, amax2, grid)
+    amax = (math.sqrt(inp.e1 / pr.p1), math.sqrt(inp.e2 / pr.p2))
+    n = min(grid, _COARSE)
+    g1 = np.linspace(-amax[0], amax[0], n)
+    g2 = np.linspace(-amax[1], amax[1], n)
 
-    best = (math.inf, None, None)
-    for sgn2 in (1.0, -1.0):
-        cand, pe = _search_branch(inp, g1, g2, sgn2)
-        if pe < best[0] * (1.0 - _TIE_RTOL):
-            best = (pe, cand, sgn2)
-    pe_best, cand, sgn2 = best
+    coarse = [_score_windows(inp, g1[None], g2[None], (sgn2,))[0].reshape(n, n)
+              for sgn2 in _SIGNS]
+    starts = _starts(coarse, 1 if n == grid or not refine else _STARTS)
+    # per start: best score so far, sender 2's root sign, and the two
+    # senders' bit-0 amplitudes there
+    cands = []
+    for pe, b, k in starts:
+        i, j = divmod(k, n)
+        cands.append([pe, _SIGNS[b], g1[i], g2[j]])
 
     if refine:
-        step1 = g1[1] - g1[0]
-        step2 = g2[1] - g2[0]
-        r1 = np.clip(np.linspace(cand[0] - step1, cand[0] + step1, 21), -amax1, amax1)
-        r2 = np.clip(np.linspace(cand[2] - step2, cand[2] + step2, 21), -amax2, amax2)
-        fine, pe_fine = _search_branch(inp, r1, r2, sgn2)
-        if pe_fine < pe_best:
-            cand, pe_best = fine, pe_fine
+        half = (g1[1] - g1[0], g2[1] - g2[0])
+        for _ in range(_rounds(n, grid)):
+            w1 = np.array([np.clip(np.linspace(c[2] - half[0], c[2] + half[0], _WINDOW),
+                                   -amax[0], amax[0]) for c in cands])
+            w2 = np.array([np.clip(np.linspace(c[3] - half[1], c[3] + half[1], _WINDOW),
+                                   -amax[1], amax[1]) for c in cands])
+            pe = _score_windows(inp, w1, w2, [c[1] for c in cands])
+            for s, k in enumerate(_first_best(pe)):
+                if pe[s, k] < cands[s][0]:
+                    i, j = divmod(int(k), _WINDOW)
+                    cands[s][0], cands[s][2], cands[s][3] = float(pe[s, k]), w1[s, i], w2[s, j]
+            half = (half[0] * _SHRINK, half[1] * _SHRINK)
 
-    return DesignResult(cand[0], cand[1], cand[2], cand[3],
+    best = cands[0]
+    for c in cands[1:]:
+        if c[0] < best[0] * (1.0 - _TIE_RTOL):
+            best = c
+    pe_best, sgn2, a10, a20 = best
+    a11 = float(_shell_amplitudes(a10, pr.p1, inp.e1, 1.0))
+    a21 = float(_shell_amplitudes(a20, pr.p2, inp.e2, sgn2))
+    if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(a21 - a20) > abs(a11 - a10):
+        # the swap image, negated when that keeps sender 1 on its positive root
+        sign = -1.0 if a21 < 0.0 else 1.0
+        a10, a11, a20, a21 = sign * a20, sign * a21, sign * a10, sign * a11
+    return DesignResult(float(a10), a11, float(a20), a21,
                         branch="search", swapped=False, p_err=pe_best)
 
 
-def _search_branch(inp, g1, g2, sgn2):
-    """Best candidate on sender 1's positive and sender 2's sgn2 shell root.
+def _rounds(n: int, grid: int) -> int:
+    """Refinement rounds for an exhaustive pass of n points standing in for grid."""
+    if n == grid:
+        return 1
+    # round r's window spacing is 0.15^r of the grid-point refinement's
+    # times (grid - 1) / (n - 1); logs keep any integer grid finite
+    ratio = math.log(grid - 1) - math.log(n - 1)
+    return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
 
-    Every candidate is scored in one batched call; ties (within
-    _TIE_RTOL) go to the first minimum in row-major (g1, g2) order, and
-    rows the planar kernel rejects as non-bijective (+inf) are passed over.
+
+def _starts(coarse: list[np.ndarray], k: int) -> list[tuple[float, int, int]]:
+    """Up to k refinement starts (score, branch index, flat grid index).
+
+    The first is the best point of the exhaustive pass: in each branch the
+    first in row-major order within _TIE_RTOL of its minimum, and branch 0
+    unless branch 1 beats it by more than _TIE_RTOL. The rest are the
+    other local minima (no 8-neighbour lower; +inf points are passed over)
+    by score, then branch and grid order, so a plateau of underflowed
+    scores still yields a reproducible order. The branches meet at sender
+    2's extreme bit-0 amplitudes (its bit-1 amplitude is 0 on both roots),
+    so those grid points start from branch 0 only.
+    """
+    cols = coarse[0].shape[1]
+
+    def point(b, k):
+        return (0 if k % cols in (0, cols - 1) else b), k
+
+    lead = None
+    for b, pe in enumerate(coarse):
+        k_b = int(_first_best(pe.reshape(1, -1))[0])
+        pe_b = float(pe.flat[k_b])
+        if not np.isfinite(pe_b):
+            raise InfeasibleRoot("no nondegenerate candidate on the search grid")
+        if lead is None or pe_b < lead[0] * (1.0 - _TIE_RTOL):
+            lead = (pe_b, b, k_b)
+    out = [lead]
+    if k == 1:
+        return out
+    scores, branches, flats = [], [], []
+    for b, pe in enumerate(coarse):
+        minima = _local_minima(pe)
+        if b:
+            minima[:, [0, -1]] = False
+        flat = np.flatnonzero(minima)
+        scores.append(pe.flat[flat])
+        branches.append(np.full(flat.size, b))
+        flats.append(flat)
+    scores, branches, flats = (np.concatenate(a) for a in (scores, branches, flats))
+    for m in np.lexsort((flats, branches, scores)):
+        start = (float(scores[m]), int(branches[m]), int(flats[m]))
+        if point(*start[1:]) != point(*lead[1:]):
+            out.append(start)
+            if len(out) == k:
+                break
+    return out
+
+
+def _local_minima(pe: np.ndarray) -> np.ndarray:
+    """Finite points of a 2-D score array that no 8-neighbour undercuts."""
+    rows, cols = pe.shape
+    pad = np.pad(pe, 1, constant_values=np.inf)
+    keep = np.isfinite(pe)
+    for di in range(3):
+        for dj in range(3):
+            if (di, dj) != (1, 1):
+                keep &= pe <= pad[di:di + rows, dj:dj + cols]
+    return keep
+
+
+def _first_best(pe: np.ndarray) -> np.ndarray:
+    """Per row, the first column within _TIE_RTOL of the row's minimum."""
+    pe_min = np.min(pe, axis=1, keepdims=True)
+    return np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL), axis=1)
+
+
+def _score_windows(inp, w1, w2, sgn2):
+    """Exact errors of every window's candidates, in one batched call.
+
+    Window s pairs sender 1's bit-0 amplitudes w1[s] (positive shell
+    root) with sender 2's w2[s] (shell root sgn2[s]); row s of the result
+    holds its candidates in row-major (w1, w2) order. Rows the planar
+    kernel rejects as non-bijective score +inf.
     """
     pr = inp.priors
-    b1 = _shell_amplitudes(g1, pr.p1, inp.e1, 1.0)
-    b2 = _shell_amplitudes(g2, pr.p2, inp.e2, sgn2)
+    b1 = _shell_amplitudes(w1, pr.p1, inp.e1, 1.0)
+    b2 = _shell_amplitudes(w2, pr.p2, inp.e2, np.asarray(sgn2)[:, None])
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are
     if abs(inp.gamma_phi) == 1.0:
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
         kernel = _kernels.planar_pe_batch
-    points = np.empty((g1.size * g2.size, 4), dtype=type(u2))
-    points[:, 0] = np.add.outer(g1, g2 * u2).ravel()
-    points[:, 1] = np.add.outer(g1, b2 * u2).ravel()
-    points[:, 2] = np.add.outer(b1, g2 * u2).ravel()
-    points[:, 3] = np.add.outer(b1, b2 * u2).ravel()
-    pe = kernel(points, pr.as_array(), inp.sigma2)
-    pe_min = np.min(pe)
-    if not np.isfinite(pe_min):
-        raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-    k = int(np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL)))
-    i, j = divmod(k, g2.size)
-    return (g1[i], b1[i], g2[j], b2[j]), float(pe[k])
+    x1 = (w1[:, :, None], b1[:, :, None])
+    x2 = ((w2 * u2)[:, None, :], (b2 * u2)[:, None, :])
+    points = np.stack([x1[0] + x2[0], x1[0] + x2[1], x1[1] + x2[0], x1[1] + x2[1]], axis=-1)
+    pe = kernel(points.reshape(-1, 4), pr.as_array(), inp.sigma2)
+    return pe.reshape(len(w1), -1)
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

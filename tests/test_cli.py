@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -260,6 +261,26 @@ def test_cli_simulate_needs_trials(capsys):
          "--set", "sigma2=0.1", "--set", "schemes=joint"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("gamma_phi", ["1", "0.924"])
+def test_cli_sweep_huge_grid_stays_small(tmp_path, capsys, gamma_phi):
+    # the search scores at most 40 points per axis exhaustively and reaches
+    # finer grids in refinement rounds that grow as log(grid), so a grid of
+    # 10^5 per axis costs a few rounds more, not 10^10 candidates
+    out = tmp_path / "sweep.csv"
+    t0 = time.perf_counter()
+    rc = main(["sweep", *CASE1_SETS, "--set", f"gamma_phi={gamma_phi}", "--set", "snr_db=10",
+               "--set", "snr_convention=sum-energy", "--set", "schemes=numerical",
+               "--set", "grid=100000", "--set", f"out={out}"])
+    elapsed = time.perf_counter() - t0
+    capsys.readouterr()
+    assert rc == 0
+    assert elapsed < 30.0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "ok"
+    assert 0.0 < float(row["p_err_exact"]) <= float(row["p_err_union"])
 
 
 def test_cli_sweep_csv_round_trip(tmp_path, capsys):

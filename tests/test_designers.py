@@ -19,6 +19,7 @@ from gmacpam import (
     max_separation,
     numerical_search,
 )
+from gmacpam.config import convert_snr
 from gmacpam.design import _signed_root_pair
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
 from gmacpam.geometry import check_energy, combine, from_amplitudes
@@ -344,6 +345,20 @@ def test_search_deterministic(case2):
     )
 
 
+def test_search_deterministic_where_scores_underflow(case2):
+    # at 40 dB every candidate near the optimum scores 0.0, so every point
+    # of that plateau is a local minimum; the starts are still ordered by
+    # score, branch and grid order, so the pick stays fixed
+    inp = DesignInput(case2, 1.0, 1.0, 1.0, convert_snr(40.0, "sum-energy", 1.0, 1.0, 1.0))
+    a = numerical_search(inp, grid=400)
+    b = numerical_search(inp, grid=400)
+    assert a == b
+    assert a.p_err == 0.0
+    c1, c2 = from_amplitudes(a.a10, a.a11, a.a20, a.a21, 1.0)
+    assert check_energy(c1, case2.p1, 1.0)
+    assert check_energy(c2, case2.p2, 1.0)
+
+
 def test_search_planar_close_to_designer(case1):
     s2 = 10.0 ** (-1.2)
     inp = DesignInput(case1, 1.0, 1.0, 0.924, s2)
@@ -403,6 +418,85 @@ def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
         ties = [cand for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
         assert (res.a10, res.a11, res.a20, res.a21) in ties
         assert res.p_err == pytest.approx(best, rel=1e-12)
+
+
+# FROZEN p_err of the exhaustive grid-400 search (every grid point scored,
+# then one 21 x 21 refinement), unit energies, 0/6/12/18 dB sum-energy
+GRID400_PE = {
+    ("case1", 1.0): (0.02278184929460436, 0.01015617014970166, 0.0010044490683880796,
+                     1.732983670947027e-07),
+    ("case1", 0.924): (0.013985037248848899, 0.0018903166270181943, 1.4662940379411215e-05,
+                       3.873217969409351e-14),
+    ("case1", 0.707): (0.01321247610911225, 0.00026436660707839155, 3.4180890806022447e-09,
+                       3.4992442853902774e-26),
+    ("case1", 0.383): (0.013429882148391699, 0.00017724920046550922, 7.313159495142996e-12,
+                       1.2228734388765595e-40),
+    ("case2", 1.0): (0.29288112964714186, 0.10012495792771522, 0.020987358429083735,
+                     0.000158385685026254),
+    ("case2", 0.924): (0.19293446077804025, 0.037440350529756625, 0.0018854514355944713,
+                       2.390058068231123e-08),
+    ("case2", 0.707): (0.1923104782405442, 0.027659402198580194, 5.983882017570637e-05,
+                       1.1211837273281757e-13),
+    ("case2", 0.383): (0.19220157081174793, 0.024613543177139173, 3.1080983097525825e-05,
+                       8.884934691370112e-16),
+}
+
+
+@pytest.mark.parametrize("which, gamma_phi", sorted(GRID400_PE))
+def test_search_matches_or_beats_exhaustive_grid(request, which, gamma_phi):
+    """The coarse-to-fine search never loses to scoring all grid^2 points."""
+    pri = request.getfixturevalue(which)
+    for snr_db, recorded in zip((0.0, 6.0, 12.0, 18.0), GRID400_PE[which, gamma_phi]):
+        s2 = convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
+        inp = DesignInput(pri, 1.0, 1.0, gamma_phi, s2)
+        res = numerical_search(inp, grid=400)
+        assert res.p_err <= recorded * (1.0 + 1e-9), snr_db
+        assert exact_error(res.combined(inp), s2).p_err_exact == pytest.approx(
+            res.p_err, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma_phi", [1.0, -1.0, 0.924])
+@pytest.mark.parametrize("grid", [60, 400])
+def test_search_folds_sender_swap_twin(case1, gamma_phi, grid):
+    """For the swap-symmetric source the search reports the image where
+    sender 1 has the wider separation and sits on its positive root."""
+    p = case1.p1
+    # the sum-energy 12 dB point at gamma_phi 0.924, grid 60 refines to the
+    # image with sender 2 wider, so the fold is exercised
+    for s2 in (S18, convert_snr(12.0, "sum-energy", 1.0, 1.0, gamma_phi)):
+        inp = DesignInput(case1, 1.0, 1.0, gamma_phi, s2)
+        res = numerical_search(inp, grid=grid)
+        assert abs(res.a11 - res.a10) >= abs(res.a21 - res.a20)
+        assert res.a11 == pytest.approx(
+            math.sqrt(max(1.0 - p * res.a10**2, 0.0) / (1.0 - p)), rel=1e-12, abs=1e-12)
+        pe = exact_error(res.combined(inp), s2).p_err_exact
+        swap = build_cc(res.a20, res.a21, res.a10, res.a11, gamma_phi, case1)
+        assert exact_error(swap, s2).p_err_exact == pytest.approx(pe, rel=1e-12)
+
+
+def test_search_batches_stay_bounded(case2, monkeypatch):
+    """At any grid a kernel call scores at most one coarse branch (40^2
+    rows) or one round of four 21 x 21 windows, and the rounds grow as
+    log(grid)."""
+    from gmacpam import _kernels
+
+    sizes = []
+    kernel = _kernels.collinear_pe_batch
+
+    def counted(points, priors, sigma2):
+        sizes.append(len(points))
+        return kernel(points, priors, sigma2)
+
+    monkeypatch.setattr(_kernels, "collinear_pe_batch", counted)
+    inp = DesignInput(case2, 1.0, 1.0, 1.0, 0.05)
+    for grid, rounds in ((40, 1), (41, 4), (400, 5), (10**6, 9)):
+        sizes.clear()
+        res = numerical_search(inp, grid=grid)
+        assert sizes[:2] == [1600, 1600]
+        assert len(sizes) == 2 + rounds
+        assert max(sizes[2:]) <= 4 * 441
+        assert res.p_err == pytest.approx(
+            exact_error(res.combined(inp), 0.05).p_err_exact, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
