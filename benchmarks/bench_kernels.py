@@ -6,10 +6,14 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
 
-The Monte-Carlo kernel is timed on one collinear and one planar
-constellation, after checking that its count over all trials equals the
-sum over two chunks; each batched evaluator is checked against the scalar
-exact_error on a sample of its rows before its rows/s are reported. The
+The Monte-Carlo kernel is timed on one collinear constellation at
+sigma2 = 10^-0.8 and one planar one at sigma2 = 0.25, and on both at
+sigma2 = 10^-1.6 (the -16dB rows), after checking that its count over
+all trials equals the sum over two chunks. Trials inside a point's safe
+disk are decided without scoring, so the kernel runs faster at lower
+error rates; each row notes the exact error rate of its point. Each
+batched evaluator is checked against the scalar exact_error on a sample
+of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
 constellations, of union_bound on the collinear one, and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
@@ -73,17 +77,28 @@ def _constellations():
     return (collinear, sigma2), (planar, 0.25)
 
 
+# sigma2 of the high-SNR Monte-Carlo rows
+SIGMA2_16DB = 10.0**-1.6
+
+
 def bench_mc(trials, repeat):
+    """Trials/s of the Monte-Carlo kernel. Trials inside a point's safe disk
+    skip the angle draw and the scores, so the rate grows with SNR; each
+    row notes the exact error rate of its point."""
     (collinear, sigma2), (planar, s2_planar) = _constellations()
     rows = []
-    for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar)):
+    for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar),
+                         ("mc-collinear-16dB", collinear, SIGMA2_16DB),
+                         ("mc-planar-16dB", planar, SIGMA2_16DB)):
         tables = _decoder_tables(cc, s2)
-        count, t = best_of(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials), repeat)
+        count, t = best_of(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials),
+                           repeat)
         half = trials // 2
         chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
                    + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
         assert chunked == count, f"{name}: chunked count {chunked} != {count}"
-        rows.append((name, t, trials / t, "trials/s"))
+        note = f"exact error {exact_error(cc, s2).p_err_exact:.3g}"
+        rows.append((name, t, trials / t, "trials/s", note))
     return rows
 
 
@@ -205,8 +220,8 @@ def main():
             + bench_scalar(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat)
             + bench_cold_start())
     print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
-    for kernel, t, rate, unit in rows:
-        print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit}")
+    for kernel, t, rate, unit, *note in rows:
+        print(f"{kernel:<22} {t:>9.3f}s {rate:>10.3g} {unit:<9} {' '.join(note)}".rstrip())
 
 
 if __name__ == "__main__":

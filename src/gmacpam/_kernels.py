@@ -4,8 +4,12 @@ All kernels are numpy. Randomness is counter based: uniform draw j of
 trial t is a pure function of (seed, 3 t + j) through a SplitMix64
 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
-count and block size. Each trial consumes exactly three uniforms: one
-source draw and two Box-Muller uniforms for the complex noise sample.
+count and block size. Each trial owns three counters: one source draw
+and two Box-Muller uniforms for the complex noise sample. The angle
+uniform is drawn only for trials whose radius uniform leaves the sent
+point's safe disk (see safe_disk); the others are decided without it,
+and their counter stays reserved, so every count is the one the full
+decision gives.
 """
 
 from __future__ import annotations
@@ -90,6 +94,74 @@ def derive_seed(seed: int, index: int) -> int:
 # in all) stay in cache.
 _MC_BLOCK = 1 << 14
 
+# Largest Box-Muller radius, in units of sigma, that the uniform stream can
+# draw: u1 <= 1 - 2**-53 gives sqrt(-2 ln 2**-53).
+RADIUS_MAX = math.sqrt(106.0 * math.log(2.0))
+
+# Safe-disk margin, relative to the magnitude of the terms of a score
+# difference (see safe_disk). The kernel's rounding of the received sample
+# and of the scores, of log1p, sqrt and cos in the radius, and of the
+# disk's own arithmetic stays below about 40 ulp (2**-48) of it; this is
+# 256 times that.
+_DISK_RTOL = 2.0**-40
+# Absolute floor of those terms, in units of 1 + sigma2, for roundings
+# that fall into the subnormal range.
+_DISK_TINY = 2.0**-1000
+_FLOAT_MIN = 2.0**-1022
+
+
+def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
+              sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point i, a noise radius rho_i that cannot be decoded wrongly,
+    and the cut on the radius uniform that keeps a trial inside it.
+
+    With c = a_k - a_i and the kernel's own tables, sigma2 (s_i - s_k) =
+    D_k - N.c with D_k = sigma2 (bias_i - bias_k) - a_i.c, so every noise
+    sample with |N| < min_k D_k / |c| scores i strictly above each rival.
+    rho_i is that minimum with each D_k shrunk by _DISK_RTOL times
+    sigma2 (|bias_i| + |bias_k|) + (|a_i| + R)(|a_i| + |a_k|), R the
+    largest radius the kernel draws: a bound on every term the kernel and
+    this function round. A trial with u1 < cut_i has Box-Muller radius
+    sigma sqrt(-2 log1p(-u1)) < rho_i; cut_i = -expm1(-rho_i^2 / (2
+    sigma2)) less 4 * 2**-53, which covers the rounding of expm1.
+
+    rho_i and cut_i are 0 for a point with a coincident rival (|c| at or
+    below the coincidence tolerance), and for every point when a table
+    entry or sigma2 is not a finite normal number or a score could
+    overflow: those trials all take the full decision.
+    """
+    npts = len(ax)
+    zeros = (np.zeros(npts), np.zeros(npts))
+    tables = np.concatenate([ax, ay, bias])
+    if not (_FLOAT_MIN <= sigma2 < math.inf and np.all(np.isfinite(tables))):
+        return zeros
+    amp = np.hypot(ax, ay)
+    reach = amp + RADIUS_MAX * math.sqrt(sigma2)
+    abias = np.abs(bias)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # 4x a bound on every score the kernel computes
+        if not math.isfinite(4.0 * (abias.max() + reach.max() * amp.max() / sigma2)):
+            return zeros
+        # pair [i, k]: rival k of sent point i
+        cx = ax[None, :] - ax[:, None]
+        cy = ay[None, :] - ay[:, None]
+        dist = np.hypot(cx, cy)
+        d = sigma2 * (bias[:, None] - bias[None, :]) - (ax[:, None] * cx + ay[:, None] * cy)
+        terms = sigma2 * (abias[:, None] + abias[None, :])
+        terms += reach[:, None] * (amp[:, None] + amp[None, :])
+        terms += _DISK_TINY * (1.0 + sigma2)
+        ratio = (d - _DISK_RTOL * terms) / dist
+        np.fill_diagonal(ratio, math.inf)
+        rho = np.maximum(ratio.min(axis=1), 0.0)
+        np.fill_diagonal(dist, math.inf)
+        rho[np.any(dist <= coincidence_tol(amp.max()), axis=1)] = 0.0
+        rho[rho * rho < _FLOAT_MIN] = 0.0
+        x = rho * rho / (2.0 * sigma2)
+    if not np.all(np.isfinite(x)):
+        return zeros
+    cut = np.array([max(-math.expm1(-v) - 4.0 * _INV_2_53, 0.0) for v in x.tolist()])
+    return rho, cut
+
 
 def mc_error_count(
     ax: np.ndarray,
@@ -103,34 +175,53 @@ def mc_error_count(
 ) -> int:
     """Number of MAP decoding errors over trials [start, start + n).
 
-    Per trial: pair idx = #{k < 3 : u0 >= cdf[k]} (the source draw),
+    Per trial t: pair idx = #{k < 3 : u0 >= cdf[k]} (the source draw),
     received sample a[idx] + r exp(i 2 pi u2) with Box-Muller radius
     r = sigma sqrt(-2 log1p(-u1)), and the decision is the first k that
     maximises bias[k] + (re * ax[k] + im * ay[k]) / sigma2, as argmax
-    breaks ties (a NaN score, as in argmax, counts as the maximum). When
-    every ay is 0 (collinear geometry) the quadrature terms are skipped:
-    they add only +-0 to a score, which cannot change a comparison, so sin
-    is never evaluated there.
+    breaks ties (a NaN score, as in argmax, counts as the maximum). Uniform
+    j of trial t sits at counter 3 t + j.
+
+    A trial with u1 below its point's safe-disk cut (safe_disk) decodes
+    correctly whatever u2 is, so it is counted as correct without drawing
+    u2 or scoring; the rest are drawn and decided as above. When every ay
+    is 0 (collinear geometry) the quadrature terms are skipped: they add
+    only +-0 to a score, which cannot change a comparison, so sin is never
+    evaluated there.
     """
     sigma = math.sqrt(sigma2)
     c0, c1, c2 = (float(c) for c in cdf[:3])
     planar = bool(np.any(ay != 0.0))
+    cut = safe_disk(ax, ay, bias, sigma2)[1]
+    screen = bool(np.any(cut > 0.0))
     b = min(_MC_BLOCK, n)
-    # counter of uniform j of trial i in a block, laid out (3, b) so that
-    # each uniform stream is contiguous
-    ramp = np.arange(3, dtype=_U64)[:, None] + np.arange(0, 3 * b, 3, dtype=_U64)
-    z = np.empty_like(ramp)
-    tmp = np.empty_like(ramp)
+    # counter of trial i in a block, and of its uniforms 0 and 1, laid out
+    # (2, b) so that each uniform stream is contiguous
+    ramp = np.arange(0, 3 * b, 3, dtype=_U64)
+    ramp01 = np.arange(2, dtype=_U64)[:, None] + ramp
+    z = np.empty_like(ramp01)
+    tmp = np.empty_like(ramp01)
     errors = 0
     done = 0
     while done < n:
         m = min(b, n - done)
+        first = 3 * (start + done)
         zm = z[:, :m]
-        np.add(ramp[:, :m], _U64(3 * (start + done) & _MASK64), out=zm)
-        u0, u1, u2 = _splitmix_uniforms(seed, zm, tmp[:, :m])
-
+        np.add(ramp01[:, :m], _U64(first & _MASK64), out=zm)
+        u0, u1 = _splitmix_uniforms(seed, zm, tmp[:, :m])
         idx = (u0 >= c0).view(np.uint8) + (u0 >= c1).view(np.uint8)
         idx += (u0 >= c2).view(np.uint8)
+        done += m
+        if screen:
+            live = np.flatnonzero(u1 >= cut.take(idx))
+            if live.size == 0:
+                continue
+            idx, u1, z2 = idx.take(live), u1.take(live), ramp.take(live)
+        else:
+            z2 = ramp[:m].copy()
+        z2 += _U64((first + 2) & _MASK64)
+        u2 = _splitmix_uniforms(seed, z2, np.empty_like(z2))
+
         r = np.negative(u1, out=u1)
         np.log1p(r, out=r)
         r *= -2.0
@@ -144,7 +235,7 @@ def mc_error_count(
             rim = np.sin(ang, out=ang)
             rim *= r
             rim += ay.take(idx)
-            quad = u0  # u0 is spent; reuse it for the quadrature terms
+            quad = r  # r is spent; reuse it for the quadrature terms
 
         scores = []
         for k in range(4):
@@ -168,7 +259,6 @@ def mc_error_count(
                 below &= s != top
                 best += below.view(np.uint8)
         errors += int(np.count_nonzero(best != idx))
-        done += m
     return errors
 
 

@@ -12,10 +12,6 @@ import numpy as np
 from . import _kernels
 from .geometry import CombinedConstellation
 
-# Largest Box-Muller radius, in units of sigma, that the uniform stream can
-# draw: u1 <= 1 - 2**-53 gives sqrt(-2 ln 2**-53).
-_RADIUS_MAX = math.sqrt(106.0 * math.log(2.0))
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -60,7 +56,7 @@ def simulate(
     amax = cc.scale()
     if not math.isfinite(amax * amax):
         raise OverflowError(f"largest point magnitude {amax!r} squares past the float range")
-    reach = amax + _RADIUS_MAX * math.sqrt(sigma2)
+    reach = amax + _kernels.RADIUS_MAX * math.sqrt(sigma2)
     log_pmin = math.log(min(cc.priors.as_tuple()))
     bound = 2.0 * ((amax * amax / 2.0 + reach * amax) / sigma2 - log_pmin)
     if not math.isfinite(bound):

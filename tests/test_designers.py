@@ -474,6 +474,28 @@ def test_search_folds_sender_swap_twin(case1, gamma_phi, grid):
         assert exact_error(swap, s2).p_err_exact == pytest.approx(pe, rel=1e-12)
 
 
+@pytest.mark.parametrize("which, gamma_phi, snr_db", [
+    ("case1", 1.0, None), ("case2", 1.0, None), ("case1", -1.0, 12.0), ("case2", 0.924, 12.0),
+    ("case2", 0.707, 6.0)])
+def test_search_reports_sender2_on_negative_root(request, which, gamma_phi, snr_db):
+    """Sender 2 comes back on the negative root of its separation, as the
+    joint designers place it; its translation twin has the same error."""
+    pri = request.getfixturevalue(which)
+    s2 = S18 if snr_db is None else convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
+    inp = DesignInput(pri, 1.0, 1.0, gamma_phi, s2)
+    res = numerical_search(inp, grid=400)
+    d = res.a21 - res.a20
+    assert res.a21 <= d * pri.p2
+    assert res.a21 == pytest.approx(_signed_root_pair(d, pri.p2, 1.0)[1], rel=1e-12, abs=1e-12)
+    pe = exact_error(res.combined(inp), s2).p_err_exact
+    assert pe == pytest.approx(res.p_err, rel=1e-9)
+    twin = build_cc(res.a10, res.a11, *sender2_twin(res.a20, res.a21, pri.p2), gamma_phi, pri)
+    assert exact_error(twin, s2).p_err_exact == pytest.approx(pe, rel=1e-12)
+    if which == "case1" and snr_db is None:
+        # the table-2 search point, in the orientation of the paper's table
+        assert (res.a20, res.a21) == pytest.approx((-2.401, -0.686), abs=2e-3)
+
+
 def test_search_batches_stay_bounded(case2, monkeypatch):
     """At any grid a kernel call scores at most one coarse branch (40^2
     rows) or one round of four 21 x 21 windows, and the rounds grow as

@@ -13,8 +13,10 @@ from gmacpam import (
     exact_error_planar,
 )
 from gmacpam import _kernels as K
-from gmacpam.analysis import _qfunc_array, qfunc
-from gmacpam.geometry import sender2_axis
+from gmacpam.analysis import _qfunc_array, collinear_decision_interval, qfunc
+from gmacpam.decoder import decode
+from gmacpam.geometry import coincidence_tol, sender2_axis
+from gmacpam.sources import BIT_PAIRS, from_joint
 from gmacpam.simulate import _decoder_tables
 
 from conftest import build_cc
@@ -119,17 +121,31 @@ def test_mc_counts_frozen(request, name):
     assert got == want
 
 
-def _reference_count(ax, ay, bias, cdf, sigma2, seed, start, n):
-    """The unblocked kernel: searchsorted draw, (n, 4) score matrix, argmax."""
+def _draws(cdf, seed, start, n):
+    """Sent pair and the two Box-Muller uniforms of trials [start, start + n)."""
     t = np.arange(start, start + n, dtype=np.uint64) * np.uint64(3)
     u0, u1, u2 = (K.uniforms_numpy(seed, t + np.uint64(j)) for j in range(3))
-    idx = np.searchsorted(cdf[:3], u0, side="right")
+    return np.searchsorted(cdf[:3], u0, side="right"), u1, u2
+
+
+def _received(ax, ay, sigma2, idx, u1, u2):
+    """Received samples, formed as the kernel forms them."""
     r = math.sqrt(sigma2) * np.sqrt(-2.0 * np.log1p(-u1))
     ang = (2.0 * math.pi) * u2
-    rre = ax[idx] + r * np.cos(ang)
-    rim = ay[idx] + r * np.sin(ang)
+    return ax[idx] + r * np.cos(ang), ay[idx] + r * np.sin(ang)
+
+
+def _reference_decisions(ax, ay, bias, sigma2, rre, rim):
+    """(n, 4) score matrix and argmax."""
     scores = bias[None, :] + (np.outer(rre, ax) + np.outer(rim, ay)) / sigma2
-    return int(np.count_nonzero(np.argmax(scores, axis=1) != idx))
+    return np.argmax(scores, axis=1)
+
+
+def _reference_count(ax, ay, bias, cdf, sigma2, seed, start, n):
+    """The unblocked, unscreened kernel: every trial drawn and scored."""
+    idx, u1, u2 = _draws(cdf, seed, start, n)
+    rre, rim = _received(ax, ay, sigma2, idx, u1, u2)
+    return int(np.count_nonzero(_reference_decisions(ax, ay, bias, sigma2, rre, rim) != idx))
 
 
 @pytest.mark.parametrize("name", ["gamma+1", "gamma0.707", "tied", "overflow"])
@@ -145,6 +161,134 @@ def test_mc_matches_reference(request, name):
         for seed in MC_SEEDS:
             want = _reference_count(*tables, sigma2, seed, 16_383, 40_001)
             assert K.mc_error_count(*tables, sigma2, seed, 16_383, 40_001) == want
+
+
+# ---------------------------------------------------------------------------
+# the safe-disk screen
+# ---------------------------------------------------------------------------
+
+
+def _screen_cases():
+    """Seeded random constellations for the screen, as (name, cc, sigma2).
+
+    Collinear and planar; plain, with one pair just outside and with one
+    just inside the coincidence tolerance; cases 6-11 and 18-23 with one
+    prior set to 1e-6 or 1e-4; sigma2 spread from 1e-6 to 10. Last,
+    MC_FROZEN's tied constellation.
+    """
+    rng = np.random.Generator(np.random.PCG64(2026))
+    sigma2s = np.logspace(-6.0, 1.0, 24)
+    cases = []
+    for k in range(24):
+        planar = k % 2 == 1
+        pts = rng.uniform(-2.0, 2.0, 4) + 1j * (rng.uniform(-2.0, 2.0, 4) if planar else 0.0)
+        near = ("plain", "outside", "inside")[k // 2 % 3]
+        if near != "plain":
+            i, j = rng.choice(4, size=2, replace=False)
+            step = np.exp(2j * math.pi * rng.uniform()) if planar else rng.choice([-1.0, 1.0])
+            for _ in range(2):  # the tolerance follows the largest point
+                tol = coincidence_tol(np.max(np.abs(pts)))
+                pts[j] = pts[i] + (1.01 if near == "outside" else 0.99) * tol * step
+        pr = rng.dirichlet(np.ones(4))
+        if k // 6 % 2:
+            pr[rng.integers(4)] = rng.choice([1e-6, 1e-4])
+        cc = CombinedConstellation(*pts.tolist(), from_joint(*(pr / pr.sum())))
+        geometry = "planar" if planar else "collinear"
+        cases.append((f"{k}-{geometry}-{near}", cc, float(sigma2s[7 * k % 24])))
+    amps, gamma_phi, _, sigma2, _ = MC_FROZEN["tied"]
+    cases.append(("tied", build_cc(*amps, gamma_phi, from_joint(0.25, 0.25, 0.25, 0.25)), sigma2))
+    return cases
+
+
+SCREEN_CASES = _screen_cases()
+
+
+@pytest.mark.parametrize("name, cc, sigma2", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+def test_screen_keeps_counts(name, cc, sigma2):
+    tables = _decoder_tables(cc, sigma2)
+    seed = MC_SEEDS[len(name) % len(MC_SEEDS)]
+    for start, n in MC_RANGES:
+        want = _reference_count(*tables, sigma2, seed, start, n)
+        assert K.mc_error_count(*tables, sigma2, seed, start, n) == want, (start, n)
+
+
+@pytest.mark.parametrize("name, cc, sigma2", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+def test_screened_trials_decode_to_sent_pair(name, cc, sigma2):
+    """Trials below their point's cut, drawn from the stream and placed at
+    the disk's edge (the largest u1 below the cut, at 64 angles), all
+    decode to the sent pair, under the kernel's scores and under decode."""
+    ax, ay, bias, cdf = _decoder_tables(cc, sigma2)
+    cut = K.safe_disk(ax, ay, bias, sigma2)[1]
+    idx, u1, u2 = _draws(cdf, MC_SEEDS[0], 2**40 + 1, 4000)
+    inside = np.flatnonzero(u1 < cut[idx])
+    edge = np.repeat(np.flatnonzero(cut > 0.0), 64)
+    idx = np.concatenate([idx[inside], edge])
+    u1 = np.concatenate([u1[inside], np.nextafter(cut[edge], 0.0)])
+    u2 = np.concatenate([u2[inside], np.tile(np.arange(64) / 64.0, edge.size // 64)])
+    if name.endswith("inside") or name == "tied":
+        # a coincident pair's two points have no disk
+        assert np.count_nonzero(cut) <= 2
+    rre, rim = _received(ax, ay, sigma2, idx, u1, u2)
+    assert np.array_equal(_reference_decisions(ax, ay, bias, sigma2, rre, rim), idx)
+    for k, x, y in zip(idx.tolist(), rre.tolist(), rim.tolist()):
+        assert decode(complex(x, y), cc, sigma2) == BIT_PAIRS[k]
+
+
+@pytest.mark.parametrize("snr_db", [8.0, 12.0, 18.0])
+def test_safe_disk_matches_decision_interval(case1, case2, snr_db):
+    """On a collinear design the disk is the decision interval's nearer
+    edge, shrunk by less than 1e-9 of it."""
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    for pri in (case1, case2):
+        inp = DesignInput(pri, 1.0, 1.0, 1.0, sigma2)
+        cc = design_collinear(inp).combined(inp)
+        rho, cut = K.safe_disk(*_decoder_tables(cc, sigma2)[:3], sigma2)
+        for i, uv in enumerate(BIT_PAIRS):
+            lo, hi, live = collinear_decision_interval(cc, sigma2, uv)
+            want = max(min(hi, -lo), 0.0) if live else 0.0
+            assert want * (1.0 - 1e-9) <= rho[i] <= want
+            assert cut[i] == pytest.approx(
+                max(-math.expm1(-rho[i] ** 2 / (2.0 * sigma2)), 0.0), rel=0.0, abs=2.0**-50)
+
+
+def test_safe_disk_off_where_unproven(case1, uniform):
+    # a coincident rival: the tied constellation's two shared points
+    amps, gamma_phi, _, sigma2, _ = MC_FROZEN["tied"]
+    tied = build_cc(*amps, gamma_phi, uniform)
+    rho, cut = K.safe_disk(*_decoder_tables(tied, sigma2)[:3], sigma2)
+    assert rho[1] == rho[2] == cut[1] == cut[2] == 0.0
+    assert cut[0] > 0.9 and cut[3] > 0.9
+    # non-finite tables: overflowing biases, then a NaN entry
+    cc = build_cc(*_T2, 1.0, case1)
+    with np.errstate(over="ignore"):
+        ax, ay, bias, _ = _decoder_tables(cc, 1e-310)
+    assert not np.any(K.safe_disk(ax, ay, bias, 1e-310)[1])
+    ax, ay, bias, _ = _decoder_tables(cc, 0.1)
+    assert np.all(K.safe_disk(ax, ay, bias, 0.1)[1] > 0.0)
+    bias[2] = math.nan
+    assert not np.any(K.safe_disk(ax, ay, bias, 0.1)[1])
+
+
+def test_screen_fires_at_acceptance_05_point(case1, monkeypatch):
+    """At acceptance 05's point the outer points' cuts exceed 0.9, and the
+    kernel draws u2 for about 1% of the trials."""
+    sigma2 = 10.0**-0.8
+    inp = DesignInput(case1, 1.0, 1.0, 1.0, sigma2)
+    tables = _decoder_tables(design_collinear(inp).combined(inp), sigma2)
+    cut = K.safe_disk(*tables[:3], sigma2)[1]
+    assert cut[0] > 0.9 and cut[3] > 0.9
+
+    words = []
+    draw = K._splitmix_uniforms
+
+    def counted(seed, z, tmp):
+        words.append(z.size)
+        return draw(seed, z, tmp)
+
+    monkeypatch.setattr(K, "_splitmix_uniforms", counted)
+    n = 100_000
+    K.mc_error_count(*tables, sigma2, 20260815, 0, n)
+    assert 2 * n < sum(words) < 2.05 * n
 
 
 # SNRs of the batch-versus-scalar checks; sigma2 = 10^(-snr/10) against
