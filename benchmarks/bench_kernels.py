@@ -7,11 +7,14 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
 
 The Monte-Carlo kernel is timed on one collinear constellation at
-sigma2 = 10^-0.8 and one planar one at sigma2 = 0.25, and on both at
-sigma2 = 10^-1.6 (the -16dB rows), after checking that its count over
-all trials equals the sum over two chunks. Trials inside a point's safe
-disk are decided without scoring, so the kernel runs faster at lower
-error rates; each row notes the exact error rate of its point. Each
+sigma2 = 10^-0.8 and one planar one at sigma2 = 0.25, on both at
+sigma2 = 10^-1.6 (the -16dB rows), and at low SNR (the -lowSNR rows:
+the case-2 collinear design at sigma2 = 4 and the planar constellation at
+sigma2 = 2, where more than 80% of the trials leave their safe disk),
+after checking that its count over all trials equals the sum over two
+chunks. Trials inside a point's safe disk are decided without scoring,
+so the kernel runs faster at lower error rates; each row notes the exact
+error rate of its point and the share of trials that leave the disk. Each
 batched evaluator is checked against the scalar exact_error on a sample
 of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
@@ -81,15 +84,34 @@ def _constellations():
 SIGMA2_16DB = 10.0**-1.6
 
 
+def _low_snr_collinear(sigma2=4.0):
+    """The case-2 collinear design at sigma2: most trials leave their disk."""
+    inp = DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, 1.0, sigma2)
+    return design_collinear(inp).combined(inp), sigma2
+
+
+def _live_share(tables, sigma2, trials):
+    """Share of the first (at most 2^20) trials whose radius uniform is at or
+    above their point's safe-disk cut: the trials the kernel scores."""
+    t = np.arange(min(trials, 1 << 20), dtype=np.uint64)
+    u0 = _kernels.uniforms_numpy(20260815, 3 * t)
+    u1 = _kernels.uniforms_numpy(20260815, 3 * t + 1)
+    idx = np.searchsorted(tables[3][:3], u0, side="right")
+    return float(np.mean(u1 >= _kernels.safe_disk(*tables[:3], sigma2)[1][idx]))
+
+
 def bench_mc(trials, repeat):
     """Trials/s of the Monte-Carlo kernel. Trials inside a point's safe disk
     skip the angle draw and the scores, so the rate grows with SNR; each
-    row notes the exact error rate of its point."""
+    row notes the exact error rate of its point and the share of trials
+    that are scored."""
     (collinear, sigma2), (planar, s2_planar) = _constellations()
     rows = []
     for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar),
                          ("mc-collinear-16dB", collinear, SIGMA2_16DB),
-                         ("mc-planar-16dB", planar, SIGMA2_16DB)):
+                         ("mc-planar-16dB", planar, SIGMA2_16DB),
+                         ("mc-collinear-lowSNR", *_low_snr_collinear()),
+                         ("mc-planar-lowSNR", planar, 2.0)):
         tables = _decoder_tables(cc, s2)
         count, t = best_of(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials),
                            repeat)
@@ -97,7 +119,8 @@ def bench_mc(trials, repeat):
         chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
                    + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
         assert chunked == count, f"{name}: chunked count {chunked} != {count}"
-        note = f"exact error {exact_error(cc, s2).p_err_exact:.3g}"
+        note = (f"exact error {exact_error(cc, s2).p_err_exact:.3g},"
+                f" {_live_share(tables, s2, trials):.1%} scored")
         rows.append((name, t, trials / t, "trials/s", note))
     return rows
 

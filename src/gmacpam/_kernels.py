@@ -193,7 +193,6 @@ def mc_error_count(
     c0, c1, c2 = (float(c) for c in cdf[:3])
     planar = bool(np.any(ay != 0.0))
     cut = safe_disk(ax, ay, bias, sigma2)[1]
-    screen = bool(np.any(cut > 0.0))
     b = min(_MC_BLOCK, n)
     # counter of trial i in a block, and of its uniforms 0 and 1, laid out
     # (2, b) so that each uniform stream is contiguous
@@ -212,13 +211,10 @@ def mc_error_count(
         idx = (u0 >= c0).view(np.uint8) + (u0 >= c1).view(np.uint8)
         idx += (u0 >= c2).view(np.uint8)
         done += m
-        if screen:
-            live = np.flatnonzero(u1 >= cut.take(idx))
-            if live.size == 0:
-                continue
-            idx, u1, z2 = idx.take(live), u1.take(live), ramp.take(live)
-        else:
-            z2 = ramp[:m].copy()
+        live = np.flatnonzero(u1 >= cut.take(idx))
+        if live.size == 0:
+            continue
+        idx, u1, z2 = idx.take(live), u1.take(live), ramp.take(live)
         z2 += _U64((first + 2) & _MASK64)
         u2 = _splitmix_uniforms(seed, z2, np.empty_like(z2))
 

@@ -241,16 +241,14 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
     (10 (grid - 1)), what one round gives after an exhaustive pass at
     grid, and then two more. So no call scores more than 40^2 rows, and
     the rounds grow as log(grid). refine=False returns the exhaustive
-    pass's best point.
+    pass's best point, put in the form below.
 
     For a swap-symmetric input (p01 == p10, e1 == e2) the sender swap is a
     twin with equal error; the result is put in the form where sender 1
     has the wider separation and sits on its positive root. Sender 2's
     pair and its translation along the shell to the other root of the same
     separation are twins too (all four points move together); the result
-    is the negative root, as the joint designers place sender 2. That
-    translation leaves the grid, so refine=False, which returns a grid
-    point, skips it.
+    is the negative root, as the joint designers place sender 2.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -295,7 +293,7 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
         # the swap image, negated when that keeps sender 1 on its positive root
         sign = -1.0 if a21 < 0.0 else 1.0
         a10, a11, a20, a21 = sign * a20, sign * a21, sign * a10, sign * a11
-    if refine and a21 > (a21 - a20) * pr.p2:
+    if a21 > (a21 - a20) * pr.p2:
         # sender 2 on the positive root of its separation: translate it to
         # the negative one, where the joint designers place it; where the
         # two roots meet to rounding there is nothing to translate

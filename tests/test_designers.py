@@ -390,6 +390,18 @@ def _brute_scores(inp, grid):
     return scores
 
 
+def _sender2_negative_root(cand, p2, e2):
+    """The candidate with sender 2 translated to the negative root of its
+    separation, as numerical_search reports it."""
+    a10, a11, a20, a21 = cand
+    if a21 > (a21 - a20) * p2:
+        try:
+            a20, a21 = _signed_root_pair(a21 - a20, p2, e2)
+        except InfeasibleRoot:
+            pass
+    return a10, a11, a20, a21
+
+
 @pytest.mark.parametrize("gamma_phi, sigma2", [(0.383, 0.05), (0.924, 10.0**-1.2)])
 def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
     inp = DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2)
@@ -401,6 +413,7 @@ def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
     # whose error differs only by rounding
     ties = [cand for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
     assert len(ties) <= 2
+    ties = [_sender2_negative_root(cand, case2.p2, 1.0) for cand in ties]
     assert (res.a10, res.a11, res.a20, res.a21) in ties
     assert res.p_err == pytest.approx(best, rel=1e-12)
 
@@ -415,7 +428,8 @@ def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
         res = numerical_search(inp, grid=12, refine=False)
         scores = _brute_scores(inp, 12)
         best = min(pe for pe, _ in scores)
-        ties = [cand for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
+        ties = [_sender2_negative_root(cand, pri.p2, 1.0)
+                for pe, cand in scores if pe <= best * (1.0 + 1e-12)]
         assert (res.a10, res.a11, res.a20, res.a21) in ties
         assert res.p_err == pytest.approx(best, rel=1e-12)
 
