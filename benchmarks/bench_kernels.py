@@ -20,7 +20,10 @@ of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
 constellations, of union_bound on the collinear one, and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
-(collinear) and 0.924 (planar). The search rows give seconds per
+(collinear) and 0.924 (planar). The bvn-orthant rows give microseconds
+per call of the scalar bivariate orthant (pure-Python Owen's T) at one of
+the planar point's orthants at sigma2 = 0.25 and one at 10^-1.6, the
+high-SNR case where h, k and h a are large. The search rows give seconds per
 numerical_search call at the case-1 source (the fig4 source), 10 dB
 sum-energy SNR and grid 400: gamma_phi = 1 and gamma_phi = 0.924, each
 checked to report the exact error of its own design. The
@@ -30,8 +33,8 @@ designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
 gamma_phi = 1 (collinear) and 0.707 (planar). The cold-start rows give
 the median seconds of fresh interpreters that import gmacpam and make one
 joint design and one exact_error call at the case-1 source, 18 dB table
-convention: gamma_phi = 1 (collinear, which never loads scipy.special)
-and 0.924 (planar, which does).
+convention: gamma_phi = 1 (collinear) and 0.924 (planar); neither
+loads scipy.special, which only the batched evaluators need.
 """
 
 import argparse
@@ -45,7 +48,8 @@ import numpy as np
 
 import gmacpam
 from gmacpam import _kernels
-from gmacpam.analysis import exact_error, exact_error_collinear, exact_error_planar, union_bound
+from gmacpam.analysis import (bvn_lower_orthant, exact_error, exact_error_collinear,
+                               exact_error_planar, union_bound)
 from gmacpam.cli import _sweep_rows
 from gmacpam.config import build_config, convert_snr
 from gmacpam.design import DesignInput, design, design_collinear, numerical_search
@@ -134,6 +138,11 @@ def bench_scalar(repeat):
     for name, fn in (
         ("exact-collinear", lambda: exact_error(collinear, s2c)),
         ("exact-planar", lambda: exact_error(planar, s2p)),
+        # orthants of the planar constellation at sigma2 = 0.25 and 10^-1.6
+        ("bvn-orthant", lambda: bvn_lower_orthant(-0.2597249041920212, -0.9172072693477924,
+                                                  0.5088205130521821)),
+        ("bvn-orthant-16dB", lambda: bvn_lower_orthant(-5.627955504963747, -5.265306648024573,
+                                                       0.707)),
         ("union", lambda: union_bound(collinear, s2c)),
         ("design-joint-collinear", lambda: design("joint", joint_collinear)),
         ("design-joint-planar", lambda: design("joint", joint_planar)),
@@ -157,7 +166,7 @@ def bench_batch(rows_n, repeat):
 
     pts = np.sort(rng.uniform(-3.0, 3.0, (rows_n, 4)), axis=1)
     pts += np.arange(4) * 0.05  # keep the sorted points apart
-    _kernels.collinear_pe_batch(pts[:1], pa, 0.04)  # untimed: loads scipy.special
+    _kernels.collinear_pe_batch(pts[:1], pa, 0.04)  # untimed: loads scipy.special for both
     got, t_col = best_of(lambda: _kernels.collinear_pe_batch(pts, pa, 0.04), repeat)
     _assert_matches_scalar(pts, got, priors, 0.04, exact_error_collinear)
 

@@ -310,7 +310,9 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
 
 
 def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorised analysis.bvn_lower_orthant with every special case kept.
+    """Vectorised analysis.bvn_lower_orthant on scipy's owens_t ufunc, with
+    every special case kept; a zero bound is nudged to 1e-14 instead of
+    taking T(0, +-inf) (error below phi(0) 1e-14). NaN in h or k gives NaN.
 
     rho must already lie within +-_RHO_LIMIT (the callers clip it).
     """
@@ -323,7 +325,7 @@ def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndar
         s = np.sqrt((1.0 - rho) * (1.0 + rho))
         ah = (kk / hh - rho) / s
         ak = (hh / kk - rho) / s
-        c = np.where(hh * kk > 0.0, 0.0, 0.5)
+        c = np.where((hh < 0.0) == (kk < 0.0), 0.0, 0.5)
         val = 0.5 * (ndtr(hh) + ndtr(kk)) - owens_t(hh, ah) - owens_t(kk, ak) - c
         val = np.clip(val, 0.0, 1.0)
         val = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * math.pi), val)
@@ -331,6 +333,7 @@ def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndar
         # an infinite bound leaves a marginal, 0 or 1
         edge = np.where(h == np.inf, ndtr(k), ndtr(h))
         edge = np.where((h == -np.inf) | (k == -np.inf), 0.0, edge)
+        edge = np.where(np.isnan(h) | np.isnan(k), np.nan, edge)
         return np.where(finite, val, edge)
 
 

@@ -32,10 +32,13 @@ from gmacpam import (
     pair_geometry,
     union_bound,
 )
+from gmacpam import _kernels
 from gmacpam.analysis import (
+    _gauss_legendre,
     bvn_lower_orthant,
     collinear_decision_interval,
     collinear_pair_threshold,
+    owens_t,
     qfunc,
 )
 from gmacpam.errors import (
@@ -251,6 +254,145 @@ def test_bvn_rejects_unit_correlation():
         bvn_lower_orthant(0.1, 0.2, -1.0000001)
 
 
+@pytest.mark.parametrize("h, k", [
+    (math.nan, 0.3), (0.3, math.nan), (math.nan, math.nan), (math.nan, -math.inf),
+    (math.inf, math.nan), (0.0, math.nan),
+])
+@pytest.mark.parametrize("path", ["scalar", "batched"])
+def test_bvn_nan_in_nan_out(path, h, k):
+    if path == "scalar":
+        got = bvn_lower_orthant(h, k, 0.5)
+    else:
+        got = _kernels._bvn_lower_orthant(np.array([h]), np.array([k]), np.array([0.5]))[0]
+    assert math.isnan(got)
+
+
+# ---------------------------------------------------------------------------
+# Owen's T against identities, scipy and a 30-digit quadrature
+# ---------------------------------------------------------------------------
+
+
+def _owens_t_mp(mp, h, a):
+    """Owen's T to 30 digits: exp(-h^2/2) / (2 pi h) times
+    int_0^{ah} exp(-t^2/2) / (1 + t^2/h^2) dt, split at t = h/4, h, 1, 2,
+    4, 8, 16 so that each piece is O(1); mpmath's quad stops on an absolute
+    error estimate, and over [0, a] it misses T(20, 3) by 1.7e-6 relative.
+    Past t = 40 the integrand is below exp(-800)."""
+    with mp.workdps(30):
+        h, a = abs(mp.mpf(h)), mp.mpf(a)
+        if a < 0:
+            return -_owens_t_mp(mp, h, -a)
+        if h == 0:
+            return mp.atan(a) / (2 * mp.pi)
+        top = min(a * h, mp.mpf(40))
+        cuts = sorted({mp.mpf(0)} | {mp.mpf(b) for b in (h / 4, h, 1, 2, 4, 8, 16) if b < top})
+        body = mp.quad(lambda t: mp.exp(-t * t / 2) / (1 + (t / h) ** 2), cuts + [top])
+        return mp.exp(-h * h / 2) / (2 * mp.pi * h) * body
+
+
+def _bvn_mp(mp, h, k, rho):
+    """Owen's identity at 30 digits on _owens_t_mp."""
+    with mp.workdps(30):
+        h, k, rho = mp.mpf(h), mp.mpf(k), mp.mpf(rho)
+        if h == 0 and k == 0:
+            return mp.mpf(1) / 4 + mp.asin(rho) / (2 * mp.pi)
+        s = mp.sqrt((1 - rho) * (1 + rho))
+        t_h = _owens_t_mp(mp, h, (k / h - rho) / s) if h else mp.sign(k) / 4
+        t_k = _owens_t_mp(mp, k, (h / k - rho) / s) if k else mp.sign(h) / 4
+        c = 0 if (h < 0) == (k < 0) else mp.mpf(1) / 2
+        return (mp.ncdf(h) + mp.ncdf(k)) / 2 - t_h - t_k - c
+
+
+def test_gauss_legendre_rule_matches_mpmath():
+    """Nodes within 2 ulp of the Legendre roots (1.0 ulp measured for
+    2m = 6 ... 44), weights within 5e-16 (3.1e-16 measured)."""
+    mp = pytest.importorskip("mpmath")
+    for m in (3, 9, 22):
+        rule = _gauss_legendre(m)
+        assert len(rule) == m
+        n = 2 * m
+        with mp.workdps(30):
+            for x, w in rule:
+                root = mp.findroot(lambda t: mp.legendre(n, t), x)
+                slope = n * (root * mp.legendre(n, root) - mp.legendre(n - 1, root)) / (root**2 - 1)
+                assert abs(x - root) <= 2 * math.ulp(x), (m, x)
+                assert abs(w - 2 / ((1 - root**2) * slope**2)) <= 5e-16, (m, x)
+
+
+def test_owens_t_identities():
+    # at every |h| up to 38: T(h, inf) = Q(|h|)/2 and T(0, a) = atan(a)/2pi
+    # exactly; T(h, 1) = Phi(h) Phi(-h)/2 from the quadrature within
+    # 1.5e-15 relative (8.3e-16 measured on this grid)
+    for h in np.linspace(-38.0, 38.0, 7601).tolist():
+        assert owens_t(h, math.inf) == 0.5 * qfunc(abs(h)) == -owens_t(h, -math.inf), h
+        want = 0.5 * qfunc(h) * qfunc(-h)
+        assert abs(owens_t(h, 1.0) - want) <= 1.5e-15 * want, h
+        assert owens_t(h, 0.0) == 0.0
+    for a in (1e-12, 0.3, 1.0, 7.0, 1e14, math.inf):
+        assert owens_t(0.0, a) == math.atan(a) / (2.0 * math.pi) == -owens_t(0.0, -a)
+    assert owens_t(2.5, 0.7) == owens_t(-2.5, 0.7) == -owens_t(2.5, -0.7)
+    assert math.isnan(owens_t(math.nan, 0.5)) and math.isnan(owens_t(0.5, math.nan))
+
+
+def test_owens_t_matches_scipy():
+    """A dense grid, h in [-38, 38] and a in +-[1e-12, 1e14] with 0 and +-1,
+    against scipy's owens_t within 2e-15 (1 + h^2) T(h, inf). scipy's own
+    error sets the bound: its tail loses up to h^2 ulp (2.3e-13 relative
+    at h = 36.75, a = 1e14), and it misses T(5.5, 1e-12) by 2e-5
+    relative, which is 1e-20 of T(h, inf)."""
+    special = pytest.importorskip("scipy.special")
+    pos = np.logspace(-12.0, 14.0, 105)
+    a = np.concatenate([-pos, [-1.0, 0.0, 1.0], pos])
+    for h in np.linspace(-38.0, 38.0, 305).tolist():
+        scale = 2e-15 * (1.0 + h * h) * 0.5 * qfunc(abs(h))
+        ref = special.owens_t(h, a)
+        got = np.array([owens_t(h, x) for x in a.tolist()])
+        tiny = np.abs(ref) < sys.float_info.min
+        assert np.all(np.abs(got[tiny]) <= 2.0 * sys.float_info.min), h
+        assert np.all(np.abs(got - ref)[~tiny] <= scale), h
+
+
+def test_owens_t_matches_mpmath():
+    """Within 1e-15 relative of the 30-digit quadrature at 63 points
+    (4.6e-16 measured), once the quadrature itself matches the identities."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for h in (0.05, 1.9, 9.0, 21.5, 38.0):
+            q = mp.ncdf(-h)
+            assert abs(_owens_t_mp(mp, h, mp.inf) / (q / 2) - 1) < 1e-25
+            assert abs(_owens_t_mp(mp, h, 1) / (q * (1 - q) / 2) - 1) < 1e-25
+        h, a = mp.mpf(20), mp.mpf(3)
+        q_h, q_ah = mp.ncdf(-h), mp.ncdf(-a * h)
+        reflected = q_h / 2 + q_ah / 2 - q_h * q_ah - _owens_t_mp(mp, a * h, 1 / a)
+        assert abs(_owens_t_mp(mp, h, a) / reflected - 1) < 1e-25
+    worst = 0.0
+    for h in (-38.0, -21.5, -9.0, -3.3, -0.7, 0.0, 0.05, 1.9, 6.0):
+        for a in (1e-12, -0.05, 0.6, 1.0, -1.7, 30.0, 1e14):
+            want = _owens_t_mp(mp, h, a)
+            got = owens_t(h, a)
+            if abs(want) < sys.float_info.min:
+                assert got == 0.0, (h, a)
+            else:
+                worst = max(worst, float(abs(got / want - 1)))
+    assert worst <= 1e-15
+
+
+def test_bvn_matches_mpmath():
+    """The orthant within 1e-15 of max(Phi(h), Phi(k)), the scale that
+    _planar_miss subtracts it from (4.9e-16 measured over 256 points and
+    over 400 random ones), zero and high-SNR bounds included."""
+    mp = pytest.importorskip("mpmath")
+    bounds = (-30.0, -8.5, -1.5, 0.0, 2.0)
+    worst = 0.0
+    for i, h in enumerate(bounds):
+        for k in bounds[i:]:
+            for rho in (-0.95, 0.5, 0.99):
+                want = _bvn_mp(mp, h, k, rho)
+                err = abs(bvn_lower_orthant(h, k, rho) - want)
+                worst = max(worst, float(err / max(mp.ncdf(h), mp.ncdf(k))))
+    assert worst <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # exact error, both paths, against brute-force quadrature
 # ---------------------------------------------------------------------------
@@ -330,9 +472,13 @@ def test_frozen_design_point_errors(case1, case2):
 
 # (sigma2, p_err_exact, p_c_per_pair, union_bound) recorded from the exact
 # engine itself, not from an oracle, and asserted bit for bit, so any change
-# to its floating-point operations shows. The planar point takes both alpha branches; at the T3 point's
-# 10^-0.3 and the planar point's 0.04 the bound's last digit
-# depends on the order of the union-term additions.
+# to its floating-point operations shows. The planar point takes both alpha
+# branches; its rows were re-recorded when the orthants moved to the pure
+# Python Owen's T, and every float that changed lies closer to a 40-digit
+# mpmath evaluation of the same constellation (at 10^-1.3 the error went
+# from 1.7e-14 to 1.7e-15 relative). At the T3 point's 10^-0.3 and the
+# planar point's 0.04 the bound's last digit depends on the order of the
+# union-term additions.
 EXACT_AND_UNION = {
     "t2-collinear": (
         (10.0**-0.8, 0.002826532657341588,
@@ -343,13 +489,13 @@ EXACT_AND_UNION = {
          2.917504663892292e-12),
     ),
     "planar-0.707": (
-        (0.25, 0.0733205708304566,
-         (0.9452278677155045, 0.4668317068335852, 0.8998149864473359, 0.9567937149602778),
+        (0.25, 0.07332057083045657,
+         (0.9452278677155046, 0.4668317068335852, 0.899814986447336, 0.9567937149602779),
          0.08205466179091145),
-        (0.04, 0.00010561031731354936,
+        (0.04, 0.00010561031731354927,
          (0.9999862352643683, 0.9978014670344969, 0.9998541036234112, 0.9999740100727471),
          0.00010597527366397692),
-        (10.0**-1.3, 0.00041599155211004713,
+        (10.0**-1.3, 0.0004159915521100408,
          (0.9999125936487502, 0.9924979728006944, 0.9994357067945144, 0.9998549082517842),
          0.0004197632553297427),
     ),

@@ -485,10 +485,10 @@ def test_perfbench_tracer_finds_its_wrap_points():
     _run_child("from spans import Tracer; Tracer().install()", os.path.join(REPO, "perfbench"))
 
 
-_COLLINEAR_CLI = """
+_SCALAR_CLI = """
 import contextlib, io, sys
 from gmacpam.cli import main
-sets = ["--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9", "--set", "gamma_phi=1"]
+sets = ["--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9", "--set", "gamma_phi={gphi}"]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = (
         main(["evaluate", *sets, "--set", "sigma2=0.1", "--set", "schemes=joint"]),
@@ -511,24 +511,34 @@ print(repr((before, "scipy.special" in sys.modules, repr(value))))
 """
 
 
-def test_collinear_cli_never_loads_scipy_special(tmp_path):
-    # scipy.special takes about two thirds of a cold start; the collinear
-    # scalar path (designers, exact error, union bound, Monte Carlo) must
-    # not pay for it
+def _assert_scalar_cli_skips_scipy_special(tmp_path, gphi):
     csv_path = tmp_path / "sweep.csv"
-    out = _run_child(_COLLINEAR_CLI.format(out=str(csv_path)))
+    out = _run_child(_SCALAR_CLI.format(gphi=gphi, out=str(csv_path)))
     assert ast.literal_eval(out) == ((0, 0), False)
     with open(csv_path, newline="") as fh:
         assert [row["trials"] for row in csv.DictReader(fh)] == ["2000"] * 4
 
 
+def test_collinear_cli_never_loads_scipy_special(tmp_path):
+    # scipy.special takes about two thirds of a cold start; the collinear
+    # scalar path (designers, exact error, union bound, Monte Carlo) must
+    # not pay for it
+    _assert_scalar_cli_skips_scipy_special(tmp_path, 1)
+
+
+def test_planar_cli_never_loads_scipy_special(tmp_path):
+    # the planar scalar path too: its bivariate orthants run on the pure
+    # Python Owen's T, and Monte Carlo decodes 2-D points without scipy
+    _assert_scalar_cli_skips_scipy_special(tmp_path, 0.707)
+
+
 @pytest.mark.parametrize("gphi, call", [
-    (0.707, "value = gmacpam.exact_error(gmacpam.design('joint', inp).combined(inp), 0.1)"
-            ".p_err_exact"),
     (1.0, "res = gmacpam.numerical_search(inp, grid=12); value = astuple(res)"),
     (0.707, "res = gmacpam.numerical_search(inp, grid=6); value = astuple(res)"),
 ])
 def test_planar_and_batched_paths_load_scipy_special(gphi, call):
+    # the batched search evaluators, collinear and planar, stay on scipy's
+    # erfc, ndtr and owens_t ufuncs
     out = _run_child(_SCIPY_USER.format(gphi=gphi, call=call))
     before, after, value = ast.literal_eval(out)
     assert (before, after) == (False, True)
