@@ -20,8 +20,6 @@ from .analysis import (
     union_bound,
 )
 from .config import (
-    CONVENTIONS,
-    SCHEMES,
     ExperimentConfig,
     NoisePoint,
     build_config,

@@ -277,7 +277,9 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     analysis.exact_error_collinear, vectorised over candidates: each pair's
     miss probability is the sum of the Gaussian tails past its two binding
     thresholds, Q(hi / sigma) + Q(-lo / sigma), never 1 - P_correct, so
-    small error rates keep their relative precision.
+    small error rates keep their relative precision. It picks the binding
+    rivals by threshold (the lowest above, the highest below), the same
+    rivals the scalar path picks by their larger tails.
     """
     pts = np.asarray(points, dtype=np.float64)
     m = pts.shape[0]
@@ -309,32 +311,28 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     return np.clip(p_err, 0.0, 1.0)
 
 
-def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Vectorised analysis.bvn_lower_orthant on scipy's owens_t ufunc, with
-    every special case kept; a zero bound is nudged to 1e-14 instead of
-    taking T(0, +-inf) (error below phi(0) 1e-14). NaN in h or k gives NaN.
+def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
+                       phi_h: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
+    """Vectorised analysis._bvn: Pr(X <= h, Y <= k) given Phi(h) and Phi(k),
+    on scipy's owens_t ufunc, with _bvn's special cases in its order (NaN,
+    infinite bounds, rho = 0, h = k = 0). A single zero bound takes
+    owens_t(0, +-inf) = +-1/4 exactly, as the scalar path does.
 
     rho must already lie within +-_RHO_LIMIT (the callers clip it).
     """
-    special = _special()
-    ndtr, owens_t = special.ndtr, special.owens_t
+    owens_t = _special().owens_t
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        finite = np.isfinite(h) & np.isfinite(k)
-        hh = np.where(h == 0.0, 1e-14, np.where(finite, h, 1.0))
-        kk = np.where(k == 0.0, 1e-14, np.where(finite, k, 1.0))
         s = np.sqrt((1.0 - rho) * (1.0 + rho))
-        ah = (kk / hh - rho) / s
-        ak = (hh / kk - rho) / s
-        c = np.where((hh < 0.0) == (kk < 0.0), 0.0, 0.5)
-        val = 0.5 * (ndtr(hh) + ndtr(kk)) - owens_t(hh, ah) - owens_t(kk, ak) - c
-        val = np.clip(val, 0.0, 1.0)
-        val = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * math.pi), val)
-        val = np.where(rho == 0.0, ndtr(h) * ndtr(k), val)
-        # an infinite bound leaves a marginal, 0 or 1
-        edge = np.where(h == np.inf, ndtr(k), ndtr(h))
-        edge = np.where((h == -np.inf) | (k == -np.inf), 0.0, edge)
-        edge = np.where(np.isnan(h) | np.isnan(k), np.nan, edge)
-        return np.where(finite, val, edge)
+        ah = np.where(h == 0.0, np.copysign(np.inf, k), (k / h - rho) / s)
+        ak = np.where(k == 0.0, np.copysign(np.inf, h), (h / k - rho) / s)
+        c = np.where((h < 0.0) == (k < 0.0), 0.0, 0.5)
+        val = np.clip(0.5 * (phi_h + phi_k) - owens_t(h, ah) - owens_t(k, ak) - c, 0.0, 1.0)
+    val = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * math.pi), val)
+    val = np.where(rho == 0.0, phi_h * phi_k, val)
+    # an infinite bound leaves a marginal, 0 or 1
+    val = np.where(h == np.inf, phi_k, np.where(k == np.inf, phi_h, val))
+    val = np.where((h == -np.inf) | (k == -np.inf), 0.0, val)
+    return np.where(np.isnan(h) | np.isnan(k), np.nan, val)
 
 
 def _pair_corr(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
@@ -363,19 +361,17 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     bijective = pairwise_distinct(pts.T, coincidence_tol(np.max(np.abs(pts), axis=1)))
 
     def rival(idx):
+        """Difference vector, bound z and tail Phi(z) of rival idx."""
         c = pts[:, idx] - pts
         dist = np.abs(c)
         t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
         with np.errstate(invalid="ignore", divide="ignore"):
             z = -t / (sigma * dist)
-        return c, z
+        return c, z, _qfunc_array(-z)
 
-    c_x, z_x = rival(_ADJ_X)
-    c_y, z_y = rival(_ADJ_Y)
-    c_d, z_d = rival(_DIAG)
-    t_x = _qfunc_array(-z_x)
-    t_y = _qfunc_array(-z_y)
-    t_d = _qfunc_array(-z_d)
+    c_x, z_x, t_x = rival(_ADJ_X)
+    c_y, z_y, t_y = rival(_ADJ_Y)
+    c_d, z_d, t_d = rival(_DIAG)
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
     alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
     wedge = alpha > 0.0
@@ -384,10 +380,12 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
         np.where(wedge, z_d, z_x),
         np.where(wedge, z_x, z_y),
         np.where(wedge, _pair_corr(c_d, c_x), _pair_corr(c_x, c_y)),
+        np.where(wedge, t_d, t_x),
+        np.where(wedge, t_x, t_y),
     )
     second = np.zeros_like(first)
     second[wedge] = _bvn_lower_orthant(
-        z_d[wedge], z_y[wedge], _pair_corr(c_d[wedge], c_y[wedge])
+        z_d[wedge], z_y[wedge], _pair_corr(c_d[wedge], c_y[wedge]), t_d[wedge], t_y[wedge]
     )
     adj = t_x + t_y
     miss = np.where(wedge, adj + t_d - first - second, adj - first)

@@ -19,7 +19,8 @@ evaluation paths read it and cover every constellation:
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
   the miss probability is the pair of Gaussian tails past its two binding
-  thresholds;
+  thresholds; Q is monotone, so on each side of the point the binding
+  rival is the one whose table tail is larger;
 * planar: the diagonal statistic decomposes as
   Delta_{uv, comp(uv)} = Delta_1 + Delta_2 + alpha_uv with
   alpha_uv = sigma2 ln(p_uv p_compuv / (p_adj1 p_adj2)) - Re[x conj(y)],
@@ -92,7 +93,7 @@ _RSQRT2_HI, _RSQRT2_LO = _split(_RSQRT2)
 def _special():
     """scipy.special, imported on first use.
 
-    Only the batched kernels need it (erfc, ndtr and the owens_t ufunc);
+    Only the batched kernels need it (the erfc and owens_t ufuncs);
     every scalar path, collinear or planar (designers, exact error, union
     bound, the bivariate orthants), runs on the math module alone.
     """
@@ -170,16 +171,15 @@ class _PairTable:
     """Pairwise statistics of one constellation at one noise level.
 
     Point i = 2u + v is a_uv. Construction reads the geometry: the points
-    as stored, their real parts as a float64 array, the priors, the
-    coincidence tolerance, the pairwise distances and the collinear and
-    bijective flags; a constellation whose largest pairwise distance
-    squares past the float range raises OverflowError here. z[i][j], the
-    standardised bound with
-    Pr(Delta_ij > 0) = Phi(z[i][j]), and tail[i][j] = Q(-z[i][j]) are filled
-    on first use, so a view that rejects the geometry raises before any
-    noise-dependent arithmetic. A coincident rival resolves by the decoder's
-    prior / lexicographic rule: z = -inf when i keeps the shared point, +inf
-    when it loses it.
+    as stored, their real parts, the priors, the coincidence tolerance, the
+    pairwise distances and the collinear and bijective flags; a
+    constellation whose largest pairwise distance squares past the float
+    range raises OverflowError here. z[i][j], the standardised bound with
+    Pr(Delta_ij > 0) = Phi(z[i][j]), and tail[i][j] = Q(-z[i][j]) are
+    filled for j != i (the diagonal stays NaN) on first use, so a view that
+    rejects the geometry raises before any noise-dependent arithmetic. A
+    coincident rival resolves by the decoder's prior / lexicographic rule:
+    z = -inf when i keeps the shared point, +inf when it loses it.
     """
 
     def __init__(self, cc: CombinedConstellation, sigma2: float):
@@ -188,7 +188,7 @@ class _PairTable:
         pts = (cc.a00, cc.a01, cc.a10, cc.a11)
         tol = coincidence_tol(cc.scale())
         self.pts = pts
-        self.re = cc.as_array().real
+        self.re = [a.real for a in pts]
         self.priors = cc.priors.as_tuple()
         self.sigma2 = sigma2
         self.tol = tol
@@ -218,7 +218,8 @@ class _PairTable:
 
     @cached_property
     def tail(self) -> list[list[float]]:
-        return [[qfunc(-z) for z in row] for row in self.z]
+        return [[math.nan if j == i else qfunc(-z) for j, z in enumerate(row)]
+                for i, row in enumerate(self.z)]
 
     @cached_property
     def line_terms(self) -> list[tuple[float, float]]:
@@ -227,7 +228,9 @@ class _PairTable:
         return [_collinear_terms(self, i) for i in range(4)]
 
     def threshold(self, i: int, j: int) -> tuple[str, float]:
-        """Rival j's constraint on Re[N] around point i; see collinear_pair_threshold."""
+        """Rival j's constraint on Re[N] around point i; see
+        collinear_pair_threshold. Only the two public threshold views read
+        it: the exact path ranks rivals by their tails."""
         c = self.re[j] - self.re[i]
         p = self.priors
         if abs(c) <= self.tol:
@@ -266,36 +269,6 @@ def collinear_pair_threshold(
     return table.threshold(uv_idx, lm_idx)
 
 
-def _collinear_binding(table: _PairTable, i: int):
-    """The binding rivals of point i on the real axis.
-
-    Returns (up, hi, low, lo, rest, dead): the rival with the lowest upper
-    threshold and that threshold (None and +inf when no rival bounds from
-    above), the same for the highest lower threshold, the other rivals in
-    the order met, and whether a coincident rival takes the shared point.
-    """
-    up = low = None
-    hi, lo = math.inf, -math.inf
-    rest = []
-    dead = False
-    for j in range(4):
-        if j == i:
-            continue
-        kind, value = table.threshold(i, j)
-        if kind == "upper" and (up is None or value < hi):
-            if up is not None:
-                rest.append(up)
-            up, hi = j, value
-        elif kind == "lower" and (low is None or value > lo):
-            if low is not None:
-                rest.append(low)
-            low, lo = j, value
-        else:
-            dead = dead or kind == "lose"
-            rest.append(j)
-    return up, hi, low, lo, rest, dead
-
-
 def collinear_decision_interval(
     cc: CombinedConstellation, sigma2: float, uv: tuple[int, int]
 ) -> tuple[float, float, bool]:
@@ -304,36 +277,51 @@ def collinear_decision_interval(
     Intersects the three rival constraints from collinear_pair_threshold;
     a losing coincident rival kills the region outright.
     """
-    _, hi, _, lo, _, dead = _collinear_binding(_line_table(cc, sigma2), 2 * uv[0] + uv[1])
-    if dead:
+    table = _line_table(cc, sigma2)
+    i = 2 * uv[0] + uv[1]
+    limits = [table.threshold(i, j) for j in range(4) if j != i]
+    if any(kind == "lose" for kind, _ in limits):
         return 0.0, 0.0, False
+    lo = max((t for kind, t in limits if kind == "lower"), default=-math.inf)
+    hi = min((t for kind, t in limits if kind == "upper"), default=math.inf)
     return lo, hi, True
 
 
 def _collinear_terms(table: _PairTable, i: int) -> tuple[float, float]:
     """(miss probability, union term) for point i on the real axis.
 
-    The miss probability sums the two tails past the binding thresholds, so
-    it keeps full relative precision however small it gets. The union term
-    starts from those same two floats and then adds the remaining rivals'
-    terms; floating-point addition of non-negatives is monotone, so the
-    computed bound can never round below the computed exact value.
+    Q is monotone in the threshold, so on each side of point i the binding
+    rival is the one with the largest tail (the first met on a tie). The
+    miss probability sums those two tails, so it keeps full relative
+    precision however small it gets; it is capped at 1, which an empty
+    region reaches in exact arithmetic, and is 1 when a coincident rival
+    takes the shared point (z = +inf). The union term starts from the same
+    two floats and then adds the other rivals' tails in the order met;
+    floating-point addition of non-negatives is monotone, so the computed
+    bound can never round below the computed exact value.
     """
-    up, hi, low, lo, rest, dead = _collinear_binding(table, i)
-    tail = table.tail[i]
-    core = (0.0 if up is None else tail[up]) + (0.0 if low is None else tail[low])
+    z, tail, re, tol = table.z[i], table.tail[i], table.re, table.tol
+    binding = {}  # side of point i (+1 above, -1 below) -> its binding rival
+    rest = []
+    for j in range(4):
+        if j == i:
+            continue
+        c = re[j] - re[i]
+        side = 1 if c > tol else -1 if c < -tol else 0
+        if side:
+            held = binding.setdefault(side, j)
+            if tail[j] > tail[held]:
+                binding[side], j = j, held
+            elif held == j:
+                continue
+        rest.append(j)
+    core = 0.0
+    for j in binding.values():
+        core += tail[j]
     union_term = core
     for j in rest:
         union_term += tail[j]
-    if dead:
-        miss = 1.0
-    elif lo >= hi:
-        # Empty region: the true miss is exactly 1, and the two tails overlap
-        # to at least that in exact arithmetic.
-        miss = min(1.0, core)
-    else:
-        miss = core
-    return miss, union_term
+    return (1.0 if math.inf in z else min(1.0, core)), union_term
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from gmacpam import (
     pair_geometry,
     union_bound,
 )
-from gmacpam import _kernels
+from gmacpam import _kernels, analysis
 from gmacpam.analysis import (
     _gauss_legendre,
     bvn_lower_orthant,
@@ -200,6 +200,44 @@ def test_dead_region_when_prior_loses(uniform):
     assert alive01 and not alive10
 
 
+def _binding_cases(sources):
+    """Seeded collinear constellations {0, d2, d1, d1 + d2}, sigma2 from
+    1e-3 to 1e3: distinct points, a01 on a10 (d1 = d2) and a00 on a11
+    (d1 = -d2), each under every source; with the uniform one a coincident
+    rival wins or loses by order instead of by prior."""
+    rng = np.random.Generator(np.random.PCG64(1707))
+    for n in range(600):
+        d1, d2 = rng.uniform(-2.0, 2.0, size=2)
+        d2 = (d2, d1, -d1)[n % 3]
+        yield collinear_cc(d1, d2, sources[n // 3 % len(sources)]), 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, uniform):
+    """The exact path picks each side's binding rival by its larger tail;
+    its miss equals the tails past the decision interval's thresholds and
+    is 1 on a dead region. The two compute the tail's argument with
+    different roundings, about 1 ulp apart, which Q turns into up to x^2
+    ulp: 2.6e-13 relative measured, at x = 36.7."""
+    seen = {"dead": 0, "empty": 0, "one-sided": 0, "two-sided": 0}
+    for cc, sigma2 in _binding_cases((case1, case2, uniform)):
+        rep = exact_error(cc, sigma2)
+        table = analysis._PairTable(cc, sigma2)
+        sigma = math.sqrt(sigma2)
+        for i, uv in enumerate(BIT_PAIRS):
+            miss = table.line_terms[i][0]
+            assert rep.p_c_per_pair[i] == 1.0 - miss
+            lo, hi, alive = collinear_decision_interval(cc, sigma2, uv)
+            if not alive:
+                seen["dead"] += 1
+                assert miss == 1.0, (cc, sigma2, uv)
+                continue
+            seen["empty" if lo >= hi else "one-sided" if math.inf in (-lo, hi) else "two-sided"] += 1
+            want = min(1.0, qfunc(hi / sigma) + qfunc(-lo / sigma))
+            assert abs(miss - want) <= 5e-13 * want, (cc, sigma2, uv)
+        assert union_bound(cc, sigma2) >= rep.p_err_exact
+    assert min(seen.values()) >= 50, seen
+
+
 # ---------------------------------------------------------------------------
 # bivariate normal lower orthant
 # ---------------------------------------------------------------------------
@@ -263,8 +301,24 @@ def test_bvn_nan_in_nan_out(path, h, k):
     if path == "scalar":
         got = bvn_lower_orthant(h, k, 0.5)
     else:
-        got = _kernels._bvn_lower_orthant(np.array([h]), np.array([k]), np.array([0.5]))[0]
+        got = _kernels._bvn_lower_orthant(np.array([h]), np.array([k]), np.array([0.5]),
+                                          np.array([qfunc(-h)]), np.array([qfunc(-k)]))[0]
     assert math.isnan(got)
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.3, 0.5, 0.95])
+def test_batched_orthant_at_zero_bound(rho):
+    """A zero bound takes T(0, +-inf) = +-1/4 in the batch as in the scalar
+    path: within 1e-15 of the larger marginal (2.2e-16 measured; nudging
+    the bound to 1e-14 instead costs 5.5e-15)."""
+    others = [0.3, -1.2, 0.7, -2.5, -6.0, 4.0]
+    h = np.array([0.0] * 6 + others + [0.0])
+    k = np.array(others + [0.0] * 6 + [0.0])
+    phi_h = np.array([qfunc(-x) for x in h.tolist()])
+    phi_k = np.array([qfunc(-x) for x in k.tolist()])
+    got = _kernels._bvn_lower_orthant(h, k, np.full(h.size, rho), phi_h, phi_k)
+    for g, hv, kv, scale in zip(got.tolist(), h.tolist(), k.tolist(), np.maximum(phi_h, phi_k)):
+        assert abs(g - bvn_lower_orthant(hv, kv, rho)) <= 1e-15 * scale, (hv, kv)
 
 
 # ---------------------------------------------------------------------------
