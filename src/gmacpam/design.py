@@ -74,12 +74,27 @@ def max_separation(p: float, e: float, sign: float = 1.0) -> tuple[float, float]
 
 def _signed_root_pair(d: float, p: float, e: float) -> tuple[float, float]:
     # bit-1 amplitude solving p*s0^2 + (1-p)*s1^2 = e with s1 - s0 = d, on
-    # the negative root
+    # the negative root; up to d_max a negative discriminant is rounding
     disc = d * d * p * (p - 1.0) + e
     if disc < 0.0:
-        raise InfeasibleRoot(f"no real amplitude pair for separation {d!r}")
+        if abs(d) > d_max(p, e):
+            raise InfeasibleRoot(f"no real amplitude pair for separation {d!r}")
+        disc = 0.0
     s1 = d * p - math.sqrt(disc)
     return s1 - d, s1
+
+
+def _on_shell(d: float, p: float, e: float) -> tuple[float, float]:
+    """A sender's amplitudes at signed separation d on its energy shell.
+
+    From d_max on it sits on its energy boundary, oriented by the sign of
+    d; below it, on the negative shell root. The positive root only
+    translates the combined constellation, which leaves the MAP error
+    unchanged.
+    """
+    if abs(d) >= d_max(p, e):
+        return max_separation(p, e, sign=math.copysign(1.0, d))
+    return _signed_root_pair(d, p, e)
 
 
 def antipodal(inp: DesignInput) -> DesignResult:
@@ -118,18 +133,15 @@ def _place(swapped: bool, strong: tuple[float, float, float], weak: tuple[float,
            d: float, gamma_phi: float = 1.0) -> DesignResult:
     """Stronger sender at full separation, weaker one at signed separation d.
 
-    From the weaker sender's d_max on it sits on its energy boundary,
-    oriented by the sign of d; below it, on the negative shell root.
+    The weaker sender sits where _on_shell puts it: on its energy boundary
+    from its d_max on, on the negative shell root below it.
     design_collinear places sender 2 on the combined line, where its
     amplitudes appear scaled by gamma_phi = +-1, so that is undone here;
     design_general works in sender 2's own coordinates and keeps 1.
     """
     first = max_separation(strong[0], strong[1])
-    p_b, e_b, d_b = weak
-    if abs(d) >= d_b:
-        branch, second = "boundary", max_separation(p_b, e_b, sign=math.copysign(1.0, d))
-    else:
-        branch, second = "minus", _signed_root_pair(d, p_b, e_b)
+    branch = "boundary" if abs(d) >= weak[2] else "minus"
+    second = _on_shell(d, weak[0], weak[1])
     s1, s2 = (second, first) if swapped else (first, second)
     return DesignResult(s1[0], s1[1], gamma_phi * s2[0], gamma_phi * s2[1],
                         branch=branch, swapped=swapped)
@@ -189,19 +201,13 @@ def design_general(inp: DesignInput) -> DesignResult:
     return _place(swapped, strong, weak, orient * d_len)
 
 
-def _shell_amplitudes(a0: np.ndarray, p: float, e: float, sign: float) -> np.ndarray:
-    return sign * np.sqrt(np.maximum(e - p * a0 * a0, 0.0) / (1.0 - p))
-
-
 # Search candidates whose errors agree to this relative tolerance are tied,
-# and the first in search order wins. The twins with equal exact error left
-# on the searched shells, the sender swap for symmetric sources and sender
-# 2's two shell roots, would otherwise be split by rounding alone.
+# and the first in search order wins. The twin with equal exact error left
+# on the searched rectangle, the sender swap for symmetric sources, would
+# otherwise be split by rounding alone.
 _TIE_RTOL = 1e-12
 
-# Sender 2's shell roots; sender 1 stays on its positive one.
-_SIGNS = (1.0, -1.0)
-# Points per axis and sign branch of the exhaustive pass.
+# Points per axis of the exhaustive pass.
 _COARSE = 40
 # Local minima of the exhaustive pass refined when it is coarser than grid.
 _STARTS = 4
@@ -217,92 +223,74 @@ _EXTRA_ROUNDS = 2
 
 
 def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> DesignResult:
-    """Coarse-to-fine search of both energy shells for the lowest exact error.
+    """Coarse-to-fine search of the two senders' separations for the lowest exact error.
 
-    Each sender's bit-0 amplitude ranges over its feasible interval; its
-    bit-1 amplitude sits on its energy shell, sender 1's on the positive
-    root and sender 2's on either. Sender 1's negative root would add only
-    mirrors a -> -a of searched candidates (up to the rounding of the
-    symmetric grids): the MAP error depends on point differences and priors
-    alone, the noise is circularly symmetric, both batch kernels return
-    bit-identical errors for negated rows, and the first-in-order tie rule
-    passes over a mirror.
+    Every difference of two combined points is d1, d2 u2 or d1 +- d2 u2,
+    with d1 = a11 - a10, d2 = a21 - a20 and u2 sender 2's axis, and the
+    noise is circularly symmetric; so the MAP error depends on the signed
+    separations and the priors alone. The search ranges over the rectangle
+    d1 in [0, d_max1], d2 in [-d_max2, d_max2] and scores each candidate as
+    the translate {0, d2 u2, d1, d1 + d2 u2} (see _score_windows). The
+    mirror a -> -a covers d1 < 0.
 
     `grid` is the resolution per axis. An exhaustive pass scores
-    min(grid, 40) points per axis in each of sender 2's two sign branches,
-    one batched tail-form call per branch. Refinement starts from the best
-    point of that pass and, when grid > 40, from the next best local
-    minima, 4 starts in all (see _starts). Each round scores a 21 x 21
-    window around every start's best point so far, all windows in one
-    batched call; the first window spans one coarse step either side, each
-    later one 0.15 of the one before. For grid <= 40 one round runs, so
-    the result is the exhaustive grid's best point refined once. Above 40
-    the rounds go on until the window spacing is at most 2 amax /
-    (10 (grid - 1)), what one round gives after an exhaustive pass at
-    grid, and then two more. So no call scores more than 40^2 rows, and
-    the rounds grow as log(grid). refine=False returns the exhaustive
-    pass's best point, put in the form below.
+    min(grid, 40) points per axis in one batched tail-form call.
+    Refinement starts from the best point of that pass and, when grid >
+    40, from the next best local minima, 4 starts in all (see _starts).
+    Each round scores a 21 x 21 window around every start's best point so
+    far, all windows in one batched call; the first window spans one
+    coarse step either side, each later one 0.15 of the one before. For
+    grid <= 40 one round runs, so the result is the exhaustive grid's best
+    point refined once. Above 40 the rounds go on until the window spacing
+    is at most 1 / (10 (grid - 1)) of the axis, what one round gives after
+    an exhaustive pass at grid, and then two more. So no call scores more
+    than 40^2 rows, and the rounds grow as log(grid). refine=False returns
+    the exhaustive pass's best point, put in the form below.
 
-    For a swap-symmetric input (p01 == p10, e1 == e2) the sender swap is a
-    twin with equal error; the result is put in the form where sender 1
-    has the wider separation and sits on its positive root. Sender 2's
-    pair and its translation along the shell to the other root of the same
-    separation are twins too (all four points move together); the result
-    is the negative root, as the joint designers place sender 2.
+    Each sender is reported where _on_shell puts its separation: on its
+    energy boundary at d_max, on the negative shell root below it, as the
+    joint designers place the weaker sender. For a swap-symmetric input
+    (p01 == p10, e1 == e2) the sender swap is a twin with equal error; the
+    result is put in the form where sender 1 has the wider separation.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
-    amax = (math.sqrt(inp.e1 / pr.p1), math.sqrt(inp.e2 / pr.p2))
+    dmax = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
     n = min(grid, _COARSE)
-    g1 = np.linspace(-amax[0], amax[0], n)
-    g2 = np.linspace(-amax[1], amax[1], n)
+    g1 = np.linspace(0.0, dmax[0], n)
+    g2 = np.linspace(-dmax[1], dmax[1], n)
 
-    coarse = [_score_windows(inp, g1[None], g2[None], (sgn2,))[0].reshape(n, n)
-              for sgn2 in _SIGNS]
-    starts = _starts(coarse, 1 if n == grid or not refine else _STARTS)
-    # per start: best score so far, sender 2's root sign, and the two
-    # senders' bit-0 amplitudes there
-    cands = []
-    for pe, b, k in starts:
-        i, j = divmod(k, n)
-        cands.append([pe, _SIGNS[b], g1[i], g2[j]])
+    coarse = _score_windows(inp, g1[None], g2[None])[0].reshape(n, n)
+    # per start: best score so far and the two separations there
+    cands = [[pe, g1[k // n], g2[k % n]]
+             for pe, k in _starts(coarse, 1 if n == grid or not refine else _STARTS)]
 
     if refine:
         half = (g1[1] - g1[0], g2[1] - g2[0])
         for _ in range(_rounds(n, grid)):
-            w1 = np.array([np.clip(np.linspace(c[2] - half[0], c[2] + half[0], _WINDOW),
-                                   -amax[0], amax[0]) for c in cands])
-            w2 = np.array([np.clip(np.linspace(c[3] - half[1], c[3] + half[1], _WINDOW),
-                                   -amax[1], amax[1]) for c in cands])
-            pe = _score_windows(inp, w1, w2, [c[1] for c in cands])
+            w1 = np.array([np.clip(np.linspace(c[1] - half[0], c[1] + half[0], _WINDOW),
+                                   0.0, dmax[0]) for c in cands])
+            w2 = np.array([np.clip(np.linspace(c[2] - half[1], c[2] + half[1], _WINDOW),
+                                   -dmax[1], dmax[1]) for c in cands])
+            pe = _score_windows(inp, w1, w2)
             for s, k in enumerate(_first_best(pe)):
                 if pe[s, k] < cands[s][0]:
                     i, j = divmod(int(k), _WINDOW)
-                    cands[s][0], cands[s][2], cands[s][3] = float(pe[s, k]), w1[s, i], w2[s, j]
+                    cands[s] = [float(pe[s, k]), w1[s, i], w2[s, j]]
             half = (half[0] * _SHRINK, half[1] * _SHRINK)
 
     best = cands[0]
     for c in cands[1:]:
         if c[0] < best[0] * (1.0 - _TIE_RTOL):
             best = c
-    pe_best, sgn2, a10, a20 = best
-    a11 = float(_shell_amplitudes(a10, pr.p1, inp.e1, 1.0))
-    a21 = float(_shell_amplitudes(a20, pr.p2, inp.e2, sgn2))
-    if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(a21 - a20) > abs(a11 - a10):
-        # the swap image, negated when that keeps sender 1 on its positive root
-        sign = -1.0 if a21 < 0.0 else 1.0
-        a10, a11, a20, a21 = sign * a20, sign * a21, sign * a10, sign * a11
-    if a21 > (a21 - a20) * pr.p2:
-        # sender 2 on the positive root of its separation: translate it to
-        # the negative one, where the joint designers place it; where the
-        # two roots meet to rounding there is nothing to translate
-        try:
-            a20, a21 = _signed_root_pair(a21 - a20, pr.p2, inp.e2)
-        except InfeasibleRoot:
-            pass
-    return DesignResult(float(a10), a11, float(a20), a21,
-                        branch="search", swapped=False, p_err=pe_best)
+    pe_best, d1, d2 = best[0], float(best[1]), float(best[2])
+    if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(d2) > d1:
+        # the swap image, mirrored so that sender 1's separation stays >= 0
+        d1, d2 = abs(d2), math.copysign(d1, d2)
+    a10, a11 = _on_shell(d1, pr.p1, inp.e1)
+    a20, a21 = _on_shell(d2, pr.p2, inp.e2)
+    return DesignResult(a10, a11, a20, a21, branch="search", swapped=False, p_err=pe_best)
 
 
 def _rounds(n: int, grid: int) -> int:
@@ -315,51 +303,21 @@ def _rounds(n: int, grid: int) -> int:
     return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
 
 
-def _starts(coarse: list[np.ndarray], k: int) -> list[tuple[float, int, int]]:
-    """Up to k refinement starts (score, branch index, flat grid index).
+def _starts(coarse: np.ndarray, k: int) -> list[tuple[float, int]]:
+    """Up to k refinement starts (score, flat grid index).
 
-    The first is the best point of the exhaustive pass: in each branch the
-    first in row-major order within _TIE_RTOL of its minimum, and branch 0
-    unless branch 1 beats it by more than _TIE_RTOL. The rest are the
+    The first is the best point of the exhaustive pass: the first in
+    row-major order within _TIE_RTOL of its minimum. The rest are the
     other local minima (no 8-neighbour lower; +inf points are passed over)
-    by score, then branch and grid order, so a plateau of underflowed
-    scores still yields a reproducible order. The branches meet at sender
-    2's extreme bit-0 amplitudes (its bit-1 amplitude is 0 on both roots),
-    so those grid points start from branch 0 only.
+    by score, then grid order, so a plateau of underflowed scores still
+    yields a reproducible order.
     """
-    cols = coarse[0].shape[1]
-
-    def point(b, k):
-        return (0 if k % cols in (0, cols - 1) else b), k
-
-    lead = None
-    for b, pe in enumerate(coarse):
-        k_b = int(_first_best(pe.reshape(1, -1))[0])
-        pe_b = float(pe.flat[k_b])
-        if not np.isfinite(pe_b):
-            raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-        if lead is None or pe_b < lead[0] * (1.0 - _TIE_RTOL):
-            lead = (pe_b, b, k_b)
-    out = [lead]
-    if k == 1:
-        return out
-    scores, branches, flats = [], [], []
-    for b, pe in enumerate(coarse):
-        minima = _local_minima(pe)
-        if b:
-            minima[:, [0, -1]] = False
-        flat = np.flatnonzero(minima)
-        scores.append(pe.flat[flat])
-        branches.append(np.full(flat.size, b))
-        flats.append(flat)
-    scores, branches, flats = (np.concatenate(a) for a in (scores, branches, flats))
-    for m in np.lexsort((flats, branches, scores)):
-        start = (float(scores[m]), int(branches[m]), int(flats[m]))
-        if point(*start[1:]) != point(*lead[1:]):
-            out.append(start)
-            if len(out) == k:
-                break
-    return out
+    lead = int(_first_best(coarse.reshape(1, -1))[0])
+    if not np.isfinite(coarse.flat[lead]):
+        raise InfeasibleRoot("no nondegenerate candidate on the search grid")
+    flat = np.flatnonzero(_local_minima(coarse))
+    rest = [int(f) for f in flat[np.lexsort((flat, coarse.flat[flat]))] if f != lead]
+    return [(float(coarse.flat[f]), f) for f in [lead] + rest[:k - 1]]
 
 
 def _local_minima(pe: np.ndarray) -> np.ndarray:
@@ -380,27 +338,27 @@ def _first_best(pe: np.ndarray) -> np.ndarray:
     return np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL), axis=1)
 
 
-def _score_windows(inp, w1, w2, sgn2):
+def _score_windows(inp, w1, w2):
     """Exact errors of every window's candidates, in one batched call.
 
-    Window s pairs sender 1's bit-0 amplitudes w1[s] (positive shell
-    root) with sender 2's w2[s] (shell root sgn2[s]); row s of the result
-    holds its candidates in row-major (w1, w2) order. Rows the planar
-    kernel rejects as non-bijective score +inf.
+    Window s pairs sender 1's separations w1[s] with sender 2's w2[s]; row
+    s of the result holds its candidates in row-major (w1, w2) order, each
+    scored as the translate {0, d2 u2, d1, d1 + d2 u2} of its design. A
+    zero separation is no design (a sender's two points coincide) and
+    scores +inf, as do the rows the planar kernel rejects as non-bijective.
     """
-    pr = inp.priors
-    b1 = _shell_amplitudes(w1, pr.p1, inp.e1, 1.0)
-    b2 = _shell_amplitudes(w2, pr.p2, inp.e2, np.asarray(sgn2)[:, None])
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are
     if abs(inp.gamma_phi) == 1.0:
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
         kernel = _kernels.planar_pe_batch
-    x1 = (w1[:, :, None], b1[:, :, None])
-    x2 = ((w2 * u2)[:, None, :], (b2 * u2)[:, None, :])
-    points = np.stack([x1[0] + x2[0], x1[0] + x2[1], x1[1] + x2[0], x1[1] + x2[1]], axis=-1)
-    pe = kernel(points.reshape(-1, 4), pr.as_array(), inp.sigma2)
+    d1 = w1[:, :, None]
+    d2 = (w2 * u2)[:, None, :]
+    both = d1 + d2
+    points = np.stack(np.broadcast_arrays(np.zeros_like(both), d2, d1, both), axis=-1)
+    pe = kernel(points.reshape(-1, 4), inp.priors.as_array(), inp.sigma2).reshape(both.shape)
+    pe[(w1 == 0.0)[:, :, None] | (w2 == 0.0)[:, None, :]] = np.inf
     return pe.reshape(len(w1), -1)
 
 
