@@ -1,8 +1,10 @@
 """Hot numeric kernels: Monte-Carlo decoding and batched exact error.
 
-All kernels are numpy. Randomness is counter based: uniform draw j of
-trial t is a pure function of (seed, 3 t + j) through a SplitMix64
-finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+All kernels are numpy; the batched exact-error kernels also take scipy's
+erfc and owens_t ufuncs, loaded on first use (_special), so analysis, the
+scalar engine, stays on the math module alone. Randomness is counter
+based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
+through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
 count and block size. Each trial owns three counters: one source draw
 and two Box-Muller uniforms for the complex noise sample. The angle
@@ -15,10 +17,11 @@ decision gives.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
-from .analysis import _RHO_LIMIT, _qfunc_array, _special, _wins_degenerate
+from .analysis import _RHO_LIMIT, _TINY, _wins_degenerate
 from .geometry import coincidence_tol, pairwise_distinct
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,6 +30,7 @@ _MIX2 = 0x94D049BB133111EB
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
+_SQRT2 = math.sqrt(2.0)
 
 
 def backend_name() -> str:
@@ -262,53 +266,78 @@ def mc_error_count(
 # batched exact error (for the grid designer)
 # ---------------------------------------------------------------------------
 
+@cache
+def _special():
+    """scipy.special, imported on first use by the batched exact-error kernels."""
+    import scipy.special
+
+    return scipy.special
+
+
+def _qfunc_array(x: np.ndarray) -> np.ndarray:
+    """analysis.qfunc elementwise, on scipy's erfc, with the same underflow rule."""
+    q = _special().erfc(x / _SQRT2)
+    q *= 0.5
+    np.copyto(q, 0.0, where=q < _TINY)
+    return q
+
+
 # Rival indices in lexicographic pair order: rival k of pair uv is uv ^ k,
 # so k = 2 flips sender 1's bit, k = 1 sender 2's and k = 3 both.
 _UV = np.arange(4)
 _ADJ_X = _UV ^ 2
 _ADJ_Y = _UV ^ 1
 _DIAG = _UV ^ 3
+_RIVALS = (_ADJ_X, _ADJ_Y, _DIAG)
+
+
+def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
+    """Difference vector c and bound z of rival idx[uv] of every point uv of
+    the (m, 4) batch: analysis._PairTable.z, z = -(d^2/2 + sigma2 ln(p_uv /
+    p_lm)) / (sigma d) with d = |c|. A coincident rival is the caller's to mask."""
+    c = pts[:, idx] - pts
+    dist = np.abs(c)
+    t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = -t / (math.sqrt(sigma2) * dist)
+    return c, z
+
+
+def _row_tol(pts: np.ndarray) -> np.ndarray:
+    """Coincidence tolerance of each row of an (m, 4) batch, its scale taken
+    as the maximum of the columns (a reduction over 4-wide rows costs more)."""
+    a = np.abs(pts)
+    return coincidence_tol(np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3])))
 
 
 def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:
     """Exact collinear MAP error for a batch of real-axis constellations.
 
     points has shape (m, 4) in lexicographic pair order. Mirrors
-    analysis.exact_error_collinear, vectorised over candidates: each pair's
-    miss probability is the sum of the Gaussian tails past its two binding
-    thresholds, Q(hi / sigma) + Q(-lo / sigma), never 1 - P_correct, so
-    small error rates keep their relative precision. It picks the binding
-    rivals by threshold (the lowest above, the highest below), the same
-    rivals the scalar path picks by their larger tails.
+    analysis.exact_error_collinear, vectorised over candidates and pairs,
+    with its binding rule: Phi is monotone, so on each side of a point the
+    rival with the largest z binds. The miss probability sums those two
+    tails, never 1 - P_correct, capped at 1. A coincident rival sets no
+    bound; it kills the point when analysis._wins_degenerate gives it the
+    shared point.
     """
     pts = np.asarray(points, dtype=np.float64)
-    m = pts.shape[0]
-    sigma = math.sqrt(sigma2)
-    tol = coincidence_tol(np.max(np.abs(pts), axis=1))
-    p_err = np.zeros(m)
-    for uv in range(4):
-        lo = np.full(m, -np.inf)
-        hi = np.full(m, np.inf)
-        dead = np.zeros(m, dtype=bool)
-        for lm in range(4):
-            if lm == uv:
-                continue
-            c = pts[:, lm] - pts[:, uv]
-            if not _wins_degenerate(uv, lm, priors[uv], priors[lm]):
-                dead |= np.abs(c) <= tol
-            t = c * c / 2.0 + sigma2 * math.log(priors[uv] / priors[lm])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = t / c
-            # a coincident rival (|c| <= tol) sets no threshold
-            np.minimum(hi, ratio, out=hi, where=c > tol)
-            np.maximum(lo, ratio, out=lo, where=c < -tol)
-        miss = _qfunc_array(hi / sigma)
-        miss += _qfunc_array(lo / -sigma)
-        # an empty interval misses surely; its two tails overlap to >= 1
-        np.minimum(miss, 1.0, out=miss, where=lo >= hi)
-        miss[dead] = 1.0
-        p_err += priors[uv] * miss
-    return np.clip(p_err, 0.0, 1.0)
+    p = np.asarray(priors, dtype=np.float64)
+    # spread to the batch's shape: a broadcast over 4-wide rows costs more
+    tol = _row_tol(pts)[:, None].repeat(4, axis=1)
+    above, below = np.full((2, *pts.shape), -np.inf)
+    dead = np.zeros(pts.shape, dtype=bool)
+    for idx in _RIVALS:
+        c, z = _rival(pts, p, sigma2, idx)
+        above = np.maximum(above, np.where(c > tol, z, -np.inf))
+        below = np.maximum(below, np.where(c < -tol, z, -np.inf))
+        loses = [not _wins_degenerate(uv, lm, p[uv], p[lm]) for uv, lm in enumerate(idx)]
+        dead |= (np.abs(c) <= tol) & loses
+    miss = _qfunc_array(-above)
+    miss += _qfunc_array(-below)
+    np.minimum(miss, 1.0, out=miss)
+    miss[dead] = 1.0
+    return np.clip(miss @ p, 0.0, 1.0)
 
 
 def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
@@ -357,21 +386,11 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     """
     pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
-    sigma = math.sqrt(sigma2)
-    bijective = pairwise_distinct(pts.T, coincidence_tol(np.max(np.abs(pts), axis=1)))
+    bijective = pairwise_distinct(pts.T, _row_tol(pts))
 
-    def rival(idx):
-        """Difference vector, bound z and tail Phi(z) of rival idx."""
-        c = pts[:, idx] - pts
-        dist = np.abs(c)
-        t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = -t / (sigma * dist)
-        return c, z, _qfunc_array(-z)
-
-    c_x, z_x, t_x = rival(_ADJ_X)
-    c_y, z_y, t_y = rival(_ADJ_Y)
-    c_d, z_d, t_d = rival(_DIAG)
+    (c_x, z_x), (c_y, z_y), (c_d, z_d) = (_rival(pts, p, sigma2, idx) for idx in _RIVALS)
+    # tail[j] = Phi(z[j]), the marginals each orthant needs
+    t_x, t_y, t_d = (_qfunc_array(-z) for z in (z_x, z_y, z_d))
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
     alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
     wedge = alpha > 0.0

@@ -48,8 +48,6 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-import numpy as np
-
 from .errors import (
     CaseMismatch,
     CollinearInput,
@@ -60,15 +58,14 @@ from .errors import (
 from .geometry import CombinedConstellation, coincidence_tol, on_real_axis, pairwise_distinct
 
 _TWO_PI = 2.0 * math.pi
-_SQRT2 = math.sqrt(2.0)
 
 # |rho| above this is delegated to the collinear path.
 _RHO_LIMIT = 1.0 - 1e-12
 
 
-# Both Gaussian tails flush a value below the smallest normal double to 0
-# (NaN passes through), so the scalar and batched paths agree exactly where
-# the tail underflows: math.erfc and scipy's erfc return different
+# qfunc and the batched _kernels._qfunc_array flush a tail below the
+# smallest normal double to 0 (NaN passes through), so they agree exactly
+# where it underflows: math.erfc and scipy's erfc return different
 # subnormals there, or 0 where the other does not.
 _TINY = sys.float_info.min
 
@@ -87,19 +84,6 @@ def _split(a: float) -> tuple[float, float]:
 
 
 _RSQRT2_HI, _RSQRT2_LO = _split(_RSQRT2)
-
-
-@cache
-def _special():
-    """scipy.special, imported on first use.
-
-    Only the batched kernels need it (the erfc and owens_t ufuncs);
-    every scalar path, collinear or planar (designers, exact error, union
-    bound, the bivariate orthants), runs on the math module alone.
-    """
-    import scipy.special
-
-    return scipy.special
 
 
 def qfunc(x: float) -> float:
@@ -125,14 +109,6 @@ def qfunc(x: float) -> float:
         e -= r * _TWO_OVER_SQRT_PI * math.exp(-t * t)
     q = 0.5 * e
     return q if not q < _TINY else 0.0
-
-
-def _qfunc_array(x: np.ndarray) -> np.ndarray:
-    """qfunc elementwise, on scipy's erfc, with the same underflow rule."""
-    q = _special().erfc(x / _SQRT2)
-    q *= 0.5
-    np.copyto(q, 0.0, where=q < _TINY)
-    return q
 
 
 @dataclass(frozen=True)
@@ -230,7 +206,7 @@ class _PairTable:
     def threshold(self, i: int, j: int) -> tuple[str, float]:
         """Rival j's constraint on Re[N] around point i; see
         collinear_pair_threshold. Only the two public threshold views read
-        it: the exact path ranks rivals by their tails."""
+        it: the exact paths, scalar and batched, rank rivals by Phi(z)."""
         c = self.re[j] - self.re[i]
         p = self.priors
         if abs(c) <= self.tol:

@@ -130,20 +130,21 @@ def _roles(inp: DesignInput) -> tuple[bool, tuple[float, float, float], tuple[fl
 
 
 def _place(swapped: bool, strong: tuple[float, float, float], weak: tuple[float, float, float],
-           d: float, gamma_phi: float = 1.0) -> DesignResult:
+           d: float, gamma_phi: float) -> DesignResult:
     """Stronger sender at full separation, weaker one at signed separation d.
 
     The weaker sender sits where _on_shell puts it: on its energy boundary
-    from its d_max on, on the negative shell root below it.
-    design_collinear places sender 2 on the combined line, where its
-    amplitudes appear scaled by gamma_phi = +-1, so that is undone here;
-    design_general works in sender 2's own coordinates and keeps 1.
+    from its d_max on, on the negative shell root below it. Sender 2 takes
+    the sign of gamma_phi: negating it with gamma_phi mirrors the combined
+    constellation across the real axis, so a rule stated for gamma_phi > 0
+    gives the same error at -gamma_phi.
     """
     first = max_separation(strong[0], strong[1])
     branch = "boundary" if abs(d) >= weak[2] else "minus"
     second = _on_shell(d, weak[0], weak[1])
     s1, s2 = (second, first) if swapped else (first, second)
-    return DesignResult(s1[0], s1[1], gamma_phi * s2[0], gamma_phi * s2[1],
+    sign = math.copysign(1.0, gamma_phi)
+    return DesignResult(s1[0], s1[1], sign * s2[0], sign * s2[1],
                         branch=branch, swapped=swapped)
 
 
@@ -198,7 +199,7 @@ def design_general(inp: DesignInput) -> DesignResult:
         d_len = interior
     else:
         d_len = db
-    return _place(swapped, strong, weak, orient * d_len)
+    return _place(swapped, strong, weak, orient * d_len, inp.gamma_phi)
 
 
 # Search candidates whose errors agree to this relative tolerance are tied,
@@ -222,7 +223,7 @@ _SHRINK = 0.15
 _EXTRA_ROUNDS = 2
 
 
-def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> DesignResult:
+def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     """Coarse-to-fine search of the two senders' separations for the lowest exact error.
 
     Every difference of two combined points is d1, d2 u2 or d1 +- d2 u2,
@@ -244,8 +245,7 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
     point refined once. Above 40 the rounds go on until the window spacing
     is at most 1 / (10 (grid - 1)) of the axis, what one round gives after
     an exhaustive pass at grid, and then two more. So no call scores more
-    than 40^2 rows, and the rounds grow as log(grid). refine=False returns
-    the exhaustive pass's best point, put in the form below.
+    than 40^2 rows, and the rounds grow as log(grid).
 
     Each sender is reported where _on_shell puts its separation: on its
     energy boundary at d_max, on the negative shell root below it, as the
@@ -264,21 +264,20 @@ def numerical_search(inp: DesignInput, grid: int = 400, refine: bool = True) -> 
     coarse = _score_windows(inp, g1[None], g2[None])[0].reshape(n, n)
     # per start: best score so far and the two separations there
     cands = [[pe, g1[k // n], g2[k % n]]
-             for pe, k in _starts(coarse, 1 if n == grid or not refine else _STARTS)]
+             for pe, k in _starts(coarse, 1 if n == grid else _STARTS)]
 
-    if refine:
-        half = (g1[1] - g1[0], g2[1] - g2[0])
-        for _ in range(_rounds(n, grid)):
-            w1 = np.array([np.clip(np.linspace(c[1] - half[0], c[1] + half[0], _WINDOW),
-                                   0.0, dmax[0]) for c in cands])
-            w2 = np.array([np.clip(np.linspace(c[2] - half[1], c[2] + half[1], _WINDOW),
-                                   -dmax[1], dmax[1]) for c in cands])
-            pe = _score_windows(inp, w1, w2)
-            for s, k in enumerate(_first_best(pe)):
-                if pe[s, k] < cands[s][0]:
-                    i, j = divmod(int(k), _WINDOW)
-                    cands[s] = [float(pe[s, k]), w1[s, i], w2[s, j]]
-            half = (half[0] * _SHRINK, half[1] * _SHRINK)
+    half = (g1[1] - g1[0], g2[1] - g2[0])
+    for _ in range(_rounds(n, grid)):
+        w1 = np.array([np.clip(np.linspace(c[1] - half[0], c[1] + half[0], _WINDOW),
+                               0.0, dmax[0]) for c in cands])
+        w2 = np.array([np.clip(np.linspace(c[2] - half[1], c[2] + half[1], _WINDOW),
+                               -dmax[1], dmax[1]) for c in cands])
+        pe = _score_windows(inp, w1, w2)
+        for s, k in enumerate(_first_best(pe)):
+            if pe[s, k] < cands[s][0]:
+                i, j = divmod(int(k), _WINDOW)
+                cands[s] = [float(pe[s, k]), w1[s, i], w2[s, j]]
+        half = (half[0] * _SHRINK, half[1] * _SHRINK)
 
     best = cands[0]
     for c in cands[1:]:
@@ -343,9 +342,13 @@ def _score_windows(inp, w1, w2):
 
     Window s pairs sender 1's separations w1[s] with sender 2's w2[s]; row
     s of the result holds its candidates in row-major (w1, w2) order, each
-    scored as the translate {0, d2 u2, d1, d1 + d2 u2} of its design. A
-    zero separation is no design (a sender's two points coincide) and
-    scores +inf, as do the rows the planar kernel rejects as non-bijective.
+    scored as the translate {0, d2 u2, d1, d1 + d2 u2} of its design.
+    Admissibility is one rule in both geometries: a zero separation is no
+    design and scores +inf; every other candidate is scored. On the line
+    that includes a merged design (d1 = +-d2), whose shared point the
+    decoder gives by prior, as exact_error scores it. In the plane two
+    nonzero separations keep the points distinct, so the planar kernel's
+    +inf for non-bijective rows never fires here.
     """
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are

@@ -6,6 +6,7 @@ and are pinned here verbatim; the slow oracles themselves run below at
 reduced resolution as a second line of defence.
 """
 
+import ast
 import math
 import sys
 
@@ -863,3 +864,18 @@ def test_case1_value_concave_in_d2(case2):
     vals = [high_snr_correct_prob(1, d1max, d2, case2, sigma) for d2 in grid]
     second = np.diff(vals, n=2)
     assert np.all(second <= 1e-12)
+
+
+def test_scalar_engine_imports_neither_numpy_nor_scipy():
+    # analysis is the scalar engine on the math module alone; the batched
+    # tail and the scipy loader live in _kernels, so a second Gaussian tail
+    # cannot creep back into the scalar paths
+    with open(analysis.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert not roots & {"numpy", "scipy"}

@@ -538,7 +538,7 @@ def test_planar_cli_never_loads_scipy_special(tmp_path):
 ])
 def test_planar_and_batched_paths_load_scipy_special(gphi, call):
     # the batched search evaluators, collinear and planar, stay on scipy's
-    # erfc, ndtr and owens_t ufuncs
+    # erfc and owens_t ufuncs
     out = _run_child(_SCIPY_USER.format(gphi=gphi, call=call))
     before, after, value = ast.literal_eval(out)
     assert (before, after) == (False, True)

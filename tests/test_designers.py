@@ -15,12 +15,13 @@ from gmacpam import (
     design_orthogonal,
     exact_error,
     exact_error_collinear,
+    from_joint,
     individually_optimized,
     max_separation,
     numerical_search,
 )
 from gmacpam.config import convert_snr
-from gmacpam.design import _on_shell, _signed_root_pair
+from gmacpam.design import _on_shell, _score_windows, _signed_root_pair, _starts
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
 from gmacpam.geometry import check_energy, combine, from_amplitudes
 
@@ -294,7 +295,25 @@ def test_general_mirrored_gamma_same_error(case1):
     neg = DesignInput(case1, 1.0, 1.0, -0.924, S18)
     pe_pos = exact_error(design_general(pos).combined(pos), S18).p_err_exact
     pe_neg = exact_error(design_general(neg).combined(neg), S18).p_err_exact
-    assert pe_neg == pytest.approx(pe_pos, rel=1e-10)
+    assert pe_neg == pytest.approx(pe_pos, rel=1e-10, abs=0.0)
+
+
+def test_general_rule_mirror_symmetric_in_gamma(case1, case2, uniform):
+    """gamma_phi -> -gamma_phi with sender 2 negated mirrors the combined
+    constellation across the real axis, so the joint rule's error is even
+    in gamma_phi."""
+    skewed = from_joint(0.55, 0.05, 0.15, 0.25)
+    for pri in (case1, case2, uniform, skewed):
+        for e1, e2 in ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0)):
+            for g in (0.1, 0.3, 0.383, 0.5, 0.707, 0.924, 0.99):
+                for snr_db in range(0, 31, 3):
+                    s2 = convert_snr(snr_db, "sum-energy", e1, e2, g)
+                    pe = []
+                    for gamma_phi in (g, -g):
+                        inp = DesignInput(pri, e1, e2, gamma_phi, s2)
+                        pe.append(exact_error(design_general(inp).combined(inp), s2).p_err_exact)
+                    # measured at most 1.54e-13 over these 924 pairs
+                    assert pe[1] == pytest.approx(pe[0], rel=2e-13, abs=0.0)
 
 
 def test_general_beats_references(case1):
@@ -383,25 +402,25 @@ def test_search_planar_close_to_designer(case1):
 
 
 def _brute_scores(inp, grid):
-    """Every candidate (d1, d2) of numerical_search's grid (no refinement)
-    with the scalar exact_error of its design placed by _on_shell; zero
-    separations and degenerate candidates are skipped."""
-    from gmacpam.errors import DegenerateConstellation, NonBijective
-
+    """The scalar exact_error of every candidate (d1, d2) of numerical_search's
+    exhaustive pass, its design placed by _on_shell, keyed by grid index
+    (i, j); zero separations, which are no design, are skipped."""
     pr = inp.priors
-    g1 = np.linspace(0.0, d_max(pr.p1, inp.e1), grid)
-    g2 = np.linspace(-d_max(pr.p2, inp.e2), d_max(pr.p2, inp.e2), grid)
-    scores = []
-    for d1 in g1:
-        for d2 in g2:
-            if d1 == 0.0 or d2 == 0.0:
-                continue
-            try:
+    g1, g2 = _search_axes(inp, grid)
+    scores = {}
+    for i, d1 in enumerate(g1):
+        for j, d2 in enumerate(g2):
+            if d1 != 0.0 and d2 != 0.0:
                 cc = combine(*from_amplitudes(*_placed(inp, d1, d2), inp.gamma_phi), pr)
-                scores.append((exact_error(cc, inp.sigma2).p_err_exact, (d1, d2)))
-            except (DegenerateConstellation, NonBijective):
-                continue
+                scores[i, j] = exact_error(cc, inp.sigma2).p_err_exact
     return scores
+
+
+def _search_axes(inp, grid):
+    """The separations numerical_search's exhaustive pass scores per axis."""
+    pr = inp.priors
+    return (np.linspace(0.0, d_max(pr.p1, inp.e1), grid),
+            np.linspace(-d_max(pr.p2, inp.e2), d_max(pr.p2, inp.e2), grid))
 
 
 def _placed(inp, d1, d2):
@@ -419,33 +438,85 @@ def _assert_on_shells(res, pri):
         assert p * s0 + (1 - p) * s1 <= 1e-12
 
 
+def _assert_exhaustive_pass_matches_scalar_loop(inp, twin):
+    """The exhaustive pass at grid 12 against a scalar loop over its grid.
+
+    Every candidate's batch score equals the scalar exact_error of its
+    design, a zero separation scores +inf, and the pass's lead, the start
+    of refinement, is a scalar argmin: the only one, or for a source with
+    a sender-swap twin (twin=True) one of the grid argmins or their folded
+    swap images. The refined search is never worse than the lead.
+    """
+    n = 12
+    g1, g2 = _search_axes(inp, n)
+    batch = _score_windows(inp, g1[None], g2[None])[0].reshape(n, n)
+    scores = _brute_scores(inp, n)
+    for (i, j), pe in scores.items():
+        assert batch[i, j] == pytest.approx(pe, rel=1e-12, abs=0.0)
+    # d1 = 0 is no design; d2 never hits 0 on an even grid
+    assert np.all(np.isinf(batch[0])) and np.all(np.isfinite(batch[1:]))
+    assert len(scores) == (n - 1) * n
+    best = min(scores.values())
+    ties = [(g1[i], g2[j]) for (i, j), pe in scores.items() if pe <= best * (1.0 + 1e-12)]
+    assert len(ties) <= (2 if twin else 1)
+    if twin:
+        # the sender swap, folded to d1 >= 0, has equal error
+        ties += [(abs(d2), math.copysign(d1, d2)) for d1, d2 in ties]
+    lead = _starts(batch, 1)[0][1]
+    assert (g1[lead // n], g2[lead % n]) in ties
+    assert numerical_search(inp, grid=n).p_err <= batch.flat[lead]
+
+
 @pytest.mark.parametrize("gamma_phi, sigma2", [(0.383, 0.05), (0.924, 10.0**-1.2)])
 def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
-    inp = DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2)
-    res = numerical_search(inp, grid=12, refine=False)
-    scores = _brute_scores(inp, 12)
-    best = min(pe for pe, _ in scores)
     # d1 >= 0 leaves out the mirror images, and case2 has no swap twin
-    ties = [seps for pe, seps in scores if pe <= best * (1.0 + 1e-12)]
-    assert len(ties) == 1
-    assert (res.a10, res.a11, res.a20, res.a21) == _placed(inp, *ties[0])
-    assert res.p_err == pytest.approx(best, rel=1e-12)
+    _assert_exhaustive_pass_matches_scalar_loop(DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2),
+                                                twin=False)
 
 
 @pytest.mark.parametrize("gamma_phi, sigma2", [(1.0, S18), (-1.0, 0.05), (1.0, 0.5)])
 def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
     for pri in (case1, case2):
-        inp = DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2)
-        res = numerical_search(inp, grid=12, refine=False)
-        scores = _brute_scores(inp, 12)
-        best = min(pe for pe, _ in scores)
-        ties = [seps for pe, seps in scores if pe <= best * (1.0 + 1e-12)]
-        assert len(ties) <= (2 if pri is case1 else 1)
-        if pri is case1:
-            # the sender swap, folded to d1 >= 0, has equal error
-            ties += [(abs(d2), math.copysign(d1, d2)) for d1, d2 in ties]
-        assert (res.a10, res.a11, res.a20, res.a21) in [_placed(inp, *t) for t in ties]
-        assert res.p_err == pytest.approx(best, rel=1e-12)
+        _assert_exhaustive_pass_matches_scalar_loop(DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2),
+                                                    twin=pri is case1)
+
+
+@pytest.mark.parametrize("gamma_phi", [1.0, 0.707])
+def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi):
+    """One admissibility rule in both geometries: a zero separation scores
+    +inf; every other candidate is scored, on the line including a merged
+    design d1 = d2, whose shared point the decoder gives by prior."""
+    dm = d_max(case1.p1, 1.0)
+    inp = DesignInput(case1, 1.0, 1.0, gamma_phi, 2.0)
+    w1 = np.array([[0.0, 0.5 * dm, dm]])
+    w2 = np.array([[-dm, 0.0, dm]])
+    pe = _score_windows(inp, w1, w2).reshape(3, 3)
+    zero = np.array([[True] * 3, [False, True, False], [False, True, False]])
+    assert np.all(np.isinf(pe[zero]))
+    assert np.all(np.isfinite(pe[~zero]))
+    merged = combine(*from_amplitudes(*_placed(inp, dm, dm), gamma_phi), case1)
+    rep = exact_error(merged, inp.sigma2)
+    assert rep.bijective is (gamma_phi != 1.0)
+    assert pe[2, 2] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0)
+
+
+def test_search_returns_merged_optimum_at_low_snr(case1):
+    # case-1 at gamma_phi 1, 0 dB sum-energy: the optimum is the individual
+    # design d1 = d2 = d_max, where a01 = a10; the bijective neighbour at
+    # d2 - 1e-6 is 1.9e-7 relative worse, so excluding merged designs would
+    # only return a grid neighbour of the optimum
+    s2 = convert_snr(0.0, "sum-energy", 1.0, 1.0, 1.0)
+    inp = DesignInput(case1, 1.0, 1.0, 1.0, s2)
+    res = numerical_search(inp)
+    dm = d_max(case1.p1, 1.0)
+    assert (res.a10, res.a11, res.a20, res.a21) == _placed(inp, dm, dm)
+    rep = exact_error(res.combined(inp), s2)
+    assert not rep.bijective
+    assert res.p_err == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0)
+    near = combine(*from_amplitudes(*_placed(inp, dm, dm - 1e-6), 1.0), case1)
+    pe_near = exact_error(near, s2)
+    assert pe_near.bijective
+    assert pe_near.p_err_exact > rep.p_err_exact * (1.0 + 1e-7)
 
 
 @pytest.mark.parametrize("gamma_phi", [1.0, -1.0, 0.924, 0.383, 0.0])

@@ -13,7 +13,8 @@ from gmacpam import (
     exact_error_planar,
 )
 from gmacpam import _kernels as K
-from gmacpam.analysis import _qfunc_array, collinear_decision_interval, qfunc
+from gmacpam._kernels import _qfunc_array
+from gmacpam.analysis import collinear_decision_interval, qfunc
 from gmacpam.decoder import decode
 from gmacpam.geometry import coincidence_tol, sender2_axis
 from gmacpam.sources import BIT_PAIRS, from_joint
