@@ -33,8 +33,10 @@ designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
 gamma_phi = 1 (collinear) and 0.707 (planar). The cold-start rows give
 the median seconds of fresh interpreters that import gmacpam and make one
 joint design and one exact_error call at the case-1 source, 18 dB table
-convention: gamma_phi = 1 (collinear) and 0.924 (planar); neither
-loads scipy.special, which only the batched evaluators need.
+convention: gamma_phi = 1 (collinear) and 0.924 (planar). Each row
+notes which of numpy and scipy.special the child loaded: neither, since
+only the batched evaluators and Monte Carlo need them, so a stray
+top-level import shows here.
 """
 
 import argparse
@@ -216,10 +218,12 @@ def bench_sweep(repeat):
 COLD_STARTS = 7
 
 _COLD_START = """
+import sys
 import gmacpam
 inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.1, 0.1, 0.9), 1.0, 1.0, {gamma_phi},
                           10.0**-1.8)
 gmacpam.exact_error(gmacpam.design("joint", inp).combined(inp), inp.sigma2)
+print(",".join(m for m in ("numpy", "scipy.special") if m in sys.modules) or "neither")
 """
 
 
@@ -230,14 +234,16 @@ def bench_cold_start():
     rows = []
     for name, gamma_phi in (("cold-start-collinear", 1.0), ("cold-start-planar", 0.924)):
         argv = [sys.executable, "-c", _COLD_START.format(gamma_phi=gamma_phi)]
-        subprocess.run(argv, env=env, check=True)  # untimed: fills the bytecode cache
+        # untimed: fills the bytecode cache and reports the loaded modules
+        loaded = subprocess.run(argv, env=env, check=True, capture_output=True,
+                                text=True).stdout.strip()
         times = []
         for _ in range(COLD_STARTS):
             t0 = time.perf_counter()
-            subprocess.run(argv, env=env, check=True)
+            subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
             times.append(time.perf_counter() - t0)
         t = statistics.median(times)
-        rows.append((name, t, t, "s/start"))
+        rows.append((name, t, t, "s/start", f"loaded: {loaded}"))
     return rows
 
 

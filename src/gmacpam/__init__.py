@@ -2,7 +2,6 @@
 senders on a shared Gaussian channel."""
 
 from . import errors
-from ._kernels import backend_name, derive_seed
 from .analysis import (
     ErrorReport,
     bvn_lower_orthant,
@@ -49,7 +48,7 @@ from .geometry import (
     is_bijective,
     pair_geometry,
 )
-from .simulate import SimResult, simulate
+from .simulate import SimResult, backend_name, derive_seed, simulate
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
 
 __version__ = "0.1.0"

@@ -22,30 +22,27 @@ from functools import cache
 import numpy as np
 
 from .analysis import _RHO_LIMIT, _TINY, _wins_degenerate
-from .geometry import coincidence_tol, pairwise_distinct
+from .geometry import COINCIDENCE_RTOL, SCALE_FLOOR, coincidence_tol, pairwise_distinct
+# the stream's constants and seed mask, and its public names (backend_name,
+# derive_seed), live in simulate so that no sweep needs numpy for them
+from .simulate import (  # noqa: F401
+    _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
+    backend_name,
+    derive_seed,
+    mask64,
+)
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
 _SQRT2 = math.sqrt(2.0)
 
 
-def backend_name() -> str:
-    return "numpy"
-
-
 # ---------------------------------------------------------------------------
 # counter-based uniforms
 # ---------------------------------------------------------------------------
-
-
-def mask64(seed: int) -> int:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return seed & _MASK64
 
 
 def _splitmix_uniforms(seed: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -74,20 +71,6 @@ def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform [0,1) draws at the given 64-bit counters."""
     z = counters.astype(_U64)
     return _splitmix_uniforms(seed, z, np.empty_like(z))
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic per-configuration sub-seed for sweeps.
-
-    Pure Python int arithmetic, masked to 64 bits; the result is kept below
-    2^63 so it can round-trip through any integer argument path.
-    """
-    mask = 0xFFFFFFFFFFFFFFFF
-    z = ((mask64(seed) + _GOLDEN) * _MIX1) & mask
-    z = (z + (index + 1) * _GOLDEN) & mask
-    z = ((z ^ (z >> 30)) * _MIX1) & mask
-    z = ((z ^ (z >> 27)) * _MIX2) & mask
-    return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +287,12 @@ def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
 
 
 def _row_tol(pts: np.ndarray) -> np.ndarray:
-    """Coincidence tolerance of each row of an (m, 4) batch, its scale taken
-    as the maximum of the columns (a reduction over 4-wide rows costs more)."""
+    """geometry.coincidence_tol of each row of an (m, 4) batch, elementwise,
+    its scale taken as the maximum of the columns (a reduction over 4-wide
+    rows costs more)."""
     a = np.abs(pts)
-    return coincidence_tol(np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3])))
+    scale = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+    return COINCIDENCE_RTOL * np.maximum(scale, SCALE_FLOOR)
 
 
 def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:

@@ -133,7 +133,7 @@ class ErrorReport:
 def is_collinear(cc: CombinedConstellation) -> bool:
     """True when every combined point sits on the real axis within the
     coincidence tolerance."""
-    return on_real_axis(cc.as_array(), coincidence_tol(cc.scale()))
+    return on_real_axis(cc.points, coincidence_tol(cc.scale()))
 
 
 def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool:
@@ -161,7 +161,7 @@ class _PairTable:
     def __init__(self, cc: CombinedConstellation, sigma2: float):
         if not 0.0 < sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
-        pts = (cc.a00, cc.a01, cc.a10, cc.a11)
+        pts = cc.points
         tol = coincidence_tol(cc.scale())
         self.pts = pts
         self.re = [a.real for a in pts]

@@ -12,14 +12,13 @@ import csv
 import math
 import sys
 
-from ._kernels import backend_name, derive_seed
 # union_bound is unused here; perfbench/spans.py wraps cli.union_bound
 from .analysis import exact_error, union_bound  # noqa: F401
 from .config import _KEYS, ExperimentConfig, NoisePoint, build_config, parse_config_file
 from .design import DesignInput, DesignResult, design
 from .errors import ConfigError, GmacpamError, UnknownConvention
 from .geometry import CombinedConstellation, check_energy, combine, from_amplitudes
-from .simulate import simulate
+from .simulate import backend_name, derive_seed, simulate
 
 SWEEP_COLUMNS = (
     "snr_db", "sigma2", "scheme", "p_err_exact", "p_err_union",
@@ -94,8 +93,7 @@ def _design_row(cfg: ExperimentConfig, scheme: str,
         "s20": _fmt(res.a20), "s21": _fmt(res.a21),
         "energy_ok": "ok" if ok else "fail",
     }
-    for name, pt in zip(("a00", "a01", "a10", "a11"),
-                        (cc.a00, cc.a01, cc.a10, cc.a11)):
+    for name, pt in zip(("a00", "a01", "a10", "a11"), cc.points):
         row[name + "_re"] = _fmt(pt.real)
         row[name + "_im"] = _fmt(pt.imag)
     return res, cc, row
@@ -161,7 +159,7 @@ def _print_designs(cfg: ExperimentConfig) -> int:
         print(f"scheme={scheme} branch={res.branch} swapped={res.swapped}")
         print(f"  S1 = ({res.a10:.9g}, {res.a11:.9g})")
         print(f"  S2 = ({res.a20:.9g}, {res.a21:.9g})")
-        pts = ", ".join(f"{p:.6g}" for p in cc.as_array())
+        pts = ", ".join(f"{p:.6g}" for p in cc.points)
         print(f"  A  = [{pts}]")
         print(f"  energy check: {row['energy_ok']}")
     if cfg.out is not None:

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
-from . import _kernels
 # unused here; perfbench/spans.py wraps design.exact_error and
 # design.exact_error_collinear by attribute lookup
 from .analysis import exact_error, exact_error_collinear  # noqa: F401
@@ -252,7 +249,10 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     joint designers place the weaker sender. For a swap-symmetric input
     (p01 == p10, e1 == e2) the sender swap is a twin with equal error; the
     result is put in the form where sender 1 has the wider separation.
+    numpy and the batched kernels load on the first call.
     """
+    import numpy as np
+
     if grid < 2:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
@@ -302,7 +302,7 @@ def _rounds(n: int, grid: int) -> int:
     return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
 
 
-def _starts(coarse: np.ndarray, k: int) -> list[tuple[float, int]]:
+def _starts(coarse, k: int) -> list[tuple[float, int]]:
     """Up to k refinement starts (score, flat grid index).
 
     The first is the best point of the exhaustive pass: the first in
@@ -311,6 +311,8 @@ def _starts(coarse: np.ndarray, k: int) -> list[tuple[float, int]]:
     by score, then grid order, so a plateau of underflowed scores still
     yields a reproducible order.
     """
+    import numpy as np
+
     lead = int(_first_best(coarse.reshape(1, -1))[0])
     if not np.isfinite(coarse.flat[lead]):
         raise InfeasibleRoot("no nondegenerate candidate on the search grid")
@@ -319,8 +321,10 @@ def _starts(coarse: np.ndarray, k: int) -> list[tuple[float, int]]:
     return [(float(coarse.flat[f]), f) for f in [lead] + rest[:k - 1]]
 
 
-def _local_minima(pe: np.ndarray) -> np.ndarray:
+def _local_minima(pe):
     """Finite points of a 2-D score array that no 8-neighbour undercuts."""
+    import numpy as np
+
     rows, cols = pe.shape
     pad = np.pad(pe, 1, constant_values=np.inf)
     keep = np.isfinite(pe)
@@ -331,8 +335,10 @@ def _local_minima(pe: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _first_best(pe: np.ndarray) -> np.ndarray:
+def _first_best(pe):
     """Per row, the first column within _TIE_RTOL of the row's minimum."""
+    import numpy as np
+
     pe_min = np.min(pe, axis=1, keepdims=True)
     return np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL), axis=1)
 
@@ -350,6 +356,10 @@ def _score_windows(inp, w1, w2):
     nonzero separations keep the points distinct, so the planar kernel's
     +inf for non-bijective rows never fires here.
     """
+    import numpy as np
+
+    from . import _kernels
+
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are
     if abs(inp.gamma_phi) == 1.0:

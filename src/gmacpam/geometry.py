@@ -15,23 +15,24 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateConstellation
 from .sources import JointSourceDistribution
 
 # Relative scale below which two combined points count as coincident.
 COINCIDENCE_RTOL = 1e-9
+# Smallest scale the rule uses, so that all-zero points still get a
+# positive tolerance.
+SCALE_FLOOR = 1e-300
 
 
-def coincidence_tol(scale):
+def coincidence_tol(scale: float) -> float:
     """Distance at or below which two points of a constellation coincide.
 
-    scale is the constellation's largest point magnitude, or an array of
-    them, one per row, for which the tolerances come back elementwise. The
-    rule is relative, so it is invariant to rescaling the constellation.
+    scale is the constellation's largest point magnitude; a NaN scale gives
+    a NaN tolerance. The rule is relative, so it is invariant to rescaling
+    the constellation. _kernels._row_tol applies it to a batch, elementwise.
     """
-    return COINCIDENCE_RTOL * np.maximum(scale, 1e-300)
+    return COINCIDENCE_RTOL * max(scale, SCALE_FLOOR)
 
 
 def on_real_axis(pts, tol) -> bool:
@@ -78,17 +79,24 @@ class CombinedConstellation:
     a11: complex
     priors: JointSourceDistribution
 
-    def as_array(self) -> np.ndarray:
+    @property
+    def points(self) -> tuple[complex, complex, complex, complex]:
         """Points in lexicographic (u, v) order."""
-        return np.array([self.a00, self.a01, self.a10, self.a11], dtype=np.complex128)
+        return (self.a00, self.a01, self.a10, self.a11)
+
+    def as_array(self):
+        """The points as a complex128 numpy array; numpy loads on first use."""
+        import numpy as np
+
+        return np.array(self.points, dtype=np.complex128)
 
     def point(self, u: int, v: int) -> complex:
-        return (self.a00, self.a01, self.a10, self.a11)[2 * u + v]
+        return self.points[2 * u + v]
 
     def scale(self) -> float:
         """Largest point magnitude, used for relative coincidence tests."""
         mags = []
-        for p in (self.a00, self.a01, self.a10, self.a11):
+        for p in self.points:
             try:
                 mags.append(abs(p))
             except OverflowError:
@@ -137,7 +145,7 @@ def combine(
 def is_bijective(cc: CombinedConstellation) -> bool:
     """True when no two of the four combined points coincide, by the
     coincidence_tol rule."""
-    return bool(pairwise_distinct(cc.as_array(), coincidence_tol(cc.scale())))
+    return pairwise_distinct(cc.points, coincidence_tol(cc.scale()))
 
 
 def check_energy(c: Constellation, p: float, e: float, tol: float = 1e-9) -> bool:
@@ -156,6 +164,7 @@ def pair_geometry(c1: Constellation, c2: Constellation) -> tuple[complex, comple
 
 __all__ = [
     "COINCIDENCE_RTOL",
+    "SCALE_FLOOR",
     "CombinedConstellation",
     "Constellation",
     "check_energy",

@@ -1,16 +1,48 @@
-"""Monte-Carlo estimation of joint MAP decoding error."""
+"""Monte-Carlo estimation of joint MAP decoding error.
+
+The counter-based stream's constants, its seed mask and the sweep
+sub-seed live here, in plain Python ints, so that a sweep can derive its
+seeds without loading numpy; _kernels, which does load it, reads them from
+here. simulate imports _kernels on its first call.
+"""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import os
 
-import numpy as np
-
-from . import _kernels
 from .geometry import CombinedConstellation
+
+# SplitMix64 increment and finaliser multipliers (see _kernels)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def backend_name() -> str:
+    """Array backend of the Monte-Carlo and batched kernels."""
+    return "numpy"
+
+
+def mask64(seed: int) -> int:
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return seed & _MASK64
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """Deterministic per-configuration sub-seed for sweeps.
+
+    Pure Python int arithmetic, masked to 64 bits; the result is kept below
+    2^63 so it can round-trip through any integer argument path.
+    """
+    z = ((mask64(seed) + _GOLDEN) * _MIX1) & _MASK64
+    z = (z + (index + 1) * _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -23,6 +55,8 @@ class SimResult:
 
 
 def _decoder_tables(cc: CombinedConstellation, sigma2: float):
+    import numpy as np
+
     pts = cc.as_array()
     ax = np.ascontiguousarray(pts.real)
     ay = np.ascontiguousarray(pts.imag)
@@ -41,7 +75,10 @@ def simulate(
 
     The draw for trial t depends only on (seed, t), so the result is
     identical for any worker count; at most one thread runs per usable CPU.
+    numpy and the kernels load on the first call.
     """
+    from . import _kernels
+
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if not 0.0 < sigma2 < math.inf:
@@ -77,6 +114,8 @@ def simulate(
     if len(chunks) == 1:
         counts = [run(chunks[0])]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             counts = list(pool.map(run, chunks))
     errors = int(sum(counts))

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleCorrelation, NonPositiveProbability, SumOutOfTolerance
 
 BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -57,14 +55,20 @@ class JointSourceDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """The cells as a float64 numpy array; numpy loads on first use."""
+        import numpy as np
+
         return np.array(self.as_tuple(), dtype=np.float64)
 
     def prob(self, u: int, v: int) -> float:
         return self.as_tuple()[2 * u + v]
 
-    def cdf(self) -> np.ndarray:
-        """Cumulative sums in lexicographic cell order, last entry exactly 1."""
+    def cdf(self):
+        """Cumulative sums in lexicographic cell order, last entry exactly 1,
+        as a numpy array."""
+        import numpy as np
+
         c = np.cumsum(self.as_array())
         c[-1] = 1.0
         return c

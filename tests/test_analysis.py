@@ -8,6 +8,7 @@ reduced resolution as a second line of defence.
 
 import ast
 import math
+import os
 import sys
 
 import numpy as np
@@ -879,3 +880,42 @@ def test_scalar_engine_imports_neither_numpy_nor_scipy():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     assert not roots & {"numpy", "scipy"}
+
+
+def _import_time_imports(path):
+    """(absolute roots, relative module names) that a module imports when it
+    is loaded: every import statement outside a function body."""
+    with open(path, encoding="utf-8") as fh:
+        stack = list(ast.parse(fh.read()).body)
+    roots, relative = set(), set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                roots.add(node.module.split(".")[0])
+            elif node.module is None:
+                relative.update(alias.name for alias in node.names)
+            else:
+                relative.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return roots, relative
+
+
+def test_only_kernels_import_numpy_at_module_level():
+    # import gmacpam and every scalar path stay off numpy: only _kernels
+    # imports it when loaded, and no other module loads _kernels then
+    package = os.path.dirname(analysis.__file__)
+    numpy_users, kernel_users = set(), set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            roots, relative = _import_time_imports(os.path.join(package, name))
+            if roots & {"numpy", "scipy"}:
+                numpy_users.add(name)
+            if "_kernels" in relative:
+                kernel_users.add(name)
+    assert numpy_users == {"_kernels.py"}
+    assert kernel_users == set()

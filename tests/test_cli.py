@@ -499,16 +499,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(repr((codes, "scipy.special" in sys.modules)))
 """
 
-_SCIPY_USER = """
+_LAZY_USER = """
 import sys
 from dataclasses import astuple
 import gmacpam
-before = "scipy.special" in sys.modules
+before = {module!r} in sys.modules
 inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, {gphi},
                           0.1)
 {call}
-print(repr((before, "scipy.special" in sys.modules, repr(value))))
+print(repr((before, {module!r} in sys.modules, repr(value))))
 """
+
+
+def _assert_call_loads(module, gphi, call):
+    """A fresh interpreter has not loaded module after import gmacpam, has
+    after call, and computes the value this process does."""
+    out = _run_child(_LAZY_USER.format(module=module, gphi=gphi, call=call))
+    before, after, value = ast.literal_eval(out)
+    assert (before, after) == (False, True)
+    inp = DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, gphi, 0.1)
+    scope = {"gmacpam": gmacpam, "inp": inp, "astuple": dataclasses.astuple}
+    exec(call, scope)
+    assert value == repr(scope["value"])
 
 
 def _assert_scalar_cli_skips_scipy_special(tmp_path, gphi):
@@ -539,10 +551,63 @@ def test_planar_cli_never_loads_scipy_special(tmp_path):
 def test_planar_and_batched_paths_load_scipy_special(gphi, call):
     # the batched search evaluators, collinear and planar, stay on scipy's
     # erfc and owens_t ufuncs
-    out = _run_child(_SCIPY_USER.format(gphi=gphi, call=call))
-    before, after, value = ast.literal_eval(out)
-    assert (before, after) == (False, True)
-    inp = DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, gphi, 0.1)
-    scope = {"gmacpam": gmacpam, "inp": inp, "astuple": dataclasses.astuple}
-    exec(call, scope)
-    assert value == repr(scope["value"])
+    _assert_call_loads("scipy.special", gphi, call)
+
+
+# the closed-form designers, exact error and union bound on the collinear,
+# planar and orthogonal geometries; leaves the results in `values`
+_CLOSED_FORM = """
+values = []
+priors = gmacpam.from_marginals_correlation(0.1, 0.1, 0.9)
+for gphi, joint in ((1.0, gmacpam.design_collinear), (0.707, gmacpam.design_general),
+                    (0.0, gmacpam.design_orthogonal)):
+    inp = gmacpam.DesignInput(priors, 1.0, 1.0, gphi, 0.1)
+    for designer in (gmacpam.antipodal, gmacpam.individually_optimized, joint):
+        cc = designer(inp).combined(inp)
+        values.append(cc.points)
+        if gphi != 0.0:
+            values.append(gmacpam.exact_error(cc, 0.1).p_err_exact)
+            values.append(gmacpam.union_bound(cc, 0.1))
+"""
+
+_NUMPY_FREE = """
+import contextlib, io, sys
+import gmacpam
+from gmacpam.cli import main
+loaded = ["numpy" in sys.modules]
+{closed_form}
+loaded.append("numpy" in sys.modules)
+sets = ["--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9", "--set", "gamma_phi={gphi}"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (
+        main(["evaluate", *sets, "--set", "sigma2=0.1", "--set", "schemes=joint"]),
+        main(["design", *sets, "--set", "sigma2=0.1", "--set", "schemes=antipodal joint"]),
+        main(["sweep", *sets, "--set", "snr_db=4 12", "--set", "snr_convention=sum-energy",
+              "--set", "schemes=individual joint"]),
+    )
+loaded.append("numpy" in sys.modules)
+print(repr((codes, loaded, repr(values))))
+"""
+
+
+@pytest.mark.parametrize("gphi", [1, 0.707])
+def test_scalar_paths_never_load_numpy(gphi):
+    # numpy is most of a cold start; importing the package, the closed-form
+    # designers, the exact error and union bound, and the CLI's evaluate,
+    # design and sweep without Monte Carlo must not pay for it
+    out = _run_child(_NUMPY_FREE.format(closed_form=_CLOSED_FORM, gphi=gphi))
+    codes, loaded, values = ast.literal_eval(out)
+    assert codes == (0, 0, 0)
+    assert loaded == [False, False, False]
+    # and the child computed what this process does
+    scope = {"gmacpam": gmacpam}
+    exec(_CLOSED_FORM, scope)
+    assert values == repr(scope["values"])
+
+
+@pytest.mark.parametrize("call", [
+    "value = astuple(gmacpam.numerical_search(inp, grid=6))",
+    "value = astuple(gmacpam.simulate(gmacpam.design('joint', inp).combined(inp), 0.1, 3000, 7))",
+])
+def test_search_and_monte_carlo_load_numpy(call):
+    _assert_call_loads("numpy", 1.0, call)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -178,3 +179,13 @@ def test_priors_array_order(case2):
 
 def test_coincidence_rtol_value():
     assert COINCIDENCE_RTOL == 1e-9
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 2.0**-1030, 1.0, 1e300, math.inf, math.nan])
+def test_scalar_coincidence_tol_is_the_batch_rule(scale):
+    # the scalar paths compare against a Python float, and it is the
+    # tolerance the batch kernels give the same scale, bit for bit
+    tol = coincidence_tol(scale)
+    assert type(tol) is float
+    row = K._row_tol(np.array([[0.0, -scale, 0.0, 0.5 * scale]]))
+    assert struct.pack("<d", tol) == struct.pack("<d", float(row[0]))

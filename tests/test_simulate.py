@@ -1,5 +1,6 @@
 """Seeded Monte-Carlo estimator: determinism, calibration, edge cases."""
 
+import concurrent.futures
 import importlib
 import math
 
@@ -53,7 +54,8 @@ class _SerialPool:
 
 
 def test_threads_capped_at_usable_cpus(t2cc, monkeypatch):
-    monkeypatch.setattr(simulate_mod, "ThreadPoolExecutor", _SerialPool)
+    # simulate imports the pool only on the branch that starts threads
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "seen", [])
     monkeypatch.setattr(simulate_mod.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: 2)
