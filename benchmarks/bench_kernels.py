@@ -26,7 +26,9 @@ the planar point's orthants at sigma2 = 0.25 and one at 10^-1.6, the
 high-SNR case where h, k and h a are large. The search rows give seconds per
 numerical_search call at the case-1 source (the fig4 source), 10 dB
 sum-energy SNR and grid 400: gamma_phi = 1 and gamma_phi = 0.924, each
-checked to report the exact error of its own design. The
+checked to report the exact error of its own design; each notes the
+kernel rows one call scores, counted by wrapping the two batch kernels in
+an untimed call. The
 sweep-row rows give microseconds per row of the CLI sweep loop
 (cli._sweep_rows) at the case-1 source: antipodal, individual and joint
 designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
@@ -184,6 +186,21 @@ def bench_batch(rows_n, repeat):
     ]
 
 
+def _scored_rows(fn):
+    """Kernel calls and rows that fn() scores through the two batch kernels."""
+    sizes = []
+    saved = {attr: getattr(_kernels, attr) for attr in ("collinear_pe_batch", "planar_pe_batch")}
+    for attr, kernel in saved.items():
+        setattr(_kernels, attr,
+                lambda points, *rest, kernel=kernel: sizes.append(len(points)) or kernel(points, *rest))
+    try:
+        fn()
+    finally:
+        for attr, kernel in saved.items():
+            setattr(_kernels, attr, kernel)
+    return len(sizes), sum(sizes)
+
+
 def bench_search(repeat):
     case1 = from_marginals_correlation(0.1, 0.1, 0.9)
     rows = []
@@ -193,7 +210,8 @@ def bench_search(repeat):
         res, t = best_of(lambda: numerical_search(inp, grid=grid), repeat)
         want = exact_error(res.combined(inp), inp.sigma2).p_err_exact
         assert abs(res.p_err - want) <= 1e-12 * want, name
-        rows.append((name, t, t, "s/call"))
+        calls, n_rows = _scored_rows(lambda: numerical_search(inp, grid=grid))
+        rows.append((name, t, t, "s/call", f"scores {n_rows} rows in {calls} kernel calls"))
     return rows
 
 

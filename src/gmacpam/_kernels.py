@@ -280,8 +280,9 @@ def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
     p_lm)) / (sigma d) with d = |c|. A coincident rival is the caller's to mask."""
     c = pts[:, idx] - pts
     dist = np.abs(c)
-    t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # past sigma2 ~ 1e308 the prior term overflows to +-inf, as on the scalar path
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
         z = -t / (math.sqrt(sigma2) * dist)
     return c, z
 
@@ -377,7 +378,8 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     # tail[j] = Phi(z[j]), the marginals each orthant needs
     t_x, t_y, t_d = (_qfunc_array(-z) for z in (z_x, z_y, z_d))
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
-    alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
+    with np.errstate(over="ignore"):
+        alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
     wedge = alpha > 0.0
     # alpha > 0: miss = T_x + T_y + T_d - B_dx - B_dy; else T_x + T_y - J_xy
     first = _bvn_lower_orthant(

@@ -199,16 +199,15 @@ def design_general(inp: DesignInput) -> DesignResult:
     return _place(swapped, strong, weak, orient * d_len, inp.gamma_phi)
 
 
-# Search candidates whose errors agree to this relative tolerance are tied,
-# and the first in search order wins. The twin with equal exact error left
-# on the searched rectangle, the sender swap for symmetric sources, would
-# otherwise be split by rounding alone.
+# Candidates of one exhaustive pass or refinement window whose errors agree
+# to this relative tolerance are tied, and the first in row-major order
+# wins. The twin with equal exact error left on the searched rectangle,
+# the sender swap for symmetric sources, would otherwise be split by
+# rounding alone.
 _TIE_RTOL = 1e-12
 
 # Points per axis of the exhaustive pass.
 _COARSE = 40
-# Local minima of the exhaustive pass refined when it is coarser than grid.
-_STARTS = 4
 # Points per axis of one refinement window.
 _WINDOW = 21
 # Each round's window half-width is this fraction of the one before.
@@ -233,16 +232,15 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
 
     `grid` is the resolution per axis. An exhaustive pass scores
     min(grid, 40) points per axis in one batched tail-form call.
-    Refinement starts from the best point of that pass and, when grid >
-    40, from the next best local minima, 4 starts in all (see _starts).
-    Each round scores a 21 x 21 window around every start's best point so
-    far, all windows in one batched call; the first window spans one
-    coarse step either side, each later one 0.15 of the one before. For
-    grid <= 40 one round runs, so the result is the exhaustive grid's best
-    point refined once. Above 40 the rounds go on until the window spacing
-    is at most 1 / (10 (grid - 1)) of the axis, what one round gives after
-    an exhaustive pass at grid, and then two more. So no call scores more
-    than 40^2 rows, and the rounds grow as log(grid).
+    Refinement starts from the best point of that pass. Each round scores
+    a 21 x 21 window around the best point so far in one batched call;
+    the first window spans one coarse step either side, each later one
+    0.15 of the one before. For grid <= 40 one round runs, so the result
+    is the exhaustive grid's best point refined once. Above 40 the rounds
+    go on until the window spacing is at most 1 / (10 (grid - 1)) of the
+    axis, what one round gives after an exhaustive pass at grid, and then
+    two more. So no call scores more than 40^2 rows, a round scores 441,
+    and the rounds grow as log(grid).
 
     Each sender is reported where _on_shell puts its separation: on its
     energy boundary at d_max, on the negative shell root below it, as the
@@ -261,29 +259,23 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     g1 = np.linspace(0.0, dmax[0], n)
     g2 = np.linspace(-dmax[1], dmax[1], n)
 
-    coarse = _score_windows(inp, g1[None], g2[None])[0].reshape(n, n)
-    # per start: best score so far and the two separations there
-    cands = [[pe, g1[k // n], g2[k % n]]
-             for pe, k in _starts(coarse, 1 if n == grid else _STARTS)]
+    coarse = _score_windows(inp, g1, g2)
+    i, j = divmod(_first_best(coarse), n)
+    pe_best, d1, d2 = float(coarse[i, j]), g1[i], g2[j]
+    if not math.isfinite(pe_best):
+        raise InfeasibleRoot("no nondegenerate candidate on the search grid")
 
     half = (g1[1] - g1[0], g2[1] - g2[0])
     for _ in range(_rounds(n, grid)):
-        w1 = np.array([np.clip(np.linspace(c[1] - half[0], c[1] + half[0], _WINDOW),
-                               0.0, dmax[0]) for c in cands])
-        w2 = np.array([np.clip(np.linspace(c[2] - half[1], c[2] + half[1], _WINDOW),
-                               -dmax[1], dmax[1]) for c in cands])
+        w1 = np.clip(np.linspace(d1 - half[0], d1 + half[0], _WINDOW), 0.0, dmax[0])
+        w2 = np.clip(np.linspace(d2 - half[1], d2 + half[1], _WINDOW), -dmax[1], dmax[1])
         pe = _score_windows(inp, w1, w2)
-        for s, k in enumerate(_first_best(pe)):
-            if pe[s, k] < cands[s][0]:
-                i, j = divmod(int(k), _WINDOW)
-                cands[s] = [float(pe[s, k]), w1[s, i], w2[s, j]]
+        i, j = divmod(_first_best(pe), _WINDOW)
+        if pe[i, j] < pe_best:
+            pe_best, d1, d2 = float(pe[i, j]), w1[i], w2[j]
         half = (half[0] * _SHRINK, half[1] * _SHRINK)
 
-    best = cands[0]
-    for c in cands[1:]:
-        if c[0] < best[0] * (1.0 - _TIE_RTOL):
-            best = c
-    pe_best, d1, d2 = best[0], float(best[1]), float(best[2])
+    d1, d2 = float(d1), float(d2)
     if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(d2) > d1:
         # the swap image, mirrored so that sender 1's separation stays >= 0
         d1, d2 = abs(d2), math.copysign(d1, d2)
@@ -302,59 +294,25 @@ def _rounds(n: int, grid: int) -> int:
     return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
 
 
-def _starts(coarse, k: int) -> list[tuple[float, int]]:
-    """Up to k refinement starts (score, flat grid index).
-
-    The first is the best point of the exhaustive pass: the first in
-    row-major order within _TIE_RTOL of its minimum. The rest are the
-    other local minima (no 8-neighbour lower; +inf points are passed over)
-    by score, then grid order, so a plateau of underflowed scores still
-    yields a reproducible order.
-    """
+def _first_best(pe) -> int:
+    """Flat index of the first score, in row-major order, within _TIE_RTOL
+    of the minimum."""
     import numpy as np
 
-    lead = int(_first_best(coarse.reshape(1, -1))[0])
-    if not np.isfinite(coarse.flat[lead]):
-        raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-    flat = np.flatnonzero(_local_minima(coarse))
-    rest = [int(f) for f in flat[np.lexsort((flat, coarse.flat[flat]))] if f != lead]
-    return [(float(coarse.flat[f]), f) for f in [lead] + rest[:k - 1]]
-
-
-def _local_minima(pe):
-    """Finite points of a 2-D score array that no 8-neighbour undercuts."""
-    import numpy as np
-
-    rows, cols = pe.shape
-    pad = np.pad(pe, 1, constant_values=np.inf)
-    keep = np.isfinite(pe)
-    for di in range(3):
-        for dj in range(3):
-            if (di, dj) != (1, 1):
-                keep &= pe <= pad[di:di + rows, dj:dj + cols]
-    return keep
-
-
-def _first_best(pe):
-    """Per row, the first column within _TIE_RTOL of the row's minimum."""
-    import numpy as np
-
-    pe_min = np.min(pe, axis=1, keepdims=True)
-    return np.argmax(pe <= pe_min * (1.0 + _TIE_RTOL), axis=1)
+    return int(np.argmax(pe <= np.min(pe) * (1.0 + _TIE_RTOL)))
 
 
 def _score_windows(inp, w1, w2):
-    """Exact errors of every window's candidates, in one batched call.
+    """Exact errors of the candidates w1 x w2, in one batched call.
 
-    Window s pairs sender 1's separations w1[s] with sender 2's w2[s]; row
-    s of the result holds its candidates in row-major (w1, w2) order, each
-    scored as the translate {0, d2 u2, d1, d1 + d2 u2} of its design.
-    Admissibility is one rule in both geometries: a zero separation is no
-    design and scores +inf; every other candidate is scored. On the line
-    that includes a merged design (d1 = +-d2), whose shared point the
-    decoder gives by prior, as exact_error scores it. In the plane two
-    nonzero separations keep the points distinct, so the planar kernel's
-    +inf for non-bijective rows never fires here.
+    Entry [i, j] of the result scores sender 1's separation w1[i] with
+    sender 2's w2[j] as the translate {0, d2 u2, d1, d1 + d2 u2} of its
+    design. Admissibility is one rule in both geometries: a zero
+    separation is no design and scores +inf; every other candidate is
+    scored. On the line that includes a merged design (d1 = +-d2), whose
+    shared point the decoder gives by prior, as exact_error scores it. In
+    the plane two nonzero separations keep the points distinct, so the
+    planar kernel's +inf for non-bijective rows never fires here.
     """
     import numpy as np
 
@@ -366,13 +324,13 @@ def _score_windows(inp, w1, w2):
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
         kernel = _kernels.planar_pe_batch
-    d1 = w1[:, :, None]
-    d2 = (w2 * u2)[:, None, :]
+    d1 = w1[:, None]
+    d2 = (w2 * u2)[None, :]
     both = d1 + d2
     points = np.stack(np.broadcast_arrays(np.zeros_like(both), d2, d1, both), axis=-1)
     pe = kernel(points.reshape(-1, 4), inp.priors.as_array(), inp.sigma2).reshape(both.shape)
-    pe[(w1 == 0.0)[:, :, None] | (w2 == 0.0)[:, None, :]] = np.inf
-    return pe.reshape(len(w1), -1)
+    pe[(w1 == 0.0)[:, None] | (w2 == 0.0)[None, :]] = np.inf
+    return pe
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

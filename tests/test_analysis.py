@@ -308,6 +308,25 @@ def test_bvn_nan_in_nan_out(path, h, k):
     assert math.isnan(got)
 
 
+def test_bvn_infinite_bounds():
+    """A bound at -inf empties the orthant; a bound at +inf leaves the other
+    marginal. The batch kernel gives the same value bit for bit."""
+    bounds = [-math.inf, -6.0, -1.2, 0.0, 0.7, 4.0, math.inf]
+    pairs = [(h, k) for h in bounds for k in bounds if math.isinf(h) or math.isinf(k)]
+    h, k = (np.array(col) for col in zip(*pairs))
+    phi_h = np.array([qfunc(-x) for x in h.tolist()])
+    phi_k = np.array([qfunc(-x) for x in k.tolist()])
+    for rho in (-0.9, -0.3, 0.0, 0.5, 0.95):
+        batch = _kernels._bvn_lower_orthant(h, k, np.full(h.size, rho), phi_h, phi_k)
+        for (hv, kv), b in zip(pairs, batch.tolist()):
+            got = bvn_lower_orthant(hv, kv, rho)
+            if hv == -math.inf or kv == -math.inf:
+                assert got == 0.0, (hv, kv)
+            else:
+                assert got == (qfunc(-kv) if hv == math.inf else qfunc(-hv)), (hv, kv)
+            assert b == got, (hv, kv, rho)
+
+
 @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.5, 0.95])
 def test_batched_orthant_at_zero_bound(rho):
     """A zero bound takes T(0, +-inf) = +-1/4 in the batch as in the scalar

@@ -377,6 +377,41 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "magnitude of combined point (1.707e+308" in err
 
 
+_ONE_POINT = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "schemes=joint"]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param([*_ONE_POINT, "--set", "trials"], id="set-without-equals"),
+    pytest.param([*_ONE_POINT, "--amplitudes=-1,1,-1"], id="three-amplitudes"),
+    pytest.param([*_ONE_POINT, "--amplitudes=-1,1,-1,x"], id="amplitude-not-a-number"),
+    pytest.param([*_ONE_POINT, "--config", "{missing}"], id="missing-config-file"),
+    *(pytest.param([*_ONE_POINT, "--set", kv], id=kv)
+      for kv in ("trials=-1", "workers=0", "grid=1", "grid=x", "e1=abc", "e1=0",
+                 "gamma_phi=2")),
+    pytest.param([*CASE1_SETS, "--set", "schemes=joint", "--set", "snr_db=1 x"],
+                 id="snr-not-a-number"),
+    pytest.param(["--set", "sigma2=0.1", "--set", "schemes=joint", "--set", "p00=0.25",
+                  "--set", "p01=0.25"], id="partial-joint-source"),
+])
+def test_cli_bad_input_is_a_config_error(capsys, tmp_path, args):
+    argv = [a.format(missing=tmp_path / "missing.cfg") for a in args]
+    assert main(["evaluate", *argv]) == 2
+    err = capsys.readouterr().err
+    # one diagnostic line, no traceback
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_evaluate_prints_its_snr(capsys):
+    """evaluate names the SNR it ran at, and only when one was given."""
+    assert main(["evaluate", *CASE1_SETS, "--set", "schemes=joint", "--set", "gamma_phi=1",
+                 "--set", "snr_db=10", "--set", "snr_convention=sum-energy"]) == 0
+    out = capsys.readouterr().out
+    assert grab_value(out, "snr_db") == "10"
+    assert float(grab_value(out, "sigma2")) == convert_snr(10.0, "sum-energy", 1.0, 1.0, 1.0)
+    assert main(["evaluate", *_ONE_POINT]) == 0
+    assert "snr_db" not in capsys.readouterr().out
+
+
 def test_cli_reproduce_table_preset(tmp_path, capsys):
     out = tmp_path / "table2.csv"
     rc = main(
