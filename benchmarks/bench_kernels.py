@@ -14,7 +14,11 @@ sigma2 = 2, where more than 80% of the trials leave their safe disk),
 after checking that its count over all trials equals the sum over two
 chunks. Trials inside a point's safe disk are decided without scoring,
 so the kernel runs faster at lower error rates; each row notes the exact
-error rate of its point and the share of trials that leave the disk. Each
+error rate of its point, the share of trials that leave the disk and the
+64-bit words drawn per trial, counted at the SplitMix finaliser around
+an untimed call (the radius word of every trial, the source word past
+the smallest cut when that cut is at least 1/2 and of every trial
+otherwise, the angle word of the scored trials). Each
 batched evaluator is checked against the scalar exact_error on a sample
 of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
@@ -108,11 +112,23 @@ def _live_share(tables, sigma2, trials):
     return float(np.mean(u1 >= _kernels.safe_disk(*tables[:3], sigma2)[1][idx]))
 
 
+def _words_drawn(fn):
+    """64-bit words that fn() draws through the kernels' SplitMix finaliser."""
+    sizes = []
+    finaliser = _kernels._splitmix
+    _kernels._splitmix = lambda z, tmp: sizes.append(z.size) or finaliser(z, tmp)
+    try:
+        fn()
+    finally:
+        _kernels._splitmix = finaliser
+    return sum(sizes)
+
+
 def bench_mc(trials, repeat):
     """Trials/s of the Monte-Carlo kernel. Trials inside a point's safe disk
     skip the angle draw and the scores, so the rate grows with SNR; each
-    row notes the exact error rate of its point and the share of trials
-    that are scored."""
+    row notes the exact error rate of its point, the share of trials that
+    are scored and the words drawn per trial."""
     (collinear, sigma2), (planar, s2_planar) = _constellations()
     rows = []
     for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar),
@@ -127,8 +143,9 @@ def bench_mc(trials, repeat):
         chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
                    + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
         assert chunked == count, f"{name}: chunked count {chunked} != {count}"
+        words = _words_drawn(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials))
         note = (f"exact error {exact_error(cc, s2).p_err_exact:.3g},"
-                f" {_live_share(tables, s2, trials):.1%} scored")
+                f" {_live_share(tables, s2, trials):.1%} scored, {words / trials:.3f} words/trial")
         rows.append((name, t, trials / t, "trials/s", note))
     return rows
 

@@ -7,11 +7,14 @@ based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
 count and block size. Each trial owns three counters: one source draw
-and two Box-Muller uniforms for the complex noise sample. The angle
-uniform is drawn only for trials whose radius uniform leaves the sent
-point's safe disk (see safe_disk); the others are decided without it,
-and their counter stays reserved, so every count is the one the full
-decision gives.
+and two Box-Muller uniforms for the complex noise sample. The kernel
+draws the radius word (the 64-bit word behind the radius uniform) of
+every trial; when the smallest safe-disk cut (see safe_disk) is at least
+1/2, the source word only of trials at or past it, since one below it
+decodes correctly whatever its sent point; and the angle word only of
+trials at or past their own point's cut. Words not drawn keep their
+counters reserved, and every cut is compared on the raw word (word_cut),
+which is exact, so every count is the one the full decision gives.
 """
 
 from __future__ import annotations
@@ -45,41 +48,50 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _splitmix_uniforms(seed: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draws at the uint64 counters in z, overwriting z.
-
-    tmp is scratch of z's shape. seed + (counter + 1) * golden is folded
-    into counter * golden + (seed + golden); uint64 arithmetic wraps, so
-    both forms give the same word.
-    """
-    z *= _U64(_GOLDEN)
-    z += _U64((mask64(seed) + _GOLDEN) & _MASK64)
+def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of the words in z, in place; tmp is scratch of
+    z's shape. The word of counter c is the finaliser of seed + (c + 1) *
+    golden; uint64 arithmetic wraps, so any grouping of that sum gives it."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=tmp)
         z ^= tmp
         z *= _U64(mix)
     np.right_shift(z, _U64(31), out=tmp)
     z ^= tmp
-    z >>= _U64(11)
+    return z
+
+
+def _uniforms(w: np.ndarray) -> np.ndarray:
+    """Uniform [0,1) draws (w >> 11) 2**-53 of the 64-bit words w, overwriting w."""
+    w >>= _U64(11)
     # below 2**53, so the signed view converts exactly (and faster)
-    u = z.view(np.int64).astype(np.float64)
+    u = w.view(np.int64).astype(np.float64)
     u *= _INV_2_53
     return u
+
+
+def word_cut(c: float) -> int:
+    """Smallest 64-bit word w whose uniform (w >> 11) 2**-53 is >= c, for c
+    in [0, 1]: ceil(c 2**53) 2**11, exact since c 2**53 is. It is 2**64,
+    which no word reaches, for c = 1."""
+    return math.ceil(math.ldexp(c, 53)) << 11
 
 
 def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform [0,1) draws at the given 64-bit counters."""
     z = counters.astype(_U64)
-    return _splitmix_uniforms(seed, z, np.empty_like(z))
+    z *= _U64(_GOLDEN)
+    z += _U64((mask64(seed) + _GOLDEN) & _MASK64)
+    return _uniforms(_splitmix(z, np.empty_like(z)))
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo trial kernel
 # ---------------------------------------------------------------------------
 
-# Trials per block: small enough that a block's temporaries (about 3 MB
-# in all) stay in cache.
-_MC_BLOCK = 1 << 14
+# Trials per block: small enough that a block's temporaries (three 256 KB
+# word arrays and the smaller gathers) stay in cache.
+_MC_BLOCK = 1 << 15
 
 # Largest Box-Muller radius, in units of sigma, that the uniform stream can
 # draw: u1 <= 1 - 2**-53 gives sqrt(-2 ln 2**-53).
@@ -171,39 +183,73 @@ def mc_error_count(
 
     A trial with u1 below its point's safe-disk cut (safe_disk) decodes
     correctly whatever u2 is, so it is counted as correct without drawing
-    u2 or scoring; the rest are drawn and decided as above. When every ay
+    u2 or scoring; the rest are drawn and decided as above. Each block
+    draws the radius word w1 of every trial and, when the smallest cut is
+    at least 1/2, the source word only of trials whose w1 is at or past
+    it: the others are inside every disk. Cuts are compared on the words,
+    w >= word_cut(c) for u >= c, which is exact, so only the scored
+    trials convert w1 to u1 and draw the angle word. When every ay
     is 0 (collinear geometry) the quadrature terms are skipped: they add
     only +-0 to a score, which cannot change a comparison, so sin is never
     evaluated there.
     """
     sigma = math.sqrt(sigma2)
-    c0, c1, c2 = (float(c) for c in cdf[:3])
     planar = bool(np.any(ay != 0.0))
-    cut = safe_disk(ax, ay, bias, sigma2)[1]
+    cut = np.array([word_cut(c) for c in safe_disk(ax, ay, bias, sigma2)[1].tolist()],
+                   dtype=_U64)
+    # a cdf entry that rounds to 1 has no word at or past it
+    cdf_cut = [_U64(w) for w in map(word_cut, cdf[:3].tolist()) if w <= _MASK64]
+    # Radius words below the smallest cut are inside every point's disk, so
+    # only trials past it need a source word. Gathering those trials costs
+    # more than the words it spares when the cut is below about 1/2
+    # (measured break-even 0.45-0.5), so there, and when a point has no
+    # disk (cut 0), every trial draws its source word.
+    screen = cut.min() if cut.min() >= word_cut(0.5) else _U64(0)
     b = min(_MC_BLOCK, n)
-    # counter of trial i in a block, and of its uniforms 0 and 1, laid out
-    # (2, b) so that each uniform stream is contiguous
+    # stream j's word of trial i in a block is the finaliser of ramp[i]
+    # plus the block's offset for j (see _splitmix)
     ramp = np.arange(0, 3 * b, 3, dtype=_U64)
-    ramp01 = np.arange(2, dtype=_U64)[:, None] + ramp
-    z = np.empty_like(ramp01)
-    tmp = np.empty_like(ramp01)
+    ramp *= _U64(_GOLDEN)
+    words = np.empty_like(ramp)
+    tmp = np.empty_like(ramp)
+    seed64 = mask64(seed)
     errors = 0
     done = 0
     while done < n:
         m = min(b, n - done)
         first = 3 * (start + done)
-        zm = z[:, :m]
-        np.add(ramp01[:, :m], _U64(first & _MASK64), out=zm)
-        u0, u1 = _splitmix_uniforms(seed, zm, tmp[:, :m])
-        idx = (u0 >= c0).view(np.uint8) + (u0 >= c1).view(np.uint8)
-        idx += (u0 >= c2).view(np.uint8)
+        offset = [_U64(((first + j + 1) * _GOLDEN + seed64) & _MASK64) for j in range(3)]
         done += m
-        live = np.flatnonzero(u1 >= cut.take(idx))
+        if screen:
+            w1 = _splitmix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
+            rows = np.flatnonzero(w1 >= screen)
+            if rows.size == 0:
+                continue
+            w1 = w1.take(rows)
+            # in-range indices: mode "clip" writes to out directly, where
+            # "raise" would fill a buffered copy of it
+            z0 = np.take(ramp, rows, out=words[:rows.size], mode="clip")
+            z0 += offset[0]
+        else:
+            # no screen: the source words go first, so that both streams
+            # fit in `words` in turn
+            rows = None
+            z0 = np.add(ramp[:m], offset[0], out=words[:m])
+        w0 = _splitmix(z0, tmp[:z0.size])
+        idx = np.zeros(w0.size, dtype=np.uint8)
+        for c in cdf_cut:
+            idx += (w0 >= c).view(np.uint8)
+        if rows is None:
+            w1 = _splitmix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
+        live = np.flatnonzero(w1 >= np.take(cut, idx, out=tmp[:idx.size], mode="clip"))
         if live.size == 0:
             continue
-        idx, u1, z2 = idx.take(live), u1.take(live), ramp.take(live)
-        z2 += _U64((first + 2) & _MASK64)
-        u2 = _splitmix_uniforms(seed, z2, np.empty_like(z2))
+        # the scored trials' rows in the block, sent pairs and radius words
+        rows = live if rows is None else rows.take(live)
+        idx, w1 = idx.take(live), w1.take(live)
+        z2 = ramp.take(rows)
+        z2 += offset[2]
+        u1, u2 = _uniforms(w1), _uniforms(_splitmix(z2, np.empty_like(z2)))
 
         r = np.negative(u1, out=u1)
         np.log1p(r, out=r)
@@ -211,14 +257,14 @@ def mc_error_count(
         np.sqrt(r, out=r)
         r *= sigma
         ang = np.multiply(u2, 2.0 * math.pi, out=u2)
-        rre = np.cos(ang)
-        rre *= r
-        rre += ax.take(idx)
         if planar:
-            rim = np.sin(ang, out=ang)
+            rim = np.sin(ang)
             rim *= r
             rim += ay.take(idx)
-            quad = r  # r is spent; reuse it for the quadrature terms
+        rre = np.cos(ang, out=ang)
+        rre *= r
+        rre += ax.take(idx)
+        quad = r  # r is spent; reuse it for the quadrature terms
 
         scores = []
         for k in range(4):

@@ -88,8 +88,9 @@ def test_mc_backends_agree(case1):
 # FROZEN Monte-Carlo counts, recorded from the unblocked searchsorted and
 # argmax kernel: any change means a trial's stream or decision moved. Each
 # case is (amplitudes, gamma_phi, source, sigma2); the rows are MC_SEEDS and
-# the columns MC_RANGES, whose (start, n) pairs straddle 1 << 14 block edges
-# from even, odd and 2**40-scale starts.
+# the columns MC_RANGES, whose (start, n) pairs straddle block edges (of
+# 1 << 14 trials, and of 1 << 15 for the last two) from even, odd and
+# 2**40-scale starts.
 MC_SEEDS = (1, 20260815, 2**62 + 12345)
 MC_RANGES = ((0, 16_385), (16_383, 16_385), (49_159, 32_773), (2**40 + 1, 40_001))
 _T2 = (-3.0, 1.0 / 3.0, -2.421, -0.678)
@@ -270,26 +271,124 @@ def test_safe_disk_off_where_unproven(case1, uniform):
     assert not np.any(K.safe_disk(ax, ay, bias, 0.1)[1])
 
 
+def _words_drawn(monkeypatch, tables, sigma2, n):
+    """64-bit words the kernel draws over trials [0, n), counted at its
+    SplitMix finaliser."""
+    words = []
+    finaliser = K._splitmix
+
+    def counted(z, tmp):
+        words.append(z.size)
+        return finaliser(z, tmp)
+
+    monkeypatch.setattr(K, "_splitmix", counted)
+    K.mc_error_count(*tables, sigma2, 20260815, 0, n)
+    return sum(words)
+
+
+def _design_tables(priors, snr_db):
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    inp = DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
+    return _decoder_tables(design_collinear(inp).combined(inp), sigma2), sigma2
+
+
 def test_screen_fires_at_acceptance_05_point(case1, monkeypatch):
     """At acceptance 05's point the outer points' cuts exceed 0.9, and the
-    kernel draws u2 for about 2% of the trials (at most 3%)."""
-    sigma2 = 10.0**-0.8
-    inp = DesignInput(case1, 1.0, 1.0, 1.0, sigma2)
-    tables = _decoder_tables(design_collinear(inp).combined(inp), sigma2)
+    kernel draws the angle word for about 1% of the trials (at most 3%).
+    Its smallest cut, about 0.47, is below 1/2, so every trial draws its
+    radius and source words."""
+    tables, sigma2 = _design_tables(case1, 8.0)
     cut = K.safe_disk(*tables[:3], sigma2)[1]
     assert cut[0] > 0.9 and cut[3] > 0.9
-
-    words = []
-    draw = K._splitmix_uniforms
-
-    def counted(seed, z, tmp):
-        words.append(z.size)
-        return draw(seed, z, tmp)
-
-    monkeypatch.setattr(K, "_splitmix_uniforms", counted)
+    assert 0.47 < cut.min() < 0.48
     n = 100_000
-    K.mc_error_count(*tables, sigma2, 20260815, 0, n)
-    assert 2 * n < sum(words) < 2.03 * n
+    assert 2 * n < _words_drawn(monkeypatch, tables, sigma2, n) < 2.03 * n
+
+
+def test_source_word_drawn_only_past_smallest_cut(case1, monkeypatch):
+    """At 10 dB the smallest cut is about 0.83: the kernel draws the radius
+    word of every trial, the source word of the 17% past that cut and the
+    angle word of under 1%, about 1.18 words a trial, where drawing every
+    source word would make it at least 2."""
+    tables, sigma2 = _design_tables(case1, 10.0)
+    assert 0.82 < K.safe_disk(*tables[:3], sigma2)[1].min() < 0.83
+    n = 100_000
+    assert 1.16 * n < _words_drawn(monkeypatch, tables, sigma2, n) < 1.2 * n
+
+
+def test_word_cut_is_exact(case1, case2):
+    """u >= c exactly when w >= word_cut(c), at the words just below, at and
+    just above the threshold, for edge values and for the safe_disk cuts
+    and cdf entries of the case-1 and case-2 collinear designs from 0 to
+    24 dB; for c = 1 no word reaches it."""
+    cs = [0.0, 2.0**-53, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+    for pri in (case1, case2):
+        for snr_db in range(0, 25, 4):
+            (ax, ay, bias, cdf), sigma2 = _design_tables(pri, snr_db)
+            cs += K.safe_disk(ax, ay, bias, sigma2)[1].tolist() + cdf[:3].tolist()
+    for c in cs:
+        t = K.word_cut(c)
+        words = [w for w in (t - 1, t, t + 1) if 0 <= w < 2**64]
+        u = K._uniforms(np.array(words, dtype=np.uint64))
+        assert [x >= c for x in u.tolist()] == [w >= t for w in words], c
+        if t < 2**64:
+            assert np.array_equal(np.array(words, dtype=np.uint64) >= np.uint64(t), u >= c)
+        else:
+            assert c == 1.0 and words == [2**64 - 1] and u[0] < 1.0
+
+
+# MC_FROZEN's collinear and planar constellations whose smallest cut at
+# sigma2 = 0.1 is past 1/2 (0.84 and 0.63), so the kernel draws source
+# words only past it
+SCREEN_FIRST = ("gamma+1", "gamma0.707")
+
+
+def _screen_first_tables(request, name):
+    amps, gamma_phi, source, _, _ = MC_FROZEN[name]
+    tables = _decoder_tables(build_cc(*amps, gamma_phi, request.getfixturevalue(source)), 0.1)
+    assert K.safe_disk(*tables[:3], 0.1)[1].min() > 0.5
+    return tables
+
+
+@pytest.mark.parametrize("name", SCREEN_FIRST)
+def test_screen_first_matches_reference(request, name):
+    """Past the smallest cut, every count equals the decoder replay."""
+    tables = _screen_first_tables(request, name)
+    for seed in MC_SEEDS:
+        for start, n in MC_RANGES:
+            want = _reference_count(*tables, 0.1, seed, start, n)
+            assert K.mc_error_count(*tables, 0.1, seed, start, n) == want, (seed, start)
+
+
+@pytest.mark.parametrize("sigma2", [0.1, 0.03])
+def test_source_cdf_rounding_to_one(sigma2):
+    """A source whose cdf[2] rounds to 1.0 never draws pair 11 (no word
+    reaches that cut), as the decoder replay does not. Pair 11's point lies
+    far out, so it keeps a disk; the smallest cut is below 1/2 at sigma2 =
+    0.1 (every source word drawn) and past it at 0.03."""
+    pri = from_joint(0.5, 0.25, 0.25, 1e-17)
+    tables = _decoder_tables(CombinedConstellation(0j, 0.5 + 0j, 1 + 0j, 20 + 0j, pri), sigma2)
+    assert tables[3][2] == 1.0 and K.word_cut(tables[3][2]) == 2**64
+    assert (K.safe_disk(*tables[:3], sigma2)[1].min() > 0.5) == (sigma2 < 0.1)
+    for seed in MC_SEEDS:
+        want = _reference_count(*tables, sigma2, seed, 16_383, 40_001)
+        assert want > 0
+        assert K.mc_error_count(*tables, sigma2, seed, 16_383, 40_001) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 4099, K._MC_BLOCK])
+def test_counts_invariant_to_block_size(request, block, monkeypatch):
+    """Every count equals the decoder replay whatever the block size, on
+    ranges that cross block edges, for the collinear and planar screen cases
+    and SCREEN_FIRST."""
+    monkeypatch.setattr(K, "_MC_BLOCK", block)
+    n = max(300, 2 * block + 5)
+    cases = [(name, _decoder_tables(cc, sigma2), sigma2) for name, cc, sigma2 in SCREEN_CASES]
+    cases += [(name, _screen_first_tables(request, name), 0.1) for name in SCREEN_FIRST]
+    for name, tables, sigma2 in cases:
+        for start in (block - 1, 2**40 + 1):
+            want = _reference_count(*tables, sigma2, MC_SEEDS[1], start, n)
+            assert K.mc_error_count(*tables, sigma2, MC_SEEDS[1], start, n) == want, (name, start)
 
 
 # SNRs of the batch-versus-scalar checks; sigma2 = 10^(-snr/10) against
