@@ -322,8 +322,9 @@ _RIVALS = (_ADJ_X, _ADJ_Y, _DIAG)
 
 def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
     """Difference vector c and bound z of rival idx[uv] of every point uv of
-    the (m, 4) batch: analysis._PairTable.z, z = -(d^2/2 + sigma2 ln(p_uv /
-    p_lm)) / (sigma d) with d = |c|. A coincident rival is the caller's to mask."""
+    the (m, 4) batch: the scalar table's entry z[4 uv + lm] (analysis._PairTable),
+    z = -(d^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma d) with d = |c|. A
+    coincident rival is the caller's to mask."""
     c = pts[:, idx] - pts
     dist = np.abs(c)
     # past sigma2 ~ 1e308 the prior term overflows to +-inf, as on the scalar path

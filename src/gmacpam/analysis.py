@@ -11,10 +11,11 @@ standard deviation sigma |a_lm - a_uv|. Correct decoding of (u, v) is the
 event that all three statistics are negative.
 
 Each public call builds one pairwise table for its constellation and noise
-level: the points, the priors, the coincidence tolerance, the collinear and
-bijective flags and, for each of the 12 ordered pairs, the standardised
-bound z with Pr(Delta > 0) = Phi(z) and that tail probability. Two exact
-evaluation paths read it and cover every constellation:
+level, in one eager pass over the six unordered point pairs: the points,
+the priors, the coincidence tolerance, the collinear and bijective flags
+and, for each of the 12 ordered pairs, the standardised bound z with
+Pr(Delta > 0) = Phi(z) and that tail probability. Two exact evaluation
+paths read it and cover every constellation:
 
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
@@ -44,9 +45,10 @@ tilted thresholds by plain midpoints.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import (
     CaseMismatch,
@@ -55,7 +57,7 @@ from .errors import (
     NonBijective,
     NotCollinear,
 )
-from .geometry import CombinedConstellation, coincidence_tol, on_real_axis, pairwise_distinct
+from .geometry import CombinedConstellation, coincidence_tol, on_real_axis
 
 _TWO_PI = 2.0 * math.pi
 
@@ -73,17 +75,10 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 _RSQRT2 = math.sqrt(0.5)
 _RSQRT2_ERR = -4.833646656726457e-17  # 1/sqrt(2) - _RSQRT2
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def _split(a: float) -> tuple[float, float]:
-    """Dekker's split of a into two halves of at most 26 significant bits,
-    so that the product of two halves is exact."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_RSQRT2_HI, _RSQRT2_LO = _split(_RSQRT2)
+# Dekker's split of 1/sqrt(2) into halves of at most 26 significant bits,
+# so that its product with a half of x split the same way is exact
+_RSQRT2_HI = _SPLITTER * _RSQRT2 - (_SPLITTER * _RSQRT2 - _RSQRT2)
+_RSQRT2_LO = _RSQRT2 - _RSQRT2_HI
 
 
 def qfunc(x: float) -> float:
@@ -103,7 +98,9 @@ def qfunc(x: float) -> float:
         # the rounding of 1/sqrt(2), and the first-order correction
         # erfc(t + r) = erfc(t) - r 2/sqrt(pi) exp(-t^2) leaves far less
         # than an ulp. Past |t| = 27 the tail is 0 or 1 anyway.
-        x_hi, x_lo = _split(x)
+        x_hi = _SPLITTER * x
+        x_hi -= x_hi - x
+        x_lo = x - x_hi
         r = (((x_hi * _RSQRT2_HI - t) + x_hi * _RSQRT2_LO + x_lo * _RSQRT2_HI)
              + x_lo * _RSQRT2_LO + x * _RSQRT2_ERR)
         e -= r * _TWO_OVER_SQRT_PI * math.exp(-t * t)
@@ -143,19 +140,24 @@ def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool
     return uv_idx < lm_idx
 
 
+# The six unordered pairs i < j with their flat indices 4i + j and 4j + i,
+# and each point's rivals j != i in order with their flat index 4i + j.
+_PAIRS = tuple((i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4))
+_RIVALS = tuple(tuple((j, 4 * i + j) for j in range(4) if j != i) for i in range(4))
+
+
 class _PairTable:
     """Pairwise statistics of one constellation at one noise level.
 
-    Point i = 2u + v is a_uv. Construction reads the geometry: the points
-    as stored, their real parts, the priors, the coincidence tolerance, the
-    pairwise distances and the collinear and bijective flags; a
-    constellation whose largest pairwise distance squares past the float
-    range raises OverflowError here. z[i][j], the standardised bound with
-    Pr(Delta_ij > 0) = Phi(z[i][j]), and tail[i][j] = Q(-z[i][j]) are
-    filled for j != i (the diagonal stays NaN) on first use, so a view that
-    rejects the geometry raises before any noise-dependent arithmetic. A
-    coincident rival resolves by the decoder's prior / lexicographic rule:
-    z = -inf when i keeps the shared point, +inf when it loses it.
+    Point i = 2u + v is a_uv. One eager pass over the six unordered pairs
+    fills it: the points as stored, their real parts, the priors, the
+    coincidence tolerance, the collinear and bijective flags and, at flat
+    index 4i + j of each of the 12 ordered pairs, z, the standardised bound
+    with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z). A non-finite point, or
+    a largest pairwise distance that squares past the float range, raises
+    OverflowError before any noise-dependent arithmetic. A coincident rival
+    resolves by the decoder's prior / lexicographic rule: z = -inf when i
+    keeps the shared point, +inf when it loses it.
     """
 
     def __init__(self, cc: CombinedConstellation, sigma2: float):
@@ -163,45 +165,32 @@ class _PairTable:
             raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
         pts = cc.points
         tol = coincidence_tol(cc.scale())
+        p = cc.priors.as_tuple()
         self.pts = pts
         self.re = [a.real for a in pts]
-        self.priors = cc.priors.as_tuple()
+        self.priors = p
         self.sigma2 = sigma2
         self.tol = tol
         self.collinear = on_real_axis(pts, tol)
-        self.dist = [[abs(b - a) for b in pts] for a in pts]
-        far = float(max(map(max, self.dist)))
+        # abs of a negated difference is bit-equal, so one distance per pair
+        dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
+        far = max(dist)
         if not math.isfinite(far * far):
             raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
-        self.bijective = bool(pairwise_distinct(pts, tol))
-
-    @cached_property
-    def z(self) -> list[list[float]]:
-        p, sigma2 = self.priors, self.sigma2
-        sd_unit = math.sqrt(sigma2)
-        z = [[math.nan] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                if j == i:
-                    continue
-                d = self.dist[i][j]
-                if d <= self.tol:
-                    z[i][j] = -math.inf if _wins_degenerate(i, j, p[i], p[j]) else math.inf
-                else:
-                    mu = -(d**2) / 2.0 - sigma2 * math.log(p[i] / p[j])
-                    z[i][j] = mu / (sd_unit * d)
-        return z
-
-    @cached_property
-    def tail(self) -> list[list[float]]:
-        return [[math.nan if j == i else qfunc(-z) for j, z in enumerate(row)]
-                for i, row in enumerate(self.z)]
-
-    @cached_property
-    def line_terms(self) -> list[tuple[float, float]]:
-        """(miss probability, union term) of each point on the real axis,
-        walked once for both the exact value and the union bound."""
-        return [_collinear_terms(self, i) for i in range(4)]
+        sd_unit, log = math.sqrt(sigma2), math.log
+        self.z = z = [math.nan] * 16
+        self.tail = tail = [math.nan] * 16
+        self.bijective = True
+        for (i, j, ij, ji), d in zip(_PAIRS, dist):
+            if d <= tol:
+                self.bijective = False
+                z_ij = -math.inf if _wins_degenerate(i, j, p[i], p[j]) else math.inf
+                z_ji = -z_ij  # the rule is antisymmetric: one of the two keeps the point
+            else:
+                half, sd = d**2 / 2.0, sd_unit * d
+                z_ij = (-half - sigma2 * log(p[i] / p[j])) / sd
+                z_ji = (-half - sigma2 * log(p[j] / p[i])) / sd
+            z[ij], z[ji], tail[ij], tail[ji] = z_ij, z_ji, qfunc(-z_ij), qfunc(-z_ji)
 
     def threshold(self, i: int, j: int) -> tuple[str, float]:
         """Rival j's constraint on Re[N] around point i; see
@@ -263,8 +252,8 @@ def collinear_decision_interval(
     return lo, hi, True
 
 
-def _collinear_terms(table: _PairTable, i: int) -> tuple[float, float]:
-    """(miss probability, union term) for point i on the real axis.
+def _line_terms(table: _PairTable) -> tuple[list[float], list[float]]:
+    """(miss probability, union term) of each point on the real axis.
 
     Q is monotone in the threshold, so on each side of point i the binding
     rival is the one with the largest tail (the first met on a tie). The
@@ -272,32 +261,39 @@ def _collinear_terms(table: _PairTable, i: int) -> tuple[float, float]:
     precision however small it gets; it is capped at 1, which an empty
     region reaches in exact arithmetic, and is 1 when a coincident rival
     takes the shared point (z = +inf). The union term starts from the same
-    two floats and then adds the other rivals' tails in the order met;
-    floating-point addition of non-negatives is monotone, so the computed
-    bound can never round below the computed exact value.
+    two floats and then adds the other rivals' tails in the order they drop
+    out; floating-point addition of non-negatives is monotone, so the
+    computed bound can never round below the computed exact value.
     """
-    z, tail, re, tol = table.z[i], table.tail[i], table.re, table.tol
-    binding = {}  # side of point i (+1 above, -1 below) -> its binding rival
-    rest = []
-    for j in range(4):
-        if j == i:
-            continue
-        c = re[j] - re[i]
-        side = 1 if c > tol else -1 if c < -tol else 0
-        if side:
-            held = binding.setdefault(side, j)
-            if tail[j] > tail[held]:
-                binding[side], j = j, held
-            elif held == j:
-                continue
-        rest.append(j)
-    core = 0.0
-    for j in binding.values():
-        core += tail[j]
-    union_term = core
-    for j in rest:
-        union_term += tail[j]
-    return (1.0 if math.inf in z else min(1.0, core)), union_term
+    z, tail, re, tol = table.z, table.tail, table.re, table.tol
+    miss, terms = [], []
+    for i, rivals in enumerate(_RIVALS):
+        below = above = None  # tail of the binding rival on each side of point i
+        rest, dead = [], False
+        for j, k in rivals:
+            t, c = tail[k], re[j] - re[i]
+            if c > tol:
+                if above is None:
+                    above = t
+                    continue
+                if t > above:
+                    above, t = t, above
+            elif c < -tol:
+                if below is None:
+                    below = t
+                    continue
+                if t > below:
+                    below, t = t, below
+            else:
+                # only here can z = +inf leave core below 1: on a side its tail of 1 binds
+                dead = dead or z[k] == math.inf
+            rest.append(t)
+        core = (0.0 if below is None else below) + (0.0 if above is None else above)
+        miss.append(1.0 if dead else min(1.0, core))
+        for t in rest:
+            core += t
+        terms.append(core)
+    return miss, terms
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +464,8 @@ def _planar_miss(table: _PairTable, i: int) -> float:
     """
     # rivals that flip u, flip v, and flip both
     x, y, d = i ^ 2, i ^ 1, i ^ 3
-    z, tail, p, pts = table.z[i], table.tail[i], table.priors, table.pts
+    row = slice(4 * i, 4 * i + 4)
+    z, tail, p, pts = table.z[row], table.tail[row], table.priors, table.pts
     c_x = pts[x] - pts[i]
     c_y = pts[y] - pts[i]
     c_d = pts[d] - pts[i]
@@ -490,21 +487,29 @@ def _planar_miss(table: _PairTable, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _planar_terms(table: _PairTable) -> list[float]:
+    """Union term T_x + T_y + T_d of each point, summed as _planar_miss does."""
+    t = table.tail
+    return [t[4 * i + (i ^ 2)] + t[4 * i + (i ^ 1)] + t[4 * i + (i ^ 3)] for i in range(4)]
+
+
+def _prior_sum(table: _PairTable, values: list[float]) -> float:
+    return math.fsum(map(operator.mul, table.priors, values))
+
+
 def _exact(table: _PairTable) -> ErrorReport:
     if table.collinear:
         method = "collinear"
-        miss = [m for m, _ in table.line_terms]
-    else:
-        if not table.bijective:
-            raise NonBijective(
-                "combined points coincide; planar analysis requires distinct points"
-            )
+        miss, terms = _line_terms(table)
+    elif table.bijective:
         method = "planar"
         miss = [_planar_miss(table, i) for i in range(4)]
-    p_err = math.fsum(p * m for p, m in zip(table.priors, miss))
-    p_c = tuple(1.0 - m for m in miss)
-    return ErrorReport(p_err_exact=min(max(p_err, 0.0), 1.0), p_c_per_pair=p_c, method=method,
-                       p_err_union=_union(table), bijective=table.bijective)
+        terms = _planar_terms(table)
+    else:
+        raise NonBijective("combined points coincide; planar analysis requires distinct points")
+    return ErrorReport(p_err_exact=min(max(_prior_sum(table, miss), 0.0), 1.0),
+                       p_c_per_pair=tuple(1.0 - m for m in miss), method=method,
+                       p_err_union=_prior_sum(table, terms), bijective=table.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
@@ -538,15 +543,8 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
     terms accumulate in the order the exact path of the same geometry uses,
     so the computed bound never rounds below the computed exact error.
     """
-    return _union(_PairTable(cc, sigma2))
-
-
-def _union(table: _PairTable) -> float:
-    if table.collinear:
-        terms = [u for _, u in table.line_terms]
-    else:
-        terms = [tail[i ^ 2] + tail[i ^ 1] + tail[i ^ 3] for i, tail in enumerate(table.tail)]
-    return math.fsum(p * t for p, t in zip(table.priors, terms))
+    table = _PairTable(cc, sigma2)
+    return _prior_sum(table, _line_terms(table)[1] if table.collinear else _planar_terms(table))
 
 
 def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:

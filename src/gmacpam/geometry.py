@@ -94,13 +94,21 @@ class CombinedConstellation:
         return self.points[2 * u + v]
 
     def scale(self) -> float:
-        """Largest point magnitude, used for relative coincidence tests."""
+        """Largest point magnitude, used for relative coincidence tests.
+
+        A point with a NaN or infinite part, or a finite one whose magnitude
+        overflows, raises OverflowError naming it, so no caller computes
+        with it (max would skip a NaN anywhere but first).
+        """
         mags = []
-        for p in self.points:
+        for name, p in zip(("a00", "a01", "a10", "a11"), self.points):
             try:
-                mags.append(abs(p))
+                m = abs(p)
             except OverflowError:
                 raise OverflowError(f"magnitude of combined point {p!r} overflows") from None
+            if not m < math.inf:  # abs is NaN or inf exactly when a part is
+                raise OverflowError(f"combined point {name} = {p!r} is not finite")
+            mags.append(m)
         return max(mags)
 
 

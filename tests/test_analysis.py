@@ -7,6 +7,7 @@ reduced resolution as a second line of defence.
 """
 
 import ast
+import hashlib
 import math
 import os
 import sys
@@ -173,6 +174,24 @@ def test_error_paths_reject_bad_sigma2(case1, sigma2):
             fn(cc, sigma2)
 
 
+@pytest.mark.parametrize("pos", range(4))
+@pytest.mark.parametrize("kind", ["nan-real", "nan-imag", "inf"])
+def test_non_finite_point_rejected_by_name(case1, pos, kind):
+    """A NaN or infinite point raises before any arithmetic, wherever it
+    sits; max() skips a NaN unless it comes first, so a scale or distance
+    check alone would let it through."""
+    from gmacpam import CombinedConstellation, simulate
+
+    pts = [complex(k) for k in range(4)]
+    pts[pos] = {"nan-real": complex(math.nan, 0.0), "nan-imag": complex(pos, math.nan),
+                "inf": complex(math.inf, 0.0)}[kind]
+    cc = CombinedConstellation(*pts, case1)
+    name = ("a00", "a01", "a10", "a11")[pos]
+    for fn in (exact_error, union_bound, lambda cc, s2: simulate(cc, s2, 20000, 1)):
+        with pytest.raises(OverflowError, match=f"combined point {name} = .* is not finite"):
+            fn(cc, 0.5)
+
+
 def test_threshold_rejects_self(case1):
     cc = t2_cc(case1)
     with pytest.raises(ValueError):
@@ -223,10 +242,10 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
     seen = {"dead": 0, "empty": 0, "one-sided": 0, "two-sided": 0}
     for cc, sigma2 in _binding_cases((case1, case2, uniform)):
         rep = exact_error(cc, sigma2)
-        table = analysis._PairTable(cc, sigma2)
+        misses, _ = analysis._line_terms(analysis._PairTable(cc, sigma2))
         sigma = math.sqrt(sigma2)
         for i, uv in enumerate(BIT_PAIRS):
-            miss = table.line_terms[i][0]
+            miss = misses[i]
             assert rep.p_c_per_pair[i] == 1.0 - miss
             lo, hi, alive = collinear_decision_interval(cc, sigma2, uv)
             if not alive:
@@ -238,6 +257,50 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
             assert abs(miss - want) <= 5e-13 * want, (cc, sigma2, uv)
         assert union_bound(cc, sigma2) >= rep.p_err_exact
     assert min(seen.values()) >= 50, seen
+
+
+def _planar_cases(sources):
+    """Seeded constellations of random amplitudes and pulse correlation in
+    (-1, 1), sigma2 from 1e-3 to 1e3, cycling over the sources."""
+    rng = np.random.Generator(np.random.PCG64(2718))
+    for n in range(300):
+        a = rng.uniform(-2.0, 2.0, size=4).tolist()
+        g = float(rng.uniform(-1.0, 1.0))
+        yield build_cc(*a, g, sources[n % len(sources)]), 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+# FROZEN: the sha256 of the newline-joined _report_lines, one line per case
+# (its inputs, exact_error report and union_bound). exact_reports.sha256
+# holds the first 12 hex digits of each line's own sha256, in case order,
+# so that a failure can name the first case that changed.
+EXACT_REPORTS_SHA256 = "24045d21c022d92759103be763bdeee10edc1bb48ec8ad58891af3b4deb62d1c"
+EXACT_REPORTS_PER_CASE = os.path.join(os.path.dirname(__file__), "exact_reports.sha256")
+
+
+def _report_lines(sources):
+    cases = [*_binding_cases(sources), *_planar_cases(sources)]
+    for cc, sigma2 in cases:
+        sigma2 = float(sigma2)  # plain floats, so the repr does not depend on numpy
+        try:
+            rep = exact_error(cc, sigma2)
+        except NonBijective:
+            rep = "NonBijective"
+        yield repr((cc.points, cc.priors.as_tuple(), sigma2, rep, union_bound(cc, sigma2)))
+
+
+def test_exact_reports_frozen_digest(case1, case2, uniform):
+    """Every exact report and union bound of 900 cases, merged designs,
+    coincident rivals and dead regions among them, is bit for bit the
+    engine's recorded output; a miss names the first case that moved."""
+    lines = list(_report_lines((case1, case2, uniform)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    if digest != EXACT_REPORTS_SHA256:
+        with open(EXACT_REPORTS_PER_CASE) as fh:
+            want = fh.read().split()
+        for n, (line, ref) in enumerate(zip(lines, want)):
+            if hashlib.sha256(line.encode()).hexdigest()[:12] != ref:
+                pytest.fail(f"case {n} changed: {line}")
+        pytest.fail(f"digest {digest} over {len(lines)} cases; want {EXACT_REPORTS_SHA256}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -470,6 +471,26 @@ def test_cli_reproduce_fig9_shape(tmp_path, capsys):
         assert float(r["sigma2"]) == convert_snr(
             float(r["snr_db"]), "sum-energy", 2.0, 1.0, 1.0
         )
+
+
+# FROZEN: sha256 of each figure preset's CSV at default settings (grid 400,
+# no Monte Carlo), so a change that moves any printed digit shows here
+PRESET_CSV_SHA256 = {
+    "fig4": "b4140f83bbdee8da2baf93be18fe74a7d625478b25028491865dbf69063c05fa",
+    "fig5": "ef1fb7035025dc363d1ca17980e6630400bd010de798278d5740e273deaf2c78",
+    "fig6": "8edfffe689e3576b22fe7f9e6f489b0109ba7a257f5ce0c2f2fbed896704f9e0",
+    "fig7": "3354aa1d2a225d45313376a8a76d64f6025a72472ae9cccb7e2bbdc509d241e6",
+    "fig8": "5c2660b6c62fbee7ae545068dc1c08b1ab53c1a70fa615ea829910236d98d209",
+    "fig9": "6cda63021d3899a3e66edffefa448910ca7e88082d9ab82f06ea3da410870283",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_CSV_SHA256))
+def test_cli_reproduce_preset_csv_frozen_digest(tmp_path, capsys, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["reproduce", "--preset", preset, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
 
 
 @pytest.mark.parametrize("gamma_phi", ["1", "0.707"])
