@@ -22,7 +22,9 @@ otherwise, the angle word of the scored trials). Each
 batched evaluator is checked against the scalar exact_error on a sample
 of its rows before its rows/s are reported. The
 scalar rows give microseconds per call of exact_error on the same two
-constellations, of union_bound on the collinear one, and of the joint
+constellations, of union_bound and of the two collinear threshold views
+on the collinear one (threshold: collinear_pair_threshold of a00 against
+a11; interval: collinear_decision_interval of a10), and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
 (collinear) and 0.924 (planar). The bvn-orthant rows give microseconds
 per call of the scalar bivariate orthant (pure-Python Owen's T) at one of
@@ -56,7 +58,8 @@ import numpy as np
 
 import gmacpam
 from gmacpam import _kernels
-from gmacpam.analysis import (bvn_lower_orthant, exact_error, exact_error_collinear,
+from gmacpam.analysis import (bvn_lower_orthant, collinear_decision_interval,
+                               collinear_pair_threshold, exact_error, exact_error_collinear,
                                exact_error_planar, union_bound)
 from gmacpam.cli import _sweep_rows
 from gmacpam.config import build_config, convert_snr
@@ -165,6 +168,8 @@ def bench_scalar(repeat):
         ("bvn-orthant-16dB", lambda: bvn_lower_orthant(-5.627955504963747, -5.265306648024573,
                                                        0.707)),
         ("union", lambda: union_bound(collinear, s2c)),
+        ("threshold", lambda: collinear_pair_threshold(collinear, s2c, (0, 0), (1, 1))),
+        ("interval", lambda: collinear_decision_interval(collinear, s2c, (1, 0))),
         ("design-joint-collinear", lambda: design("joint", joint_collinear)),
         ("design-joint-planar", lambda: design("joint", joint_planar)),
     ):

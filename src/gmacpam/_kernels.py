@@ -1,9 +1,9 @@
 """Hot numeric kernels: Monte-Carlo decoding and batched exact error.
 
 All kernels are numpy; the batched exact-error kernels also take scipy's
-erfc and owens_t ufuncs, loaded on first use (_special), so analysis, the
-scalar engine, stays on the math module alone. Randomness is counter
-based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
+erfc and owens_t ufuncs, imported in the functions that call them, so that
+Monte Carlo never loads scipy. Randomness is counter based: uniform draw
+j of trial t is a pure function of (seed, 3 t + j)
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
 count and block size. Each trial owns three counters: one source draw
@@ -20,21 +20,17 @@ which is exact, so every count is the one the full decision gives.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
 from .analysis import _RHO_LIMIT, _TINY, _wins_degenerate
 from .geometry import COINCIDENCE_RTOL, SCALE_FLOOR, coincidence_tol, pairwise_distinct
-# the stream's constants and seed mask, and its public names (backend_name,
-# derive_seed), live in simulate so that no sweep needs numpy for them
-from .simulate import (  # noqa: F401
+# the stream's constants and seed mask live in simulate, so that no sweep needs numpy for them
+from .simulate import (
     _GOLDEN,
     _MASK64,
     _MIX1,
     _MIX2,
-    backend_name,
-    derive_seed,
     mask64,
 )
 
@@ -295,17 +291,11 @@ def mc_error_count(
 # batched exact error (for the grid designer)
 # ---------------------------------------------------------------------------
 
-@cache
-def _special():
-    """scipy.special, imported on first use by the batched exact-error kernels."""
-    import scipy.special
-
-    return scipy.special
-
-
 def _qfunc_array(x: np.ndarray) -> np.ndarray:
     """analysis.qfunc elementwise, on scipy's erfc, with the same underflow rule."""
-    q = _special().erfc(x / _SQRT2)
+    from scipy.special import erfc
+
+    q = erfc(x / _SQRT2)
     q *= 0.5
     np.copyto(q, 0.0, where=q < _TINY)
     return q
@@ -382,7 +372,8 @@ def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
 
     rho must already lie within +-_RHO_LIMIT (the callers clip it).
     """
-    owens_t = _special().owens_t
+    from scipy.special import owens_t
+
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         s = np.sqrt((1.0 - rho) * (1.0 + rho))
         ah = np.where(h == 0.0, np.copysign(np.inf, k), (k / h - rho) / s)

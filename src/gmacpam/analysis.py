@@ -10,12 +10,13 @@ which is Gaussian with mean -|a_lm - a_uv|^2/2 - sigma2 ln(p_uv/p_lm) and
 standard deviation sigma |a_lm - a_uv|. Correct decoding of (u, v) is the
 event that all three statistics are negative.
 
-Each public call builds one pairwise table for its constellation and noise
-level, in one eager pass over the six unordered point pairs: the points,
-the priors, the coincidence tolerance, the collinear and bijective flags
-and, for each of the 12 ordered pairs, the standardised bound z with
-Pr(Delta > 0) = Phi(z) and that tail probability. Two exact evaluation
-paths read it and cover every constellation:
+Each exact-error and union-bound call builds one pairwise table for its
+constellation and noise level, in one eager pass over the six unordered
+point pairs: the points, the priors, the coincidence tolerance, the
+collinear and bijective flags and, for each of the 12 ordered pairs, the
+standardised bound z with Pr(Delta > 0) = Phi(z) and that tail
+probability; the collinear threshold views read only the geometry. Two
+exact evaluation paths read the table and cover every constellation:
 
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
@@ -146,37 +147,41 @@ _PAIRS = tuple((i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i +
 _RIVALS = tuple(tuple((j, 4 * i + j) for j in range(4) if j != i) for i in range(4))
 
 
-class _PairTable:
-    """Pairwise statistics of one constellation at one noise level.
+def _geometry(cc: CombinedConstellation, sigma2: float):
+    """Points, priors, coincidence tolerance, pairwise distances (_PAIRS order)
+    and collinear flag of cc, once sigma2 is finite and positive, every point
+    is finite (cc.scale()) and the largest distance squares to a finite number."""
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
+    pts = cc.points
+    tol = coincidence_tol(cc.scale())
+    # abs of a negated difference is bit-equal, so one distance per pair
+    dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
+    far = max(dist)
+    if not math.isfinite(far * far):
+        raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
+    return pts, cc.priors.as_tuple(), tol, dist, on_real_axis(pts, tol)
 
-    Point i = 2u + v is a_uv. One eager pass over the six unordered pairs
-    fills it: the points as stored, their real parts, the priors, the
-    coincidence tolerance, the collinear and bijective flags and, at flat
-    index 4i + j of each of the 12 ordered pairs, z, the standardised bound
-    with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z). A non-finite point, or
-    a largest pairwise distance that squares past the float range, raises
-    OverflowError before any noise-dependent arithmetic. A coincident rival
-    resolves by the decoder's prior / lexicographic rule: z = -inf when i
-    keeps the shared point, +inf when it loses it.
+
+class _PairTable:
+    """Pairwise statistics of one constellation at one noise level, which
+    serve the exact paths and the union bound.
+
+    Point i = 2u + v is a_uv. After the input checks of _geometry, one eager
+    pass over the six unordered pairs fills it: the points as stored, the
+    priors, the coincidence tolerance, the collinear and bijective flags and,
+    at flat index 4i + j of each of the 12 ordered pairs, z, the standardised
+    bound with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z). A coincident
+    rival resolves by the decoder's prior / lexicographic rule: z = -inf
+    when i keeps the shared point, +inf when it loses it.
     """
 
     def __init__(self, cc: CombinedConstellation, sigma2: float):
-        if not 0.0 < sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
-        pts = cc.points
-        tol = coincidence_tol(cc.scale())
-        p = cc.priors.as_tuple()
+        pts, p, tol, dist, self.collinear = _geometry(cc, sigma2)
         self.pts = pts
-        self.re = [a.real for a in pts]
         self.priors = p
         self.sigma2 = sigma2
         self.tol = tol
-        self.collinear = on_real_axis(pts, tol)
-        # abs of a negated difference is bit-equal, so one distance per pair
-        dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
-        far = max(dist)
-        if not math.isfinite(far * far):
-            raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
         sd_unit, log = math.sqrt(sigma2), math.log
         self.z = z = [math.nan] * 16
         self.tail = tail = [math.nan] * 16
@@ -192,28 +197,25 @@ class _PairTable:
                 z_ji = (-half - sigma2 * log(p[j] / p[i])) / sd
             z[ij], z[ji], tail[ij], tail[ji] = z_ij, z_ji, qfunc(-z_ij), qfunc(-z_ji)
 
-    def threshold(self, i: int, j: int) -> tuple[str, float]:
-        """Rival j's constraint on Re[N] around point i; see
-        collinear_pair_threshold. Only the two public threshold views read
-        it: the exact paths, scalar and batched, rank rivals by Phi(z)."""
-        c = self.re[j] - self.re[i]
-        p = self.priors
-        if abs(c) <= self.tol:
-            return ("win" if _wins_degenerate(i, j, p[i], p[j]) else "lose"), math.nan
-        t = c * c / 2.0 + self.sigma2 * math.log(p[i] / p[j])
-        return ("upper" if c > 0.0 else "lower"), t / c
-
 
 # ---------------------------------------------------------------------------
 # collinear exact path
 # ---------------------------------------------------------------------------
 
 
-def _line_table(cc: CombinedConstellation, sigma2: float) -> _PairTable:
-    table = _PairTable(cc, sigma2)
-    if not table.collinear:
+def _line_limits(cc: CombinedConstellation, sigma2: float, i: int):
+    """Yield each rival j of point i with its constraint on Re[N] (see
+    collinear_pair_threshold), from the geometry alone: no tail is taken."""
+    pts, p, tol, _, collinear = _geometry(cc, sigma2)
+    if not collinear:
         raise NotCollinear("combined constellation has points off the real axis")
-    return table
+    for j, _ in _RIVALS[i]:
+        c = pts[j].real - pts[i].real
+        if abs(c) <= tol:
+            yield j, (("win" if _wins_degenerate(i, j, p[i], p[j]) else "lose"), math.nan)
+        else:
+            t = c * c / 2.0 + sigma2 * math.log(p[i] / p[j])
+            yield j, (("upper" if c > 0.0 else "lower"), t / c)
 
 
 def collinear_pair_threshold(
@@ -226,12 +228,11 @@ def collinear_pair_threshold(
     ('lower', t/c) when c < 0. A coincident rival gives ('win', nan) or
     ('lose', nan) by prior comparison, lexicographic order on exact ties.
     """
-    table = _line_table(cc, sigma2)
-    uv_idx = 2 * uv[0] + uv[1]
-    lm_idx = 2 * lm[0] + lm[1]
-    if lm_idx == uv_idx:
+    i, j = 2 * uv[0] + uv[1], 2 * lm[0] + lm[1]
+    limits = dict(_line_limits(cc, sigma2, i))
+    if j == i:
         raise ValueError("rival must differ from the transmitted pair")
-    return table.threshold(uv_idx, lm_idx)
+    return limits[j]
 
 
 def collinear_decision_interval(
@@ -242,9 +243,7 @@ def collinear_decision_interval(
     Intersects the three rival constraints from collinear_pair_threshold;
     a losing coincident rival kills the region outright.
     """
-    table = _line_table(cc, sigma2)
-    i = 2 * uv[0] + uv[1]
-    limits = [table.threshold(i, j) for j in range(4) if j != i]
+    limits = dict(_line_limits(cc, sigma2, 2 * uv[0] + uv[1])).values()
     if any(kind == "lose" for kind, _ in limits):
         return 0.0, 0.0, False
     lo = max((t for kind, t in limits if kind == "lower"), default=-math.inf)
@@ -265,30 +264,24 @@ def _line_terms(table: _PairTable) -> tuple[list[float], list[float]]:
     out; floating-point addition of non-negatives is monotone, so the
     computed bound can never round below the computed exact value.
     """
-    z, tail, re, tol = table.z, table.tail, table.re, table.tol
+    z, tail, tol, re = table.z, table.tail, table.tol, [a.real for a in table.pts]
     miss, terms = [], []
     for i, rivals in enumerate(_RIVALS):
-        below = above = None  # tail of the binding rival on each side of point i
+        below = above = 0.0  # binding tail on each side of i; a 0 swapped into rest adds 0
         rest, dead = [], False
         for j, k in rivals:
             t, c = tail[k], re[j] - re[i]
             if c > tol:
-                if above is None:
-                    above = t
-                    continue
                 if t > above:
                     above, t = t, above
             elif c < -tol:
-                if below is None:
-                    below = t
-                    continue
                 if t > below:
                     below, t = t, below
             else:
                 # only here can z = +inf leave core below 1: on a side its tail of 1 binds
                 dead = dead or z[k] == math.inf
             rest.append(t)
-        core = (0.0 if below is None else below) + (0.0 if above is None else above)
+        core = below + above
         miss.append(1.0 if dead else min(1.0, core))
         for t in rest:
             core += t
@@ -514,7 +507,10 @@ def _exact(table: _PairTable) -> ErrorReport:
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     """Exact MAP error probability for a real-axis combined constellation."""
-    return _exact(_line_table(cc, sigma2))
+    table = _PairTable(cc, sigma2)
+    if not table.collinear:
+        raise NotCollinear("combined constellation has points off the real axis")
+    return _exact(table)
 
 
 def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:

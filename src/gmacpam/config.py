@@ -68,6 +68,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
         if self.trials < 0:
             raise ConfigError("trials must be nonnegative")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError("seed must be a nonnegative integer below 2**63")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.grid < 2:

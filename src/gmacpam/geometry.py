@@ -156,10 +156,10 @@ def is_bijective(cc: CombinedConstellation) -> bool:
     return pairwise_distinct(cc.points, coincidence_tol(cc.scale()))
 
 
-def check_energy(c: Constellation, p: float, e: float, tol: float = 1e-9) -> bool:
-    """True when p |s0|^2 + (1-p) |s1|^2 matches e within relative tol."""
+def check_energy(c: Constellation, p: float, e: float) -> bool:
+    """True when p |s0|^2 + (1-p) |s1|^2 matches e within relative 1e-9."""
     actual = p * abs(c.s0) ** 2 + (1.0 - p) * abs(c.s1) ** 2
-    return abs(actual - e) <= tol * e
+    return abs(actual - e) <= 1e-9 * e
 
 
 def pair_geometry(c1: Constellation, c2: Constellation) -> tuple[complex, complex, float]:
@@ -168,17 +168,3 @@ def pair_geometry(c1: Constellation, c2: Constellation) -> tuple[complex, comple
     d2 = c2.d
     psi = (cmath.phase(d2) - cmath.phase(d1)) % (2.0 * math.pi)
     return d1, d2, psi
-
-
-__all__ = [
-    "COINCIDENCE_RTOL",
-    "SCALE_FLOOR",
-    "CombinedConstellation",
-    "Constellation",
-    "check_energy",
-    "coincidence_tol",
-    "combine",
-    "from_amplitudes",
-    "is_bijective",
-    "pair_geometry",
-]

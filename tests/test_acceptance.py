@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from gmacpam._kernels import derive_seed
 from gmacpam.analysis import (
     closed_form_qam,
     collinear_pair_threshold,
@@ -33,7 +32,7 @@ from gmacpam.design import (
     numerical_search,
 )
 from gmacpam.geometry import is_bijective
-from gmacpam.simulate import simulate
+from gmacpam.simulate import derive_seed, simulate
 from gmacpam.sources import from_joint
 
 from conftest import build_cc, collinear_cc

@@ -221,6 +221,61 @@ def test_dead_region_when_prior_loses(uniform):
     assert alive01 and not alive10
 
 
+def test_threshold_views_take_no_tail(monkeypatch, case1):
+    """The views read the geometry and the priors only: no Q call, where
+    the exact path takes its 12 tails through the same patched name."""
+    calls = []
+    monkeypatch.setattr(analysis, "qfunc", lambda x: calls.append(x) or qfunc(x))
+    cc, sigma2 = t2_cc(case1), 10.0**-0.8
+    for uv in BIT_PAIRS:
+        collinear_decision_interval(cc, sigma2, uv)
+        for lm in BIT_PAIRS:
+            if lm != uv:
+                collinear_pair_threshold(cc, sigma2, uv, lm)
+    assert calls == []
+    exact_error(cc, sigma2)
+    assert len(calls) == 12
+
+
+# Each input class the views reject, with the exception type and message
+# they raise; recorded with the views that read the pairwise table.
+VIEW_REJECTIONS = {
+    "bad-sigma2": (ValueError, "sigma2 must be finite and positive, got 0.0"),
+    "nan-point": (OverflowError, "combined point a01 = (nan+0j) is not finite"),
+    "distance-overflow": (OverflowError,
+                          "largest pairwise distance 1e+200 squares past the float range"),
+    "off-axis": (NotCollinear, "combined constellation has points off the real axis"),
+    "self-rival": (ValueError, "rival must differ from the transmitted pair"),
+}
+
+
+@pytest.mark.parametrize("view, reject", [
+    (view, reject) for reject in sorted(VIEW_REJECTIONS) for view in ("pair", "interval")
+    if (view, reject) != ("interval", "self-rival")  # the interval view takes no rival
+])
+def test_threshold_views_reject_inputs(case1, view, reject):
+    from gmacpam import CombinedConstellation
+
+    cc, sigma2, uv, lm = collinear_cc(1.0, 0.5, case1), 0.5, (0, 0), (1, 1)
+    if reject == "bad-sigma2":
+        sigma2 = 0.0
+    elif reject == "nan-point":
+        cc = CombinedConstellation(0j, complex(math.nan), 1 + 0j, 2 + 0j, case1)
+    elif reject == "distance-overflow":
+        cc = collinear_cc(1e200, 1.0, case1)
+    elif reject == "off-axis":
+        cc = build_cc(-1.0, 1.0, -0.5, 0.5, 0.0, case1)
+    else:
+        lm = uv
+    exc, message = VIEW_REJECTIONS[reject]
+    with pytest.raises(exc) as err:
+        if view == "pair":
+            collinear_pair_threshold(cc, sigma2, uv, lm)
+        else:
+            collinear_decision_interval(cc, sigma2, uv)
+    assert type(err.value) is exc and str(err.value) == message
+
+
 def _binding_cases(sources):
     """Seeded collinear constellations {0, d2, d1, d1 + d2}, sigma2 from
     1e-3 to 1e3: distinct points, a01 on a10 (d1 = d2) and a00 on a11
@@ -257,6 +312,28 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
             assert abs(miss - want) <= 5e-13 * want, (cc, sigma2, uv)
         assert union_bound(cc, sigma2) >= rep.p_err_exact
     assert min(seen.values()) >= 50, seen
+
+
+# FROZEN: the sha256 of the newline-joined _view_lines, recorded with the
+# views that read their thresholds off the pairwise table.
+THRESHOLD_VIEWS_SHA256 = "d3a8b7d549a6bf85a80cbb64f33824ad83f60d5cb18cae9a901714c5f0de2278"
+
+
+def _view_lines(sources):
+    for cc, sigma2 in _binding_cases(sources):
+        sigma2 = float(sigma2)  # plain floats, so the repr does not depend on numpy
+        pairs = [collinear_pair_threshold(cc, sigma2, uv, lm)
+                 for uv in BIT_PAIRS for lm in BIT_PAIRS if lm != uv]
+        intervals = [collinear_decision_interval(cc, sigma2, uv) for uv in BIT_PAIRS]
+        yield repr((cc.points, cc.priors.as_tuple(), sigma2, pairs, intervals))
+
+
+def test_threshold_views_frozen_digest(case1, case2, uniform):
+    """Every pair threshold and decision interval of the 600 binding
+    cases, coincident rivals and dead regions among them, bit for bit."""
+    lines = list(_view_lines((case1, case2, uniform)))
+    assert len(lines) == 600
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THRESHOLD_VIEWS_SHA256
 
 
 def _planar_cases(sources):
@@ -911,6 +988,9 @@ def test_high_snr_forms_match_hand_coded(case1, case2):
 def test_high_snr_form_revalidates_case(case1):
     with pytest.raises(CaseMismatch):
         high_snr_correct_prob(1, 1.4, 2.2, case1, 0.1)
+    for case in (0, 9):
+        with pytest.raises(CaseMismatch, match=f"case must be 1..8, got {case}"):
+            high_snr_correct_prob(case, 2.2, 1.4, case1, 0.1)
 
 
 def test_opposed_cases_coincide(case1):

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -23,9 +24,9 @@ from gmacpam import (
     parse_config_file,
     union_bound,
 )
-from gmacpam._kernels import backend_name, derive_seed
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, main
 from gmacpam.errors import ConfigError, UnknownConvention
+from gmacpam.simulate import backend_name, derive_seed
 
 from conftest import build_cc
 
@@ -167,6 +168,8 @@ def test_build_config_noise_rules():
         build_config(cfg_with(sigma2="-0.5"))
     with pytest.raises(ConfigError, match="no noise"):
         build_config(cfg_with(sigma2=None))
+    with pytest.raises(ConfigError, match="at least one noise point is required"):
+        build_config(cfg_with(sigma2=None, snr_db="", snr_convention="sum-energy"))
     # non-finite numbers are rejected for every numeric key
     for key, bad in (("sigma2", "inf"), ("sigma2", "nan"), ("e1", "inf"),
                      ("e2", "-inf"), ("gamma_phi", "nan"), ("p1", "nan")):
@@ -393,6 +396,8 @@ _ONE_POINT = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "schemes=joint"]
                  id="snr-not-a-number"),
     pytest.param(["--set", "sigma2=0.1", "--set", "schemes=joint", "--set", "p00=0.25",
                   "--set", "p01=0.25"], id="partial-joint-source"),
+    pytest.param([*CASE1_SETS, "--set", "schemes=joint", "--set", "snr_db=",
+                  "--set", "snr_convention=sum-energy"], id="empty-snr-list"),
 ])
 def test_cli_bad_input_is_a_config_error(capsys, tmp_path, args):
     argv = [a.format(missing=tmp_path / "missing.cfg") for a in args]
@@ -400,6 +405,76 @@ def test_cli_bad_input_is_a_config_error(capsys, tmp_path, args):
     err = capsys.readouterr().err
     # one diagnostic line, no traceback
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+_SWEEP_4DB = ["sweep", *CASE1_SETS, "--set", "gamma_phi=1", "--set", "snr_db=4",
+              "--set", "snr_convention=sum-energy", "--set", "schemes=joint"]
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, 2**63, -1])
+@pytest.mark.parametrize("command", ["sweep", "reproduce", "simulate"])
+def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys, command, seed):
+    """Every subcommand takes a seed in [0, 2**63) only. sweep and reproduce
+    used to mask it to 64 bits, so that 2**64 + 5 ran as seed 5; a negative
+    seed is rejected with no trials to run too."""
+    out = tmp_path / "rows.csv"
+    if command == "reproduce":
+        runs = [["reproduce", "--preset", "fig9", "--trials", trials, "--seed", str(seed),
+                 "--out", str(out)] for trials in ("0", "1000")]
+    elif command == "sweep":
+        runs = [[*_SWEEP_4DB, "--set", f"trials={trials}", "--set", f"seed={seed}",
+                 "--set", f"out={out}"] for trials in ("0", "1000")]
+    else:  # simulate needs trials
+        runs = [["simulate", *_SWEEP_4DB[1:], "--set", "trials=1000", "--set", f"seed={seed}"]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            "config error: seed must be a nonnegative integer below 2**63\n")
+    assert not out.exists()
+    assert build_config(cfg_with(seed=str(2**63 - 1))).seed == 2**63 - 1
+
+
+@pytest.mark.parametrize("out", [None, "-"])
+def test_cli_sweep_without_out_writes_csv_to_stdout(capsys, out):
+    """No out (or out = -) sends the CSV to stdout, and the sigma2 key
+    leaves every snr_db cell empty."""
+    argv = ["sweep", *CASE1_SETS, "--set", "gamma_phi=1", "--set", "sigma2=0.1 0.05",
+            "--set", "schemes=antipodal joint"]
+    assert main(argv if out is None else [*argv, "--set", f"out={out}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert tuple(rows[0]) == SWEEP_COLUMNS
+    assert [(r["sigma2"], r["scheme"]) for r in rows] == [
+        ("0.1", "antipodal"), ("0.1", "joint"), ("0.05", "antipodal"), ("0.05", "joint")]
+    assert [r["snr_db"] for r in rows] == [""] * 4
+    assert _fmt(None) == ""
+
+
+@pytest.mark.parametrize("gamma_phi", ["1", "0.924"])
+def test_cli_sweep_rerun_from_its_sigma2_column(tmp_path, capsys, gamma_phi):
+    """A sweep re-run from its own CSV's sigma2 column under direct-sigma2
+    reproduces p_err_exact, p_err_union and status exactly, as the comment
+    on cli._fmt_sigma2 promises: every scheme, the numerical one included."""
+    common = ["--set", "p1=0.2", "--set", "p2=0.5", "--set", "gamma_m=0.4",
+              "--set", f"gamma_phi={gamma_phi}", "--set", "grid=40",
+              "--set", "schemes=antipodal individual joint numerical"]
+    by_snr, by_sigma2 = tmp_path / "snr.csv", tmp_path / "sigma2.csv"
+    assert main(["sweep", *common, "--set", "snr_db=0 3 6 9 12 15 18",
+                 "--set", "snr_convention=sum-energy", "--set", f"out={by_snr}"]) == 0
+    with open(by_snr, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sigmas = " ".join(dict.fromkeys(r["sigma2"] for r in rows))
+    assert main(["sweep", *common, "--set", f"sigma2={sigmas}",
+                 "--set", "snr_convention=direct-sigma2", "--set", f"out={by_sigma2}"]) == 0
+    capsys.readouterr()
+    with open(by_sigma2, newline="") as fh:
+        again = list(csv.DictReader(fh))
+    assert len(rows) == len(again) == 28
+    for first, second in zip(rows, again):
+        assert first["snr_db"] != "" and second["snr_db"] == ""
+        for key in ("sigma2", "scheme", "p_err_exact", "p_err_union", "status"):
+            assert second[key] == first[key], (first["sigma2"], first["scheme"], key)
 
 
 def test_cli_evaluate_prints_its_snr(capsys):

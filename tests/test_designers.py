@@ -388,6 +388,11 @@ def test_search_never_loses_to_closed_form(case1):
     assert exact_error(cc, S18).p_err_exact == pytest.approx(res.p_err, rel=1e-9)
 
 
+def test_search_rejects_grid_below_two(case2):
+    with pytest.raises(ValueError, match="grid must be at least 2"):
+        numerical_search(DesignInput(case2, 1.0, 1.0, 0.5, 0.05), grid=1)
+
+
 def test_search_deterministic(case2):
     inp = DesignInput(case2, 1.0, 1.0, 0.5, 0.05)
     a = numerical_search(inp, grid=60)

@@ -9,8 +9,8 @@ import pytest
 from scipy.stats import kstest
 
 from gmacpam import DesignInput, decode, design_collinear, exact_error, simulate
-from gmacpam._kernels import derive_seed, mc_error_count, uniforms_numpy
-from gmacpam.simulate import _decoder_tables
+from gmacpam._kernels import mc_error_count, uniforms_numpy
+from gmacpam.simulate import _decoder_tables, derive_seed
 from gmacpam.sources import BIT_PAIRS
 
 from conftest import build_cc

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gmacpam import from_joint, from_marginals_correlation
+from gmacpam import JointSourceDistribution, from_joint, from_marginals_correlation
 from gmacpam.errors import (
     InfeasibleCorrelation,
     NonPositiveProbability,
@@ -50,6 +50,17 @@ def test_from_joint_rejects_nonpositive_cells():
         from_joint(0.0, 0.5, 0.25, 0.25)
     with pytest.raises(NonPositiveProbability):
         from_joint(-0.1, 0.5, 0.35, 0.25)
+
+
+@pytest.mark.parametrize("cells, error, fragment", [
+    ((0.0, 0.5, 0.25, 0.25), NonPositiveProbability, "must be > 0"),
+    ((0.25, 0.25, 0.25, 0.25 + 1e-11), SumOutOfTolerance, "expected 1 within 1e-12"),
+])
+def test_direct_construction_validates_cells(cells, error, fragment):
+    """Built directly, without from_joint's renormalisation, a distribution
+    takes no zero cell and no drift from unit total past 1e-12."""
+    with pytest.raises(error, match=fragment):
+        JointSourceDistribution(*cells)
 
 
 def test_from_marginals_rejects_degenerate_marginals():
