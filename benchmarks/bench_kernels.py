@@ -26,7 +26,13 @@ constellations, of union_bound and of the two collinear threshold views
 on the collinear one (threshold: collinear_pair_threshold of a00 against
 a11; interval: collinear_decision_interval of a10), and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
-(collinear) and 0.924 (planar). The bvn-orthant rows give microseconds
+(collinear) and 0.924 (planar). The layer rows give microseconds per call
+of two set-up costs that repeat in a loop of CLI calls: cli-main, one
+in-process gmacpam.cli.main call of a one-point evaluate (case-1 source,
+gamma_phi = 1, sigma2 = 0.1, joint design) with stdout captured, which
+includes the parser the call uses; and safe-disk, one safe_disk call on
+the mc-collinear 8 dB table (the fig9 source and energies, joint design,
+8 dB sum-energy SNR). The bvn-orthant rows give microseconds
 per call of the scalar bivariate orthant (pure-Python Owen's T) at one of
 the planar point's orthants at sigma2 = 0.25 and one at 10^-1.6, the
 high-SNR case where h, k and h a are large. The search rows give seconds per
@@ -48,6 +54,8 @@ top-level import shows here.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import statistics
 import subprocess
@@ -61,6 +69,7 @@ from gmacpam import _kernels
 from gmacpam.analysis import (bvn_lower_orthant, collinear_decision_interval,
                                collinear_pair_threshold, exact_error, exact_error_collinear,
                                exact_error_planar, union_bound)
+from gmacpam import cli
 from gmacpam.cli import _sweep_rows
 from gmacpam.config import build_config, convert_snr
 from gmacpam.design import DesignInput, design, design_collinear, numerical_search
@@ -176,6 +185,35 @@ def bench_scalar(repeat):
         _, t = best_of(lambda: [fn() for _ in range(SCALAR_CALLS)], repeat)
         rows.append((name, t, t / SCALAR_CALLS * 1e6, "us/call"))
     return rows
+
+
+# In-process CLI calls per timed repeat.
+CLI_CALLS = 200
+
+_EVALUATE = ["evaluate", "--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9",
+             "--set", "gamma_phi=1", "--set", "sigma2=0.1", "--set", "schemes=joint"]
+
+
+def bench_layers(repeat):
+    sink = io.StringIO()
+
+    def evaluate():
+        with contextlib.redirect_stdout(sink):
+            for _ in range(CLI_CALLS):
+                assert cli.main(_EVALUATE) == 0
+        sink.seek(0)
+        sink.truncate()
+
+    sigma2 = convert_snr(8.0, "sum-energy", 2.0, 1.0, 1.0)
+    inp = DesignInput(from_marginals_correlation(0.1, 0.1, 0.9), 2.0, 1.0, 1.0, sigma2)
+    tables = _decoder_tables(design("joint", inp).combined(inp), sigma2)[:3]
+    _, t_cli = best_of(evaluate, repeat)
+    _, t_disk = best_of(lambda: [_kernels.safe_disk(*tables, sigma2)
+                                 for _ in range(SCALAR_CALLS)], repeat)
+    return [
+        ("cli-main", t_cli, t_cli / CLI_CALLS * 1e6, "us/call"),
+        ("safe-disk", t_disk, t_disk / SCALAR_CALLS * 1e6, "us/call"),
+    ]
 
 
 def _assert_matches_scalar(pts, got, priors, sigma2, exact):
@@ -295,7 +333,7 @@ def main():
     ns = ap.parse_args()
 
     rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-            + bench_scalar(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat)
+            + bench_scalar(ns.repeat) + bench_layers(ns.repeat) + bench_sweep(ns.repeat) + bench_search(ns.repeat)
             + bench_cold_start())
     print(f"{'kernel':<22} {'best time':>10} {'rate':>14}")
     for kernel, t, rate, unit, *note in rows:

@@ -1,9 +1,10 @@
 """Hot numeric kernels: Monte-Carlo decoding and batched exact error.
 
-All kernels are numpy; the batched exact-error kernels also take scipy's
-erfc and owens_t ufuncs, imported in the functions that call them, so that
-Monte Carlo never loads scipy. Randomness is counter based: uniform draw
-j of trial t is a pure function of (seed, 3 t + j)
+The kernels are numpy, except safe_disk, which is scalar (Python floats
+and the math module) because its tables hold four points; the batched
+exact-error kernels also take scipy's erfc and owens_t ufuncs, imported in
+the functions that call them, so that Monte Carlo never loads scipy.
+Randomness is counter based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
 count and block size. Each trial owns three counters: one source draw
@@ -122,40 +123,56 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
 
     rho_i and cut_i are 0 for a point with a coincident rival (|c| at or
     below the coincidence tolerance), and for every point when a table
-    entry or sigma2 is not a finite normal number or a score could
-    overflow: those trials all take the full decision.
+    entry or sigma2 is not a finite normal number, a score could
+    overflow, or a rho_i is not a finite number: those trials all take
+    the full decision.
+
+    The tables hold four points, so this one is scalar: Python floats and
+    the math module, not numpy. Magnitudes are abs of a complex, which is
+    libm's hypot as np.hypot is; both arrays come back as float64.
     """
-    npts = len(ax)
-    zeros = (np.zeros(npts), np.zeros(npts))
-    tables = np.concatenate([ax, ay, bias])
-    if not (_FLOAT_MIN <= sigma2 < math.inf and np.all(np.isfinite(tables))):
+    zeros = (np.zeros(len(ax)), np.zeros(len(ax)))
+    xs, ys, bs = ax.tolist(), ay.tolist(), bias.tolist()
+    if not (_FLOAT_MIN <= sigma2 < math.inf and all(map(math.isfinite, xs + ys + bs))):
         return zeros
-    amp = np.hypot(ax, ay)
-    reach = amp + RADIUS_MAX * math.sqrt(sigma2)
-    abias = np.abs(bias)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # 4x a bound on every score the kernel computes
-        if not math.isfinite(4.0 * (abias.max() + reach.max() * amp.max() / sigma2)):
-            return zeros
-        # pair [i, k]: rival k of sent point i
-        cx = ax[None, :] - ax[:, None]
-        cy = ay[None, :] - ay[:, None]
-        dist = np.hypot(cx, cy)
-        d = sigma2 * (bias[:, None] - bias[None, :]) - (ax[:, None] * cx + ay[:, None] * cy)
-        terms = sigma2 * (abias[:, None] + abias[None, :])
-        terms += reach[:, None] * (amp[:, None] + amp[None, :])
-        terms += _DISK_TINY * (1.0 + sigma2)
-        ratio = (d - _DISK_RTOL * terms) / dist
-        np.fill_diagonal(ratio, math.inf)
-        rho = np.maximum(ratio.min(axis=1), 0.0)
-        np.fill_diagonal(dist, math.inf)
-        rho[np.any(dist <= coincidence_tol(amp.max()), axis=1)] = 0.0
-        rho[rho * rho < _FLOAT_MIN] = 0.0
-        x = rho * rho / (2.0 * sigma2)
-    if not np.all(np.isfinite(x)):
+    pts = [complex(x, y) for x, y in zip(xs, ys)]
+    try:
+        amp = [abs(a) for a in pts]
+    except OverflowError:  # a magnitude past the float range: no score bound
         return zeros
-    cut = np.array([max(-math.expm1(-v) - 4.0 * _INV_2_53, 0.0) for v in x.tolist()])
-    return rho, cut
+    radius = RADIUS_MAX * math.sqrt(sigma2)
+    reach = [m + radius for m in amp]
+    abias = [abs(b) for b in bs]
+    # 4x a bound on every score the kernel computes; past it, no distance
+    # below overflows either
+    if not math.isfinite(4.0 * (max(abias) + max(reach) * max(amp) / sigma2)):
+        return zeros
+    tol = coincidence_tol(max(amp))
+    floor = _DISK_TINY * (1.0 + sigma2)
+    rho = []
+    for i, a in enumerate(pts):
+        ratios = []
+        for k, b in enumerate(pts):
+            if k == i:
+                continue
+            c = b - a  # rival k of sent point i
+            dist = abs(c)
+            if dist <= tol:  # a coincident rival
+                rho.append(0.0)
+                break
+            d = sigma2 * (bs[i] - bs[k]) - (xs[i] * c.real + ys[i] * c.imag)
+            terms = sigma2 * (abias[i] + abias[k]) + reach[i] * (amp[i] + amp[k]) + floor
+            ratios.append((d - _DISK_RTOL * terms) / dist)
+        else:
+            if any(map(math.isnan, ratios)):  # inf - inf in a D_k or its margin
+                return zeros
+            r = max(min(ratios), 0.0)
+            rho.append(0.0 if r * r < _FLOAT_MIN else r)
+    x = [r * r / (2.0 * sigma2) for r in rho]
+    if not all(map(math.isfinite, x)):
+        return zeros
+    cut = [max(-math.expm1(-v) - 4.0 * _INV_2_53, 0.0) for v in x]
+    return np.array(rho), np.array(cut)
 
 
 def mc_error_count(

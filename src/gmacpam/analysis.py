@@ -59,6 +59,7 @@ from .errors import (
     NotCollinear,
 )
 from .geometry import CombinedConstellation, coincidence_tol, on_real_axis
+from .sources import pair_index
 
 _TWO_PI = 2.0 * math.pi
 
@@ -228,7 +229,7 @@ def collinear_pair_threshold(
     ('lower', t/c) when c < 0. A coincident rival gives ('win', nan) or
     ('lose', nan) by prior comparison, lexicographic order on exact ties.
     """
-    i, j = 2 * uv[0] + uv[1], 2 * lm[0] + lm[1]
+    i, j = pair_index(*uv), pair_index(*lm)
     limits = dict(_line_limits(cc, sigma2, i))
     if j == i:
         raise ValueError("rival must differ from the transmitted pair")
@@ -243,7 +244,7 @@ def collinear_decision_interval(
     Intersects the three rival constraints from collinear_pair_threshold;
     a losing coincident rival kills the region outright.
     """
-    limits = dict(_line_limits(cc, sigma2, 2 * uv[0] + uv[1])).values()
+    limits = dict(_line_limits(cc, sigma2, pair_index(*uv))).values()
     if any(kind == "lose" for kind, _ in limits):
         return 0.0, 0.0, False
     lo = max((t for kind, t in limits if kind == "lower"), default=-math.inf)

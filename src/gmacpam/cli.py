@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from functools import cache
 
 # union_bound is unused here; perfbench/spans.py wraps cli.union_bound
 from .analysis import exact_error, union_bound  # noqa: F401
@@ -272,7 +273,11 @@ def _resolve_config(args) -> ExperimentConfig:
     return build_config(raw)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps no
+    state between calls (each gets a fresh namespace), so every main call
+    shares it."""
     parser = argparse.ArgumentParser(
         prog="gmacpam",
         description="Design and evaluate binary PAM pairs for correlated "

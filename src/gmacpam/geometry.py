@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateConstellation
-from .sources import JointSourceDistribution
+from .sources import JointSourceDistribution, pair_index
 
 # Relative scale below which two combined points count as coincident.
 COINCIDENCE_RTOL = 1e-9
@@ -91,7 +91,7 @@ class CombinedConstellation:
         return np.array(self.points, dtype=np.complex128)
 
     def point(self, u: int, v: int) -> complex:
-        return self.points[2 * u + v]
+        return self.points[pair_index(u, v)]
 
     def scale(self) -> float:
         """Largest point magnitude, used for relative coincidence tests.

@@ -32,13 +32,20 @@ def mask64(seed: int) -> int:
     return seed & _MASK64
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**63:
+        raise ValueError("seed must be a nonnegative integer below 2**63")
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic per-configuration sub-seed for sweeps.
 
-    Pure Python int arithmetic, masked to 64 bits; the result is kept below
-    2^63 so it can round-trip through any integer argument path.
+    seed must lie in [0, 2^63), as simulate's does. Pure Python int
+    arithmetic, masked to 64 bits; the result is kept below 2^63 so it can
+    round-trip through any integer argument path.
     """
-    z = ((mask64(seed) + _GOLDEN) * _MIX1) & _MASK64
+    _check_seed(seed)
+    z = ((seed + _GOLDEN) * _MIX1) & _MASK64
     z = (z + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -85,8 +92,7 @@ def simulate(
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if not 0 <= seed < 2**63:
-        raise ValueError("seed must be a nonnegative integer below 2**63")
+    _check_seed(seed)
     # Every decoder score bias_k + <r, a_k> / sigma2 is below this in
     # magnitude, with a factor 2 to spare for rounding; past it a score can
     # be inf or NaN and the error count would mean nothing.

@@ -18,6 +18,14 @@ BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _SUM_TOL = 1e-9
 
 
+def pair_index(u: int, v: int) -> int:
+    """Index 2u + v of the bit pair (u, v) in lexicographic order; a bit
+    other than 0 or 1 raises ValueError naming the pair."""
+    if u not in (0, 1) or v not in (0, 1):
+        raise ValueError(f"bit pair ({u!r}, {v!r}) has a bit other than 0 or 1")
+    return 2 * u + v
+
+
 @dataclass(frozen=True)
 class JointSourceDistribution:
     """Joint pmf of the two source bits, every cell strictly positive."""
@@ -62,7 +70,7 @@ class JointSourceDistribution:
         return np.array(self.as_tuple(), dtype=np.float64)
 
     def prob(self, u: int, v: int) -> float:
-        return self.as_tuple()[2 * u + v]
+        return self.as_tuple()[pair_index(u, v)]
 
     def cdf(self):
         """Cumulative sums in lexicographic cell order, last entry exactly 1,

@@ -198,6 +198,22 @@ def test_threshold_rejects_self(case1):
         collinear_pair_threshold(cc, 1.0, (0, 0), (0, 0))
 
 
+@pytest.mark.parametrize("bad", [(0, 2), (1, 2), (-1, 0), (2, 0)])
+def test_bit_pairs_take_bits_0_and_1_only(case1, bad):
+    """A bit other than 0 or 1 is a ValueError naming the pair, where it
+    used to read another pair's point (2u + v = 2 is a10) or fail with a
+    bare KeyError."""
+    cc, sigma2 = t2_cc(case1), 10.0**-0.8
+    calls = (lambda: collinear_pair_threshold(cc, sigma2, (0, 0), bad),
+             lambda: collinear_pair_threshold(cc, sigma2, bad, (0, 0)),
+             lambda: collinear_decision_interval(cc, sigma2, bad),
+             lambda: cc.point(*bad),
+             lambda: case1.prob(*bad))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"bit pair \({bad[0]}, {bad[1]}\)"):
+            call()
+
+
 def test_decision_intervals_partition_line(case1):
     """The four live intervals tile the real line without overlap."""
     cc = t2_cc(case1)

@@ -1,5 +1,6 @@
 """Config parsing, SNR conventions, and the command line surface."""
 
+import argparse
 import ast
 import csv
 import dataclasses
@@ -24,7 +25,7 @@ from gmacpam import (
     parse_config_file,
     union_bound,
 )
-from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, main
+from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
 from gmacpam.errors import ConfigError, UnknownConvention
 from gmacpam.simulate import backend_name, derive_seed
 
@@ -432,6 +433,53 @@ def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys, command, seed
             "config error: seed must be a nonnegative integer below 2**63\n")
     assert not out.exists()
     assert build_config(cfg_with(seed=str(2**63 - 1))).seed == 2**63 - 1
+
+
+def test_build_parser_returns_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_cli_main_builds_no_parser_after_the_first(monkeypatch, capsys):
+    argv = ["evaluate", *_ONE_POINT]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(5):
+        assert main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_cli_repeated_calls_share_no_state(tmp_path, capsys):
+    """One process runs sweep B on a freshly built parser, then sweep A,
+    sweep B, an argparse failure that carries a --set of its own, and sweep
+    A again: each sweep's CSV is byte-identical to its first, so no --set
+    list or default leaks from one call into the next."""
+    sweep_a = [*_SWEEP_4DB, "--set", "gamma_phi=0.924", "--set", "schemes=antipodal joint",
+               "--set", "trials=2000", "--set", "seed=7"]
+    sweep_b = ["sweep", *CASE1_SETS, "--set", "sigma2=0.1 0.05", "--set", "schemes=joint"]
+
+    def run(argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--set", f"out={out}"]) == 0
+        return out.read_bytes()
+
+    build_parser.cache_clear()
+    first_b = run(sweep_b, "b0.csv")
+    first_a = run(sweep_a, "a1.csv")
+    assert run(sweep_b, "b1.csv") == first_b
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--set", "gamma_phi=0", "--set", "trials=9", "--bogus"])
+    assert exc.value.code == 2
+    assert run(sweep_a, "a2.csv") == first_a
+    assert first_a != first_b
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("out", [None, "-"])

@@ -1,5 +1,6 @@
 """Numerical kernels: counter-based RNG, Monte-Carlo counts, batched evaluators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from gmacpam import (
     CombinedConstellation,
     DesignInput,
+    convert_snr,
+    design,
     design_collinear,
     exact_error_collinear,
     exact_error_planar,
@@ -18,7 +21,7 @@ from gmacpam.analysis import collinear_decision_interval, qfunc
 from gmacpam.decoder import decode
 from gmacpam.geometry import coincidence_tol, sender2_axis
 from gmacpam.sources import BIT_PAIRS, from_joint
-from gmacpam.simulate import _decoder_tables, derive_seed
+from gmacpam.simulate import _decoder_tables, derive_seed, simulate
 
 from conftest import build_cc
 
@@ -66,6 +69,17 @@ def test_derive_seed_range_and_distinct():
     seeds = {derive_seed(20260815, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**63 for s in seeds)
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, 2**63, -1])
+def test_derive_seed_rejects_seeds_simulate_rejects(case1, seed):
+    """derive_seed takes simulate's seed range, with simulate's message, so
+    2**64 + 5 no longer runs as seed 5."""
+    cc = build_cc(*_T2, 1.0, case1)
+    for call in (lambda: derive_seed(seed, 0), lambda: simulate(cc, 0.1, 10, seed)):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer below 2\*\*63$"):
+            call()
+    assert 0 <= derive_seed(2**63 - 1, 0) < 2**63
 
 
 def test_mask64_rejects_negative():
@@ -269,6 +283,48 @@ def test_safe_disk_off_where_unproven(case1, uniform):
     assert np.all(K.safe_disk(ax, ay, bias, 0.1)[1] > 0.0)
     bias[2] = math.nan
     assert not np.any(K.safe_disk(ax, ay, bias, 0.1)[1])
+
+
+# sha256 of the repr of every safe_disk rho and cut over _safe_disk_tables()
+SAFE_DISK_SHA256 = "2316288bcae1675462c8f56d3fad933c12dce054aa04400f45da86b5df936e78"
+
+
+def _safe_disk_tables(case1, case2, uniform):
+    """(tables, sigma2) of the designed constellations of both sources, each
+    gamma_phi of {1, 0.924, 0.707, 0}, 0-24 dB sum-energy SNR in 2 dB steps
+    and the antipodal, individual and joint schemes; then the tied,
+    overflowing-bias and NaN-bias tables of test_safe_disk_off_where_unproven,
+    and SCREEN_CASES, whose near pairs straddle the coincidence tolerance."""
+    cases = []
+    for pri in (case1, case2):
+        for gamma_phi in (1.0, 0.924, 0.707, 0.0):
+            for snr_db in range(0, 25, 2):
+                sigma2 = convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
+                inp = DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2)
+                for scheme in ("antipodal", "individual", "joint"):
+                    cc = design(scheme, inp).combined(inp)
+                    cases.append((_decoder_tables(cc, sigma2)[:3], sigma2))
+    amps, gamma_phi, _, sigma2, _ = MC_FROZEN["tied"]
+    cases.append((_decoder_tables(build_cc(*amps, gamma_phi, uniform), sigma2)[:3], sigma2))
+    cc = build_cc(*_T2, 1.0, case1)
+    with np.errstate(over="ignore"):
+        cases.append((_decoder_tables(cc, 1e-310)[:3], 1e-310))
+    ax, ay, bias, _ = _decoder_tables(cc, 0.1)
+    bias[2] = math.nan
+    cases.append(((ax, ay, bias), 0.1))
+    cases += [(_decoder_tables(cc, sigma2)[:3], sigma2) for _, cc, sigma2 in SCREEN_CASES]
+    return cases
+
+
+def test_safe_disk_frozen_digest(case1, case2, uniform):
+    """Every rho and cut, bit for bit, as the numpy version of safe_disk
+    gave them."""
+    h = hashlib.sha256()
+    for tables, sigma2 in _safe_disk_tables(case1, case2, uniform):
+        rho, cut = K.safe_disk(*tables, sigma2)
+        assert rho.dtype == cut.dtype == np.float64
+        h.update(" ".join(map(repr, rho.tolist() + cut.tolist())).encode() + b"\n")
+    assert h.hexdigest() == SAFE_DISK_SHA256
 
 
 def _words_drawn(monkeypatch, tables, sigma2, n):
