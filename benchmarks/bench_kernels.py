@@ -27,20 +27,24 @@ on the collinear one (threshold: collinear_pair_threshold of a00 against
 a11; interval: collinear_decision_interval of a10), and of the joint
 designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
 (collinear) and 0.924 (planar). The layer rows give microseconds per call
-of two set-up costs that repeat in a loop of CLI calls: cli-main, one
+of three costs that repeat in a loop of CLI calls: cli-main, one
 in-process gmacpam.cli.main call of a one-point evaluate (case-1 source,
 gamma_phi = 1, sigma2 = 0.1, joint design) with stdout captured, which
-includes the parser the call uses; and safe-disk, one safe_disk call on
+includes the parser the call uses; safe-disk, one safe_disk call on
 the mc-collinear 8 dB table (the fig9 source and energies, joint design,
-8 dB sum-energy SNR). The bvn-orthant rows give microseconds
+8 dB sum-energy SNR); and mc-planar-50k, one 50 000-trial mc_error_count
+call, a planar-sweep benchmark row's size, where the per-call costs
+weigh most, on that benchmark's gamma_phi = 0.707 joint design (case-2
+source, 10 dB sum-energy SNR). The bvn-orthant rows give microseconds
 per call of the scalar bivariate orthant (pure-Python Owen's T) at one of
 the planar point's orthants at sigma2 = 0.25 and one at 10^-1.6, the
 high-SNR case where h, k and h a are large. The search rows give seconds per
-numerical_search call at the case-1 source (the fig4 source), 10 dB
-sum-energy SNR and grid 400: gamma_phi = 1 and gamma_phi = 0.924, each
-checked to report the exact error of its own design; each notes the
-kernel rows one call scores, counted by wrapping the two batch kernels in
-an untimed call. The
+numerical_search call at 10 dB sum-energy SNR: the case-1 source (the
+fig4 source) at grid 400 for gamma_phi = 1 and gamma_phi = 0.924, and
+search-planar-grid10, the planar-sweep benchmark's search (case-2 source,
+gamma_phi = 0.924, grid 10); each is checked to report the exact error of
+its own design, and notes the kernel rows and calls one search scores,
+counted by wrapping the two batch kernels in an untimed call. The
 sweep-row rows give microseconds per row of the CLI sweep loop
 (cli._sweep_rows) at the case-1 source: antipodal, individual and joint
 designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
@@ -189,6 +193,10 @@ def bench_scalar(repeat):
 
 # In-process CLI calls per timed repeat.
 CLI_CALLS = 200
+# Monte-Carlo calls per timed repeat of mc-planar-50k, and the trials of
+# each: a planar-sweep benchmark row's.
+MC_CALLS = 20
+PLANAR_SWEEP_TRIALS = 50_000
 
 _EVALUATE = ["evaluate", "--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m=0.9",
              "--set", "gamma_phi=1", "--set", "sigma2=0.1", "--set", "schemes=joint"]
@@ -210,9 +218,17 @@ def bench_layers(repeat):
     _, t_cli = best_of(evaluate, repeat)
     _, t_disk = best_of(lambda: [_kernels.safe_disk(*tables, sigma2)
                                  for _ in range(SCALAR_CALLS)], repeat)
+
+    s2_planar = convert_snr(10.0, "sum-energy", 1.0, 1.0, 0.707)
+    inp = DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, 0.707, s2_planar)
+    planar = _decoder_tables(design("joint", inp).combined(inp), s2_planar)
+    _, t_mc = best_of(lambda: [_kernels.mc_error_count(*planar, s2_planar, 20260815, 0,
+                                                       PLANAR_SWEEP_TRIALS)
+                               for _ in range(MC_CALLS)], repeat)
     return [
         ("cli-main", t_cli, t_cli / CLI_CALLS * 1e6, "us/call"),
         ("safe-disk", t_disk, t_disk / SCALAR_CALLS * 1e6, "us/call"),
+        ("mc-planar-50k", t_mc, t_mc / MC_CALLS * 1e6, "us/call"),
     ]
 
 
@@ -263,10 +279,13 @@ def _scored_rows(fn):
 
 def bench_search(repeat):
     case1 = from_marginals_correlation(0.1, 0.1, 0.9)
+    case2 = from_marginals_correlation(0.2, 0.5, 0.4)
     rows = []
-    for name, gamma_phi, grid in (("search-collinear", 1.0, 400), ("search-planar", 0.924, 400)):
+    for name, priors, gamma_phi, grid in (("search-collinear", case1, 1.0, 400),
+                                          ("search-planar", case1, 0.924, 400),
+                                          ("search-planar-grid10", case2, 0.924, 10)):
         sigma2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
-        inp = DesignInput(case1, 1.0, 1.0, gamma_phi, sigma2)
+        inp = DesignInput(priors, 1.0, 1.0, gamma_phi, sigma2)
         res, t = best_of(lambda: numerical_search(inp, grid=grid), repeat)
         want = exact_error(res.combined(inp), inp.sigma2).p_err_exact
         assert abs(res.p_err - want) <= 1e-12 * want, name

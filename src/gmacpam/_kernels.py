@@ -20,6 +20,7 @@ which is exact, so every count is the one the full decision gives.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,11 +60,13 @@ def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(w: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draws (w >> 11) 2**-53 of the 64-bit words w, overwriting w."""
+    """Uniform [0,1) draws (w >> 11) 2**-53 of the 64-bit words w, written
+    over w: the result is a float64 view of w's memory."""
     w >>= _U64(11)
-    # below 2**53, so the signed view converts exactly (and faster)
-    u = w.view(np.int64).astype(np.float64)
-    u *= _INV_2_53
+    # below 2**53, so the signed view converts exactly (and faster); the
+    # cast reads each word before it writes its draw, so it runs in place
+    u = w.view(np.float64)
+    np.multiply(w.view(np.int64), _INV_2_53, out=u)
     return u
 
 
@@ -86,8 +89,9 @@ def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
 # Monte-Carlo trial kernel
 # ---------------------------------------------------------------------------
 
-# Trials per block: small enough that a block's temporaries (three 256 KB
-# word arrays and the smaller gathers) stay in cache.
+# Trials per block, and the most trials one scoring batch takes: small
+# enough that a block's temporaries (three 256 KB word arrays and the
+# smaller gathers) stay in cache.
 _MC_BLOCK = 1 << 15
 
 # Largest Box-Muller radius, in units of sigma, that the uniform stream can
@@ -175,6 +179,17 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
     return np.array(rho), np.array(cut)
 
 
+@functools.cache
+def _counter_ramp(block: int) -> np.ndarray:
+    """Read-only counters 3 i golden, i < block: stream j's word of trial i
+    of a block is the finaliser of entry i plus the block's offset for j
+    (see _splitmix). Built on the first Monte-Carlo call at each block size."""
+    ramp = np.arange(0, 3 * block, 3, dtype=_U64)
+    ramp *= _U64(_GOLDEN)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def mc_error_count(
     ax: np.ndarray,
     ay: np.ndarray,
@@ -196,18 +211,16 @@ def mc_error_count(
 
     A trial with u1 below its point's safe-disk cut (safe_disk) decodes
     correctly whatever u2 is, so it is counted as correct without drawing
-    u2 or scoring; the rest are drawn and decided as above. Each block
-    draws the radius word w1 of every trial and, when the smallest cut is
-    at least 1/2, the source word only of trials whose w1 is at or past
-    it: the others are inside every disk. Cuts are compared on the words,
-    w >= word_cut(c) for u >= c, which is exact, so only the scored
-    trials convert w1 to u1 and draw the angle word. When every ay
-    is 0 (collinear geometry) the quadrature terms are skipped: they add
-    only +-0 to a score, which cannot change a comparison, so sin is never
-    evaluated there.
+    u2 or scoring; the rest are drawn and decided as above. Each block of
+    _MC_BLOCK trials draws the radius word w1 of every trial and, when the
+    smallest cut is at least 1/2, the source word only of trials whose w1
+    is at or past it: the others are inside every disk. Cuts are compared
+    on the words, w >= word_cut(c) for u >= c, which is exact. The blocks'
+    remaining trials (sent pair, radius word, angle counter) are collected
+    and scored by _score_trials in batches of at most _MC_BLOCK trials
+    across blocks, so at high SNR, where about 1% of trials leave their
+    disk, a call runs the scoring stage once rather than once a block.
     """
-    sigma = math.sqrt(sigma2)
-    planar = bool(np.any(ay != 0.0))
     cut = np.array([word_cut(c) for c in safe_disk(ax, ay, bias, sigma2)[1].tolist()],
                    dtype=_U64)
     # a cdf entry that rounds to 1 has no word at or past it
@@ -219,13 +232,19 @@ def mc_error_count(
     # disk (cut 0), every trial draws its source word.
     screen = cut.min() if cut.min() >= word_cut(0.5) else _U64(0)
     b = min(_MC_BLOCK, n)
-    # stream j's word of trial i in a block is the finaliser of ramp[i]
-    # plus the block's offset for j (see _splitmix)
-    ramp = np.arange(0, 3 * b, 3, dtype=_U64)
-    ramp *= _U64(_GOLDEN)
+    ramp = _counter_ramp(_MC_BLOCK)[:b]
     words = np.empty_like(ramp)
     tmp = np.empty_like(ramp)
     seed64 = mask64(seed)
+    # the trials left to score, collected across blocks (sent pairs,
+    # radius words and angle counters), and the scoring's scratch
+    idx_q, w1_q, z2_q = np.empty(b, dtype=np.uint8), np.empty_like(ramp), np.empty_like(ramp)
+    work = np.empty((6, b))
+
+    def score(size: int) -> int:
+        return _score_trials(ax, ay, bias, sigma2, idx_q[:size], w1_q[:size], z2_q[:size], work)
+
+    size = 0
     errors = 0
     done = 0
     while done < n:
@@ -257,51 +276,73 @@ def mc_error_count(
         live = np.flatnonzero(w1 >= np.take(cut, idx, out=tmp[:idx.size], mode="clip"))
         if live.size == 0:
             continue
-        # the scored trials' rows in the block, sent pairs and radius words
-        rows = live if rows is None else rows.take(live)
-        idx, w1 = idx.take(live), w1.take(live)
-        z2 = ramp.take(rows)
+        if size + live.size > b:
+            errors += score(size)
+            size = 0
+        end = size + live.size
+        np.take(idx, live, out=idx_q[size:end], mode="clip")
+        np.take(w1, live, out=w1_q[size:end], mode="clip")
+        # the scored trials' rows in the block give their angle counters
+        z2 = np.take(ramp, live if rows is None else rows.take(live), out=z2_q[size:end],
+                     mode="clip")
         z2 += offset[2]
-        u1, u2 = _uniforms(w1), _uniforms(_splitmix(z2, np.empty_like(z2)))
-
-        r = np.negative(u1, out=u1)
-        np.log1p(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        r *= sigma
-        ang = np.multiply(u2, 2.0 * math.pi, out=u2)
-        if planar:
-            rim = np.sin(ang)
-            rim *= r
-            rim += ay.take(idx)
-        rre = np.cos(ang, out=ang)
-        rre *= r
-        rre += ax.take(idx)
-        quad = r  # r is spent; reuse it for the quadrature terms
-
-        scores = []
-        for k in range(4):
-            s = rre * ax[k]
-            if planar:
-                s += np.multiply(rim, ay[k], out=quad)
-            s /= sigma2
-            s += bias[k]
-            scores.append(s)
-        top = np.maximum(scores[0], scores[1])
-        np.maximum(top, scores[2], out=top)
-        np.maximum(top, scores[3], out=top)
-        if np.isnan(top).any():
-            # overflowing inputs; argmax counts a NaN as the maximum
-            best = np.argmax(np.stack(scores), axis=0)
-        else:
-            # first k attaining the maximum = the number of leading scores below it
-            below = scores[0] != top
-            best = below.view(np.uint8).copy()
-            for s in scores[1:3]:
-                below &= s != top
-                best += below.view(np.uint8)
-        errors += int(np.count_nonzero(best != idx))
+        size = end
+    if size:
+        errors += score(size)
     return errors
+
+
+def _score_trials(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray, sigma2: float,
+                  idx: np.ndarray, w1: np.ndarray, z2: np.ndarray, work: np.ndarray) -> int:
+    """Decoding errors among trials with sent pairs idx, radius words w1
+    and angle counters z2 (the angle words before the finaliser). Every
+    array of the batch's length lives in w1, z2 (both overwritten) or a row
+    of work, float64 scratch of shape (6, m), m >= idx.size, that the
+    caller keeps for its whole call: a batch frees nothing large, which
+    would let the allocator hand the pages back and fault them in again
+    for the next one. When every ay is 0 (collinear geometry) the
+    quadrature terms are skipped: they add only +-0 to a score, which
+    cannot change a comparison, so sin is never evaluated there."""
+    rim, top, *scores = (row[:idx.size] for row in work)
+    planar = bool(np.any(ay != 0.0))
+    r = _uniforms(w1)
+    ang = _uniforms(_splitmix(z2, rim.view(_U64)))
+
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    r *= math.sqrt(sigma2)
+    ang *= 2.0 * math.pi
+    if planar:
+        np.sin(ang, out=rim)
+        rim *= r
+        rim += np.take(ay, idx, out=top, mode="clip")
+    rre = np.cos(ang, out=ang)
+    rre *= r
+    rre += np.take(ax, idx, out=top, mode="clip")
+    quad = r  # r is spent; reuse it for the quadrature terms
+
+    for k, s in enumerate(scores):
+        np.multiply(rre, ax[k], out=s)
+        if planar:
+            s += np.multiply(rim, ay[k], out=quad)
+        s /= sigma2
+        s += bias[k]
+    np.maximum(scores[0], scores[1], out=top)
+    np.maximum(top, scores[2], out=top)
+    np.maximum(top, scores[3], out=top)
+    if np.isnan(top).any():
+        # overflowing inputs; argmax counts a NaN as the maximum
+        best = np.argmax(np.stack(scores), axis=0)
+    else:
+        # first k attaining the maximum = the number of leading scores below it
+        below = scores[0] != top
+        best = below.view(np.uint8).copy()
+        for s in scores[1:3]:
+            below &= s != top
+            best += below.view(np.uint8)
+    return int(np.count_nonzero(best != idx))
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +477,23 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     with np.errstate(over="ignore"):
         alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
     wedge = alpha > 0.0
-    # alpha > 0: miss = T_x + T_y + T_d - B_dx - B_dy; else T_x + T_y - J_xy
-    first = _bvn_lower_orthant(
-        np.where(wedge, z_d, z_x),
-        np.where(wedge, z_x, z_y),
-        np.where(wedge, _pair_corr(c_d, c_x), _pair_corr(c_x, c_y)),
-        np.where(wedge, t_d, t_x),
-        np.where(wedge, t_x, t_y),
+
+    def orthant_args(on_wedge, off_wedge, second):
+        return np.concatenate([np.where(wedge, on_wedge, off_wedge).ravel(), second[wedge]])
+
+    # alpha > 0: miss = T_x + T_y + T_d - B_dx - B_dy; else T_x + T_y - J_xy.
+    # One orthant call takes the first orthant of every point (B_dx or
+    # J_xy), then B_dy of the wedge points, each with the rho of its pair.
+    orthant = _bvn_lower_orthant(
+        orthant_args(z_d, z_x, z_d),
+        orthant_args(z_x, z_y, z_y),
+        _pair_corr(orthant_args(c_d, c_x, c_d), orthant_args(c_x, c_y, c_y)),
+        orthant_args(t_d, t_x, t_d),
+        orthant_args(t_x, t_y, t_y),
     )
+    first = orthant[:wedge.size].reshape(wedge.shape)
     second = np.zeros_like(first)
-    second[wedge] = _bvn_lower_orthant(
-        z_d[wedge], z_y[wedge], _pair_corr(c_d[wedge], c_y[wedge]), t_d[wedge], t_y[wedge]
-    )
+    second[wedge] = orthant[wedge.size:]
     adj = t_x + t_y
     miss = np.where(wedge, adj + t_d - first - second, adj - first)
     p_err = np.clip(np.clip(miss, 0.0, 1.0) @ p, 0.0, 1.0)

@@ -235,12 +235,14 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     Refinement starts from the best point of that pass. Each round scores
     a 21 x 21 window around the best point so far in one batched call;
     the first window spans one coarse step either side, each later one
-    0.15 of the one before. For grid <= 40 one round runs, so the result
-    is the exhaustive grid's best point refined once. Above 40 the rounds
-    go on until the window spacing is at most 1 / (10 (grid - 1)) of the
-    axis, what one round gives after an exhaustive pass at grid, and then
-    two more. So no call scores more than 40^2 rows, a round scores 441,
-    and the rounds grow as log(grid).
+    0.15 of the one before. A window is clipped to the rectangle, and the
+    axis values that clipping repeats are scored once. For grid <= 40 one
+    round runs, so the result is the exhaustive grid's best point refined
+    once. Above 40 the rounds go on until the window spacing is at most
+    1 / (10 (grid - 1)) of the axis, what one round gives after an
+    exhaustive pass at grid, and then two more. So no call scores more
+    than 40^2 rows, a round at most 441 distinct ones, and the rounds grow
+    as log(grid).
 
     Each sender is reported where _on_shell puts its separation: on its
     energy boundary at d_max, on the negative shell root below it, as the
@@ -267,10 +269,11 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
 
     half = (g1[1] - g1[0], g2[1] - g2[0])
     for _ in range(_rounds(n, grid)):
-        w1 = np.clip(np.linspace(d1 - half[0], d1 + half[0], _WINDOW), 0.0, dmax[0])
-        w2 = np.clip(np.linspace(d2 - half[1], d2 + half[1], _WINDOW), -dmax[1], dmax[1])
+        w1 = _distinct(np.clip(np.linspace(d1 - half[0], d1 + half[0], _WINDOW), 0.0, dmax[0]))
+        w2 = _distinct(np.clip(np.linspace(d2 - half[1], d2 + half[1], _WINDOW),
+                               -dmax[1], dmax[1]))
         pe = _score_windows(inp, w1, w2)
-        i, j = divmod(_first_best(pe), _WINDOW)
+        i, j = divmod(_first_best(pe), len(w2))
         if pe[i, j] < pe_best:
             pe_best, d1, d2 = float(pe[i, j]), w1[i], w2[j]
         half = (half[0] * _SHRINK, half[1] * _SHRINK)
@@ -292,6 +295,21 @@ def _rounds(n: int, grid: int) -> int:
     # times (grid - 1) / (n - 1); logs keep any integer grid finite
     ratio = math.log(grid - 1) - math.log(n - 1)
     return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
+
+
+def _distinct(w):
+    """The sorted axis w with each repeated value kept once, in order.
+
+    Clipping a refinement window to the rectangle repeats its edge values;
+    the first copy of each stays, so the first tie in row-major order is
+    the same candidate as on the full window. Adjacent comparisons suffice
+    on a sorted axis and, unlike np.unique, run no sort.
+    """
+    import numpy as np
+
+    keep = np.ones(w.size, dtype=bool)
+    np.not_equal(w[1:], w[:-1], out=keep[1:])
+    return w[keep]
 
 
 def _first_best(pe) -> int:

@@ -1,5 +1,6 @@
 """Constellation designers: closed-form optima and the grid search."""
 
+import hashlib
 import math
 import warnings
 
@@ -813,6 +814,76 @@ def test_search_batches_stay_bounded(case2, monkeypatch):
         assert max(sizes[1:]) <= 441
         assert res.p_err == pytest.approx(
             exact_error(res.combined(inp), 0.05).p_err_exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("which, gamma_phi, grid, rows", [
+    ("case2", 0.0, 10, 221), ("case2", 0.383, 10, 221), ("case2", 0.707, 10, 221),
+    ("case2", 0.924, 10, 221), ("case1", 1.0, 400, 2755), ("case2", 1.0, 400, 2205)])
+def test_search_scores_each_candidate_once(request, monkeypatch, which, gamma_phi, grid, rows):
+    """No kernel call scores a row twice. At 10 dB sum-energy the optimum
+    sits on the rectangle's edge, where clipping the refinement window
+    repeats axis values: the planar searches at grid 10 (the planar-sweep
+    benchmark's) score 221 rows and the fig4 / fig5 sources at grid 400
+    2 755 and 2 205; full 441-row windows would make 541 and 3 805."""
+    from gmacpam import _kernels
+
+    batches = []
+    for attr in ("collinear_pe_batch", "planar_pe_batch"):
+        def counted(points, priors, sigma2, kernel=getattr(_kernels, attr)):
+            batches.append(points)
+            return kernel(points, priors, sigma2)
+
+        monkeypatch.setattr(_kernels, attr, counted)
+    s2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
+    numerical_search(DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2),
+                     grid=grid)
+    for points in batches:
+        assert len(np.unique(points, axis=0)) == len(points)
+    assert sum(map(len, batches)) == rows
+
+
+# sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped) over
+# _search_digest_cases(tier), recorded before the refinement windows
+# dropped the axis values that clipping repeats
+SEARCH_DIGEST_SHA256 = {
+    "sparse": "08533a9c94346471b2f123b1ea344efd5dac0d668893fe96b9d67550419a5858",
+    "dense": "f4447d64392b4190fcf878f265abe1e32cb44fa54e434022fd3335ddaf8337eb",
+}
+
+
+def _search_digest_cases(tier):
+    """(source, gamma_phi, snr_db, grid) of the search digest, unit energies,
+    sum-energy SNR. sparse: both sources, gamma_phi +-1 / 0.924 / 0.707 /
+    0.383 / 0, 0-24 dB in 4 dB steps, grids 10 and 60, and grid 400 on the
+    line. dense: the odd-numbered dB points from 1 to 23, gamma_phi -0.924 /
+    -0.707 / -0.383 / -0.5 added, grids 10, 40 and 60 everywhere and 400 on
+    the line and at gamma_phi 0.924."""
+    if tier == "sparse":
+        gammas, snrs = (1.0, -1.0, 0.924, 0.707, 0.383, 0.0), range(0, 25, 4)
+    else:
+        gammas = (1.0, -1.0, 0.924, -0.924, 0.707, -0.707, 0.383, -0.383, 0.0, -0.5)
+        snrs = range(1, 24, 2)
+    for which in ("case1", "case2"):
+        for gamma_phi in gammas:
+            grids = (10, 60) if tier == "sparse" else (10, 40, 60)
+            if abs(gamma_phi) == 1.0 or (tier == "dense" and gamma_phi == 0.924):
+                grids += (400,)
+            for snr_db in snrs:
+                for grid in grids:
+                    yield which, gamma_phi, snr_db, grid
+
+
+@pytest.mark.parametrize("tier", ["sparse", pytest.param("dense", marks=pytest.mark.slow)])
+def test_search_results_frozen_digest(request, tier):
+    """Every search result of the recorded sweep, bit for bit."""
+    h = hashlib.sha256()
+    for which, gamma_phi, snr_db, grid in _search_digest_cases(tier):
+        s2 = convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
+        inp = DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2)
+        res = numerical_search(inp, grid=grid)
+        h.update(repr((res.a10, res.a11, res.a20, res.a21, res.p_err, res.swapped)).encode()
+                 + b"\n")
+    assert h.hexdigest() == SEARCH_DIGEST_SHA256[tier]
 
 
 # ---------------------------------------------------------------------------

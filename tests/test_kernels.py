@@ -447,6 +447,53 @@ def test_counts_invariant_to_block_size(request, block, monkeypatch):
             assert K.mc_error_count(*tables, sigma2, MC_SEEDS[1], start, n) == want, (name, start)
 
 
+def _counted_scoring(monkeypatch):
+    """Trials in each _score_trials batch, appended to the list returned."""
+    batches = []
+    score = K._score_trials
+
+    def counted(ax, ay, bias, sigma2, idx, *rest):
+        batches.append(idx.size)
+        return score(ax, ay, bias, sigma2, idx, *rest)
+
+    monkeypatch.setattr(K, "_score_trials", counted)
+    return batches
+
+
+@pytest.mark.parametrize("block", [1, 7, 4099, K._MC_BLOCK])
+def test_scoring_batches_span_blocks(request, block, monkeypatch):
+    """The trials that leave their disk are scored in batches across
+    blocks, none larger than _MC_BLOCK, and every count equals the decoder
+    replay, on the SCREEN_CASES and MC_FROZEN tables."""
+    monkeypatch.setattr(K, "_MC_BLOCK", block)
+    batches = _counted_scoring(monkeypatch)
+    n = max(300, 2 * block + 5)
+    cases = [(_decoder_tables(cc, sigma2), sigma2) for _, cc, sigma2 in SCREEN_CASES]
+    for amps, gamma_phi, source, sigma2, _ in MC_FROZEN.values():
+        cc = build_cc(*amps, gamma_phi, request.getfixturevalue(source))
+        cases.append((_decoder_tables(cc, sigma2), sigma2))
+    for tables, sigma2 in cases:
+        for start in (block - 1, 2**40 + 1):
+            batches.clear()
+            want = _reference_count(*tables, sigma2, MC_SEEDS[1], start, n)
+            assert K.mc_error_count(*tables, sigma2, MC_SEEDS[1], start, n) == want
+            assert max(batches, default=0) <= block
+
+
+def test_high_snr_call_scores_in_one_batch(case1, monkeypatch):
+    """500 000 trials on the mc-collinear benchmark's 16 dB table (fig9
+    source and energies, joint design) cover 16 blocks, and the trials
+    that leave their disk are scored in one batch."""
+    batches = _counted_scoring(monkeypatch)
+    sigma2 = convert_snr(16.0, "sum-energy", 2.0, 1.0, 1.0)
+    inp = DesignInput(case1, 2.0, 1.0, 1.0, sigma2)
+    tables = _decoder_tables(design("joint", inp).combined(inp), sigma2)
+    n = 500_000
+    assert -(-n // K._MC_BLOCK) == 16
+    assert K.mc_error_count(*tables, sigma2, 7, 0, n) == _reference_count(*tables, sigma2, 7, 0, n)
+    assert len(batches) == 1 and 0 < batches[0] <= K._MC_BLOCK
+
+
 # SNRs of the batch-versus-scalar checks; sigma2 = 10^(-snr/10) against
 # points of order one carries the error rates from about 0.5 down to
 # values that underflow to 0.
@@ -565,6 +612,50 @@ def test_planar_batch_non_bijective_is_inf(case2):
     assert pe[1] == np.inf and pe[2] == np.inf
     with pytest.raises(NonBijective):
         exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
+
+
+# sha256 of the repr of every planar_pe_batch value over _planar_digest_batches()
+PLANAR_BATCH_SHA256 = "90c900b216469bb3f9038338c378da856010f47b77498690ef607bbea3fe2766"
+
+
+def _planar_digest_batches(case1, case2):
+    """(rows, priors, sigma2) of the planar batch digest: 100 random rows
+    (_planar_rows) for each source, gamma_phi of {0, 0.383, 0.707, 0.924}
+    and sigma2 of {1, 0.1, 0.01}, 2 400 rows; then the rows {0, d2 u2, 1,
+    1 + d2 u2}, d2 = +-0.1 ... +-2, at gamma_phi 0 and 0.707, the case-2
+    source and the sigma2 that makes a00's bound against a10 an exact
+    zero."""
+    rng = np.random.Generator(np.random.PCG64(59))
+    batches = []
+    for pri in (case1, case2):
+        for gamma_phi in (0.0, 0.383, 0.707, 0.924):
+            for sigma2 in (1.0, 0.1, 0.01):
+                batches.append((_planar_rows(rng, gamma_phi, 100), pri.as_array(), sigma2))
+    priors = case2.as_array()
+    sigma2 = -0.5 / float(np.log(priors[0] / priors[2]))
+    d2 = np.concatenate([-np.arange(1, 21) / 10.0, np.arange(1, 21) / 10.0])
+    for gamma_phi in (0.0, 0.707):
+        s2 = d2 * sender2_axis(gamma_phi)
+        rows = np.stack([np.zeros_like(s2), s2, 1.0 + 0.0 * s2, 1.0 + s2], axis=1)
+        batches.append((rows, priors, sigma2))
+    return batches
+
+
+def test_planar_batch_frozen_digest(case1, case2):
+    """Every planar_pe_batch value, bit for bit, over rows that take both
+    alpha branches, an exact zero bound and a zero correlation."""
+    h = hashlib.sha256()
+    branches, zero_bound, zero_rho = set(), False, False
+    for rows, priors, sigma2 in _planar_digest_batches(case1, case2):
+        h.update(" ".join(map(repr, K.planar_pe_batch(rows, priors, sigma2).tolist())).encode()
+                 + b"\n")
+        for row in rows:
+            branches.update(a > 0.0 for a in _alpha(row, priors, sigma2))
+        (c_x, z_x), (c_y, _), _ = (K._rival(rows, priors, sigma2, idx) for idx in K._RIVALS)
+        zero_bound |= bool(np.any(z_x == 0.0))
+        zero_rho |= bool(np.any(K._pair_corr(c_x, c_y) == 0.0))
+    assert branches == {True, False} and zero_bound and zero_rho
+    assert h.hexdigest() == PLANAR_BATCH_SHA256
 
 
 @pytest.mark.parametrize("gamma_phi", [1.0, -1.0, 0.383, 0.924])
