@@ -27,14 +27,8 @@ import numpy as np
 
 from .analysis import _RHO_LIMIT, _TINY, _wins_degenerate
 from .geometry import COINCIDENCE_RTOL, SCALE_FLOOR, coincidence_tol, pairwise_distinct
-# the stream's constants and seed mask live in simulate, so that no sweep needs numpy for them
-from .simulate import (
-    _GOLDEN,
-    _MASK64,
-    _MIX1,
-    _MIX2,
-    mask64,
-)
+# the stream's constants and seed check live in simulate, so that no sweep needs numpy for them
+from .simulate import _GOLDEN, _MASK64, _MIX1, _MIX2, _check_seed
 
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
@@ -78,10 +72,11 @@ def word_cut(c: float) -> int:
 
 
 def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draws at the given 64-bit counters."""
+    """Uniform [0,1) draws at the given 64-bit counters; seed as simulate's."""
+    _check_seed(seed)
     z = counters.astype(_U64)
     z *= _U64(_GOLDEN)
-    z += _U64((mask64(seed) + _GOLDEN) & _MASK64)
+    z += _U64((seed + _GOLDEN) & _MASK64)
     return _uniforms(_splitmix(z, np.empty_like(z)))
 
 
@@ -200,7 +195,8 @@ def mc_error_count(
     start: int,
     n: int,
 ) -> int:
-    """Number of MAP decoding errors over trials [start, start + n).
+    """Number of MAP decoding errors over trials [start, start + n); seed
+    as simulate's.
 
     Per trial t: pair idx = #{k < 3 : u0 >= cdf[k]} (the source draw),
     received sample a[idx] + r exp(i 2 pi u2) with Box-Muller radius
@@ -221,6 +217,7 @@ def mc_error_count(
     across blocks, so at high SNR, where about 1% of trials leave their
     disk, a call runs the scoring stage once rather than once a block.
     """
+    _check_seed(seed)
     cut = np.array([word_cut(c) for c in safe_disk(ax, ay, bias, sigma2)[1].tolist()],
                    dtype=_U64)
     # a cdf entry that rounds to 1 has no word at or past it
@@ -235,7 +232,6 @@ def mc_error_count(
     ramp = _counter_ramp(_MC_BLOCK)[:b]
     words = np.empty_like(ramp)
     tmp = np.empty_like(ramp)
-    seed64 = mask64(seed)
     # the trials left to score, collected across blocks (sent pairs,
     # radius words and angle counters), and the scoring's scratch
     idx_q, w1_q, z2_q = np.empty(b, dtype=np.uint8), np.empty_like(ramp), np.empty_like(ramp)
@@ -250,7 +246,7 @@ def mc_error_count(
     while done < n:
         m = min(b, n - done)
         first = 3 * (start + done)
-        offset = [_U64(((first + j + 1) * _GOLDEN + seed64) & _MASK64) for j in range(3)]
+        offset = [_U64(((first + j + 1) * _GOLDEN + seed) & _MASK64) for j in range(3)]
         done += m
         if screen:
             w1 = _splitmix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])

@@ -605,9 +605,12 @@ def collinear_sign_case(d1: float, d2: float) -> int:
 def high_snr_correct_prob(case: int, d1: float, d2: float, priors, sigma: float) -> float:
     """Closed-form high-SNR system correct probability for one sign case.
 
-    These expressions drop the sigma2 ln(prior ratio) threshold tilts, so
-    they approach the exact collinear result as sigma -> 0. The requested
-    case must match the actual signs of (d1, d2).
+    Every case is one rule: with the points u d1 + v d2 sorted on the
+    line, each gap g between neighbours takes a midpoint threshold that
+    both neighbours miss with probability Q(g / 2 sigma). This drops the
+    sigma2 ln(prior ratio) threshold tilts, so it approaches the exact
+    collinear result as sigma -> 0. The requested case must match the
+    actual signs of (d1, d2).
     """
     if case not in range(1, 9):
         raise CaseMismatch(f"case must be 1..8, got {case}")
@@ -615,22 +618,7 @@ def high_snr_correct_prob(case: int, d1: float, d2: float, priors, sigma: float)
         raise CaseMismatch(
             f"(d1, d2) = {(d1, d2)} does not satisfy the conditions of case {case}"
         )
-    p00, p01, p10, p11 = priors.as_tuple()
-    s_anti = p10 + p01
-    s_diag = p00 + p11
-    two_sigma = 2.0 * sigma
-    if case == 1:
-        return 1.0 - qfunc(d2 / two_sigma) - s_anti * qfunc((d1 - d2) / two_sigma)
-    if case == 2:
-        return 1.0 - qfunc(d1 / two_sigma) - s_anti * qfunc((d2 - d1) / two_sigma)
-    if case == 3:
-        return qfunc(d2 / two_sigma) - s_diag * qfunc((d1 + d2) / two_sigma)
-    if case == 4:
-        return s_anti - qfunc(d1 / two_sigma) + s_diag * qfunc((d1 + d2) / two_sigma)
-    if case == 5:
-        return s_anti - qfunc(d2 / two_sigma) + s_diag * qfunc((d1 + d2) / two_sigma)
-    if case == 6:
-        return qfunc(d1 / two_sigma) - s_diag * qfunc((d1 + d2) / two_sigma)
-    if case == 7:
-        return qfunc(d2 / two_sigma) - s_anti * qfunc((d2 - d1) / two_sigma)
-    return qfunc(d1 / two_sigma) - s_anti * qfunc((d1 - d2) / two_sigma)
+    line = sorted(zip((0.0, d2, d1, d1 + d2), priors.as_tuple()))
+    # q[k] and q[k + 1] are the gaps on either side of point k
+    q = [0.0, *(qfunc((b - a) / (2.0 * sigma)) for (a, _), (b, _) in zip(line, line[1:])), 0.0]
+    return 1.0 - math.fsum(p * (q[k] + q[k + 1]) for k, (_, p) in enumerate(line))

@@ -230,19 +230,19 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     the translate {0, d2 u2, d1, d1 + d2 u2} (see _score_windows). The
     mirror a -> -a covers d1 < 0.
 
-    `grid` is the resolution per axis. An exhaustive pass scores
-    min(grid, 40) points per axis in one batched tail-form call.
-    Refinement starts from the best point of that pass. Each round scores
-    a 21 x 21 window around the best point so far in one batched call;
-    the first window spans one coarse step either side, each later one
-    0.15 of the one before. A window is clipped to the rectangle, and the
-    axis values that clipping repeats are scored once. For grid <= 40 one
-    round runs, so the result is the exhaustive grid's best point refined
-    once. Above 40 the rounds go on until the window spacing is at most
-    1 / (10 (grid - 1)) of the axis, what one round gives after an
-    exhaustive pass at grid, and then two more. So no call scores more
-    than 40^2 rows, a round at most 441 distinct ones, and the rounds grow
-    as log(grid).
+    `grid` is the resolution per axis. Each round scores one window of
+    candidates in one batched tail-form call. Round 0 is the exhaustive
+    pass: min(grid, 40) points per axis over the whole rectangle. Each
+    later round scores a 21 x 21 window around the best point so far; the
+    first spans one coarse step either side, each later one 0.15 of the
+    one before. Every window is clipped to the rectangle, and its axes
+    (see _axis) hold each value once and never a zero separation, which
+    is no design. For grid <= 40 one round follows the pass, so the
+    result is the exhaustive grid's best point refined once. Above 40 the
+    rounds go on until the window spacing is at most 1 / (10 (grid - 1))
+    of the axis, what one round gives after an exhaustive pass at grid,
+    and then two more. So no call scores more than 39 x 40 rows, a
+    refinement round at most 441, and the rounds grow as log(grid).
 
     Each sender is reported where _on_shell puts its separation: on its
     energy boundary at d_max, on the negative shell root below it, as the
@@ -258,27 +258,25 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     pr = inp.priors
     dmax = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
     n = min(grid, _COARSE)
-    g1 = np.linspace(0.0, dmax[0], n)
-    g2 = np.linspace(-dmax[1], dmax[1], n)
-
-    coarse = _score_windows(inp, g1, g2)
-    i, j = divmod(_first_best(coarse), n)
-    pe_best, d1, d2 = float(coarse[i, j]), g1[i], g2[j]
-    if not math.isfinite(pe_best):
-        raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-
-    half = (g1[1] - g1[0], g2[1] - g2[0])
-    for _ in range(_rounds(n, grid)):
-        w1 = _distinct(np.clip(np.linspace(d1 - half[0], d1 + half[0], _WINDOW), 0.0, dmax[0]))
-        w2 = _distinct(np.clip(np.linspace(d2 - half[1], d2 + half[1], _WINDOW),
-                               -dmax[1], dmax[1]))
+    # round 0 is the exhaustive pass: n points per axis about (d_max1 / 2, 0)
+    # at half-widths (d_max1 / 2, d_max2) span the rectangle exactly, and
+    # round 1's half-widths are its steps
+    best, half, size = (dmax[0] / 2.0, 0.0), (dmax[0] / 2.0, dmax[1]), n
+    pe_best = math.inf
+    for r in range(_rounds(n, grid) + 1):
+        g1 = np.linspace(best[0] - half[0], best[0] + half[0], size)
+        g2 = np.linspace(best[1] - half[1], best[1] + half[1], size)
+        w1, w2 = _axis(g1, 0.0, dmax[0]), _axis(g2, -dmax[1], dmax[1])
         pe = _score_windows(inp, w1, w2)
         i, j = divmod(_first_best(pe), len(w2))
         if pe[i, j] < pe_best:
-            pe_best, d1, d2 = float(pe[i, j]), w1[i], w2[j]
-        half = (half[0] * _SHRINK, half[1] * _SHRINK)
+            pe_best, best = float(pe[i, j]), (w1[i], w2[j])
+        if not math.isfinite(pe_best):
+            raise InfeasibleRoot("no nondegenerate candidate on the search grid")
+        half = (g1[1] - g1[0], g2[1] - g2[0]) if r == 0 else (half[0] * _SHRINK, half[1] * _SHRINK)
+        size = _WINDOW
 
-    d1, d2 = float(d1), float(d2)
+    d1, d2 = float(best[0]), float(best[1])
     if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(d2) > d1:
         # the swap image, mirrored so that sender 1's separation stays >= 0
         d1, d2 = abs(d2), math.copysign(d1, d2)
@@ -297,18 +295,21 @@ def _rounds(n: int, grid: int) -> int:
     return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
 
 
-def _distinct(w):
-    """The sorted axis w with each repeated value kept once, in order.
+def _axis(w, lo, hi):
+    """The sorted axis w clipped to [lo, hi], with each repeated value kept
+    once, in order, and 0 dropped.
 
-    Clipping a refinement window to the rectangle repeats its edge values;
-    the first copy of each stays, so the first tie in row-major order is
-    the same candidate as on the full window. Adjacent comparisons suffice
-    on a sorted axis and, unlike np.unique, run no sort.
+    A zero separation is no design, so it is never scored. Clipping a
+    refinement window to the rectangle repeats its edge values; the first
+    copy of each stays, so the first tie in row-major order is the same
+    candidate as on the full window. Adjacent comparisons suffice on a
+    sorted axis and, unlike np.unique, run no sort.
     """
     import numpy as np
 
-    keep = np.ones(w.size, dtype=bool)
-    np.not_equal(w[1:], w[:-1], out=keep[1:])
+    w = np.clip(w, lo, hi)
+    keep = w != 0.0
+    keep[1:] &= w[1:] != w[:-1]
     return w[keep]
 
 
@@ -325,12 +326,12 @@ def _score_windows(inp, w1, w2):
 
     Entry [i, j] of the result scores sender 1's separation w1[i] with
     sender 2's w2[j] as the translate {0, d2 u2, d1, d1 + d2 u2} of its
-    design. Admissibility is one rule in both geometries: a zero
-    separation is no design and scores +inf; every other candidate is
-    scored. On the line that includes a merged design (d1 = +-d2), whose
-    shared point the decoder gives by prior, as exact_error scores it. In
-    the plane two nonzero separations keep the points distinct, so the
-    planar kernel's +inf for non-bijective rows never fires here.
+    design. The axes hold no zero separation (see _axis), and every
+    candidate is scored: on the line that includes a merged design (d1 =
+    +-d2), whose shared point the decoder gives by prior, as exact_error
+    scores it. In the plane two nonzero separations keep the points
+    distinct, so the planar kernel's +inf for non-bijective rows never
+    fires here.
     """
     import numpy as np
 
@@ -346,9 +347,7 @@ def _score_windows(inp, w1, w2):
     d2 = (w2 * u2)[None, :]
     both = d1 + d2
     points = np.stack(np.broadcast_arrays(np.zeros_like(both), d2, d1, both), axis=-1)
-    pe = kernel(points.reshape(-1, 4), inp.priors.as_array(), inp.sigma2).reshape(both.shape)
-    pe[(w1 == 0.0)[:, None] | (w2 == 0.0)[None, :]] = np.inf
-    return pe
+    return kernel(points.reshape(-1, 4), inp.priors.as_array(), inp.sigma2).reshape(both.shape)
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

@@ -1,6 +1,6 @@
 """Monte-Carlo estimation of joint MAP decoding error.
 
-The counter-based stream's constants, its seed mask and the sweep
+The counter-based stream's constants, its seed check and the sweep
 sub-seed live here, in plain Python ints, so that a sweep can derive its
 seeds without loading numpy; _kernels, which does load it, reads them from
 here. simulate imports _kernels on its first call.
@@ -24,12 +24,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def backend_name() -> str:
     """Array backend of the Monte-Carlo and batched kernels."""
     return "numpy"
-
-
-def mask64(seed: int) -> int:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return seed & _MASK64
 
 
 def _check_seed(seed: int) -> None:

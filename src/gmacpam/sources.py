@@ -83,10 +83,9 @@ class JointSourceDistribution:
 
 
 def from_joint(p00: float, p01: float, p10: float, p11: float) -> JointSourceDistribution:
-    """Build a distribution from raw cells, renormalising drift up to 1e-9."""
+    """Build a distribution from raw cells, renormalising drift up to 1e-9;
+    the constructor rejects a cell that is not > 0."""
     cells = (p00, p01, p10, p11)
-    if any(not (p > 0.0) for p in cells):
-        raise NonPositiveProbability(f"all four cells must be > 0, got {cells}")
     total = math.fsum(cells)
     if abs(total - 1.0) > _SUM_TOL:
         raise SumOutOfTolerance(f"cells sum to {total!r}, tolerance is {_SUM_TOL}")

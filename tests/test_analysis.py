@@ -166,6 +166,12 @@ def test_threshold_rejects_noncollinear(case1):
         collinear_pair_threshold(cc, 1.0, (0, 0), (0, 1))
 
 
+def test_exact_error_collinear_rejects_planar(case1):
+    cc = build_cc(-1.0, 1.0, -0.5, 0.5, 0.0, case1)
+    with pytest.raises(NotCollinear, match="combined constellation has points off the real axis"):
+        exact_error_collinear(cc, 1.0)
+
+
 @pytest.mark.parametrize("sigma2", [0.0, -0.1, math.nan, math.inf, -math.inf])
 def test_error_paths_reject_bad_sigma2(case1, sigma2):
     cc = t2_cc(case1)
@@ -992,13 +998,39 @@ def test_sign_case_boundaries_rejected():
         collinear_sign_case(1.0, -1.0)
 
 
+def _random_sign_case_geometries(rng, count):
+    """count random (d1, d2, sigma), a quarter of them near the |d1| = |d2|
+    boundary (ratio 1 +- 1e-6), spread over all eight sign cases, with
+    sigma log-uniform on [0.03, 5]."""
+    big = rng.uniform(0.05, 4.0, count)
+    ratio = rng.uniform(0.01, 0.99, count)
+    ratio[: count // 4] = 1.0 - 1e-6
+    ratio[count // 4: count // 2] = 1.0 / (1.0 + 1e-6)
+    small = big * ratio
+    wider = rng.integers(0, 2, count).astype(bool)
+    d1, d2 = np.where(wider, big, small), np.where(wider, small, big)
+    d1 *= rng.choice([-1.0, 1.0], count)
+    d2 *= rng.choice([-1.0, 1.0], count)
+    sigma = np.exp(rng.uniform(math.log(0.03), math.log(5.0), count))
+    return zip(d1.tolist(), d2.tolist(), sigma.tolist())
+
+
 def test_high_snr_forms_match_hand_coded(case1, case2):
+    rng = np.random.default_rng(2017)
     for pri in (case1, case2):
         for sigma in (0.2, 0.1):
             for case, (d1, d2) in SIGN_CASE_GEOMETRY.items():
                 got = high_snr_correct_prob(case, d1, d2, pri, sigma)
                 want = hand_correct_prob(case, d1, d2, pri, sigma)
                 assert got == pytest.approx(want, abs=1e-14), case
+        seen = set()
+        for d1, d2, sigma in _random_sign_case_geometries(rng, 2000):
+            case = collinear_sign_case(d1, d2)
+            seen.add(case)
+            got = high_snr_correct_prob(case, d1, d2, pri, sigma)
+            want = hand_correct_prob(case, d1, d2, pri, sigma)
+            assert got == pytest.approx(want, abs=1e-14), (case, d1, d2, sigma)
+        assert seen == set(range(1, 9))
 
 
 def test_high_snr_form_revalidates_case(case1):

@@ -1,6 +1,7 @@
 """Constellation designers: closed-form optima and the grid search."""
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -24,7 +25,7 @@ from gmacpam import (
     numerical_search,
 )
 from gmacpam.config import convert_snr
-from gmacpam.design import _first_best, _on_shell, _score_windows, _signed_root_pair
+from gmacpam.design import _axis, _first_best, _on_shell, _score_windows, _signed_root_pair
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
 from gmacpam.geometry import check_energy, combine, from_amplitudes
 
@@ -469,21 +470,22 @@ def _assert_on_shells(res, pri):
 def _assert_exhaustive_pass_matches_scalar_loop(inp, twin):
     """The exhaustive pass at grid 12 against a scalar loop over its grid.
 
-    Every candidate's batch score equals the scalar exact_error of its
-    design, a zero separation scores +inf, and the pass's lead, the start
-    of refinement, is a scalar argmin: the only one, or for a source with
-    a sender-swap twin (twin=True) one of the grid argmins or their folded
-    swap images. The refined search is never worse than the lead.
+    The pass's axes are the grid's without d1 = 0, which is no design (d2
+    never hits 0 on an even grid). Every kept candidate's batch score
+    equals the scalar exact_error of its design, and the pass's lead, the
+    start of refinement, is a scalar argmin: the only one, or for a source
+    with a sender-swap twin (twin=True) one of the grid argmins or their
+    folded swap images. The refined search is never worse than the lead.
     """
     n = 12
     g1, g2 = _search_axes(inp, n)
-    batch = _score_windows(inp, g1, g2)
+    w1, w2 = _axis(g1, 0.0, g1[-1]), _axis(g2, g2[0], g2[-1])
+    assert np.array_equal(w1, g1[1:]) and np.array_equal(w2, g2)
+    batch = _score_windows(inp, w1, w2)
     scores = _brute_scores(inp, n)
+    assert len(scores) == batch.size == (n - 1) * n
     for (i, j), pe in scores.items():
-        assert batch[i, j] == pytest.approx(pe, rel=1e-12, abs=0.0)
-    # d1 = 0 is no design; d2 never hits 0 on an even grid
-    assert np.all(np.isinf(batch[0])) and np.all(np.isfinite(batch[1:]))
-    assert len(scores) == (n - 1) * n
+        assert batch[i - 1, j] == pytest.approx(pe, rel=1e-12, abs=0.0)
     best = min(scores.values())
     ties = [(g1[i], g2[j]) for (i, j), pe in scores.items() if pe <= best * (1.0 + 1e-12)]
     assert len(ties) <= (2 if twin else 1)
@@ -491,7 +493,7 @@ def _assert_exhaustive_pass_matches_scalar_loop(inp, twin):
         # the sender swap, folded to d1 >= 0, has equal error
         ties += [(abs(d2), math.copysign(d1, d2)) for d1, d2 in ties]
     lead = _first_best(batch)
-    assert (g1[lead // n], g2[lead % n]) in ties
+    assert (w1[lead // n], w2[lead % n]) in ties
     assert numerical_search(inp, grid=n).p_err <= batch.flat[lead]
 
 
@@ -511,21 +513,22 @@ def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
 
 @pytest.mark.parametrize("gamma_phi", [1.0, 0.707])
 def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi):
-    """One admissibility rule in both geometries: a zero separation scores
-    +inf; every other candidate is scored, on the line including a merged
-    design d1 = d2, whose shared point the decoder gives by prior."""
+    """One admissibility rule in both geometries: a search axis drops a
+    zero separation, which is no design, and keeps each value once; every
+    kept candidate is scored as exact_error scores its design, on the line
+    including a merged design d1 = d2, whose shared point the decoder
+    gives by prior."""
     dm = d_max(case1.p1, 1.0)
     inp = DesignInput(case1, 1.0, 1.0, gamma_phi, 2.0)
-    w1 = np.array([0.0, 0.5 * dm, dm])
-    w2 = np.array([-dm, 0.0, dm])
+    w1 = _axis(np.array([-0.5 * dm, 0.0, 0.5 * dm, dm, dm, 2.0 * dm]), 0.0, dm)
+    w2 = _axis(np.array([-dm, -dm, -0.0, 0.0, dm]), -dm, dm)
+    assert w1.tolist() == [0.5 * dm, dm] and w2.tolist() == [-dm, dm]
     pe = _score_windows(inp, w1, w2)
-    zero = np.array([[True] * 3, [False, True, False], [False, True, False]])
-    assert np.all(np.isinf(pe[zero]))
-    assert np.all(np.isfinite(pe[~zero]))
-    merged = combine(*from_amplitudes(*_placed(inp, dm, dm), gamma_phi), case1)
-    rep = exact_error(merged, inp.sigma2)
-    assert rep.bijective is (gamma_phi != 1.0)
-    assert pe[2, 2] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0)
+    for (i, d1), (j, d2) in itertools.product(enumerate(w1), enumerate(w2)):
+        cc = combine(*from_amplitudes(*_placed(inp, d1, d2), gamma_phi), case1)
+        rep = exact_error(cc, inp.sigma2)
+        assert rep.bijective is not (gamma_phi == 1.0 and abs(d1) == abs(d2)), (d1, d2)
+        assert pe[i, j] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0), (d1, d2)
 
 
 def test_search_returns_merged_optimum_at_low_snr(case1):
@@ -587,8 +590,8 @@ def test_search_reports_the_error_of_its_design(request, which, gamma_phi):
 def test_search_never_returns_a_zero_separation(case1, case2, uniform, gamma_phi):
     """Down to -60 dB, where scores barely depend on the design, every
     search returns a design whose senders both have two distinct points;
-    a zero separation scores +inf rather than the collinear kernel's
-    finite value."""
+    a zero separation is never on a search axis, so the collinear kernel's
+    finite value for it never wins."""
     for pri in (case1, case2, uniform):
         for snr_db in (-60.0, -40.0, -20.0, -10.0, 0.0):
             s2 = convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
@@ -792,9 +795,9 @@ def test_search_quiet_at_huge_noise(case1, case2, gamma_phi, sigma2):
 
 
 def test_search_batches_stay_bounded(case2, monkeypatch):
-    """At any grid a kernel call scores the coarse pass (40^2 rows) or one
-    round's 21 x 21 window around the best point so far, and the rounds
-    grow as log(grid)."""
+    """At any grid a kernel call scores the coarse pass (39 x 40 rows,
+    d1 = 0 left out) or one round's 21 x 21 window around the best point
+    so far, and the rounds grow as log(grid)."""
     from gmacpam import _kernels
 
     sizes = []
@@ -809,7 +812,7 @@ def test_search_batches_stay_bounded(case2, monkeypatch):
     for grid, rounds in ((40, 1), (41, 4), (400, 5), (10**6, 9)):
         sizes.clear()
         res = numerical_search(inp, grid=grid)
-        assert sizes[0] == 1600
+        assert sizes[0] == 1560
         assert len(sizes) == 1 + rounds
         assert max(sizes[1:]) <= 441
         assert res.p_err == pytest.approx(
@@ -817,14 +820,15 @@ def test_search_batches_stay_bounded(case2, monkeypatch):
 
 
 @pytest.mark.parametrize("which, gamma_phi, grid, rows", [
-    ("case2", 0.0, 10, 221), ("case2", 0.383, 10, 221), ("case2", 0.707, 10, 221),
-    ("case2", 0.924, 10, 221), ("case1", 1.0, 400, 2755), ("case2", 1.0, 400, 2205)])
+    ("case2", 0.0, 10, 211), ("case2", 0.383, 10, 211), ("case2", 0.707, 10, 211),
+    ("case2", 0.924, 10, 211), ("case1", 1.0, 400, 2715), ("case2", 1.0, 400, 2165)])
 def test_search_scores_each_candidate_once(request, monkeypatch, which, gamma_phi, grid, rows):
-    """No kernel call scores a row twice. At 10 dB sum-energy the optimum
-    sits on the rectangle's edge, where clipping the refinement window
-    repeats axis values: the planar searches at grid 10 (the planar-sweep
-    benchmark's) score 221 rows and the fig4 / fig5 sources at grid 400
-    2 755 and 2 205; full 441-row windows would make 541 and 3 805."""
+    """No kernel call scores a row twice, nor a zero separation. At 10 dB
+    sum-energy the optimum sits on the rectangle's edge, where clipping the
+    refinement window repeats axis values: the planar searches at grid 10
+    (the planar-sweep benchmark's) score 211 rows and the fig4 / fig5
+    sources at grid 400 2 715 and 2 165; full 441-row windows would make
+    531 and 3 765."""
     from gmacpam import _kernels
 
     batches = []

@@ -73,19 +73,16 @@ def test_derive_seed_range_and_distinct():
 
 @pytest.mark.parametrize("seed", [2**64 + 5, 2**63, -1])
 def test_derive_seed_rejects_seeds_simulate_rejects(case1, seed):
-    """derive_seed takes simulate's seed range, with simulate's message, so
-    2**64 + 5 no longer runs as seed 5."""
+    """derive_seed and the kernel stream take simulate's seed range, with
+    simulate's message, so 2**64 + 5 never runs as seed 5."""
     cc = build_cc(*_T2, 1.0, case1)
-    for call in (lambda: derive_seed(seed, 0), lambda: simulate(cc, 0.1, 10, seed)):
+    tables = _decoder_tables(cc, 0.1)
+    for call in (lambda: derive_seed(seed, 0), lambda: simulate(cc, 0.1, 10, seed),
+                 lambda: K.uniforms_numpy(seed, np.arange(4, dtype=np.uint64)),
+                 lambda: K.mc_error_count(*tables, 0.1, seed, 0, 10)):
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer below 2\*\*63$"):
             call()
     assert 0 <= derive_seed(2**63 - 1, 0) < 2**63
-
-
-def test_mask64_rejects_negative():
-    with pytest.raises(ValueError):
-        K.mask64(-1)
-    assert K.mask64(2**64 + 5) == 5
 
 
 def test_mc_backends_agree(case1):
@@ -283,6 +280,21 @@ def test_safe_disk_off_where_unproven(case1, uniform):
     assert np.all(K.safe_disk(ax, ay, bias, 0.1)[1] > 0.0)
     bias[2] = math.nan
     assert not np.any(K.safe_disk(ax, ay, bias, 0.1)[1])
+
+
+@pytest.mark.parametrize("point0, bias0, sigma2", [
+    (1.7e308 + 1.7e308j, 0.0, 1.0),  # |a_0| past the float range
+    (-1.0 - 1.0j, 1e308, 1.0),  # the score bound past it
+    (-1.0 - 1.0j, 1e10, 1e300),  # inf - inf in a D_k and its margin
+    (-1.0 - 1.0j, 1.0, 1e300),  # rho^2 / (2 sigma2) past it
+])
+def test_safe_disk_off_past_the_float_range(point0, bias0, sigma2):
+    """Finite tables whose disk arithmetic leaves the float range give no
+    disk: every trial takes the full decision."""
+    ax, ay, bias = np.array([-1.0, 1.0, -1.0, 1.0]), np.array([-1.0, -1.0, 1.0, 1.0]), np.zeros(4)
+    ax[0], ay[0], bias[0] = point0.real, point0.imag, bias0
+    rho, cut = K.safe_disk(ax, ay, bias, sigma2)
+    assert rho.tolist() == cut.tolist() == [0.0] * 4
 
 
 # sha256 of the repr of every safe_disk rho and cut over _safe_disk_tables()
