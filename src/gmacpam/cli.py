@@ -42,7 +42,7 @@ _FIGURE = {"snr_db": " ".join(str(s) for s in range(0, 21)),
            "snr_convention": "sum-energy", "e1": "1", "e2": "1"}
 
 # config keys of each preset; the table presets print designs, the figure
-# presets write sweeps
+# presets write sweeps, one block of rows per gamma_phi value
 _PRESETS = {
     "table2": {**_CASE1, **_TABLE},
     "table3": {**_CASE2, **_TABLE},
@@ -52,12 +52,11 @@ _PRESETS = {
              "schemes": "antipodal individual joint numerical"},
     "fig6": {**_FIGURE, **_CASE1, "gamma_phi": "0.924", "schemes": "antipodal individual joint"},
     "fig7": {**_FIGURE, **_CASE2, "gamma_phi": "0.924", "schemes": "antipodal individual joint"},
-    "fig8": {**_FIGURE, **_CASE2, "schemes": "antipodal individual joint"},
+    "fig8": {**_FIGURE, **_CASE2, "gamma_phi": "0 0.383 0.707 0.924 1",
+             "schemes": "antipodal individual joint"},
     "fig9": {**_FIGURE, **_CASE1, "gamma_phi": "1", "e1": "2", "e2": "1",
              "schemes": "individual joint"},
 }
-# fig8 sweeps the pulse correlation; its rows carry an @gphi=<g> label
-_FIG8_GAMMAS = ("0", "0.383", "0.707", "0.924", "1")
 
 
 def _fmt(value) -> str:
@@ -68,8 +67,8 @@ def _fmt(value) -> str:
 
 
 def _fmt_sigma2(value: float) -> str:
-    # full round-trip precision so a sweep re-run from its own CSV via
-    # direct-sigma2 reproduces the exact/bound columns bit for bit
+    # full round-trip precision so a sweep re-run from its own CSV's sigma2
+    # column (the sigma2 key) reproduces the exact/bound columns bit for bit
     return repr(float(value))
 
 
@@ -182,11 +181,11 @@ def _single_point(args, cfg: ExperimentConfig) -> tuple[str, NoisePoint, Combine
 
 
 def cmd_design(args) -> int:
-    return _print_designs(_resolve_config(args))
+    return _print_designs(build_config(_raw_config(args)))
 
 
 def cmd_evaluate(args) -> int:
-    label, point, cc = _single_point(args, _resolve_config(args))
+    label, point, cc = _single_point(args, build_config(_raw_config(args)))
     report = exact_error(cc, point.sigma2)
     print(f"scheme = {label}")
     if point.snr_db is not None:
@@ -200,7 +199,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = build_config(_raw_config(args))
     if cfg.trials < 1:
         raise ConfigError("simulate needs trials >= 1")
     label, point, cc = _single_point(args, cfg)
@@ -218,25 +217,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = build_config(_raw_config(args))
     _write_csv(_sweep_rows(cfg), SWEEP_COLUMNS, cfg.out)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    raw = dict(_PRESETS[args.preset])
-    for key in ("trials", "seed", "workers", "grid", "out"):
-        val = getattr(args, key)
-        if val is not None:
-            raw[key] = str(val)
+    raw = _raw_config(args)
     if args.preset in ("table2", "table3"):
         return _print_designs(build_config(raw))
 
-    labelled = args.preset == "fig8"
+    # no value at all: build_config rejects the key as given
+    gammas = raw["gamma_phi"].replace(",", " ").split() or [raw["gamma_phi"]]
     rows = []
-    for g in _FIG8_GAMMAS if labelled else (raw["gamma_phi"],):
+    for g in gammas:
         cfg = build_config({**raw, "gamma_phi": g})
-        rows.extend(_sweep_rows(cfg, label_suffix=f"@gphi={g}" if labelled else "",
+        rows.extend(_sweep_rows(cfg, label_suffix=f"@gphi={g}" if len(gammas) > 1 else "",
                                 seed_base=len(rows)))
     _write_csv(rows, SWEEP_COLUMNS, cfg.out)
     return 0
@@ -259,18 +255,20 @@ def _parse_amplitudes(text: str) -> tuple[float, float, float, float]:
     return amps
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
+def _raw_config(args) -> dict[str, str]:
+    """The settings as strings: the preset's (reproduce only), overridden by
+    the --config file's, overridden by each --set in turn."""
+    raw = dict(_PRESETS.get(getattr(args, "preset", None), {}))
+    if args.config:
         raw.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set wants key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[key.strip()] = value.strip()
     if getattr(args, "amplitudes", None) is not None and "schemes" not in raw:
         raw["schemes"] = "joint"  # placeholder; bypassed by --amplitudes
-    return build_config(raw)
+    return raw
 
 
 @cache
@@ -311,13 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV of exact/bound/Monte-Carlo error over noise points")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("reproduce", help="run a named preset experiment")
+    p = sub.add_parser("reproduce", parents=[common],
+                       help="run a named preset experiment; --config and --set override its keys")
     p.add_argument("--preset", required=True, choices=tuple(_PRESETS))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

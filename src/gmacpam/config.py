@@ -1,8 +1,8 @@
 """Experiment configuration: noise conventions, file parsing, validation.
 
 Config files are flat `key = value` text. `#` starts a comment, blank
-lines are skipped, and every key matches a command line flag, so a file
-is just a bag of defaults that the flags may override.
+lines are skipped, and the keys are the ones `--set KEY=VALUE` takes, so
+a file is just a bag of defaults that each `--set` may override.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from .errors import ConfigError, UnknownConvention
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
 
-CONVENTIONS = ("sum-energy", "table-reproduction", "direct-sigma2")
+CONVENTIONS = ("sum-energy", "table-reproduction")
 SCHEMES = ("antipodal", "individual", "joint", "numerical")
 
 
@@ -24,15 +24,14 @@ def convert_snr(snr_db: float, convention: str, e1: float, e2: float,
     sum-energy divides the total transmit energy by the SNR and halves
     the result when the waveforms are not fully correlated (two noise
     dimensions instead of one). table-reproduction ignores the energies
-    entirely. direct-sigma2 passes the value through.
+    entirely. A noise variance given as such needs no convention: that is
+    the sigma2 key.
     """
     if convention == "sum-energy":
         n0 = (e1 + e2) / 10.0 ** (snr_db / 10.0)
         return n0 if abs(gamma_phi) == 1.0 else n0 / 2.0
     if convention == "table-reproduction":
         return 10.0 ** (-snr_db / 10.0)
-    if convention == "direct-sigma2":
-        return snr_db
     raise UnknownConvention(f"unknown snr convention {convention!r}")
 
 
@@ -195,12 +194,10 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if snrs is not None:
         if convention is None:
             raise ConfigError("snr_db needs snr_convention")
-        if convention == "direct-sigma2":
-            raise ConfigError("convention direct-sigma2 goes with the sigma2 key")
         noise = tuple(NoisePoint(s, _snr_sigma2(s, convention, e1, e2, gamma_phi))
                       for s in snrs)
     elif sigmas is not None:
-        if convention not in (None, "direct-sigma2"):
+        if convention is not None:
             raise ConfigError(f"sigma2 values conflict with convention {convention!r}")
         noise = tuple(NoisePoint(None, s) for s in sigmas)
     else:

@@ -19,7 +19,7 @@ from .errors import (
     InfeasibleRoot,
     WrongGammaPhi,
 )
-from .geometry import CombinedConstellation, combine, from_amplitudes, sender2_axis
+from .geometry import CombinedConstellation, coincidence_tol, combine, from_amplitudes, sender2_axis
 from .sources import JointSourceDistribution
 
 
@@ -297,18 +297,19 @@ def _rounds(n: int, grid: int) -> int:
 
 def _axis(w, lo, hi):
     """The sorted axis w clipped to [lo, hi], with each repeated value kept
-    once, in order, and 0 dropped.
+    once, in order, and each value the coincidence rule calls zero dropped.
 
-    A zero separation is no design, so it is never scored. Clipping a
-    refinement window to the rectangle repeats its edge values; the first
-    copy of each stays, so the first tie in row-major order is the same
-    candidate as on the full window. Adjacent comparisons suffice on a
-    sorted axis and, unlike np.unique, run no sort.
+    A zero separation is no design, so it is never scored, nor are the
+    ulps linspace can leave where 0 belongs (4e-16 at some odd grids).
+    Clipping a refinement window to the rectangle repeats its edge values;
+    the first copy of each stays, so the first tie in row-major order is
+    the same candidate as on the full window. Adjacent comparisons suffice
+    on a sorted axis and, unlike np.unique, run no sort.
     """
     import numpy as np
 
     w = np.clip(w, lo, hi)
-    keep = w != 0.0
+    keep = np.abs(w) > coincidence_tol(max(-lo, hi))
     keep[1:] &= w[1:] != w[:-1]
     return w[keep]
 
@@ -326,12 +327,12 @@ def _score_windows(inp, w1, w2):
 
     Entry [i, j] of the result scores sender 1's separation w1[i] with
     sender 2's w2[j] as the translate {0, d2 u2, d1, d1 + d2 u2} of its
-    design. The axes hold no zero separation (see _axis), and every
-    candidate is scored: on the line that includes a merged design (d1 =
-    +-d2), whose shared point the decoder gives by prior, as exact_error
-    scores it. In the plane two nonzero separations keep the points
-    distinct, so the planar kernel's +inf for non-bijective rows never
-    fires here.
+    design. The axes hold no separation the coincidence rule calls zero
+    (see _axis), and every candidate is scored: on the line that includes
+    a merged design (d1 = +-d2), whose shared point the decoder gives by
+    prior, as exact_error scores it. In the plane two such separations
+    keep the points distinct, so the planar kernel's +inf for
+    non-bijective rows never fires here.
     """
     import numpy as np
 

@@ -86,9 +86,10 @@ def from_joint(p00: float, p01: float, p10: float, p11: float) -> JointSourceDis
     """Build a distribution from raw cells, renormalising drift up to 1e-9;
     the constructor rejects a cell that is not > 0."""
     cells = (p00, p01, p10, p11)
-    total = math.fsum(cells)
-    if abs(total - 1.0) > _SUM_TOL:
-        raise SumOutOfTolerance(f"cells sum to {total!r}, tolerance is {_SUM_TOL}")
+    # a non-finite cell fails the sum check (fsum raises ValueError on inf + -inf)
+    total = math.fsum(cells) if all(map(math.isfinite, cells)) else math.nan
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise SumOutOfTolerance(f"cells {cells} sum to {total!r}, tolerance is {_SUM_TOL}")
     return JointSourceDistribution(p00 / total, p01 / total, p10 / total, p11 / total)
 
 

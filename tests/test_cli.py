@@ -8,6 +8,7 @@ import hashlib
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from gmacpam import (
     union_bound,
 )
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
+from gmacpam.config import CONVENTIONS
 from gmacpam.errors import ConfigError, UnknownConvention
 from gmacpam.simulate import backend_name, derive_seed
 
@@ -58,7 +60,10 @@ def test_convert_snr_sum_energy():
 
 
 def test_convert_snr_direct():
-    assert convert_snr(0.123, "direct-sigma2", 1.0, 1.0, 1.0) == 0.123
+    """A noise variance needs no convention (the sigma2 key), so there is
+    no pass-through one."""
+    with pytest.raises(UnknownConvention):
+        convert_snr(0.123, "direct-sigma2", 1.0, 1.0, 1.0)
 
 
 def test_convert_snr_unknown():
@@ -159,12 +164,10 @@ def test_build_config_noise_rules():
         build_config(cfg_with(snr_db="10"))
     with pytest.raises(ConfigError, match="snr_convention"):
         build_config(cfg_with(sigma2=None, snr_db="10"))
-    with pytest.raises(ConfigError, match="direct-sigma2"):
-        build_config(
-            cfg_with(sigma2=None, snr_db="10", snr_convention="direct-sigma2")
-        )
-    with pytest.raises(ConfigError, match="conflict"):
-        build_config(cfg_with(snr_convention="table-reproduction"))
+    # the sigma2 key takes no convention
+    for convention in CONVENTIONS:
+        with pytest.raises(ConfigError, match="conflict"):
+            build_config(cfg_with(snr_convention=convention))
     with pytest.raises(ConfigError, match="positive"):
         build_config(cfg_with(sigma2="-0.5"))
     with pytest.raises(ConfigError, match="no noise"):
@@ -185,7 +188,7 @@ def test_build_config_noise_rules():
             with pytest.raises(ConfigError, match="finite positive sigma2"):
                 build_config(cfg_with(sigma2=None, snr_db=f"10 {snr}",
                                       snr_convention=convention))
-    ok = build_config(cfg_with(snr_convention="direct-sigma2"))
+    ok = build_config(cfg_with())
     assert ok.noise[0].sigma2 == 0.1 and ok.noise[0].snr_db is None
 
 
@@ -420,8 +423,8 @@ def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys, command, seed
     seed is rejected with no trials to run too."""
     out = tmp_path / "rows.csv"
     if command == "reproduce":
-        runs = [["reproduce", "--preset", "fig9", "--trials", trials, "--seed", str(seed),
-                 "--out", str(out)] for trials in ("0", "1000")]
+        runs = [["reproduce", "--preset", "fig9", "--set", f"trials={trials}",
+                 "--set", f"seed={seed}", "--set", f"out={out}"] for trials in ("0", "1000")]
     elif command == "sweep":
         runs = [[*_SWEEP_4DB, "--set", f"trials={trials}", "--set", f"seed={seed}",
                  "--set", f"out={out}"] for trials in ("0", "1000")]
@@ -501,7 +504,7 @@ def test_cli_sweep_without_out_writes_csv_to_stdout(capsys, out):
 
 @pytest.mark.parametrize("gamma_phi", ["1", "0.924"])
 def test_cli_sweep_rerun_from_its_sigma2_column(tmp_path, capsys, gamma_phi):
-    """A sweep re-run from its own CSV's sigma2 column under direct-sigma2
+    """A sweep re-run from its own CSV's sigma2 column (no convention)
     reproduces p_err_exact, p_err_union and status exactly, as the comment
     on cli._fmt_sigma2 promises: every scheme, the numerical one included."""
     common = ["--set", "p1=0.2", "--set", "p2=0.5", "--set", "gamma_m=0.4",
@@ -514,7 +517,7 @@ def test_cli_sweep_rerun_from_its_sigma2_column(tmp_path, capsys, gamma_phi):
         rows = list(csv.DictReader(fh))
     sigmas = " ".join(dict.fromkeys(r["sigma2"] for r in rows))
     assert main(["sweep", *common, "--set", f"sigma2={sigmas}",
-                 "--set", "snr_convention=direct-sigma2", "--set", f"out={by_sigma2}"]) == 0
+                 "--set", f"out={by_sigma2}"]) == 0
     capsys.readouterr()
     with open(by_sigma2, newline="") as fh:
         again = list(csv.DictReader(fh))
@@ -539,7 +542,7 @@ def test_cli_evaluate_prints_its_snr(capsys):
 def test_cli_reproduce_table_preset(tmp_path, capsys):
     out = tmp_path / "table2.csv"
     rc = main(
-        ["reproduce", "--preset", "table2", "--grid", "32", "--out", str(out)]
+        ["reproduce", "--preset", "table2", "--set", "grid=32", "--set", f"out={out}"]
     )
     text = capsys.readouterr().out
     assert rc == 0
@@ -558,7 +561,7 @@ def test_cli_reproduce_table_preset(tmp_path, capsys):
 
 def test_cli_reproduce_fig8_gamma_loop(tmp_path, capsys):
     out = tmp_path / "fig8.csv"
-    rc = main(["reproduce", "--preset", "fig8", "--trials", "10", "--out", str(out)])
+    rc = main(["reproduce", "--preset", "fig8", "--set", "trials=10", "--set", f"out={out}"])
     capsys.readouterr()
     assert rc == 0
     with open(out, newline="") as fh:
@@ -578,7 +581,7 @@ def test_cli_reproduce_fig8_gamma_loop(tmp_path, capsys):
 
 def test_cli_reproduce_fig9_shape(tmp_path, capsys):
     out = tmp_path / "fig9.csv"
-    rc = main(["reproduce", "--preset", "fig9", "--trials", "0", "--out", str(out)])
+    rc = main(["reproduce", "--preset", "fig9", "--set", "trials=0", "--set", f"out={out}"])
     capsys.readouterr()
     assert rc == 0
     with open(out, newline="") as fh:
@@ -611,9 +614,71 @@ PRESET_CSV_SHA256 = {
 @pytest.mark.parametrize("preset", sorted(PRESET_CSV_SHA256))
 def test_cli_reproduce_preset_csv_frozen_digest(tmp_path, capsys, preset):
     out = tmp_path / f"{preset}.csv"
-    assert main(["reproduce", "--preset", preset, "--out", str(out)]) == 0
+    assert main(["reproduce", "--preset", preset, "--set", f"out={out}"]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
+
+
+def test_cli_reproduce_settings_override_preset_then_file_then_set(tmp_path, capsys):
+    """The preset's keys are the base, a --config file overrides them, and
+    each --set overrides both."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_db = 4 8\nschemes = joint\n")
+
+    def rows(*argv):
+        assert main(["reproduce", "--preset", "fig9", *argv]) == 0
+        return [(r["snr_db"], r["sigma2"], r["scheme"])
+                for r in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+
+    def sigma2(snr_db):  # fig9's sum-energy convention and energies e1 = 2, e2 = 1
+        return repr(convert_snr(snr_db, "sum-energy", 2.0, 1.0, 1.0))
+
+    assert len(rows()) == 21 * 2
+    assert rows("--config", str(cfg)) == [("4", sigma2(4.0), "joint"), ("8", sigma2(8.0), "joint")]
+    assert rows("--config", str(cfg), "--set", "snr_db=12") == [("12", sigma2(12.0), "joint")]
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed", "--workers", "--grid", "--out"])
+def test_cli_reproduce_takes_no_private_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--preset", "fig9", flag, "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_reproduce_fig8_honours_a_gamma_phi_override(tmp_path, capsys):
+    """fig8's gamma_phi list is a preset key like any other: one value
+    writes that block's rows only, unlabelled, and no value is a config
+    error."""
+    every, one = tmp_path / "every.csv", tmp_path / "one.csv"
+    assert main(["reproduce", "--preset", "fig8", "--set", f"out={every}"]) == 0
+    assert main(["reproduce", "--preset", "fig8", "--set", "gamma_phi=0.707",
+                 "--set", f"out={one}"]) == 0
+    with open(every, newline="") as fh:
+        block = [{**r, "scheme": r["scheme"].removesuffix("@gphi=0.707")}
+                 for r in csv.DictReader(fh) if r["scheme"].endswith("@gphi=0.707")]
+    with open(one, newline="") as fh:
+        assert list(csv.DictReader(fh)) == block
+    assert len(block) == 21 * 3
+    capsys.readouterr()
+    assert main(["reproduce", "--preset", "fig8", "--set", "gamma_phi="]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'gamma_phi': could not parse '' as a number\n")
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `gmacpam ...` line of README's command-line block exits 0."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("gmacpam ")]
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv in commands} == {
+        "design", "evaluate", "simulate", "sweep", "reproduce"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("gamma_phi", ["1", "0.707"])

@@ -27,7 +27,7 @@ from gmacpam import (
 from gmacpam.config import convert_snr
 from gmacpam.design import _axis, _first_best, _on_shell, _score_windows, _signed_root_pair
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
-from gmacpam.geometry import check_energy, combine, from_amplitudes
+from gmacpam.geometry import check_energy, coincidence_tol, combine, from_amplitudes
 
 from conftest import build_cc, collinear_cc
 
@@ -529,6 +529,32 @@ def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi):
         rep = exact_error(cc, inp.sigma2)
         assert rep.bijective is not (gamma_phi == 1.0 and abs(d1) == abs(d2)), (d1, d2)
         assert pe[i, j] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0), (d1, d2)
+
+
+def test_search_axes_drop_what_the_coincidence_rule_calls_zero(monkeypatch):
+    """At odd grids below 40 linspace can leave a few ulps where 0 belongs:
+    -4.4e-16 on this input's d2 axis at grid 23. The axis drops it with
+    every value the coincidence rule calls zero, so the search sends the
+    planar kernel no row it scores +inf as non-bijective (22 did before)."""
+    from gmacpam import _kernels
+
+    scores = []
+    kernel = _kernels.planar_pe_batch
+
+    def counted(points, priors, sigma2):
+        scores.append(kernel(points, priors, sigma2))
+        return scores[-1]
+
+    monkeypatch.setattr(_kernels, "planar_pe_batch", counted)
+    dm = d_max(0.05, 0.5)
+    g2 = np.linspace(-dm, dm, 23)
+    assert 0.0 < abs(g2[11]) <= coincidence_tol(dm)
+    assert _axis(g2, -dm, dm).tolist() == [*g2[:11], *g2[12:]]
+    inp = DesignInput(from_marginals_correlation(0.2, 0.05, 0.0), 1.0, 0.5, 0.707, 0.1)
+    res = numerical_search(inp, grid=23)
+    assert scores and all(np.isfinite(pe).all() for pe in scores)
+    assert res.p_err == pytest.approx(exact_error(res.combined(inp), 0.1).p_err_exact,
+                                      rel=1e-12)
 
 
 def test_search_returns_merged_optimum_at_low_snr(case1):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gmacpam import JointSourceDistribution, from_joint, from_marginals_correlation
 from gmacpam.errors import (
+    GmacpamError,
     InfeasibleCorrelation,
     NonPositiveProbability,
     SumOutOfTolerance,
@@ -50,6 +51,15 @@ def test_from_joint_rejects_nonpositive_cells():
         from_joint(0.0, 0.5, 0.25, 0.25)
     with pytest.raises(NonPositiveProbability):
         from_joint(-0.1, 0.5, 0.35, 0.25)
+
+
+@pytest.mark.parametrize("cells", [
+    (math.inf, -math.inf, 0.5, 0.5), (math.inf, 0.2, 0.3, 0.5), (math.nan, 0.2, 0.3, 0.5)])
+def test_from_joint_rejects_non_finite_cells(cells):
+    """A non-finite cell raises a package error; inf + -inf used to escape
+    as math.fsum's bare ValueError."""
+    with pytest.raises(GmacpamError):
+        from_joint(*cells)
 
 
 @pytest.mark.parametrize("cells, error, fragment", [
