@@ -10,13 +10,18 @@ which is Gaussian with mean -|a_lm - a_uv|^2/2 - sigma2 ln(p_uv/p_lm) and
 standard deviation sigma |a_lm - a_uv|. Correct decoding of (u, v) is the
 event that all three statistics are negative.
 
-Each exact-error and union-bound call builds one pairwise table for its
-constellation and noise level, in one eager pass over the six unordered
-point pairs: the points, the priors, the coincidence tolerance, the
-collinear and bijective flags and, for each of the 12 ordered pairs, the
-standardised bound z with Pr(Delta > 0) = Phi(z) and that tail
-probability; the collinear threshold views read only the geometry. Two
-exact evaluation paths read the table and cover every constellation:
+Each exact-error and union-bound call reads one pairwise table for its
+constellation and noise level, in two halves. The noise-free half is built
+once per constellation object, on its first call, and kept with it: the
+points, the priors, the coincidence tolerance, the collinear and bijective
+flags, each distinct pair's distance d, d^2/2 and log prior ratios (a
+coincident pair's bound is +-inf), the side each collinear rival sits on,
+and each planar point's alpha_uv terms and pair correlations. The noise
+half is built per call, in one pass over the distinct pairs: for each of
+the 12 ordered pairs, the standardised bound z with Pr(Delta > 0) = Phi(z)
+and that tail probability. The collinear threshold views read only the
+noise-free half. Two exact evaluation paths read the table and cover every
+constellation:
 
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
@@ -148,54 +153,99 @@ _PAIRS = tuple((i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i +
 _RIVALS = tuple(tuple((j, 4 * i + j) for j in range(4) if j != i) for i in range(4))
 
 
-def _geometry(cc: CombinedConstellation, sigma2: float):
-    """Points, priors, coincidence tolerance, pairwise distances (_PAIRS order)
-    and collinear flag of cc, once sigma2 is finite and positive, every point
-    is finite (cc.scale()) and the largest distance squares to a finite number."""
+def _check_noise(sigma2: float) -> None:
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
-    pts = cc.points
-    tol = coincidence_tol(cc.scale())
-    # abs of a negated difference is bit-equal, so one distance per pair
-    dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
-    far = max(dist)
-    if not math.isfinite(far * far):
-        raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
-    return pts, cc.priors.as_tuple(), tol, dist, on_real_axis(pts, tol)
+
+
+class _PairGeometry:
+    """The noise-free half of the pairwise table of one constellation: what
+    the exact paths and the union bound read at every noise level and that
+    does not depend on it. _pair_geometry builds it on first use and keeps
+    it with the constellation, so a constellation evaluated at many noise
+    levels pays for it once.
+
+    Point i = 2u + v is a_uv. After the input checks (every point finite,
+    by cc.scale(), and the largest distance squaring to a finite number),
+    one pass over the six unordered pairs fills: the points as stored, the
+    priors, the coincidence tolerance, the collinear and bijective flags;
+    for each distinct pair, its two flat indices 4i + j and 4j + i, d^2/2,
+    d and both log prior ratios (spread); for each coincident pair, z and
+    tail at both flat indices (NaN elsewhere), resolved by the decoder's
+    prior / lexicographic rule: z = -inf when i keeps the shared point,
+    +inf when it loses it. A collinear constellation also keeps, at flat
+    index 4i + j, the side of point i that rival j sits on (side: +1
+    above, -1 below, 0 within the tolerance); a bijective planar one keeps,
+    per point, its three rivals, the log prior factor and the cross term of
+    alpha_uv and the three pair correlations its orthants take (planar).
+    """
+
+    def __init__(self, cc: CombinedConstellation):
+        self.pts = pts = cc.points
+        self.priors = p = cc.priors.as_tuple()
+        self.tol = tol = coincidence_tol(cc.scale())
+        # abs of a negated difference is bit-equal, so one distance per pair
+        dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
+        far = max(dist)
+        if not math.isfinite(far * far):
+            raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
+        self.collinear = on_real_axis(pts, tol)
+        self.z = z = [math.nan] * 16
+        self.tail = tail = [math.nan] * 16
+        self.spread = spread = []
+        log = math.log
+        for (i, j, ij, ji), d in zip(_PAIRS, dist):
+            if d <= tol:
+                z_ij = -math.inf if _wins_degenerate(i, j, p[i], p[j]) else math.inf
+                # the rule is antisymmetric: one of the two keeps the point
+                z[ij], z[ji], tail[ij], tail[ji] = z_ij, -z_ij, qfunc(-z_ij), qfunc(z_ij)
+            else:
+                spread.append((ij, ji, d**2 / 2.0, d, log(p[i] / p[j]), log(p[j] / p[i])))
+        self.bijective = len(spread) == len(_PAIRS)
+        if self.collinear:
+            # re[i] - re[j] is -(re[j] - re[i]) exactly, so one side per pair
+            self.side = side = [0] * 16
+            for i, j, ij, ji in _PAIRS:
+                c = pts[j].real - pts[i].real
+                side[ij] = s = 1 if c > tol else -1 if c < -tol else 0
+                side[ji] = -s
+        elif self.bijective:
+            self.planar = [_planar_point(pts, p, i) for i in range(4)]
+
+
+def _pair_geometry(cc: CombinedConstellation) -> _PairGeometry:
+    """cc's _PairGeometry, built on the first call and kept in cc's instance
+    dict from then on (as functools.cached_property keeps a value, past the
+    frozen dataclass's __setattr__). A constellation that fails the input
+    checks keeps nothing and raises on every call."""
+    geo = cc.__dict__.get("_pair_geometry")
+    if geo is None:
+        geo = cc.__dict__["_pair_geometry"] = _PairGeometry(cc)
+    return geo
 
 
 class _PairTable:
     """Pairwise statistics of one constellation at one noise level, which
     serve the exact paths and the union bound.
 
-    Point i = 2u + v is a_uv. After the input checks of _geometry, one eager
-    pass over the six unordered pairs fills it: the points as stored, the
-    priors, the coincidence tolerance, the collinear and bijective flags and,
-    at flat index 4i + j of each of the 12 ordered pairs, z, the standardised
-    bound with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z). A coincident
-    rival resolves by the decoder's prior / lexicographic rule: z = -inf
-    when i keeps the shared point, +inf when it loses it.
+    geo is the constellation's noise-free half (_PairGeometry). Once sigma2
+    is checked finite and positive, one pass over geo's distinct pairs
+    fills, at flat index 4i + j of each of the 12 ordered pairs, z, the
+    standardised bound with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z);
+    a coincident pair's entries come from geo as they are.
     """
 
     def __init__(self, cc: CombinedConstellation, sigma2: float):
-        pts, p, tol, dist, self.collinear = _geometry(cc, sigma2)
-        self.pts = pts
-        self.priors = p
+        _check_noise(sigma2)
+        self.geo = geo = _pair_geometry(cc)
         self.sigma2 = sigma2
-        self.tol = tol
-        sd_unit, log = math.sqrt(sigma2), math.log
-        self.z = z = [math.nan] * 16
-        self.tail = tail = [math.nan] * 16
-        self.bijective = True
-        for (i, j, ij, ji), d in zip(_PAIRS, dist):
-            if d <= tol:
-                self.bijective = False
-                z_ij = -math.inf if _wins_degenerate(i, j, p[i], p[j]) else math.inf
-                z_ji = -z_ij  # the rule is antisymmetric: one of the two keeps the point
-            else:
-                half, sd = d**2 / 2.0, sd_unit * d
-                z_ij = (-half - sigma2 * log(p[i] / p[j])) / sd
-                z_ji = (-half - sigma2 * log(p[j] / p[i])) / sd
+        self.z = z = geo.z.copy()
+        self.tail = tail = geo.tail.copy()
+        sd_unit = math.sqrt(sigma2)
+        for ij, ji, half, d, log_ij, log_ji in geo.spread:
+            sd = sd_unit * d
+            z_ij = (-half - sigma2 * log_ij) / sd
+            z_ji = (-half - sigma2 * log_ji) / sd
             z[ij], z[ji], tail[ij], tail[ji] = z_ij, z_ji, qfunc(-z_ij), qfunc(-z_ji)
 
 
@@ -206,17 +256,20 @@ class _PairTable:
 
 def _line_limits(cc: CombinedConstellation, sigma2: float, i: int):
     """Yield each rival j of point i with its constraint on Re[N] (see
-    collinear_pair_threshold), from the geometry alone: no tail is taken."""
-    pts, p, tol, _, collinear = _geometry(cc, sigma2)
-    if not collinear:
+    collinear_pair_threshold), from the noise-free geometry alone: no tail
+    is taken."""
+    _check_noise(sigma2)
+    geo = _pair_geometry(cc)
+    if not geo.collinear:
         raise NotCollinear("combined constellation has points off the real axis")
-    for j, _ in _RIVALS[i]:
-        c = pts[j].real - pts[i].real
-        if abs(c) <= tol:
+    pts, p, side = geo.pts, geo.priors, geo.side
+    for j, k in _RIVALS[i]:
+        if not side[k]:
             yield j, (("win" if _wins_degenerate(i, j, p[i], p[j]) else "lose"), math.nan)
         else:
+            c = pts[j].real - pts[i].real
             t = c * c / 2.0 + sigma2 * math.log(p[i] / p[j])
-            yield j, (("upper" if c > 0.0 else "lower"), t / c)
+            yield j, (("upper" if side[k] > 0 else "lower"), t / c)
 
 
 def collinear_pair_threshold(
@@ -263,19 +316,20 @@ def _line_terms(table: _PairTable) -> tuple[list[float], list[float]]:
     takes the shared point (z = +inf). The union term starts from the same
     two floats and then adds the other rivals' tails in the order they drop
     out; floating-point addition of non-negatives is monotone, so the
-    computed bound can never round below the computed exact value.
+    computed bound can never round below the computed exact value. The
+    side of each rival comes from the noise-free geometry.
     """
-    z, tail, tol, re = table.z, table.tail, table.tol, [a.real for a in table.pts]
+    z, tail, side = table.z, table.tail, table.geo.side
     miss, terms = [], []
-    for i, rivals in enumerate(_RIVALS):
+    for rivals in _RIVALS:
         below = above = 0.0  # binding tail on each side of i; a 0 swapped into rest adds 0
         rest, dead = [], False
-        for j, k in rivals:
-            t, c = tail[k], re[j] - re[i]
-            if c > tol:
+        for _, k in rivals:
+            t = tail[k]
+            if side[k] > 0:
                 if t > above:
                     above, t = t, above
-            elif c < -tol:
+            elif side[k] < 0:
                 if t > below:
                     below, t = t, below
             else:
@@ -432,14 +486,31 @@ def _bvn(h: float, k: float, rho: float, phi_h: float, phi_k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pair_corr(c_a: complex, c_b: complex) -> float:
+def _pair_corr(dot: float, denom: float) -> float:
     """Correlation of two pairwise statistics: cosine between their
-    difference vectors, clipped away from +-1 for the orthant evaluator."""
-    denom = abs(c_a) * abs(c_b)
+    difference vectors, from their dot product and the product of their
+    lengths, clipped away from +-1 for the orthant evaluator."""
     if denom == 0.0:
         return 0.0
-    rho = (c_a.real * c_b.real + c_a.imag * c_b.imag) / denom
-    return min(max(rho, -_RHO_LIMIT), _RHO_LIMIT)
+    rho = dot / denom
+    return -_RHO_LIMIT if rho < -_RHO_LIMIT else _RHO_LIMIT if rho > _RHO_LIMIT else rho
+
+
+def _planar_point(pts, p, i: int) -> tuple:
+    """The noise-free terms of point i's planar miss: its rivals that flip
+    u, flip v and flip both, the log prior factor and the cross term of
+    alpha_uv, and the correlations of the (d, x), (d, y) and (x, y)
+    statistics."""
+    x, y, d = i ^ 2, i ^ 1, i ^ 3
+    c_x = pts[x] - pts[i]
+    c_y = pts[y] - pts[i]
+    c_d = pts[d] - pts[i]
+    m_x, m_y, m_d = abs(c_x), abs(c_y), abs(c_d)
+    cross = c_x.real * c_y.real + c_x.imag * c_y.imag
+    return (x, y, d, math.log(p[i] * p[d] / (p[x] * p[y])), cross,
+            _pair_corr(c_d.real * c_x.real + c_d.imag * c_x.imag, m_d * m_x),
+            _pair_corr(c_d.real * c_y.real + c_d.imag * c_y.imag, m_d * m_y),
+            _pair_corr(cross, m_x * m_y))
 
 
 def _planar_miss(table: _PairTable, i: int) -> float:
@@ -454,25 +525,22 @@ def _planar_miss(table: _PairTable, i: int) -> float:
     with B the diagonal-adjacent joint exceedances. Every piece is a small
     orthant quantity, so miss keeps relative precision at high SNR; the
     union term T_x + T_y + T_d extends the same partial sums by
-    non-negative tails only, so it cannot round below miss.
+    non-negative tails only, so it cannot round below miss. Everything but
+    z, the tails and the sigma2 factor of alpha_uv comes from the noise-free
+    geometry (_planar_point).
     """
-    # rivals that flip u, flip v, and flip both
-    x, y, d = i ^ 2, i ^ 1, i ^ 3
+    x, y, d, log_prior, cross, rho_dx, rho_dy, rho_xy = table.geo.planar[i]
     row = slice(4 * i, 4 * i + 4)
-    z, tail, p, pts = table.z[row], table.tail[row], table.priors, table.pts
-    c_x = pts[x] - pts[i]
-    c_y = pts[y] - pts[i]
-    c_d = pts[d] - pts[i]
-    cross = c_x.real * c_y.real + c_x.imag * c_y.imag
-    alpha = table.sigma2 * math.log(p[i] * p[d] / (p[x] * p[y])) - cross
+    z, tail = table.z[row], table.tail[row]
+    alpha = table.sigma2 * log_prior - cross
     adj = tail[x] + tail[y]
     # tail[j] = Phi(z[j]), the marginals each orthant needs
     if alpha > 0.0:
-        b_dx = _bvn(z[d], z[x], _pair_corr(c_d, c_x), tail[d], tail[x])
-        b_dy = _bvn(z[d], z[y], _pair_corr(c_d, c_y), tail[d], tail[y])
+        b_dx = _bvn(z[d], z[x], rho_dx, tail[d], tail[x])
+        b_dy = _bvn(z[d], z[y], rho_dy, tail[d], tail[y])
         miss = adj + tail[d] - b_dx - b_dy
     else:
-        miss = adj - _bvn(z[x], z[y], _pair_corr(c_x, c_y), tail[x], tail[y])
+        miss = adj - _bvn(z[x], z[y], rho_xy, tail[x], tail[y])
     return min(1.0, max(0.0, miss))
 
 
@@ -488,14 +556,15 @@ def _planar_terms(table: _PairTable) -> list[float]:
 
 
 def _prior_sum(table: _PairTable, values: list[float]) -> float:
-    return math.fsum(map(operator.mul, table.priors, values))
+    return math.fsum(map(operator.mul, table.geo.priors, values))
 
 
 def _exact(table: _PairTable) -> ErrorReport:
-    if table.collinear:
+    geo = table.geo
+    if geo.collinear:
         method = "collinear"
         miss, terms = _line_terms(table)
-    elif table.bijective:
+    elif geo.bijective:
         method = "planar"
         miss = [_planar_miss(table, i) for i in range(4)]
         terms = _planar_terms(table)
@@ -503,13 +572,13 @@ def _exact(table: _PairTable) -> ErrorReport:
         raise NonBijective("combined points coincide; planar analysis requires distinct points")
     return ErrorReport(p_err_exact=min(max(_prior_sum(table, miss), 0.0), 1.0),
                        p_c_per_pair=tuple(1.0 - m for m in miss), method=method,
-                       p_err_union=_prior_sum(table, terms), bijective=table.bijective)
+                       p_err_union=_prior_sum(table, terms), bijective=geo.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     """Exact MAP error probability for a real-axis combined constellation."""
     table = _PairTable(cc, sigma2)
-    if not table.collinear:
+    if not table.geo.collinear:
         raise NotCollinear("combined constellation has points off the real axis")
     return _exact(table)
 
@@ -522,7 +591,7 @@ def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     offset alpha_uv absorbs the wedge correction exactly.
     """
     table = _PairTable(cc, sigma2)
-    if table.collinear:
+    if table.geo.collinear:
         raise CollinearInput("use exact_error_collinear for real-axis constellations")
     return _exact(table)
 
@@ -541,7 +610,8 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
     so the computed bound never rounds below the computed exact error.
     """
     table = _PairTable(cc, sigma2)
-    return _prior_sum(table, _line_terms(table)[1] if table.collinear else _planar_terms(table))
+    terms = _line_terms(table)[1] if table.geo.collinear else _planar_terms(table)
+    return _prior_sum(table, terms)
 
 
 def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:

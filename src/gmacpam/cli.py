@@ -102,11 +102,18 @@ def _design_row(cfg: ExperimentConfig, scheme: str,
 def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "", seed_base: int = 0) -> list[dict]:
     rows = []
     idx = seed_base
+    # one constellation per distinct design in this sweep, keyed by its
+    # amplitudes (the source and gamma_phi are the sweep's), so a design
+    # that does not change with the noise builds its noise-free table once
+    combined = {}
     for point in cfg.noise:
         inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
         for scheme in cfg.schemes:
             res = design(scheme, inp, grid=cfg.grid)
-            cc = res.combined(inp)
+            amps = (res.a10, res.a11, res.a20, res.a21)
+            cc = combined.get(amps)
+            if cc is None:
+                cc = combined[amps] = res.combined(inp)
             report = exact_error(cc, point.sigma2)
             row = {
                 "snr_db": _fmt(point.snr_db),
@@ -255,17 +262,34 @@ def _parse_amplitudes(text: str) -> tuple[float, float, float, float]:
     return amps
 
 
+# the keys of earlier layers that a layer's noise key replaces
+_NOISE_REPLACES = {"snr_db": ("sigma2",), "sigma2": ("snr_db", "snr_convention")}
+
+
 def _raw_config(args) -> dict[str, str]:
     """The settings as strings: the preset's (reproduce only), overridden by
-    the --config file's, overridden by each --set in turn."""
+    the --config file's, overridden by the --set items (each in turn).
+
+    A noise key that a layer sets (the file, or the --set items together)
+    replaces the earlier layers' noise points: snr_db drops their sigma2,
+    and sigma2 drops their snr_db and snr_convention. Both noise keys in
+    one layer still conflict in build_config.
+    """
     raw = dict(_PRESETS.get(getattr(args, "preset", None), {}))
-    if args.config:
-        raw.update(parse_config_file(args.config))
+    layers = [parse_config_file(args.config) if args.config else {}]
+    sets = {}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set wants key=value, got {item!r}")
         key, value = item.split("=", 1)
-        raw[key.strip()] = value.strip()
+        sets[key.strip()] = value.strip()
+    layers.append(sets)
+    for layer in layers:
+        for key, replaced in _NOISE_REPLACES.items():
+            if key in layer:
+                for other in replaced:
+                    raw.pop(other, None)
+        raw.update(layer)
     if getattr(args, "amplitudes", None) is not None and "schemes" not in raw:
         raw["schemes"] = "joint"  # placeholder; bypassed by --amplitudes
     return raw

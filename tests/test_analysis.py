@@ -7,6 +7,7 @@ reduced resolution as a second line of defence.
 """
 
 import ast
+import dataclasses
 import hashlib
 import math
 import os
@@ -400,6 +401,30 @@ def test_exact_reports_frozen_digest(case1, case2, uniform):
             if hashlib.sha256(line.encode()).hexdigest()[:12] != ref:
                 pytest.fail(f"case {n} changed: {line}")
         pytest.fail(f"digest {digest} over {len(lines)} cases; want {EXACT_REPORTS_SHA256}")
+
+
+def _outcome(cc, sigma2):
+    """The report of exact_error (or its NonBijective), the union bound and,
+    on the real axis, the four decision intervals."""
+    try:
+        rep = exact_error(cc, sigma2)
+    except NonBijective:
+        rep = "NonBijective"
+    views = ([collinear_decision_interval(cc, sigma2, uv) for uv in BIT_PAIRS]
+             if is_collinear(cc) else [])
+    return rep, union_bound(cc, sigma2), views
+
+
+def test_reused_constellation_reports_equal_fresh_ones(case1, case2, uniform):
+    """One constellation evaluated from 0 to 40 dB keeps its noise-free
+    table across the calls; each report, union bound and decision interval
+    equals that of a constellation built afresh for the call."""
+    sources = (case1, case2, uniform)
+    for cc, _ in [*_binding_cases(sources), *_planar_cases(sources)]:
+        for db in range(0, 41, 10):
+            sigma2 = 10.0 ** (-db / 10.0)
+            assert _outcome(cc, sigma2) == _outcome(dataclasses.replace(cc), sigma2), (cc, db)
+        assert analysis._pair_geometry(cc) is analysis._pair_geometry(cc)
 
 
 # ---------------------------------------------------------------------------

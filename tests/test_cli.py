@@ -26,6 +26,7 @@ from gmacpam import (
     parse_config_file,
     union_bound,
 )
+from gmacpam import analysis, cli
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
 from gmacpam.config import CONVENTIONS
 from gmacpam.errors import ConfigError, UnknownConvention
@@ -636,6 +637,96 @@ def test_cli_reproduce_settings_override_preset_then_file_then_set(tmp_path, cap
     assert len(rows()) == 21 * 2
     assert rows("--config", str(cfg)) == [("4", sigma2(4.0), "joint"), ("8", sigma2(8.0), "joint")]
     assert rows("--config", str(cfg), "--set", "snr_db=12") == [("12", sigma2(12.0), "joint")]
+
+
+def test_cli_reproduce_noise_key_replaces_the_presets(tmp_path, capsys):
+    """sigma2 from --set or a --config file replaces the preset's snr_db and
+    snr_convention, and the rows are those of a sweep with fig9's keys
+    spelled out; both noise keys in one layer still conflict."""
+    fig9 = [*CASE1_SETS, "--set", "gamma_phi=1", "--set", "e1=2", "--set", "e2=1",
+            "--set", "schemes=individual joint"]
+
+    def run(*argv):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    rc, want, _ = run("sweep", *fig9, "--set", "sigma2=0.1 0.2")
+    assert rc == 0 and len(want.splitlines()) == 1 + 2 * 2
+    assert run("reproduce", "--preset", "fig9", "--set", "sigma2=0.1 0.2") == (0, want, "")
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("sigma2 = 0.1 0.2\n")
+    assert run("reproduce", "--preset", "fig9", "--config", str(cfg)) == (0, want, "")
+    # a later layer's snr_db replaces an earlier layer's sigma2
+    rc, out, _ = run("reproduce", "--preset", "fig9", "--config", str(cfg),
+                     "--set", "snr_db=4", "--set", "snr_convention=sum-energy")
+    assert rc == 0 and [r["snr_db"] for r in csv.DictReader(io.StringIO(out))] == ["4", "4"]
+
+    both = "config error: give either snr_db or sigma2, not both\n"
+    assert run("reproduce", "--preset", "fig9", "--set", "sigma2=0.1",
+               "--set", "snr_db=10") == (2, "", both)
+    cfg.write_text("sigma2 = 0.1\nsnr_db = 10\n")
+    assert run("reproduce", "--preset", "fig9", "--config", str(cfg)) == (2, "", both)
+    assert run("reproduce", "--preset", "fig9", "--set", "sigma2=0.1",
+               "--set", "snr_convention=sum-energy") == (
+        2, "", "config error: sigma2 values conflict with convention 'sum-energy'\n")
+
+
+def _count_noise_free_tables(monkeypatch) -> list:
+    """Wrap the builder of the pairwise table's noise-free half; the list
+    collects every table built from then on."""
+    built = []
+
+    class Counted(analysis._PairGeometry):
+        def __init__(self, cc):
+            super().__init__(cc)
+            built.append(self)
+
+    monkeypatch.setattr(analysis, "_PairGeometry", Counted)
+    return built
+
+
+_FINE_SNR = " ".join(f"{k * 0.5:g}" for k in range(41))
+
+
+@pytest.mark.parametrize("source", [{"p1": "0.1", "p2": "0.1", "gamma_m": "0.9"},
+                                    {"p1": "0.2", "p2": "0.5", "gamma_m": "0.4"}],
+                         ids=["fig4", "fig5"])
+def test_sweep_builds_one_noise_free_table_per_distinct_design(monkeypatch, source):
+    """A 0-20 dB sweep at 0.5 dB steps of the closed-form schemes builds one
+    noise-free table per distinct constellation, calls exact_error once a
+    row, and writes the rows a table per row would."""
+    cfg = build_config({**source, "gamma_phi": "1", "snr_db": _FINE_SNR,
+                        "snr_convention": "sum-energy", "schemes": "antipodal individual joint"})
+    want = []
+    distinct = set()
+    for point in cfg.noise:
+        inp = DesignInput(cfg.priors, 1.0, 1.0, 1.0, point.sigma2)
+        for scheme in cfg.schemes:
+            res = design(scheme, inp)
+            distinct.add((res.a10, res.a11, res.a20, res.a21))
+            report = exact_error(res.combined(inp), point.sigma2)
+            want.append((_fmt(report.p_err_exact), _fmt(report.p_err_union)))
+
+    built = _count_noise_free_tables(monkeypatch)
+    calls = []
+    monkeypatch.setattr(cli, "exact_error", lambda cc, s2: calls.append(cc) or exact_error(cc, s2))
+    rows = cli._sweep_rows(cfg)
+    assert [(r["p_err_exact"], r["p_err_union"]) for r in rows] == want
+    assert len(rows) == len(calls) == 41 * 3
+    assert len(built) == len(distinct) < 41
+
+
+def test_consecutive_sweeps_share_no_noise_free_table(monkeypatch):
+    cfg = build_config({"p1": "0.1", "p2": "0.1", "gamma_m": "0.9", "gamma_phi": "1",
+                        "snr_db": "0 10 20", "snr_convention": "sum-energy",
+                        "schemes": "antipodal individual"})
+    built = _count_noise_free_tables(monkeypatch)
+    first = cli._sweep_rows(cfg)
+    n_first = len(built)
+    assert cli._sweep_rows(cfg) == first
+    assert n_first == 2 and len(built) == 2 * n_first
+    assert not {id(t) for t in built[:n_first]} & {id(t) for t in built[n_first:]}
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--seed", "--workers", "--grid", "--out"])
