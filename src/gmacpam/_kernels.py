@@ -342,7 +342,7 @@ def _score_trials(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray, sigma2: floa
 
 
 # ---------------------------------------------------------------------------
-# batched exact error (for the grid designer)
+# batched exact error (for the numerical search)
 # ---------------------------------------------------------------------------
 
 def _qfunc_array(x: np.ndarray) -> np.ndarray:

@@ -199,57 +199,52 @@ def design_general(inp: DesignInput) -> DesignResult:
     return _place(swapped, strong, weak, orient * d_len, inp.gamma_phi)
 
 
-# Candidates of one exhaustive pass or refinement window whose errors agree
-# to this relative tolerance are tied, and the first in row-major order
-# wins. The twin with equal exact error left on the searched rectangle,
-# the sender swap for symmetric sources, would otherwise be split by
-# rounding alone.
+# Candidates whose errors agree to this relative tolerance are tied, and the
+# first in loop order wins, so that rounding alone never splits the sender
+# swap of a symmetric source, a twin with equal error on the loop.
 _TIE_RTOL = 1e-12
-
-# Points per axis of the exhaustive pass.
-_COARSE = 40
-# Points per axis of one refinement window.
+# Scan points per half-edge of the loop.
+_SCAN = 40
+# Local minima of the scan that are refined. On a recorded sweep of 1 500
+# random inputs, refining the best alone lost once by 1.45x.
+_MINIMA = 4
+# Points of a refinement window: the last round's step either side, at a tenth.
 _WINDOW = 21
-# Each round's window half-width is this fraction of the one before.
-_SHRINK = 0.15
-# Rounds past those that reach grid's resolution. On a recorded collinear
-# sweep (990 searches at grids 60/61/400) stopping at that resolution lost
-# to the exhaustive grid in 22 cases, by up to 0.23%; one more round lost
-# none.
-_EXTRA_ROUNDS = 2
+# Rounds past grid's resolution when grid > _SCAN. With three, one of the
+# same 1 500 searches lost to the 2-D grid search at grid 400 by 1.87e-9.
+_EXTRA_ROUNDS = 4
 
 
 def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
-    """Coarse-to-fine search of the two senders' separations for the lowest exact error.
+    """Search of the two senders' separations for the lowest exact error.
 
     Every difference of two combined points is d1, d2 u2 or d1 +- d2 u2,
     with d1 = a11 - a10, d2 = a21 - a20 and u2 sender 2's axis, and the
     noise is circularly symmetric; so the MAP error depends on the signed
-    separations and the priors alone. The search ranges over the rectangle
-    d1 in [0, d_max1], d2 in [-d_max2, d_max2] and scores each candidate as
-    the translate {0, d2 u2, d1, d1 + d2 u2} (see _score_windows). The
-    mirror a -> -a covers d1 < 0.
+    separations and the priors alone, within the box |d1| <= D1, |d2| <= D2
+    of the senders' d_max. Scaling a constellation by t >= 1 divides the
+    noise by t, and the noisier observation is a garbling of the quieter one
+    (Blackwell 1953), so the error cannot rise with t: the box's boundary
+    holds an optimum. Under the mirror a -> -a it is one loop of two edges,
+    sender 1 at D1 with d2 from -D2 to D2, then sender 2 at D2 with d1 from
+    D1 to -D1 (see _separations), and the search runs along it alone.
 
-    `grid` is the resolution per axis. Each round scores one window of
-    candidates in one batched tail-form call. Round 0 is the exhaustive
-    pass: min(grid, 40) points per axis over the whole rectangle. Each
-    later round scores a 21 x 21 window around the best point so far; the
-    first spans one coarse step either side, each later one 0.15 of the
-    one before. Every window is clipped to the rectangle, and its axes
-    (see _axis) hold each value once and never a zero separation, which
-    is no design. For grid <= 40 one round follows the pass, so the
-    result is the exhaustive grid's best point refined once. Above 40 the
-    rounds go on until the window spacing is at most 1 / (10 (grid - 1))
-    of the axis, what one round gives after an exhaustive pass at grid,
-    and then two more. So no call scores more than 39 x 40 rows, a
-    refinement round at most 441, and the rounds grow as log(grid).
+    A fixed scan of 40 points per half-edge holds both corners exactly and
+    skips the edge midpoints, whose zero separation is no design. Its best
+    _MINIMA local minima are refined together: each round scores a 21-point
+    window about each, one step of the last round either side, in one
+    batched call, and moves each to its window's best point. The points lie
+    on a lattice, so a corner stays exact. `grid` is the resolution per
+    edge: rounds go on until the step is at most 1 / (10 (grid - 1)) of an
+    edge, and past grid 40, which asks more than the scan holds, four more
+    follow. So grid 10 takes one round, grid 400 six.
 
-    Each sender is reported where _on_shell puts its separation: on its
-    energy boundary at d_max, on the negative shell root below it, as the
-    joint designers place the weaker sender. For a swap-symmetric input
-    (p01 == p10, e1 == e2) the sender swap is a twin with equal error; the
-    result is put in the form where sender 1 has the wider separation.
-    numpy and the batched kernels load on the first call.
+    Ties within _TIE_RTOL go to the first point in loop order, which starts
+    on sender 1's edge, so for a swap-symmetric source sender 1 holds the
+    wider separation. Each sender is placed by _on_shell, as the joint
+    designers place the weaker one, and labelled in their terms: `swapped`
+    when sender 2 alone holds its d_max, `branch` "boundary" when both do
+    and "minus" otherwise. numpy and the batched kernels load on first use.
     """
     import numpy as np
 
@@ -257,98 +252,84 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
     dmax = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
-    n = min(grid, _COARSE)
-    # round 0 is the exhaustive pass: n points per axis about (d_max1 / 2, 0)
-    # at half-widths (d_max1 / 2, d_max2) span the rectangle exactly, and
-    # round 1's half-widths are its steps
-    best, half, size = (dmax[0] / 2.0, 0.0), (dmax[0] / 2.0, dmax[1]), n
-    pe_best = math.inf
-    for r in range(_rounds(n, grid) + 1):
-        g1 = np.linspace(best[0] - half[0], best[0] + half[0], size)
-        g2 = np.linspace(best[1] - half[1], best[1] + half[1], size)
-        w1, w2 = _axis(g1, 0.0, dmax[0]), _axis(g2, -dmax[1], dmax[1])
-        pe = _score_windows(inp, w1, w2)
-        i, j = divmod(_first_best(pe), len(w2))
-        if pe[i, j] < pe_best:
-            pe_best, best = float(pe[i, j]), (w1[i], w2[j])
-        if not math.isfinite(pe_best):
-            raise InfeasibleRoot("no nondegenerate candidate on the search grid")
-        half = (g1[1] - g1[0], g2[1] - g2[0]) if r == 0 else (half[0] * _SHRINK, half[1] * _SHRINK)
-        size = _WINDOW
+    size = _SCAN
+    pe = _score_loop(inp, dmax, np.arange(4 * size), size)
+    local = np.flatnonzero((pe <= np.roll(pe, 1)) & (pe <= np.roll(pe, -1)))
+    at = local[np.argsort(pe[local], kind="stable")[:_MINIMA]]
+    step = _WINDOW // 2
+    rounds = 1
+    while _SCAN * step**rounds < 5 * (grid - 1):
+        rounds += 1
+    rounds += _EXTRA_ROUNDS if grid > _SCAN else 0
+    # the 14th round's step, 2.5e-16 of a half-edge, is a double's resolution
+    for _ in range(min(rounds, 14)):
+        size *= step
+        windows = np.sort((at[:, None] * step + np.arange(-step, step + 1)) % (4 * size), axis=1)
+        points, inverse = np.unique(windows, return_inverse=True)
+        pe = _score_loop(inp, dmax, points, size)[inverse].reshape(windows.shape)
+        rows, pick = np.arange(len(at)), _first_best(pe)
+        at, pe = windows[rows, pick], pe[rows, pick]
 
-    d1, d2 = float(best[0]), float(best[1])
-    if pr.p01 == pr.p10 and inp.e1 == inp.e2 and abs(d2) > d1:
-        # the swap image, mirrored so that sender 1's separation stays >= 0
-        d1, d2 = abs(d2), math.copysign(d1, d2)
+    order = np.argsort(at)
+    best = order[_first_best(pe[order])]
+    d1, d2 = map(float, _separations(at[best], size, dmax))
+    swapped = d1 < dmax[0]
     a10, a11 = _on_shell(d1, pr.p1, inp.e1)
     a20, a21 = _on_shell(d2, pr.p2, inp.e2)
-    return DesignResult(a10, a11, a20, a21, branch="search", swapped=False, p_err=pe_best)
+    return DesignResult(a10, a11, a20, a21, swapped=swapped, p_err=float(pe[best]),
+                        branch="minus" if swapped or abs(d2) < dmax[1] else "boundary")
 
 
-def _rounds(n: int, grid: int) -> int:
-    """Refinement rounds for an exhaustive pass of n points standing in for grid."""
-    if n == grid:
-        return 1
-    # round r's window spacing is 0.15^r of the grid-point refinement's
-    # times (grid - 1) / (n - 1); logs keep any integer grid finite
-    ratio = math.log(grid - 1) - math.log(n - 1)
-    return math.ceil(ratio / -math.log(_SHRINK)) + 1 + _EXTRA_ROUNDS
+def _first_best(pe):
+    """Index along the last axis of the first score within _TIE_RTOL of the least."""
+    import numpy as np
+
+    return np.argmax(pe <= pe.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL), axis=-1)
 
 
-def _axis(w, lo, hi):
-    """The sorted axis w clipped to [lo, hi], with each repeated value kept
-    once, in order, and each value the coincidence rule calls zero dropped.
+def _separations(n, size, dmax):
+    """Signed separations (d1, d2) at the loop's integer points n, size per half-edge.
 
-    A zero separation is no design, so it is never scored, nor are the
-    ulps linspace can leave where 0 belongs (4e-16 at some odd grids).
-    Clipping a refinement window to the rectangle repeats its edge values;
-    the first copy of each stays, so the first tie in row-major order is
-    the same candidate as on the full window. Adjacent comparisons suffice
-    on a sorted axis and, unlike np.unique, run no sort.
+    Points 0 ... 2 size run along sender 1's edge, d1 = D1 and d2 from -D2
+    to D2; points 2 size ... 4 size along sender 2's, d2 = D2 and d1 from
+    D1 to -D1, mirrored to d1 >= 0.
     """
     import numpy as np
 
-    w = np.clip(w, lo, hi)
-    keep = np.abs(w) > coincidence_tol(max(-lo, hi))
-    keep[1:] &= w[1:] != w[:-1]
-    return w[keep]
+    first = n <= 2 * size
+    t = np.where(first, n - size, 3 * size - n) / size
+    return (np.where(first, dmax[0], dmax[0] * np.abs(t)),
+            np.where(first, dmax[1] * t, dmax[1] * np.sign(t)))
 
 
-def _first_best(pe) -> int:
-    """Flat index of the first score, in row-major order, within _TIE_RTOL
-    of the minimum."""
-    import numpy as np
+def _score_loop(inp, dmax, n, size):
+    """Exact errors at the loop points n (see _separations), in one batched call.
 
-    return int(np.argmax(pe <= np.min(pe) * (1.0 + _TIE_RTOL)))
-
-
-def _score_windows(inp, w1, w2):
-    """Exact errors of the candidates w1 x w2, in one batched call.
-
-    Entry [i, j] of the result scores sender 1's separation w1[i] with
-    sender 2's w2[j] as the translate {0, d2 u2, d1, d1 + d2 u2} of its
-    design. The axes hold no separation the coincidence rule calls zero
-    (see _axis), and every candidate is scored: on the line that includes
-    a merged design (d1 = +-d2), whose shared point the decoder gives by
-    prior, as exact_error scores it. In the plane two such separations
-    keep the points distinct, so the planar kernel's +inf for
-    non-bijective rows never fires here.
+    A separation the coincidence rule calls zero is no design: it scores
+    +inf unsent. Every other point is scored as the translate {0, d2 u2,
+    d1, d1 + d2 u2} of its design: on the line that includes a merged design
+    (d1 = +-d2), whose shared point the decoder gives by prior, as
+    exact_error scores it. In the plane two nonzero separations keep the
+    points distinct, so the planar kernel's +inf for non-bijective rows
+    never fires here.
     """
     import numpy as np
 
     from . import _kernels
 
+    d1, d2 = _separations(n, size, dmax)
+    keep = (d1 > coincidence_tol(dmax[0])) & (np.abs(d2) > coincidence_tol(dmax[1]))
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are
     if abs(inp.gamma_phi) == 1.0:
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
         kernel = _kernels.planar_pe_batch
-    d1 = w1[:, None]
-    d2 = (w2 * u2)[None, :]
-    both = d1 + d2
-    points = np.stack(np.broadcast_arrays(np.zeros_like(both), d2, d1, both), axis=-1)
-    return kernel(points.reshape(-1, 4), inp.priors.as_array(), inp.sigma2).reshape(both.shape)
+    d1, d2 = d1[keep], d2[keep] * u2
+    points = np.stack([np.zeros_like(d2), d2, d1, d1 + d2], axis=-1)
+    pe = np.full(len(n), np.inf)
+    pe[keep] = kernel(points, inp.priors.as_array(), inp.sigma2)
+    return pe
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

@@ -274,9 +274,9 @@ def test_cli_simulate_needs_trials(capsys):
 
 @pytest.mark.parametrize("gamma_phi", ["1", "0.924"])
 def test_cli_sweep_huge_grid_stays_small(tmp_path, capsys, gamma_phi):
-    # the search scores at most 40 points per axis exhaustively and reaches
-    # finer grids in refinement rounds that grow as log(grid), so a grid of
-    # 10^5 per axis costs a few rounds more, not 10^10 candidates
+    # the search scans a fixed 160 points and reaches finer grids in
+    # refinement rounds that grow as log(grid), so a grid of 10^5 per edge
+    # costs a few rounds more, not 10^5 candidates
     out = tmp_path / "sweep.csv"
     t0 = time.perf_counter()
     rc = main(["sweep", *CASE1_SETS, "--set", f"gamma_phi={gamma_phi}", "--set", "snr_db=10",

@@ -25,7 +25,9 @@ from gmacpam import (
     numerical_search,
 )
 from gmacpam.config import convert_snr
-from gmacpam.design import _axis, _first_best, _on_shell, _score_windows, _signed_root_pair
+from gmacpam.design import (
+    _SCAN, _first_best, _on_shell, _score_loop, _separations, _signed_root_pair,
+)
 from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
 from gmacpam.geometry import check_energy, coincidence_tol, combine, from_amplitudes
 
@@ -430,28 +432,6 @@ def test_search_planar_close_to_designer(case1):
     assert res.p_err <= pe_design * 1.05
 
 
-def _brute_scores(inp, grid):
-    """The scalar exact_error of every candidate (d1, d2) of numerical_search's
-    exhaustive pass, its design placed by _on_shell, keyed by grid index
-    (i, j); zero separations, which are no design, are skipped."""
-    pr = inp.priors
-    g1, g2 = _search_axes(inp, grid)
-    scores = {}
-    for i, d1 in enumerate(g1):
-        for j, d2 in enumerate(g2):
-            if d1 != 0.0 and d2 != 0.0:
-                cc = combine(*from_amplitudes(*_placed(inp, d1, d2), inp.gamma_phi), pr)
-                scores[i, j] = exact_error(cc, inp.sigma2).p_err_exact
-    return scores
-
-
-def _search_axes(inp, grid):
-    """The separations numerical_search's exhaustive pass scores per axis."""
-    pr = inp.priors
-    return (np.linspace(0.0, d_max(pr.p1, inp.e1), grid),
-            np.linspace(-d_max(pr.p2, inp.e2), d_max(pr.p2, inp.e2), grid))
-
-
 def _placed(inp, d1, d2):
     """Both senders' amplitudes at separations (d1, d2), as the search
     reports them."""
@@ -467,92 +447,110 @@ def _assert_on_shells(res, pri):
         assert p * s0 + (1 - p) * s1 <= 1e-12
 
 
-def _assert_exhaustive_pass_matches_scalar_loop(inp, twin):
-    """The exhaustive pass at grid 12 against a scalar loop over its grid.
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(rows, scores) of every call of the two batch kernels, in call order."""
+    from gmacpam import _kernels
 
-    The pass's axes are the grid's without d1 = 0, which is no design (d2
-    never hits 0 on an even grid). Every kept candidate's batch score
-    equals the scalar exact_error of its design, and the pass's lead, the
-    start of refinement, is a scalar argmin: the only one, or for a source
-    with a sender-swap twin (twin=True) one of the grid argmins or their
-    folded swap images. The refined search is never worse than the lead.
+    calls = []
+    for attr in ("collinear_pe_batch", "planar_pe_batch"):
+        def counted(points, priors, sigma2, kernel=getattr(_kernels, attr)):
+            calls.append((points, kernel(points, priors, sigma2)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_kernels, attr, counted)
+    return calls
+
+
+def _assert_scan_matches_scalar_loop(inp, twin):
+    """The search's scan against a scalar loop over its points.
+
+    The scan holds both corners exactly and scores every point but the two
+    edge midpoints, whose zero separation is no design. Each scored point's
+    batch score equals the scalar exact_error of its design, and the scan's
+    lead, its first best point in loop order, is a scalar argmin: the only
+    one, or for a source with a sender-swap twin (twin=True) one of the
+    argmins or their swap images, which sit at 4 _SCAN - n on the loop.
+    The refined search is never worse than the lead.
     """
-    n = 12
-    g1, g2 = _search_axes(inp, n)
-    w1, w2 = _axis(g1, 0.0, g1[-1]), _axis(g2, g2[0], g2[-1])
-    assert np.array_equal(w1, g1[1:]) and np.array_equal(w2, g2)
-    batch = _score_windows(inp, w1, w2)
-    scores = _brute_scores(inp, n)
-    assert len(scores) == batch.size == (n - 1) * n
-    for (i, j), pe in scores.items():
-        assert batch[i - 1, j] == pytest.approx(pe, rel=1e-12, abs=0.0)
+    pr = inp.priors
+    corner = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
+    n = np.arange(4 * _SCAN)
+    d1, d2 = _separations(n, _SCAN, corner)
+    batch = _score_loop(inp, corner, n, _SCAN)
+    assert (d1[0], d2[0]) == (corner[0], -corner[1])
+    assert (d1[2 * _SCAN], d2[2 * _SCAN]) == corner
+    assert np.isinf(batch[[_SCAN, 3 * _SCAN]]).all()
+    scores = {}
+    for k in np.flatnonzero(np.isfinite(batch)):
+        cc = combine(*from_amplitudes(*_placed(inp, d1[k], d2[k]), inp.gamma_phi), pr)
+        scores[k] = exact_error(cc, inp.sigma2).p_err_exact
+        assert batch[k] == pytest.approx(scores[k], rel=1e-12, abs=0.0), k
+    assert len(scores) == 4 * _SCAN - 2
     best = min(scores.values())
-    ties = [(g1[i], g2[j]) for (i, j), pe in scores.items() if pe <= best * (1.0 + 1e-12)]
+    ties = [k for k, pe in scores.items() if pe <= best * (1.0 + 1e-12)]
     assert len(ties) <= (2 if twin else 1)
     if twin:
-        # the sender swap, folded to d1 >= 0, has equal error
-        ties += [(abs(d2), math.copysign(d1, d2)) for d1, d2 in ties]
+        ties += [(4 * _SCAN - k) % (4 * _SCAN) for k in ties]
     lead = _first_best(batch)
-    assert (w1[lead // n], w2[lead % n]) in ties
-    assert numerical_search(inp, grid=n).p_err <= batch.flat[lead]
+    assert lead in ties
+    assert numerical_search(inp, grid=12).p_err <= batch[lead]
 
 
 @pytest.mark.parametrize("gamma_phi, sigma2", [(0.383, 0.05), (0.924, 10.0**-1.2)])
 def test_search_planar_matches_scalar_loop(case2, gamma_phi, sigma2):
-    # d1 >= 0 leaves out the mirror images, and case2 has no swap twin
-    _assert_exhaustive_pass_matches_scalar_loop(DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2),
-                                                twin=False)
+    # case2 has no swap twin
+    _assert_scan_matches_scalar_loop(DesignInput(case2, 1.0, 1.0, gamma_phi, sigma2), twin=False)
 
 
 @pytest.mark.parametrize("gamma_phi, sigma2", [(1.0, S18), (-1.0, 0.05), (1.0, 0.5)])
 def test_search_collinear_matches_scalar_loop(case1, case2, gamma_phi, sigma2):
     for pri in (case1, case2):
-        _assert_exhaustive_pass_matches_scalar_loop(DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2),
-                                                    twin=pri is case1)
+        _assert_scan_matches_scalar_loop(DesignInput(pri, 1.0, 1.0, gamma_phi, sigma2),
+                                         twin=pri is case1)
 
 
 @pytest.mark.parametrize("gamma_phi", [1.0, 0.707])
-def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi):
-    """One admissibility rule in both geometries: a search axis drops a
-    zero separation, which is no design, and keeps each value once; every
-    kept candidate is scored as exact_error scores its design, on the line
-    including a merged design d1 = d2, whose shared point the decoder
-    gives by prior."""
+def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi, kernel_calls):
+    """One admissibility rule in both geometries: the loop never sends a
+    zero separation, which is no design; every other point is scored as
+    exact_error scores its design, on the line including a merged design
+    (here the corners, d1 = +-d2), whose shared point the decoder gives by
+    prior."""
     dm = d_max(case1.p1, 1.0)
     inp = DesignInput(case1, 1.0, 1.0, gamma_phi, 2.0)
-    w1 = _axis(np.array([-0.5 * dm, 0.0, 0.5 * dm, dm, dm, 2.0 * dm]), 0.0, dm)
-    w2 = _axis(np.array([-dm, -dm, -0.0, 0.0, dm]), -dm, dm)
-    assert w1.tolist() == [0.5 * dm, dm] and w2.tolist() == [-dm, dm]
-    pe = _score_windows(inp, w1, w2)
-    for (i, d1), (j, d2) in itertools.product(enumerate(w1), enumerate(w2)):
-        cc = combine(*from_amplitudes(*_placed(inp, d1, d2), gamma_phi), case1)
+    # two points per half-edge: the corners, the midpoints and between them
+    n = np.arange(8)
+    d1, d2 = _separations(n, 2, (dm, dm))
+    assert list(zip(d1, d2)) == [(dm, -dm), (dm, -dm / 2), (dm, 0.0), (dm, dm / 2), (dm, dm),
+                                 (dm / 2, dm), (0.0, 0.0), (dm / 2, -dm)]
+    pe = _score_loop(inp, (dm, dm), n, 2)
+    ((rows, _),) = kernel_calls
+    assert len(rows) == 6 and np.isinf(pe[[2, 6]]).all()
+    for k in (0, 1, 3, 4, 5, 7):
+        cc = combine(*from_amplitudes(*_placed(inp, d1[k], d2[k]), gamma_phi), case1)
         rep = exact_error(cc, inp.sigma2)
-        assert rep.bijective is not (gamma_phi == 1.0 and abs(d1) == abs(d2)), (d1, d2)
-        assert pe[i, j] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0), (d1, d2)
+        assert rep.bijective is not (gamma_phi == 1.0 and abs(d1[k]) == abs(d2[k])), k
+        assert pe[k] == pytest.approx(rep.p_err_exact, rel=1e-12, abs=0.0), k
 
 
-def test_search_axes_drop_what_the_coincidence_rule_calls_zero(monkeypatch):
-    """At odd grids below 40 linspace can leave a few ulps where 0 belongs:
-    -4.4e-16 on this input's d2 axis at grid 23. The axis drops it with
-    every value the coincidence rule calls zero, so the search sends the
-    planar kernel no row it scores +inf as non-bijective (22 did before)."""
-    from gmacpam import _kernels
-
-    scores = []
-    kernel = _kernels.planar_pe_batch
-
-    def counted(points, priors, sigma2):
-        scores.append(kernel(points, priors, sigma2))
-        return scores[-1]
-
-    monkeypatch.setattr(_kernels, "planar_pe_batch", counted)
-    dm = d_max(0.05, 0.5)
-    g2 = np.linspace(-dm, dm, 23)
-    assert 0.0 < abs(g2[11]) <= coincidence_tol(dm)
-    assert _axis(g2, -dm, dm).tolist() == [*g2[:11], *g2[12:]]
+def test_search_loop_drops_what_the_coincidence_rule_calls_zero(kernel_calls):
+    """Deep refinement rounds put loop points a few 1e-11 of a half-edge
+    from the edge midpoints, where a separation is zero. The loop drops
+    every point the coincidence rule calls zero, so the search never sends
+    the planar kernel a row it scores +inf as non-bijective."""
     inp = DesignInput(from_marginals_correlation(0.2, 0.05, 0.0), 1.0, 0.5, 0.707, 0.1)
+    dmax = (d_max(0.2, 1.0), d_max(0.05, 0.5))
+    size = _SCAN * 10**9
+    # 1 and 100 points from each midpoint: 2.5e-11 and 2.5e-9 of a half-edge
+    n = size + np.array([-100, -1, 1, 100]) + np.array([[0], [2 * size]])
+    d1, d2 = _separations(n.ravel(), size, dmax)
+    zero = (np.abs(d1) <= coincidence_tol(dmax[0])) | (np.abs(d2) <= coincidence_tol(dmax[1]))
+    assert zero.tolist() == [False, True, True, False] * 2
+    assert np.isinf(_score_loop(inp, dmax, n.ravel(), size)).tolist() == zero.tolist()
+    kernel_calls.clear()
     res = numerical_search(inp, grid=23)
-    assert scores and all(np.isfinite(pe).all() for pe in scores)
+    assert kernel_calls and all(np.isfinite(pe).all() for _, pe in kernel_calls)
     assert res.p_err == pytest.approx(exact_error(res.combined(inp), 0.1).p_err_exact,
                                       rel=1e-12)
 
@@ -805,6 +803,32 @@ def test_search_reports_sender2_on_negative_root(request, which, gamma_phi, snr_
         assert (res.a20, res.a21) == pytest.approx((-2.401, -0.686), abs=2e-3)
 
 
+@pytest.mark.parametrize("priors, sigma2, swapped, branch", [
+    ((0.1, 0.1, 0.9), S18, False, "minus"), ((0.2, 0.5, 0.4), S18, False, "minus"),
+    ((0.5, 0.2, 0.4), S18, True, "minus"), ((0.1, 0.1, 0.9), 2.0, False, "boundary")])
+def test_search_reports_designer_labels(priors, sigma2, swapped, branch):
+    """The table2 and table3 inputs, table3's source with the senders
+    exchanged, and the merged case-1 optimum at 0 dB sum-energy: sender 2
+    alone holds its d_max when `swapped`, sender 1 otherwise, and `branch`
+    is "boundary" when both do."""
+    pri = from_marginals_correlation(*priors)
+    res = numerical_search(DesignInput(pri, 1.0, 1.0, 1.0, sigma2), grid=400)
+    at_max = [abs(a1 - a0) >= d_max(p, 1.0) * (1.0 - 1e-12)
+              for a0, a1, p in ((res.a10, res.a11, pri.p1), (res.a20, res.a21, pri.p2))]
+    assert (res.swapped, res.branch) == (swapped, branch)
+    assert at_max == ([True, True] if branch == "boundary" else [not swapped, swapped])
+
+
+def test_search_grid_60_reaches_grid_400_at_high_snr(case1):
+    """At 30 dB a grid-60 search refines past grid's own resolution and
+    comes within 1e-6 of grid 400; when its last refinement window bounded
+    it, it was 5.1e-5 worse."""
+    s2 = convert_snr(30.0, "sum-energy", 2.0, 1.0, 0.924)
+    inp = DesignInput(case1, 2.0, 1.0, 0.924, s2)
+    fine = numerical_search(inp, grid=400).p_err
+    assert numerical_search(inp, grid=60).p_err == pytest.approx(fine, rel=1e-6)
+
+
 @pytest.mark.parametrize("gamma_phi", [1.0, 0.707])
 @pytest.mark.parametrize("sigma2", [1e308, 1.7e308])
 def test_search_quiet_at_huge_noise(case1, case2, gamma_phi, sigma2):
@@ -820,64 +844,55 @@ def test_search_quiet_at_huge_noise(case1, case2, gamma_phi, sigma2):
         assert res.p_err == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_search_batches_stay_bounded(case2, monkeypatch):
-    """At any grid a kernel call scores the coarse pass (39 x 40 rows,
-    d1 = 0 left out) or one round's 21 x 21 window around the best point
-    so far, and the rounds grow as log(grid)."""
-    from gmacpam import _kernels
-
-    sizes = []
-    kernel = _kernels.collinear_pe_batch
-
-    def counted(points, priors, sigma2):
-        sizes.append(len(points))
-        return kernel(points, priors, sigma2)
-
-    monkeypatch.setattr(_kernels, "collinear_pe_batch", counted)
+def test_search_batches_stay_bounded(case2, kernel_calls):
+    """At any grid a kernel call scores the scan (4 x 40 points, less the two
+    edge midpoints) or one round's windows, at most 4 x 21 rows. One round
+    follows the scan up to grid 40; past it the rounds grow as log(grid),
+    and stop at 14."""
     inp = DesignInput(case2, 1.0, 1.0, 1.0, 0.05)
-    for grid, rounds in ((40, 1), (41, 4), (400, 5), (10**6, 9)):
-        sizes.clear()
+    for grid, rounds in ((10, 1), (40, 1), (41, 5), (400, 6), (10**6, 10), (10**30, 14)):
+        kernel_calls.clear()
         res = numerical_search(inp, grid=grid)
-        assert sizes[0] == 1560
+        sizes = [len(rows) for rows, _ in kernel_calls]
+        assert sizes[0] == 158
         assert len(sizes) == 1 + rounds
-        assert max(sizes[1:]) <= 441
+        assert max(sizes[1:]) <= 84
         assert res.p_err == pytest.approx(
             exact_error(res.combined(inp), 0.05).p_err_exact, rel=1e-9)
 
 
-@pytest.mark.parametrize("which, gamma_phi, grid, rows", [
+# rows the search scores at 10 dB sum-energy: the scan's 158, then at most
+# 4 windows of 21 a round
+LOOP_ROWS = {("case2", 0.0): 200, ("case2", 0.383): 200, ("case2", 0.707): 200,
+             ("case2", 0.924): 221, ("case1", 1.0): 662, ("case2", 1.0): 656}
+
+
+@pytest.mark.parametrize("which, gamma_phi, grid, grid_rows", [
     ("case2", 0.0, 10, 211), ("case2", 0.383, 10, 211), ("case2", 0.707, 10, 211),
     ("case2", 0.924, 10, 211), ("case1", 1.0, 400, 2715), ("case2", 1.0, 400, 2165)])
-def test_search_scores_each_candidate_once(request, monkeypatch, which, gamma_phi, grid, rows):
-    """No kernel call scores a row twice, nor a zero separation. At 10 dB
-    sum-energy the optimum sits on the rectangle's edge, where clipping the
-    refinement window repeats axis values: the planar searches at grid 10
-    (the planar-sweep benchmark's) score 211 rows and the fig4 / fig5
-    sources at grid 400 2 715 and 2 165; full 441-row windows would make
-    531 and 3 765."""
-    from gmacpam import _kernels
-
-    batches = []
-    for attr in ("collinear_pe_batch", "planar_pe_batch"):
-        def counted(points, priors, sigma2, kernel=getattr(_kernels, attr)):
-            batches.append(points)
-            return kernel(points, priors, sigma2)
-
-        monkeypatch.setattr(_kernels, attr, counted)
+def test_search_scores_each_candidate_once(request, kernel_calls, which, gamma_phi, grid,
+                                           grid_rows):
+    """No kernel call scores a row twice, nor a zero separation. The planar
+    searches at grid 10 (the planar-sweep benchmark's) make two calls, and
+    the fig4 / fig5 sources at grid 400 seven; grid_rows are the rows that
+    the 2-D grid search of the separation rectangle scored there."""
     s2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
     numerical_search(DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2),
                      grid=grid)
-    for points in batches:
-        assert len(np.unique(points, axis=0)) == len(points)
-    assert sum(map(len, batches)) == rows
+    for rows, _ in kernel_calls:
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert (rows[:, 1:3] != 0.0).all()
+    assert len(kernel_calls) == (2 if grid == 10 else 7)
+    assert sum(len(rows) for rows, _ in kernel_calls) == LOOP_ROWS[which, gamma_phi]
+    assert LOOP_ROWS[which, gamma_phi] <= (221 if grid == 10 else grid_rows / 3)
 
 
-# sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped) over
-# _search_digest_cases(tier), recorded before the refinement windows
-# dropped the axis values that clipping repeats
+# sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped, branch)
+# over _search_digest_cases(tier), recorded when the search moved from the
+# separation rectangle to its boundary loop
 SEARCH_DIGEST_SHA256 = {
-    "sparse": "08533a9c94346471b2f123b1ea344efd5dac0d668893fe96b9d67550419a5858",
-    "dense": "f4447d64392b4190fcf878f265abe1e32cb44fa54e434022fd3335ddaf8337eb",
+    "sparse": "b2bbe6275fbeff528359420a6761fbae004152dfe8871faaef9f7c62b7cad111",
+    "dense": "64da98157ed58fcea6c6407eb98173212baf07276bbad1f49dff7ef4ec9a0536",
 }
 
 
@@ -911,8 +926,8 @@ def test_search_results_frozen_digest(request, tier):
         s2 = convert_snr(snr_db, "sum-energy", 1.0, 1.0, gamma_phi)
         inp = DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2)
         res = numerical_search(inp, grid=grid)
-        h.update(repr((res.a10, res.a11, res.a20, res.a21, res.p_err, res.swapped)).encode()
-                 + b"\n")
+        h.update(repr((res.a10, res.a11, res.a20, res.a21, res.p_err, res.swapped,
+                       res.branch)).encode() + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST_SHA256[tier]
 
 
