@@ -6,6 +6,7 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
     python3 benchmarks/bench_kernels.py --json BENCH_1.json
+    python3 benchmarks/bench_kernels.py --against ../parent --repeat 11 --json ab.json
 
 Each row is timed --repeat times (cold starts and worker passes: their own
 counts, below) and prints its best and its median figure. With --json PATH
@@ -13,6 +14,19 @@ the same rows go to PATH as JSON: an environment stamp (time, Python,
 numpy and scipy versions, platform, usable CPUs, CPU model, load average
 and the options), then per row its name, unit, best and median figure,
 the seconds of every repeat, the work one repeat does and its note.
+
+With --against PATH every row is built twice, once on the gmacpam that this
+process imports (the change) and once on PATH/src/gmacpam, copied into a
+temporary directory under the package name gmacpam_against and imported
+from there, so that its own relative imports (design's and simulate's
+function-level `from . import _kernels` among them) resolve to the copy
+and never to the change's modules. The two sides of a row then take turns
+in this one process for --repeat rounds (or the row's own count), the
+order flipping each round; no calibration load runs. Each row prints, and
+--json writes, the median and the quartiles (IQR) of the per-round ratio
+change / parent of the seconds one repeat takes (below 1: the change is
+faster, whatever the row's unit) and the rounds the change won, with both
+sides' seconds. Cold-start children of the parent import PATH/src.
 
 The Monte-Carlo kernel is timed on one collinear constellation at
 sigma2 = 10^-0.8 and one planar one at sigma2 = 0.25, on both at
@@ -61,7 +75,10 @@ counted by wrapping the two batch kernels in an untimed call. The
 sweep-row rows give microseconds per row of the CLI sweep loop
 (cli._sweep_rows) at the case-1 source: antipodal, individual and joint
 designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
-gamma_phi = 1 (collinear) and 0.707 (planar). The mc-fig9-workers1 and
+gamma_phi = 1 (collinear) and 0.707 (planar); sweep-fine-collinear gives
+microseconds per row of the same collinear sweep run whole through
+cli.main, CSV written to a temporary file, as the collinear-design
+benchmark workload runs it. The mc-fig9-workers1 and
 -workers2 rows give seconds per pass over the six simulate calls of the
 mc-collinear benchmark workload (fig9 source and energies, individual
 and joint designs, 0, 8 and 16 dB sum-energy SNR, 500 000 trials each) at
@@ -77,42 +94,88 @@ them, so a stray top-level import shows here.
 """
 
 import argparse
+import atexit
 import contextlib
 import dataclasses
+import importlib
 import importlib.metadata
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import types
+from typing import Callable
 
 import numpy as np
 
 import gmacpam
-from gmacpam import _kernels
-from gmacpam.analysis import (bvn_lower_orthant, collinear_decision_interval,
-                               collinear_pair_threshold, exact_error, exact_error_collinear,
-                               exact_error_planar, union_bound)
-from gmacpam import cli
-from gmacpam.cli import _sweep_rows
-from gmacpam.config import build_config, convert_snr
-from gmacpam.design import DesignInput, design, design_collinear, numerical_search
-from gmacpam.geometry import CombinedConstellation, sender2_axis
-from gmacpam.simulate import _decoder_tables, derive_seed, simulate
-from gmacpam.sources import from_marginals_correlation
+
+# The modules a row reads, by attribute of a package namespace (see package).
+MODULES = ("analysis", "cli", "config", "design", "geometry", "simulate", "sources", "_kernels")
+# The name the --against copy is imported under.
+AGAINST = "gmacpam_against"
 
 
-def timed(fn, repeat):
-    """fn()'s last result and the seconds of each of `repeat` calls."""
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return out, times
+def package(name, src):
+    """The modules of the imported package `name`, and src, the directory a
+    child interpreter puts on its path to import that code as gmacpam.
+    Submodules come from importlib, since the package's `design` attribute
+    is the function of that name."""
+    importlib.import_module(name)
+    return types.SimpleNamespace(src=src, **{m: importlib.import_module(f"{name}.{m}")
+                                             for m in MODULES})
+
+
+def against(path):
+    """The package at PATH/src/gmacpam, imported as AGAINST from a copy."""
+    tmp = tempfile.mkdtemp(prefix="bench-against-")
+    atexit.register(shutil.rmtree, tmp, ignore_errors=True)
+    src = os.path.join(os.path.abspath(path), "src")
+    shutil.copytree(os.path.join(src, "gmacpam"), os.path.join(tmp, AGAINST))
+    sys.path.insert(0, tmp)
+    g = package(AGAINST, src)
+    assert g.design.__name__ == f"{AGAINST}.design", g.design.__name__
+    return g
+
+
+@dataclasses.dataclass
+class Row:
+    """One benchmark row: run() is one timed repeat, which does `work` units
+    of work; prepare(), when given, runs untimed before each repeat and its
+    result is run's argument. repeat overrides --repeat; rows that share a
+    group take turns in one loop rather than one after another; cpu_note
+    notes the CPU seconds of the median repeat."""
+
+    name: str
+    run: Callable
+    work: float
+    unit: str
+    note: str = ""
+    prepare: Callable | None = None
+    repeat: int | None = None
+    group: str | None = None
+    cpu_note: bool = False
+
+
+def interleaved(rows, rounds):
+    """Wall and CPU seconds of each row's repeats, the rows taking turns and
+    their order flipping each round."""
+    wall, cpu = [[] for _ in rows], [[] for _ in rows]
+    for r in range(rounds):
+        for i in (range(len(rows)) if r % 2 == 0 else reversed(range(len(rows)))):
+            row = rows[i]
+            args = (row.prepare(),) if row.prepare else ()
+            c0, t0 = time.process_time(), time.perf_counter()
+            row.run(*args)
+            wall[i].append(time.perf_counter() - t0)
+            cpu[i].append(time.process_time() - c0)
+    return wall, cpu
 
 
 def rate(seconds, work, unit):
@@ -126,18 +189,21 @@ def rate(seconds, work, unit):
 
 # Scalar calls per timed repeat.
 SCALAR_CALLS = 2000
+# Seed of every Monte-Carlo row.
+SEED = 20260815
 
 
-def _constellations():
+def _constellations(g):
     """(collinear, sigma2), (planar, sigma2): the design_collinear point for
     the case-1 source and a gamma_phi = 0.707 point for the case-2 source."""
-    priors = from_marginals_correlation(0.1, 0.1, 0.9)
+    priors = g.sources.from_marginals_correlation(0.1, 0.1, 0.9)
     sigma2 = 10.0**-0.8
-    inp = DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
-    collinear = design_collinear(inp).combined(inp)
-    u2 = sender2_axis(0.707)
-    planar = CombinedConstellation(-1.0 - 0.9 * u2, -1.0 + 0.7 * u2, 0.8 - 0.9 * u2,
-                                   0.8 + 0.7 * u2, from_marginals_correlation(0.2, 0.5, 0.4))
+    inp = g.design.DesignInput(priors, 1.0, 1.0, 1.0, sigma2)
+    collinear = g.design.design_collinear(inp).combined(inp)
+    u2 = g.geometry.sender2_axis(0.707)
+    planar = g.geometry.CombinedConstellation(
+        -1.0 - 0.9 * u2, -1.0 + 0.7 * u2, 0.8 - 0.9 * u2, 0.8 + 0.7 * u2,
+        g.sources.from_marginals_correlation(0.2, 0.5, 0.4))
     return (collinear, sigma2), (planar, 0.25)
 
 
@@ -145,91 +211,100 @@ def _constellations():
 SIGMA2_16DB = 10.0**-1.6
 
 
-def _low_snr_collinear(sigma2=4.0):
+def _low_snr_collinear(g, sigma2=4.0):
     """The case-2 collinear design at sigma2: most trials leave their disk."""
-    inp = DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, 1.0, sigma2)
-    return design_collinear(inp).combined(inp), sigma2
+    inp = g.design.DesignInput(g.sources.from_marginals_correlation(0.2, 0.5, 0.4),
+                               1.0, 1.0, 1.0, sigma2)
+    return g.design.design_collinear(inp).combined(inp), sigma2
 
 
-def _live_share(tables, sigma2, trials):
+def _live_share(g, tables, sigma2, trials):
     """Share of the first (at most 2^20) trials whose radius uniform is at or
     above their point's safe-disk cut: the trials the kernel scores."""
     t = np.arange(min(trials, 1 << 20), dtype=np.uint64)
-    u0 = _kernels.uniforms_numpy(20260815, 3 * t)
-    u1 = _kernels.uniforms_numpy(20260815, 3 * t + 1)
+    u0 = g._kernels.uniforms_numpy(SEED, 3 * t)
+    u1 = g._kernels.uniforms_numpy(SEED, 3 * t + 1)
     idx = np.searchsorted(tables[3][:3], u0, side="right")
-    return float(np.mean(u1 >= _kernels.safe_disk(*tables[:3], sigma2)[1][idx]))
+    return float(np.mean(u1 >= g._kernels.safe_disk(*tables[:3], sigma2)[1][idx]))
 
 
-def _words_drawn(fn):
+def _words_drawn(g, fn):
     """64-bit words that fn() draws through the kernels' SplitMix finaliser."""
     sizes = []
-    finaliser = _kernels._splitmix
-    _kernels._splitmix = lambda z, tmp: sizes.append(z.size) or finaliser(z, tmp)
+    finaliser = g._kernels._splitmix
+    g._kernels._splitmix = lambda z, tmp: sizes.append(z.size) or finaliser(z, tmp)
     try:
         fn()
     finally:
-        _kernels._splitmix = finaliser
+        g._kernels._splitmix = finaliser
     return sum(sizes)
 
 
-def bench_mc(trials, repeat):
+def bench_mc(g, trials):
     """Trials/s of the Monte-Carlo kernel. Trials inside a point's safe disk
     skip the angle draw and the scores, so the rate grows with SNR; each
     row notes the exact error rate of its point, the share of trials that
     are scored and the words drawn per trial."""
-    (collinear, sigma2), (planar, s2_planar) = _constellations()
+    (collinear, sigma2), (planar, s2_planar) = _constellations(g)
     rows = []
     for name, cc, s2 in (("mc-collinear", collinear, sigma2), ("mc-planar", planar, s2_planar),
                          ("mc-collinear-16dB", collinear, SIGMA2_16DB),
                          ("mc-planar-16dB", planar, SIGMA2_16DB),
-                         ("mc-collinear-lowSNR", *_low_snr_collinear()),
+                         ("mc-collinear-lowSNR", *_low_snr_collinear(g)),
                          ("mc-planar-lowSNR", planar, 2.0)):
-        tables = _decoder_tables(cc, s2)
-        count, t = timed(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials),
-                         repeat)
+        tables = g.simulate._decoder_tables(cc, s2)
+
+        def run(tables=tables, s2=s2):
+            return g._kernels.mc_error_count(*tables, s2, SEED, 0, trials)
+
         half = trials // 2
-        chunked = (_kernels.mc_error_count(*tables, s2, 20260815, 0, half)
-                   + _kernels.mc_error_count(*tables, s2, 20260815, half, trials - half))
+        chunked = (g._kernels.mc_error_count(*tables, s2, SEED, 0, half)
+                   + g._kernels.mc_error_count(*tables, s2, SEED, half, trials - half))
+        count = run()
         assert chunked == count, f"{name}: chunked count {chunked} != {count}"
-        words = _words_drawn(lambda: _kernels.mc_error_count(*tables, s2, 20260815, 0, trials))
-        note = (f"exact error {exact_error(cc, s2).p_err_exact:.3g},"
-                f" {_live_share(tables, s2, trials):.1%} scored, {words / trials:.3f} words/trial")
-        rows.append((name, t, trials, "trials/s", note))
+        words = _words_drawn(g, run)
+        note = (f"exact error {g.analysis.exact_error(cc, s2).p_err_exact:.3g},"
+                f" {_live_share(g, tables, s2, trials):.1%} scored,"
+                f" {words / trials:.3f} words/trial")
+        rows.append(Row(name, run, trials, "trials/s", note))
     return rows
 
 
-def bench_scalar(repeat):
-    (collinear, s2c), (planar, s2p) = _constellations()
-    case1 = from_marginals_correlation(0.1, 0.1, 0.9)
-    joint_collinear = DesignInput(case1, 1.0, 1.0, 1.0, 10.0**-1.8)
-    joint_planar = DesignInput(case1, 1.0, 1.0, 0.924, 10.0**-1.8)
+def _calls(fn, n=SCALAR_CALLS):
+    """A repeat of n calls of fn."""
+    return lambda: [fn() for _ in range(n)]
+
+
+def bench_scalar(g):
+    (collinear, s2c), (planar, s2p) = _constellations(g)
+    a = g.analysis
+    case1 = g.sources.from_marginals_correlation(0.1, 0.1, 0.9)
+    joint_collinear = g.design.DesignInput(case1, 1.0, 1.0, 1.0, 10.0**-1.8)
+    joint_planar = g.design.DesignInput(case1, 1.0, 1.0, 0.924, 10.0**-1.8)
     rows = []
     for name, fn in (
-        ("exact-collinear", lambda: exact_error(collinear, s2c)),
-        ("exact-planar", lambda: exact_error(planar, s2p)),
+        ("exact-collinear", lambda: a.exact_error(collinear, s2c)),
+        ("exact-planar", lambda: a.exact_error(planar, s2p)),
         # orthants of the planar constellation at sigma2 = 0.25 and 10^-1.6
-        ("bvn-orthant", lambda: bvn_lower_orthant(-0.2597249041920212, -0.9172072693477924,
-                                                  0.5088205130521821)),
-        ("bvn-orthant-16dB", lambda: bvn_lower_orthant(-5.627955504963747, -5.265306648024573,
-                                                       0.707)),
-        ("union", lambda: union_bound(collinear, s2c)),
-        ("threshold", lambda: collinear_pair_threshold(collinear, s2c, (0, 0), (1, 1))),
-        ("interval", lambda: collinear_decision_interval(collinear, s2c, (1, 0))),
-        ("design-joint-collinear", lambda: design("joint", joint_collinear)),
-        ("design-joint-planar", lambda: design("joint", joint_planar)),
+        ("bvn-orthant", lambda: a.bvn_lower_orthant(-0.2597249041920212, -0.9172072693477924,
+                                                    0.5088205130521821)),
+        ("bvn-orthant-16dB", lambda: a.bvn_lower_orthant(-5.627955504963747, -5.265306648024573,
+                                                         0.707)),
+        ("union", lambda: a.union_bound(collinear, s2c)),
+        ("threshold", lambda: a.collinear_pair_threshold(collinear, s2c, (0, 0), (1, 1))),
+        ("interval", lambda: a.collinear_decision_interval(collinear, s2c, (1, 0))),
+        ("design-joint-collinear", lambda: g.design.design("joint", joint_collinear)),
+        ("design-joint-planar", lambda: g.design.design("joint", joint_planar)),
     ):
-        _, t = timed(lambda: [fn() for _ in range(SCALAR_CALLS)], repeat)
-        rows.append((name, t, SCALAR_CALLS, "us/call"))
+        rows.append(Row(name, _calls(fn), SCALAR_CALLS, "us/call"))
     # the rows above evaluate one constellation object, which keeps its
     # noise-free table after the first call; these pay the first call each time
     for name, cc, s2 in (("exact-collinear-first", collinear, s2c),
                          ("exact-planar-first", planar, s2p)):
-        t = []
-        for _ in range(repeat):
-            fresh = [dataclasses.replace(cc) for _ in range(SCALAR_CALLS)]
-            t += timed(lambda: [exact_error(c, s2) for c in fresh], 1)[1]
-        rows.append((name, t, SCALAR_CALLS, "us/call"))
+        rows.append(Row(name, lambda fresh, s2=s2: [a.exact_error(c, s2) for c in fresh],
+                        SCALAR_CALLS, "us/call",
+                        prepare=lambda cc=cc: [dataclasses.replace(cc)
+                                               for _ in range(SCALAR_CALLS)]))
     return rows
 
 
@@ -244,111 +319,130 @@ _EVALUATE = ["evaluate", "--set", "p1=0.1", "--set", "p2=0.1", "--set", "gamma_m
              "--set", "gamma_phi=1", "--set", "sigma2=0.1", "--set", "schemes=joint"]
 
 
-def bench_layers(repeat):
+def bench_layers(g):
     sink = io.StringIO()
 
     def evaluate():
         with contextlib.redirect_stdout(sink):
             for _ in range(CLI_CALLS):
-                assert cli.main(_EVALUATE) == 0
+                assert g.cli.main(_EVALUATE) == 0
         sink.seek(0)
         sink.truncate()
 
-    sigma2 = convert_snr(8.0, "sum-energy", 2.0, 1.0, 1.0)
-    inp = DesignInput(from_marginals_correlation(0.1, 0.1, 0.9), 2.0, 1.0, 1.0, sigma2)
-    tables = _decoder_tables(design("joint", inp).combined(inp), sigma2)[:3]
-    _, t_cli = timed(evaluate, repeat)
-    _, t_disk = timed(lambda: [_kernels.safe_disk(*tables, sigma2)
-                               for _ in range(SCALAR_CALLS)], repeat)
+    design, sources = g.design, g.sources
+    sigma2 = g.config.convert_snr(8.0, "sum-energy", 2.0, 1.0, 1.0)
+    inp = design.DesignInput(sources.from_marginals_correlation(0.1, 0.1, 0.9), 2.0, 1.0, 1.0,
+                             sigma2)
+    tables = g.simulate._decoder_tables(design.design("joint", inp).combined(inp), sigma2)[:3]
 
-    s2_planar = convert_snr(10.0, "sum-energy", 1.0, 1.0, 0.707)
-    inp = DesignInput(from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, 0.707, s2_planar)
-    planar = _decoder_tables(design("joint", inp).combined(inp), s2_planar)
-    _, t_mc = timed(lambda: [_kernels.mc_error_count(*planar, s2_planar, 20260815, 0,
-                                                     PLANAR_SWEEP_TRIALS)
-                             for _ in range(MC_CALLS)], repeat)
+    s2_planar = g.config.convert_snr(10.0, "sum-energy", 1.0, 1.0, 0.707)
+    inp = design.DesignInput(sources.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, 0.707,
+                             s2_planar)
+    planar = g.simulate._decoder_tables(design.design("joint", inp).combined(inp), s2_planar)
     return [
-        ("cli-main", t_cli, CLI_CALLS, "us/call"),
-        ("safe-disk", t_disk, SCALAR_CALLS, "us/call"),
-        ("mc-planar-50k", t_mc, MC_CALLS, "us/call"),
+        Row("cli-main", evaluate, CLI_CALLS, "us/call"),
+        Row("safe-disk", _calls(lambda: g._kernels.safe_disk(*tables, sigma2)), SCALAR_CALLS,
+            "us/call"),
+        Row("mc-planar-50k", _calls(lambda: g._kernels.mc_error_count(
+            *planar, s2_planar, SEED, 0, PLANAR_SWEEP_TRIALS), MC_CALLS), MC_CALLS, "us/call"),
     ]
 
 
-def _assert_matches_scalar(pts, got, priors, sigma2, exact):
+def _assert_matches_scalar(g, pts, got, priors, sigma2, exact):
     """The batch agrees with the scalar engine on a sample of rows."""
     for k in range(0, pts.shape[0], max(1, pts.shape[0] // 50)):
-        want = exact(CombinedConstellation(*map(complex, pts[k]), priors), sigma2)
+        want = exact(g.geometry.CombinedConstellation(*map(complex, pts[k]), priors), sigma2)
         assert abs(got[k] - want.p_err_exact) <= 1e-12 * want.p_err_exact, k
 
 
-def bench_batch(rows_n, repeat):
+def bench_batch(g, rows_n):
     rng = np.random.default_rng(7)
-    priors = from_marginals_correlation(0.2, 0.5, 0.4)
+    priors = g.sources.from_marginals_correlation(0.2, 0.5, 0.4)
     pa = priors.as_array()
+    kernels = g._kernels
 
     pts = np.sort(rng.uniform(-3.0, 3.0, (rows_n, 4)), axis=1)
     pts += np.arange(4) * 0.05  # keep the sorted points apart
-    _kernels.collinear_pe_batch(pts[:1], pa, 0.04)  # untimed: loads scipy.special for both
-    got, t_col = timed(lambda: _kernels.collinear_pe_batch(pts, pa, 0.04), repeat)
-    _assert_matches_scalar(pts, got, priors, 0.04, exact_error_collinear)
+    _assert_matches_scalar(g, pts, kernels.collinear_pe_batch(pts, pa, 0.04), priors, 0.04,
+                           g.analysis.exact_error_collinear)
 
-    u2 = sender2_axis(0.707)
+    u2 = g.geometry.sender2_axis(0.707)
     amp = rng.uniform(-2.0, 2.0, (rows_n, 4))
     planar = amp[:, [0, 0, 1, 1]] + amp[:, [2, 3, 2, 3]] * u2
-    got, t_pl = timed(lambda: _kernels.planar_pe_batch(planar, pa, 0.04), repeat)
-    _assert_matches_scalar(planar, got, priors, 0.04, exact_error_planar)
+    _assert_matches_scalar(g, planar, kernels.planar_pe_batch(planar, pa, 0.04), priors, 0.04,
+                           g.analysis.exact_error_planar)
 
     return [
-        ("collinear-batch", t_col, rows_n, "rows/s"),
-        ("planar-batch", t_pl, rows_n, "rows/s"),
+        Row("collinear-batch", lambda: kernels.collinear_pe_batch(pts, pa, 0.04), rows_n,
+            "rows/s"),
+        Row("planar-batch", lambda: kernels.planar_pe_batch(planar, pa, 0.04), rows_n, "rows/s"),
     ]
 
 
-def _scored_rows(fn):
+def _scored_rows(g, fn):
     """Kernel calls and rows that fn() scores through the two batch kernels."""
     sizes = []
-    saved = {attr: getattr(_kernels, attr) for attr in ("collinear_pe_batch", "planar_pe_batch")}
+    saved = {attr: getattr(g._kernels, attr) for attr in ("collinear_pe_batch", "planar_pe_batch")}
     for attr, kernel in saved.items():
-        setattr(_kernels, attr,
+        setattr(g._kernels, attr,
                 lambda points, *rest, kernel=kernel: sizes.append(len(points)) or kernel(points, *rest))
     try:
         fn()
     finally:
         for attr, kernel in saved.items():
-            setattr(_kernels, attr, kernel)
+            setattr(g._kernels, attr, kernel)
     return len(sizes), sum(sizes)
 
 
-def bench_search(repeat):
-    case1 = from_marginals_correlation(0.1, 0.1, 0.9)
-    case2 = from_marginals_correlation(0.2, 0.5, 0.4)
+def bench_search(g):
+    case1 = g.sources.from_marginals_correlation(0.1, 0.1, 0.9)
+    case2 = g.sources.from_marginals_correlation(0.2, 0.5, 0.4)
     rows = []
     for name, priors, gamma_phi, grid in (("search-collinear", case1, 1.0, 400),
                                           ("search-planar", case1, 0.924, 400),
                                           ("search-planar-grid10", case2, 0.924, 10)):
-        sigma2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
-        inp = DesignInput(priors, 1.0, 1.0, gamma_phi, sigma2)
-        res, t = timed(lambda: numerical_search(inp, grid=grid), repeat)
-        want = exact_error(res.combined(inp), inp.sigma2).p_err_exact
+        sigma2 = g.config.convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
+        inp = g.design.DesignInput(priors, 1.0, 1.0, gamma_phi, sigma2)
+
+        def run(inp=inp, grid=grid):
+            return g.design.numerical_search(inp, grid=grid)
+
+        res = run()
+        want = g.analysis.exact_error(res.combined(inp), inp.sigma2).p_err_exact
         assert abs(res.p_err - want) <= 1e-12 * want, name
-        calls, n_rows = _scored_rows(lambda: numerical_search(inp, grid=grid))
-        rows.append((name, t, 1, "s/call", f"scores {n_rows} rows in {calls} kernel calls"))
+        calls, n_rows = _scored_rows(g, run)
+        rows.append(Row(name, run, 1, "s/call", f"scores {n_rows} rows in {calls} kernel calls"))
     return rows
 
 
 # Sweeps per timed repeat.
 SWEEP_PASSES = 10
+_FINE_SNR = " ".join(str(k / 2) for k in range(41))
+_CASE1 = {"p1": "0.1", "p2": "0.1", "gamma_m": "0.9"}
+_CLOSED_FORM = "antipodal individual joint"
 
 
-def bench_sweep(repeat):
-    snr_db = " ".join(str(k / 2) for k in range(41))
+def bench_sweep(g, out_dir):
     rows = []
     for name, gamma_phi in (("sweep-row-collinear", "1"), ("sweep-row-planar", "0.707")):
-        cfg = build_config({"p1": "0.1", "p2": "0.1", "gamma_m": "0.9", "gamma_phi": gamma_phi,
-                            "snr_db": snr_db, "snr_convention": "sum-energy",
-                            "schemes": "antipodal individual joint", "trials": "0"})
-        out, t = timed(lambda: [_sweep_rows(cfg) for _ in range(SWEEP_PASSES)], repeat)
-        rows.append((name, t, SWEEP_PASSES * len(out[0]), "us/row"))
+        cfg = g.config.build_config({**_CASE1, "gamma_phi": gamma_phi, "snr_db": _FINE_SNR,
+                                     "snr_convention": "sum-energy", "schemes": _CLOSED_FORM,
+                                     "trials": "0"})
+        n_rows = len(g.cli._sweep_rows(cfg))
+        rows.append(Row(name, _calls(lambda cfg=cfg: g.cli._sweep_rows(cfg), SWEEP_PASSES),
+                        SWEEP_PASSES * n_rows, "us/row"))
+
+    argv = ["sweep"] + [a for key, value in {**_CASE1, "gamma_phi": "1", "snr_db": _FINE_SNR,
+                                             "snr_convention": "sum-energy",
+                                             "schemes": _CLOSED_FORM}.items()
+                        for a in ("--set", f"{key}={value}")]
+    argv += ["--set", "out=" + os.path.join(out_dir, f"fine-{id(g)}.csv")]
+
+    def fine():
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert g.cli.main(argv) == 0
+
+    rows.append(Row("sweep-fine-collinear", fine, 41 * 3, "us/row"))
     return rows
 
 
@@ -358,34 +452,28 @@ MC_ROW_TRIALS = 500_000
 WORKER_PASSES = 10
 
 
-def bench_workers():
+def bench_workers(g):
     """Seconds per pass over the mc-collinear benchmark's six simulate calls
     (fig9 source and energies, individual and joint designs, 0, 8 and 16 dB
     sum-energy SNR) at workers 1 and 2, the passes interleaved; each row
     notes the CPU seconds of its median pass."""
-    cfg = build_config({"p1": "0.1", "p2": "0.1", "gamma_m": "0.9", "gamma_phi": "1",
-                        "e1": "2", "e2": "1", "snr_db": "0 8 16",
-                        "snr_convention": "sum-energy", "schemes": "individual joint"})
+    cfg = g.config.build_config({**_CASE1, "gamma_phi": "1", "e1": "2", "e2": "1",
+                                 "snr_db": "0 8 16", "snr_convention": "sum-energy",
+                                 "schemes": "individual joint"})
     calls = []
     for point in cfg.noise:
-        inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
+        inp = g.design.DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
         for scheme in cfg.schemes:
-            calls.append((design(scheme, inp).combined(inp), point.sigma2,
-                          derive_seed(cfg.seed, len(calls))))
+            calls.append((g.design.design(scheme, inp).combined(inp), point.sigma2,
+                          g.simulate.derive_seed(cfg.seed, len(calls))))
 
     def run(workers):
-        return [simulate(cc, s2, MC_ROW_TRIALS, seed, workers).errors for cc, s2, seed in calls]
+        return [g.simulate.simulate(cc, s2, MC_ROW_TRIALS, seed, workers).errors
+                for cc, s2, seed in calls]
 
-    wall, cpu, counts = {1: [], 2: []}, {1: [], 2: []}, {w: run(w) for w in (1, 2)}
-    assert counts[1] == counts[2], counts
-    for n in range(WORKER_PASSES):
-        for workers in ((1, 2) if n % 2 == 0 else (2, 1)):
-            c0, t0 = time.process_time(), time.perf_counter()
-            run(workers)
-            wall[workers].append(time.perf_counter() - t0)
-            cpu[workers].append(time.process_time() - c0)
-    return [(f"mc-fig9-workers{w}", wall[w], 1, "s/pass",
-             f"CPU {statistics.median(cpu[w]):.4f} s/pass") for w in (1, 2)]
+    assert run(1) == run(2)
+    return [Row(f"mc-fig9-workers{w}", lambda w=w: run(w), 1, "s/pass", repeat=WORKER_PASSES,
+                group="workers", cpu_note=True) for w in (1, 2)]
 
 
 # Fresh interpreters per cold-start row.
@@ -401,23 +489,26 @@ print(",".join(m for m in ("numpy", "scipy.special") if m in sys.modules) or "ne
 """
 
 
-def bench_cold_start():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gmacpam.__file__)))
+def bench_cold_start(g):
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
+    env = dict(os.environ, PYTHONPATH=g.src + (os.pathsep + inherited if inherited else ""))
     rows = []
     for name, gamma_phi in (("cold-start-collinear", 1.0), ("cold-start-planar", 0.924)):
         argv = [sys.executable, "-c", _COLD_START.format(gamma_phi=gamma_phi)]
         # untimed: fills the bytecode cache and reports the loaded modules
         loaded = subprocess.run(argv, env=env, check=True, capture_output=True,
                                 text=True).stdout.strip()
-        times = []
-        for _ in range(COLD_STARTS):
-            t0 = time.perf_counter()
-            subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
-            times.append(time.perf_counter() - t0)
-        rows.append((name, times, 1, "s/start", f"loaded: {loaded}"))
+        rows.append(Row(name, lambda argv=argv: subprocess.run(argv, env=env, check=True,
+                                                               stdout=subprocess.DEVNULL),
+                        1, "s/start", f"loaded: {loaded}", repeat=COLD_STARTS))
     return rows
+
+
+def build_rows(g, ns, out_dir):
+    """Every row of package g, in print order."""
+    return (bench_mc(g, ns.trials) + bench_batch(g, ns.rows) + bench_scalar(g) + bench_layers(g)
+            + bench_sweep(g, out_dir) + bench_search(g) + bench_workers(g)
+            + bench_cold_start(g))
 
 
 def _cpu_model():
@@ -442,8 +533,48 @@ def environment(ns):
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": _cpu_model(),
         "loadavg": os.getloadavg(),
-        "trials": ns.trials, "rows": ns.rows, "repeat": ns.repeat,
+        "trials": ns.trials, "rows": ns.rows, "repeat": ns.repeat, "against": ns.against,
     }
+
+
+def run_rows(rows, ns):
+    """Time each row (a group's rows in turns) and print and return its record."""
+    print(f"{'kernel':<22} {'best time':>10} {'best':>10} {'median':>10}")
+    records = []
+    groups = {}
+    for row in rows:
+        groups.setdefault(row.group or row.name, []).append(row)
+    for group in groups.values():
+        wall, cpu = interleaved(group, group[0].repeat or ns.repeat)
+        for row, times, cpu_times in zip(group, wall, cpu):
+            note = row.note or (f"CPU {statistics.median(cpu_times):.4f} s/pass"
+                                if row.cpu_note else "")
+            best = rate(min(times), row.work, row.unit)
+            median = rate(statistics.median(times), row.work, row.unit)
+            print(f"{row.name:<22} {min(times):>9.3f}s {best:>10.3g} {median:>10.3g} "
+                  f"{row.unit:<9} {note}".rstrip())
+            records.append({"name": row.name, "unit": row.unit, "best": best, "median": median,
+                            "seconds": times, "work": row.work, "note": note})
+    return records
+
+
+def run_against(rows, parent_rows, ns):
+    """Time each row's change and parent side in turns; print and return the
+    per-round ratio change / parent with its quartiles and the rounds won."""
+    print(f"{'kernel':<22} {'ratio':>7} {'q1':>7} {'q3':>7} {'won':>7}")
+    records = []
+    for row, old in zip(rows, parent_rows, strict=True):
+        assert row.name == old.name, (row.name, old.name)
+        (new_t, old_t), _ = interleaved([row, old], row.repeat or ns.repeat)
+        ratios = [a / b for a, b in zip(new_t, old_t)]
+        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                          if len(ratios) > 1 else ratios * 3)
+        won = sum(r < 1.0 for r in ratios)
+        print(f"{row.name:<22} {median:>7.3f} {q1:>7.3f} {q3:>7.3f} {won:>3}/{len(ratios):<3}")
+        records.append({"name": row.name, "ratio_median": median, "ratio_q1": q1,
+                        "ratio_q3": q3, "rounds_won": won, "rounds": len(ratios),
+                        "change_seconds": new_t, "parent_seconds": old_t})
+    return records
 
 
 def main():
@@ -452,21 +583,21 @@ def main():
     ap.add_argument("--rows", type=int, default=50_000)
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--json", metavar="PATH",
-                    help="also write the environment stamp and every row's best and median "
-                         "figure, repeat times and note to PATH")
+                    help="also write the environment stamp and every row's figures, repeat "
+                         "times and note to PATH")
+    ap.add_argument("--against", metavar="PATH",
+                    help="time every row against the checkout at PATH (its src/gmacpam) in "
+                         "turns and report the ratio change / parent")
     ns = ap.parse_args()
 
-    rows = (bench_mc(ns.trials, ns.repeat) + bench_batch(ns.rows, ns.repeat)
-            + bench_scalar(ns.repeat) + bench_layers(ns.repeat) + bench_sweep(ns.repeat)
-            + bench_search(ns.repeat) + bench_workers() + bench_cold_start())
-    print(f"{'kernel':<22} {'best time':>10} {'best':>10} {'median':>10}")
-    records = []
-    for kernel, times, work, unit, *note in rows:
-        best, median = rate(min(times), work, unit), rate(statistics.median(times), work, unit)
-        print(f"{kernel:<22} {min(times):>9.3f}s {best:>10.3g} {median:>10.3g} {unit:<9} "
-              f"{' '.join(note)}".rstrip())
-        records.append({"name": kernel, "unit": unit, "best": best, "median": median,
-                        "seconds": times, "work": work, "note": " ".join(note)})
+    with tempfile.TemporaryDirectory(prefix="bench-out-") as out_dir:
+        change = package("gmacpam", os.path.dirname(os.path.dirname(
+            os.path.abspath(gmacpam.__file__))))
+        rows = build_rows(change, ns, out_dir)
+        if ns.against:
+            records = run_against(rows, build_rows(against(ns.against), ns, out_dir), ns)
+        else:
+            records = run_rows(rows, ns)
     if ns.json:
         with open(ns.json, "w", encoding="utf-8") as fh:
             json.dump({"environment": environment(ns), "rows": records}, fh, indent=1)

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .analysis import _RHO_LIMIT, _TINY, _wins_degenerate
-from .geometry import COINCIDENCE_RTOL, SCALE_FLOOR, coincidence_tol, pairwise_distinct
+from .analysis import _RHO_LIMIT, _TINY
+from .geometry import COINCIDENCE_RTOL, SCALE_FLOOR, coincidence_tol
 # the stream's constants and seed check live in simulate, so that no sweep needs numpy for them
 from .simulate import _GOLDEN, _MASK64, _MIX1, _MIX2, _check_seed
 
@@ -356,24 +356,26 @@ def _qfunc_array(x: np.ndarray) -> np.ndarray:
 
 
 # Rival indices in lexicographic pair order: rival k of pair uv is uv ^ k,
-# so k = 2 flips sender 1's bit, k = 1 sender 2's and k = 3 both.
+# so k = 2 flips sender 1's bit, k = 1 sender 2's and k = 3 both. A batch
+# of m rows takes all three at once: row 4 j + uv of its (12, m) arrays is
+# rival _RIVALS[j][uv] (_ALL) of point uv (_OWN); each loop runs along m.
 _UV = np.arange(4)
-_ADJ_X = _UV ^ 2
-_ADJ_Y = _UV ^ 1
-_DIAG = _UV ^ 3
-_RIVALS = (_ADJ_X, _ADJ_Y, _DIAG)
+_RIVALS = (_UV ^ 2, _UV ^ 1, _UV ^ 3)
+_ALL = np.concatenate(_RIVALS)
+_OWN = np.tile(_UV, 3)
 
 
 def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
-    """Difference vector c and bound z of rival idx[uv] of every point uv of
-    the (m, 4) batch: the scalar table's entry z[4 uv + lm] (analysis._PairTable),
-    z = -(d^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma d) with d = |c|. A
-    coincident rival is the caller's to mask."""
-    c = pts[:, idx] - pts
+    """Difference vector c and bound z of rival idx[j] of point j % 4 (row j)
+    in each row of the (m, 4) batch: analysis._tails' z[4 uv + lm], that is
+    -(d^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma d) with d = |c|."""
+    own = _OWN[:idx.size]
+    cols = pts.T.copy()
+    c = (cols[idx].reshape(idx.size // 4, *cols.shape) - cols).reshape(idx.size, len(pts))
     dist = np.abs(c)
     # past sigma2 ~ 1e308 the prior term overflows to +-inf, as on the scalar path
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = dist**2 / 2.0 + sigma2 * np.log(p / p[idx])
+        t = dist**2 / 2.0 + (sigma2 * np.log(p[own] / p[idx]))[:, None]
         z = -t / (math.sqrt(sigma2) * dist)
     return c, z
 
@@ -394,61 +396,71 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     analysis.exact_error_collinear, vectorised over candidates and pairs,
     with its binding rule: Phi is monotone, so on each side of a point the
     rival with the largest z binds. The miss probability sums those two
-    tails, never 1 - P_correct, capped at 1. A coincident rival sets no
-    bound; it kills the point when analysis._wins_degenerate gives it the
-    shared point.
+    tails, taken in one erfc call, never 1 - P_correct, capped at 1. A
+    coincident rival sets no bound; it kills the point when it takes the
+    shared point (analysis._wins_degenerate: larger prior, then lower index).
     """
     pts = np.asarray(points, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
-    # spread to the batch's shape: a broadcast over 4-wide rows costs more
-    tol = _row_tol(pts)[:, None].repeat(4, axis=1)
-    above, below = np.full((2, *pts.shape), -np.inf)
-    dead = np.zeros(pts.shape, dtype=bool)
-    for idx in _RIVALS:
-        c, z = _rival(pts, p, sigma2, idx)
-        above = np.maximum(above, np.where(c > tol, z, -np.inf))
-        below = np.maximum(below, np.where(c < -tol, z, -np.inf))
-        loses = [not _wins_degenerate(uv, lm, p[uv], p[lm]) for uv, lm in enumerate(idx)]
-        dead |= (np.abs(c) <= tol) & loses
-    miss = _qfunc_array(-above)
-    miss += _qfunc_array(-below)
+    c, z = _rival(pts, p, sigma2, _ALL)
+    tol = _row_tol(pts)
+    # each rival's bound on the side of the point it sits on, -inf on the other
+    bound = np.full((2, *z.shape), -np.inf)
+    np.copyto(bound[0], z, where=c > tol)
+    np.copyto(bound[1], z, where=c < -tol)
+    # each side's binding bound over the rival blocks (a reduction costs more)
+    top = np.maximum(bound[:, :4], bound[:, 4:8])
+    np.maximum(top, bound[:, 8:], out=top)
+    tail = _qfunc_array(np.negative(top, out=top))
+    # (m, 4) in C order, as the matvec below has always read it
+    miss = np.add(tail[0].T, tail[1].T, order="C")
     np.minimum(miss, 1.0, out=miss)
-    miss[dead] = 1.0
+    coincident = np.abs(c) <= tol
+    if coincident.any():
+        loses = (p[_OWN] < p[_ALL]) | ((p[_OWN] == p[_ALL]) & (_OWN > _ALL))
+        miss[np.logical_or.reduce((coincident & loses[:, None]).reshape(3, 4, -1)).T] = 1.0
     return np.clip(miss @ p, 0.0, 1.0)
 
 
 def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
                        phi_h: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
     """Vectorised analysis._bvn: Pr(X <= h, Y <= k) given Phi(h) and Phi(k),
-    on scipy's owens_t ufunc, with _bvn's special cases in its order (NaN,
-    infinite bounds, rho = 0, h = k = 0). A single zero bound takes
-    owens_t(0, +-inf) = +-1/4 exactly, as the scalar path does.
+    on scipy's owens_t ufunc (one call takes T(h, a_h) and T(k, a_k)), with
+    _bvn's special cases in its order (NaN, infinite bounds, rho = 0,
+    h = k = 0). A single zero bound takes owens_t(0, +-inf) = +-1/4
+    exactly, as the scalar path does.
 
     rho must already lie within +-_RHO_LIMIT (the callers clip it).
     """
     from scipy.special import owens_t
 
+    hk = np.concatenate((h, k)).reshape(2, -1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         s = np.sqrt((1.0 - rho) * (1.0 + rho))
-        ah = np.where(h == 0.0, np.copysign(np.inf, k), (k / h - rho) / s)
-        ak = np.where(k == 0.0, np.copysign(np.inf, h), (h / k - rho) / s)
-        c = np.where((h < 0.0) == (k < 0.0), 0.0, 0.5)
-        val = np.clip(0.5 * (phi_h + phi_k) - owens_t(h, ah) - owens_t(k, ak) - c, 0.0, 1.0)
-    val = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(rho) / (2.0 * math.pi), val)
-    val = np.where(rho == 0.0, phi_h * phi_k, val)
-    # an infinite bound leaves a marginal, 0 or 1
-    val = np.where(h == np.inf, phi_k, np.where(k == np.inf, phi_h, val))
-    val = np.where((h == -np.inf) | (k == -np.inf), 0.0, val)
-    return np.where(np.isnan(h) | np.isnan(k), np.nan, val)
+        a = np.where(hk == 0.0, np.copysign(np.inf, hk[::-1]), (hk[::-1] / hk - rho) / s)
+        t = owens_t(hk, a)
+        val = 0.5 * (phi_h + phi_k) - t[0] - t[1] - np.where((h < 0.0) == (k < 0.0), 0.0, 0.5)
+    np.clip(val, 0.0, 1.0, out=val)
+    # each special case overrides those after it in _bvn's order
+    zero = (h == 0.0) & (k == 0.0)
+    if zero.any():
+        np.copyto(val, 0.25 + np.arcsin(rho) / (2.0 * math.pi), where=zero)
+    np.copyto(val, phi_h * phi_k, where=rho == 0.0)
+    if not np.isfinite(hk).all():
+        # an infinite bound leaves a marginal, 0 or 1
+        np.copyto(val, phi_h, where=k == np.inf)
+        np.copyto(val, phi_k, where=h == np.inf)
+        np.copyto(val, 0.0, where=(h == -np.inf) | (k == -np.inf))
+        np.copyto(val, np.nan, where=np.isnan(h) | np.isnan(k))
+    return val
 
 
 def _pair_corr(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
     """Cosine between difference vectors, clipped as analysis._pair_corr."""
     denom = np.abs(c_a) * np.abs(c_b)
     dot = c_a.real * c_b.real + c_a.imag * c_b.imag
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(denom == 0.0, 0.0, dot / denom)
-    return np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT)
+    rho = np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0)
+    return np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT, out=rho)
 
 
 def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:
@@ -464,33 +476,32 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     """
     pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
-    bijective = pairwise_distinct(pts.T, _row_tol(pts))
-
-    (c_x, z_x), (c_y, z_y), (c_d, z_d) = (_rival(pts, p, sigma2, idx) for idx in _RIVALS)
-    # tail[j] = Phi(z[j]), the marginals each orthant needs
-    t_x, t_y, t_d = (_qfunc_array(-z) for z in (z_x, z_y, z_d))
+    c, z = _rival(pts, p, sigma2, _ALL)
+    # the 12 ordered pairs hold each of the 6 pairs twice
+    bijective = np.logical_and.reduce(np.abs(c) > _row_tol(pts), axis=0)
+    # tail = Phi(z), the marginals each orthant needs
+    tail = _qfunc_array(-z)
+    c_x, c_y = c[:4], c[4:8]
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
     with np.errstate(over="ignore"):
-        alpha = sigma2 * np.log(p * p[_DIAG] / (p[_ADJ_X] * p[_ADJ_Y])) - cross
+        alpha = (sigma2 * np.log(p * p[_UV ^ 3] / (p[_UV ^ 2] * p[_UV ^ 1])))[:, None] - cross
     wedge = alpha > 0.0
-
-    def orthant_args(on_wedge, off_wedge, second):
-        return np.concatenate([np.where(wedge, on_wedge, off_wedge).ravel(), second[wedge]])
 
     # alpha > 0: miss = T_x + T_y + T_d - B_dx - B_dy; else T_x + T_y - J_xy.
     # One orthant call takes the first orthant of every point (B_dx or
-    # J_xy), then B_dy of the wedge points, each with the rho of its pair.
-    orthant = _bvn_lower_orthant(
-        orthant_args(z_d, z_x, z_d),
-        orthant_args(z_x, z_y, z_y),
-        _pair_corr(orthant_args(c_d, c_x, c_d), orthant_args(c_x, c_y, c_y)),
-        orthant_args(t_d, t_x, t_d),
-        orthant_args(t_x, t_y, t_y),
-    )
-    first = orthant[:wedge.size].reshape(wedge.shape)
-    second = np.zeros_like(first)
-    second[wedge] = orthant[wedge.size:]
-    adj = t_x + t_y
-    miss = np.where(wedge, adj + t_d - first - second, adj - first)
-    p_err = np.clip(np.clip(miss, 0.0, 1.0) @ p, 0.0, 1.0)
+    # J_xy), then B_dy of the wedge points, each with the rho of its pair:
+    # h and k index the flat (12, m) arrays, x of point uv in row uv.
+    x = np.arange(wedge.size).reshape(wedge.shape)
+    on = 4 * x.shape[1] * wedge
+    h = np.concatenate(((x + 2 * on).ravel(), x[wedge] + 2 * wedge.size))
+    k = np.concatenate(((x + wedge.size - on).ravel(), x[wedge] + wedge.size))
+    orthant = _bvn_lower_orthant(z.take(h), z.take(k), _pair_corr(c.take(h), c.take(k)),
+                                 tail.take(h), tail.take(k))
+    miss = tail[:4] + tail[4:8]
+    np.add(miss, tail[8:], out=miss, where=wedge)
+    miss -= orthant[:wedge.size].reshape(wedge.shape)
+    miss[wedge] -= orthant[wedge.size:]
+    np.clip(miss, 0.0, 1.0, out=miss)
+    # (m, 4) in C order, as the matvec has always read it
+    p_err = np.clip(np.ascontiguousarray(miss.T) @ p, 0.0, 1.0)
     return np.where(bijective, p_err, np.inf)

@@ -17,9 +17,11 @@ points, the priors, the coincidence tolerance, the collinear and bijective
 flags, each distinct pair's distance d, d^2/2 and log prior ratios (a
 coincident pair's bound is +-inf), the side each collinear rival sits on,
 and each planar point's alpha_uv terms and pair correlations. The noise
-half is built per call, in one pass over the distinct pairs: for each of
-the 12 ordered pairs, the standardised bound z with Pr(Delta > 0) = Phi(z)
-and that tail probability. The collinear threshold views read only the
+half is two flat lists filled per call, in one pass over the distinct
+pairs, with no object around them: for each of the 12 ordered pairs, the
+standardised bound z with Pr(Delta > 0) = Phi(z) and that tail
+probability. The same call then takes each point's miss and union term
+and builds the report. The collinear threshold views read only the
 noise-free half. Two exact evaluation paths read the table and cover every
 constellation:
 
@@ -56,13 +58,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import (
-    CaseMismatch,
-    CollinearInput,
-    CorrelationAtUnity,
-    NonBijective,
-    NotCollinear,
-)
+from .errors import CaseMismatch, CollinearInput, CorrelationAtUnity, NonBijective, NotCollinear
 from .geometry import CombinedConstellation, coincidence_tol, on_real_axis
 from .sources import pair_index
 
@@ -151,6 +147,8 @@ def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool
 # and each point's rivals j != i in order with their flat index 4i + j.
 _PAIRS = tuple((i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4))
 _RIVALS = tuple(tuple((j, 4 * i + j) for j in range(4) if j != i) for i in range(4))
+# Each point's rivals that flip u, flip v and flip both, as flat indices 4i + j.
+_FLIPS = tuple((4 * i + (i ^ 2), 4 * i + (i ^ 1), 4 * i + (i ^ 3)) for i in range(4))
 
 
 def _check_noise(sigma2: float) -> None:
@@ -224,29 +222,21 @@ def _pair_geometry(cc: CombinedConstellation) -> _PairGeometry:
     return geo
 
 
-class _PairTable:
-    """Pairwise statistics of one constellation at one noise level, which
-    serve the exact paths and the union bound.
-
-    geo is the constellation's noise-free half (_PairGeometry). Once sigma2
-    is checked finite and positive, one pass over geo's distinct pairs
-    fills, at flat index 4i + j of each of the 12 ordered pairs, z, the
-    standardised bound with Pr(Delta_ij > 0) = Phi(z), and tail = Q(-z);
-    a coincident pair's entries come from geo as they are.
-    """
-
-    def __init__(self, cc: CombinedConstellation, sigma2: float):
-        _check_noise(sigma2)
-        self.geo = geo = _pair_geometry(cc)
-        self.sigma2 = sigma2
-        self.z = z = geo.z.copy()
-        self.tail = tail = geo.tail.copy()
-        sd_unit = math.sqrt(sigma2)
-        for ij, ji, half, d, log_ij, log_ji in geo.spread:
-            sd = sd_unit * d
-            z_ij = (-half - sigma2 * log_ij) / sd
-            z_ji = (-half - sigma2 * log_ji) / sd
-            z[ij], z[ji], tail[ij], tail[ji] = z_ij, z_ji, qfunc(-z_ij), qfunc(-z_ji)
+def _tails(cc: CombinedConstellation, sigma2: float) -> tuple[_PairGeometry, list, list]:
+    """cc's noise-free half (_PairGeometry) and two lists filled in one pass
+    over its distinct pairs: at flat index 4i + j of each ordered pair, z,
+    with Pr(Delta_ij > 0) = Phi(z) at sigma2, and tail = Q(-z). A
+    coincident pair's entries come from the noise-free half as they are."""
+    _check_noise(sigma2)
+    geo = _pair_geometry(cc)
+    z, tail = geo.z.copy(), geo.tail.copy()
+    sd_unit = math.sqrt(sigma2)
+    for ij, ji, half, d, log_ij, log_ji in geo.spread:
+        sd = sd_unit * d
+        z_ij = (-half - sigma2 * log_ij) / sd
+        z_ji = (-half - sigma2 * log_ji) / sd
+        z[ij], z[ji], tail[ij], tail[ji] = z_ij, z_ji, qfunc(-z_ij), qfunc(-z_ji)
+    return geo, z, tail
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,7 @@ def collinear_decision_interval(
     return lo, hi, True
 
 
-def _line_terms(table: _PairTable) -> tuple[list[float], list[float]]:
+def _line_terms(geo: _PairGeometry, z: list, tail: list) -> tuple[list[float], list[float]]:
     """(miss probability, union term) of each point on the real axis.
 
     Q is monotone in the threshold, so on each side of point i the binding
@@ -317,9 +307,10 @@ def _line_terms(table: _PairTable) -> tuple[list[float], list[float]]:
     two floats and then adds the other rivals' tails in the order they drop
     out; floating-point addition of non-negatives is monotone, so the
     computed bound can never round below the computed exact value. The
-    side of each rival comes from the noise-free geometry.
+    side of each rival comes from the noise-free geometry, z and the tails
+    from _tails.
     """
-    z, tail, side = table.z, table.tail, table.geo.side
+    side = geo.side
     miss, terms = [], []
     for rivals in _RIVALS:
         below = above = 0.0  # binding tail on each side of i; a 0 swapped into rest adds 0
@@ -448,7 +439,7 @@ def bvn_lower_orthant(h: float, k: float, rho: float) -> float:
     Owen's (1956) identity Phi2 = (Phi(h) + Phi(k))/2 - T(h, ah) - T(k, ak)
     - c, with Phi from qfunc and T from owens_t, so it runs on the math
     module alone; a zero bound takes T(0, +-inf) = +-1/4 exactly. Its error
-    is within 1e-15 of max(Phi(h), Phi(k)), the scale _planar_miss
+    is within 1e-15 of max(Phi(h), Phi(k)), the scale _planar_terms
     subtracts it from. NaN in h or k gives NaN. Correlations within 1e-12
     of +/-1 are rejected; callers should use the collinear path for
     effectively one-dimensional geometry.
@@ -497,24 +488,25 @@ def _pair_corr(dot: float, denom: float) -> float:
 
 
 def _planar_point(pts, p, i: int) -> tuple:
-    """The noise-free terms of point i's planar miss: its rivals that flip
-    u, flip v and flip both, the log prior factor and the cross term of
-    alpha_uv, and the correlations of the (d, x), (d, y) and (x, y)
-    statistics."""
+    """The noise-free terms of point i's planar miss: the flat indices
+    4i + j of its rivals j that flip u, flip v and flip both (_FLIPS), the
+    log prior factor and the cross term of alpha_uv, and the correlations
+    of the (d, x), (d, y) and (x, y) statistics."""
     x, y, d = i ^ 2, i ^ 1, i ^ 3
     c_x = pts[x] - pts[i]
     c_y = pts[y] - pts[i]
     c_d = pts[d] - pts[i]
     m_x, m_y, m_d = abs(c_x), abs(c_y), abs(c_d)
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
-    return (x, y, d, math.log(p[i] * p[d] / (p[x] * p[y])), cross,
+    return (*_FLIPS[i], math.log(p[i] * p[d] / (p[x] * p[y])), cross,
             _pair_corr(c_d.real * c_x.real + c_d.imag * c_x.imag, m_d * m_x),
             _pair_corr(c_d.real * c_y.real + c_d.imag * c_y.imag, m_d * m_y),
             _pair_corr(cross, m_x * m_y))
 
 
-def _planar_miss(table: _PairTable, i: int) -> float:
-    """Miss probability for point i off the real axis.
+def _planar_terms(geo: _PairGeometry, sigma2: float, z: list,
+                  tail: list) -> tuple[list[float], list[float]]:
+    """(miss probability, union term) of each point off the real axis.
 
     Inclusion-exclusion over the three rival exceedance events, split on the
     diagonal offset alpha_uv. For alpha_uv <= 0 the two adjacent conditions
@@ -529,58 +521,54 @@ def _planar_miss(table: _PairTable, i: int) -> float:
     z, the tails and the sigma2 factor of alpha_uv comes from the noise-free
     geometry (_planar_point).
     """
-    x, y, d, log_prior, cross, rho_dx, rho_dy, rho_xy = table.geo.planar[i]
-    row = slice(4 * i, 4 * i + 4)
-    z, tail = table.z[row], table.tail[row]
-    alpha = table.sigma2 * log_prior - cross
-    adj = tail[x] + tail[y]
-    # tail[j] = Phi(z[j]), the marginals each orthant needs
-    if alpha > 0.0:
-        b_dx = _bvn(z[d], z[x], rho_dx, tail[d], tail[x])
-        b_dy = _bvn(z[d], z[y], rho_dy, tail[d], tail[y])
-        miss = adj + tail[d] - b_dx - b_dy
-    else:
-        miss = adj - _bvn(z[x], z[y], rho_xy, tail[x], tail[y])
-    return min(1.0, max(0.0, miss))
+    miss, terms = [], []
+    for x, y, d, log_prior, cross, rho_dx, rho_dy, rho_xy in geo.planar:
+        alpha = sigma2 * log_prior - cross
+        adj = tail[x] + tail[y]
+        # tail[j] = Phi(z[j]), the marginals each orthant needs
+        if alpha > 0.0:
+            b_dx = _bvn(z[d], z[x], rho_dx, tail[d], tail[x])
+            b_dy = _bvn(z[d], z[y], rho_dy, tail[d], tail[y])
+            m = adj + tail[d] - b_dx - b_dy
+        else:
+            m = adj - _bvn(z[x], z[y], rho_xy, tail[x], tail[y])
+        miss.append(min(1.0, max(0.0, m)))
+        terms.append(adj + tail[d])
+    return miss, terms
 
 
 # ---------------------------------------------------------------------------
-# exact error and union bound: views of the pairwise table
+# exact error and union bound
 # ---------------------------------------------------------------------------
 
 
-def _planar_terms(table: _PairTable) -> list[float]:
-    """Union term T_x + T_y + T_d of each point, summed as _planar_miss does."""
-    t = table.tail
-    return [t[4 * i + (i ^ 2)] + t[4 * i + (i ^ 1)] + t[4 * i + (i ^ 3)] for i in range(4)]
-
-
-def _prior_sum(table: _PairTable, values: list[float]) -> float:
-    return math.fsum(map(operator.mul, table.geo.priors, values))
-
-
-def _exact(table: _PairTable) -> ErrorReport:
-    geo = table.geo
+def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
+    """Exact MAP error probability, routed by constellation geometry: one
+    pass fills z and the tails (_tails), takes each point's miss and union
+    term on the path the geometry takes and sums both over the priors."""
+    geo, z, tail = _tails(cc, sigma2)
     if geo.collinear:
         method = "collinear"
-        miss, terms = _line_terms(table)
+        miss, terms = _line_terms(geo, z, tail)
     elif geo.bijective:
         method = "planar"
-        miss = [_planar_miss(table, i) for i in range(4)]
-        terms = _planar_terms(table)
+        miss, terms = _planar_terms(geo, sigma2, z, tail)
     else:
         raise NonBijective("combined points coincide; planar analysis requires distinct points")
-    return ErrorReport(p_err_exact=min(max(_prior_sum(table, miss), 0.0), 1.0),
-                       p_c_per_pair=tuple(1.0 - m for m in miss), method=method,
-                       p_err_union=_prior_sum(table, terms), bijective=geo.bijective)
+    p = geo.priors
+    m0, m1, m2, m3 = miss
+    # by position: keywords cost a frozen dataclass about twice as much
+    return ErrorReport(min(max(math.fsum(map(operator.mul, p, miss)), 0.0), 1.0),
+                       (1.0 - m0, 1.0 - m1, 1.0 - m2, 1.0 - m3), method,
+                       math.fsum(map(operator.mul, p, terms)), geo.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     """Exact MAP error probability for a real-axis combined constellation."""
-    table = _PairTable(cc, sigma2)
-    if not table.geo.collinear:
+    _check_noise(sigma2)
+    if not _pair_geometry(cc).collinear:
         raise NotCollinear("combined constellation has points off the real axis")
-    return _exact(table)
+    return exact_error(cc, sigma2)
 
 
 def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
@@ -590,15 +578,10 @@ def exact_error_planar(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     their bivariate-normal joint exceedances; the branch on the diagonal
     offset alpha_uv absorbs the wedge correction exactly.
     """
-    table = _PairTable(cc, sigma2)
-    if table.geo.collinear:
+    _check_noise(sigma2)
+    if _pair_geometry(cc).collinear:
         raise CollinearInput("use exact_error_collinear for real-axis constellations")
-    return _exact(table)
-
-
-def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
-    """Exact MAP error probability, routed by constellation geometry."""
-    return _exact(_PairTable(cc, sigma2))
+    return exact_error(cc, sigma2)
 
 
 def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
@@ -609,9 +592,13 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
     terms accumulate in the order the exact path of the same geometry uses,
     so the computed bound never rounds below the computed exact error.
     """
-    table = _PairTable(cc, sigma2)
-    terms = _line_terms(table)[1] if table.geo.collinear else _planar_terms(table)
-    return _prior_sum(table, terms)
+    geo, z, tail = _tails(cc, sigma2)
+    if geo.collinear:
+        terms = _line_terms(geo, z, tail)[1]
+    else:
+        # summed as _planar_terms sums them
+        terms = [tail[x] + tail[y] + tail[d] for x, y, d in _FLIPS]
+    return math.fsum(map(operator.mul, geo.priors, terms))
 
 
 def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:

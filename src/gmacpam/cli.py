@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import operator
 import sys
 from functools import cache
 
@@ -139,10 +140,11 @@ def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "", seed_base: int = 
 
 
 def _write_csv(rows: list[dict], columns: tuple[str, ...], out: str | None) -> None:
+    """The header, then each row's cells in column order (a row holds every column)."""
     def emit(fh):
-        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(operator.itemgetter(*columns), rows))
 
     if out is None or out == "-":
         emit(sys.stdout)

@@ -14,11 +14,7 @@ import math
 # unused here; perfbench/spans.py wraps design.exact_error and
 # design.exact_error_collinear by attribute lookup
 from .analysis import exact_error, exact_error_collinear  # noqa: F401
-from .errors import (
-    ConfigError,
-    InfeasibleRoot,
-    WrongGammaPhi,
-)
+from .errors import ConfigError, InfeasibleRoot, WrongGammaPhi
 from .geometry import CombinedConstellation, coincidence_tol, combine, from_amplitudes, sender2_axis
 from .sources import JointSourceDistribution
 
@@ -63,9 +59,15 @@ def d_max(p: float, e: float) -> float:
 
 
 def max_separation(p: float, e: float, sign: float = 1.0) -> tuple[float, float]:
-    """Amplitudes hitting d_max; sign < 0 reverses the orientation."""
+    """Amplitudes hitting d_max; sign < 0 reverses the orientation. Every
+    designer's amplitudes that can pass the float range come from here, so
+    OverflowError here keeps them all finite."""
     s0 = -sign * math.sqrt((1.0 - p) * e / p)
     s1 = sign * math.sqrt(p * e / (1.0 - p))
+    # each is at most 1.4e154 when finite, so their distance is finite exactly when both are
+    if not math.isfinite(s1 - s0):
+        raise OverflowError(f"amplitudes ({s0:.9g}, {s1:.9g}) at p = {p:.9g}, e = {e:.9g} "
+                            "are not finite")
     return s0, s1
 
 
@@ -252,6 +254,8 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
     dmax = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
+    if not all(map(math.isfinite, dmax)):
+        raise OverflowError(f"d_max {dmax!r} past the float range: no loop to search")
     size = _SCAN
     pe = _score_loop(inp, dmax, np.arange(4 * size), size)
     local = np.flatnonzero((pe <= np.roll(pe, 1)) & (pe <= np.roll(pe, -1)))
@@ -265,8 +269,10 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     for _ in range(min(rounds, 14)):
         size *= step
         windows = np.sort((at[:, None] * step + np.arange(-step, step + 1)) % (4 * size), axis=1)
-        points, inverse = np.unique(windows, return_inverse=True)
-        pe = _score_loop(inp, dmax, points, size)[inverse].reshape(windows.shape)
+        # the windows' distinct points in order (np.unique's, at less cost)
+        points = np.sort(windows, axis=None)
+        points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+        pe = _score_loop(inp, dmax, points, size)[np.searchsorted(points, windows)]
         rows, pick = np.arange(len(at)), _first_best(pe)
         at, pe = windows[rows, pick], pe[rows, pick]
 
@@ -282,9 +288,7 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
 
 def _first_best(pe):
     """Index along the last axis of the first score within _TIE_RTOL of the least."""
-    import numpy as np
-
-    return np.argmax(pe <= pe.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL), axis=-1)
+    return (pe <= pe.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL)).argmax(axis=-1)
 
 
 def _separations(n, size, dmax):
@@ -326,7 +330,10 @@ def _score_loop(inp, dmax, n, size):
     else:
         kernel = _kernels.planar_pe_batch
     d1, d2 = d1[keep], d2[keep] * u2
-    points = np.stack([np.zeros_like(d2), d2, d1, d1 + d2], axis=-1)
+    points = np.zeros((d1.size, 4), dtype=d2.dtype)
+    points[:, 1] = d2
+    points[:, 2] = d1
+    np.add(d1, d2, out=points[:, 3])
     pe = np.full(len(n), np.inf)
     pe[keep] = kernel(points, inp.priors.as_array(), inp.sigma2)
     return pe

@@ -40,15 +40,6 @@ def on_real_axis(pts, tol) -> bool:
     return all(abs(p.imag) <= tol for p in pts)
 
 
-def pairwise_distinct(pts, tol):
-    """True where no two of pts[0..3] lie within tol: complex scalars, or
-    arrays of one point per row with tol a scalar or one value per row."""
-    distinct = True
-    for i, j in itertools.combinations(range(4), 2):
-        distinct = distinct & (abs(pts[i] - pts[j]) > tol)
-    return distinct
-
-
 @dataclass(frozen=True)
 class Constellation:
     """One sender's two signal points, indexed by the transmitted bit."""
@@ -153,7 +144,8 @@ def combine(
 def is_bijective(cc: CombinedConstellation) -> bool:
     """True when no two of the four combined points coincide, by the
     coincidence_tol rule."""
-    return pairwise_distinct(cc.points, coincidence_tol(cc.scale()))
+    tol = coincidence_tol(cc.scale())
+    return all(abs(a - b) > tol for a, b in itertools.combinations(cc.points, 2))
 
 
 def check_energy(c: Constellation, p: float, e: float) -> bool:

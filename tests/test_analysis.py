@@ -320,7 +320,7 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
     seen = {"dead": 0, "empty": 0, "one-sided": 0, "two-sided": 0}
     for cc, sigma2 in _binding_cases((case1, case2, uniform)):
         rep = exact_error(cc, sigma2)
-        misses, _ = analysis._line_terms(analysis._PairTable(cc, sigma2))
+        misses, _ = analysis._line_terms(*analysis._tails(cc, sigma2))
         sigma = math.sqrt(sigma2)
         for i, uv in enumerate(BIT_PAIRS):
             miss = misses[i]

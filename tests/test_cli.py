@@ -386,6 +386,19 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "magnitude of combined point (1.707e+308" in err
 
 
+@pytest.mark.parametrize("scheme", ["individual", "joint", "numerical"])
+def test_cli_design_past_the_float_range_is_a_numerical_failure(capsys, scheme):
+    """Energies whose d_max overflows give no design: `design` exits 3 with
+    a message, as `sweep` does, rather than printing infinite amplitudes."""
+    argv = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "e1=1e308", "--set", "e2=1e308",
+            "--set", f"schemes={scheme}"]
+    for cmd in ("design", "sweep"):
+        assert main([cmd, *argv]) == 3, cmd
+        out, err = capsys.readouterr()
+        assert "inf" not in out and err.startswith("numerical failure: "), (cmd, out, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 _ONE_POINT = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "schemes=joint"]
 
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gmacpam import (
     DesignInput,
@@ -28,7 +30,7 @@ from gmacpam.config import convert_snr
 from gmacpam.design import (
     _SCAN, _first_best, _on_shell, _score_loop, _separations, _signed_root_pair,
 )
-from gmacpam.errors import ConfigError, InfeasibleRoot, WrongGammaPhi
+from gmacpam.errors import ConfigError, GmacpamError, InfeasibleRoot, WrongGammaPhi
 from gmacpam.geometry import check_energy, coincidence_tol, combine, from_amplitudes
 
 from conftest import build_cc, collinear_cc
@@ -964,3 +966,34 @@ def test_design_input_validation(case1):
     for bad in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma2"):
             DesignInput(case1, 1.0, 1.0, 0.5, bad)
+
+
+def _decades(lo, hi):
+    """Numbers from 10**lo to 10**hi, log-uniform."""
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=st.sampled_from(["antipodal", "individual", "joint"]),
+       gamma_phi=st.sampled_from([1.0, -1.0, 0.707, 0.0, -0.383]),
+       p1=st.floats(0.01, 0.5), p2=st.floats(0.01, 0.5), gamma_m=st.floats(-0.9, 0.9),
+       e1=_decades(-300.0, 308.23), e2=_decades(-300.0, 308.23), sigma2=_decades(-300.0, 300.0))
+def test_closed_form_designs_are_finite_and_on_their_energy(scheme, gamma_phi, p1, p2, gamma_m,
+                                                            e1, e2, sigma2):
+    """Over the float range of energies and noise, a closed-form design is
+    four finite amplitudes on both senders' energies, or a package or
+    arithmetic error: never an infinite or NaN amplitude."""
+    try:
+        pri = from_marginals_correlation(p1, p2, gamma_m)
+    except GmacpamError:
+        assume(False)
+    inp = DesignInput(pri, e1, e2, gamma_phi, sigma2)
+    try:
+        res = design(scheme, inp)
+        amps = (res.a10, res.a11, res.a20, res.a21)
+        c1, c2 = from_amplitudes(*amps, gamma_phi)
+        on_shell = check_energy(c1, pri.p1, e1) and check_energy(c2, pri.p2, e2)
+    except (GmacpamError, ArithmeticError):
+        return
+    assert all(map(math.isfinite, amps)), amps
+    assert on_shell, amps
