@@ -4,7 +4,7 @@
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --trials 20000000 --rows 100000
+    python3 benchmarks/bench_kernels.py --trials 20000000
     python3 benchmarks/bench_kernels.py --json BENCH_1.json
     python3 benchmarks/bench_kernels.py --against ../parent --repeat 11 --json ab.json
 
@@ -40,9 +40,12 @@ error rate of its point, the share of trials that leave the disk and the
 64-bit words drawn per trial, counted at the SplitMix finaliser around
 an untimed call (the radius word of every trial, the source word past
 the smallest cut when that cut is at least 1/2 and of every trial
-otherwise, the angle word of the scored trials). Each
-batched evaluator is checked against the scalar exact_error on a sample
-of its rows before its rows/s are reported. The
+otherwise, the angle word of the scored trials). The collinear-batch and
+planar-batch rows give rows/s of each batched evaluator on the traffic a
+search sends it: the 158-row scan batch, the first kernel call of the
+search-collinear and search-planar searches (below), captured by
+wrapping the kernel and checked against the scalar exact_error on a
+sample of its rows before it is timed. The
 scalar rows give microseconds per call of exact_error on the same two
 constellations, of union_bound and of the two collinear threshold views
 on the collinear one (threshold: collinear_pair_threshold of a00 against
@@ -355,63 +358,64 @@ def _assert_matches_scalar(g, pts, got, priors, sigma2, exact):
         assert abs(got[k] - want.p_err_exact) <= 1e-12 * want.p_err_exact, k
 
 
-def bench_batch(g, rows_n):
-    rng = np.random.default_rng(7)
-    priors = g.sources.from_marginals_correlation(0.2, 0.5, 0.4)
-    pa = priors.as_array()
-    kernels = g._kernels
-
-    pts = np.sort(rng.uniform(-3.0, 3.0, (rows_n, 4)), axis=1)
-    pts += np.arange(4) * 0.05  # keep the sorted points apart
-    _assert_matches_scalar(g, pts, kernels.collinear_pe_batch(pts, pa, 0.04), priors, 0.04,
-                           g.analysis.exact_error_collinear)
-
-    u2 = g.geometry.sender2_axis(0.707)
-    amp = rng.uniform(-2.0, 2.0, (rows_n, 4))
-    planar = amp[:, [0, 0, 1, 1]] + amp[:, [2, 3, 2, 3]] * u2
-    _assert_matches_scalar(g, planar, kernels.planar_pe_batch(planar, pa, 0.04), priors, 0.04,
-                           g.analysis.exact_error_planar)
-
-    return [
-        Row("collinear-batch", lambda: kernels.collinear_pe_batch(pts, pa, 0.04), rows_n,
-            "rows/s"),
-        Row("planar-batch", lambda: kernels.planar_pe_batch(planar, pa, 0.04), rows_n, "rows/s"),
-    ]
+# The search rows: name, source (p1, p2, gamma_m), gamma_phi and grid, at
+# 10 dB sum-energy SNR and unit energies.
+SEARCHES = (("search-collinear", (0.1, 0.1, 0.9), 1.0, 400),
+            ("search-planar", (0.1, 0.1, 0.9), 0.924, 400),
+            ("search-planar-grid10", (0.2, 0.5, 0.4), 0.924, 10))
+# Kernel calls per timed repeat of the batch rows.
+BATCH_CALLS = 200
 
 
-def _scored_rows(g, fn):
-    """Kernel calls and rows that fn() scores through the two batch kernels."""
-    sizes = []
+def _search(g, source, gamma_phi, grid):
+    """The search input of a SEARCHES entry, and a call of its search."""
+    sigma2 = g.config.convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
+    inp = g.design.DesignInput(g.sources.from_marginals_correlation(*source), 1.0, 1.0,
+                               gamma_phi, sigma2)
+    return inp, lambda: g.design.numerical_search(inp, grid=grid)
+
+
+def _kernel_calls(g, fn):
+    """(kernel, points, priors, sigma2) of every batch-kernel call fn() makes."""
+    calls = []
     saved = {attr: getattr(g._kernels, attr) for attr in ("collinear_pe_batch", "planar_pe_batch")}
     for attr, kernel in saved.items():
         setattr(g._kernels, attr,
-                lambda points, *rest, kernel=kernel: sizes.append(len(points)) or kernel(points, *rest))
+                lambda *args, kernel=kernel: calls.append((kernel, *args)) or kernel(*args))
     try:
         fn()
     finally:
         for attr, kernel in saved.items():
             setattr(g._kernels, attr, kernel)
-    return len(sizes), sum(sizes)
+    return calls
+
+
+def bench_batch(g):
+    """Rows/s of each batch kernel on the scan batch its search sends first."""
+    rows = []
+    for name, (search, *spec) in zip(("collinear-batch", "planar-batch"), SEARCHES):
+        inp, run = _search(g, *spec)
+        kernel, pts, pa, sigma2 = _kernel_calls(g, run)[0]
+        _assert_matches_scalar(g, pts, kernel(pts, pa, sigma2), inp.priors, sigma2,
+                               g.analysis.exact_error)
+        rows.append(Row(name, _calls(lambda kernel=kernel, pts=pts, pa=pa, sigma2=sigma2:
+                                     kernel(pts, pa, sigma2), BATCH_CALLS),
+                        BATCH_CALLS * len(pts), "rows/s",
+                        f"the {len(pts)}-row scan batch of {search}; not comparable with "
+                        "BENCH_3.json's 50 000 random rows"))
+    return rows
 
 
 def bench_search(g):
-    case1 = g.sources.from_marginals_correlation(0.1, 0.1, 0.9)
-    case2 = g.sources.from_marginals_correlation(0.2, 0.5, 0.4)
     rows = []
-    for name, priors, gamma_phi, grid in (("search-collinear", case1, 1.0, 400),
-                                          ("search-planar", case1, 0.924, 400),
-                                          ("search-planar-grid10", case2, 0.924, 10)):
-        sigma2 = g.config.convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
-        inp = g.design.DesignInput(priors, 1.0, 1.0, gamma_phi, sigma2)
-
-        def run(inp=inp, grid=grid):
-            return g.design.numerical_search(inp, grid=grid)
-
+    for name, *spec in SEARCHES:
+        inp, run = _search(g, *spec)
         res = run()
         want = g.analysis.exact_error(res.combined(inp), inp.sigma2).p_err_exact
         assert abs(res.p_err - want) <= 1e-12 * want, name
-        calls, n_rows = _scored_rows(g, run)
-        rows.append(Row(name, run, 1, "s/call", f"scores {n_rows} rows in {calls} kernel calls"))
+        calls = _kernel_calls(g, run)
+        rows.append(Row(name, run, 1, "s/call", f"scores {sum(len(c[1]) for c in calls)} rows "
+                                                 f"in {len(calls)} kernel calls"))
     return rows
 
 
@@ -506,7 +510,7 @@ def bench_cold_start(g):
 
 def build_rows(g, ns, out_dir):
     """Every row of package g, in print order."""
-    return (bench_mc(g, ns.trials) + bench_batch(g, ns.rows) + bench_scalar(g) + bench_layers(g)
+    return (bench_mc(g, ns.trials) + bench_batch(g) + bench_scalar(g) + bench_layers(g)
             + bench_sweep(g, out_dir) + bench_search(g) + bench_workers(g)
             + bench_cold_start(g))
 
@@ -533,7 +537,7 @@ def environment(ns):
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": _cpu_model(),
         "loadavg": os.getloadavg(),
-        "trials": ns.trials, "rows": ns.rows, "repeat": ns.repeat, "against": ns.against,
+        "trials": ns.trials, "repeat": ns.repeat, "against": ns.against,
     }
 
 
@@ -580,7 +584,6 @@ def run_against(rows, parent_rows, ns):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=5_000_000)
-    ap.add_argument("--rows", type=int, default=50_000)
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--json", metavar="PATH",
                     help="also write the environment stamp and every row's figures, repeat "

@@ -1,9 +1,9 @@
 """Hot numeric kernels: Monte-Carlo decoding and batched exact error.
 
 The kernels are numpy, except safe_disk, which is scalar (Python floats
-and the math module) because its tables hold four points; the batched
-exact-error kernels also take scipy's erfc and owens_t ufuncs, imported in
-the functions that call them, so that Monte Carlo never loads scipy.
+and the math module) because its tables hold four points. The batched
+exact-error kernels give each row an error that depends on that row alone and
+take scipy's erfc and owens_t where called, so Monte Carlo never loads scipy.
 Randomness is counter based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
@@ -399,6 +399,7 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     tails, taken in one erfc call, never 1 - P_correct, capped at 1. A
     coincident rival sets no bound; it kills the point when it takes the
     shared point (analysis._wins_degenerate: larger prior, then lower index).
+    A row's error adds its four prior-weighted misses in pair order.
     """
     pts = np.asarray(points, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
@@ -412,14 +413,13 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     top = np.maximum(bound[:, :4], bound[:, 4:8])
     np.maximum(top, bound[:, 8:], out=top)
     tail = _qfunc_array(np.negative(top, out=top))
-    # (m, 4) in C order, as the matvec below has always read it
-    miss = np.add(tail[0].T, tail[1].T, order="C")
-    np.minimum(miss, 1.0, out=miss)
+    miss = np.minimum(tail[0] + tail[1], 1.0)
     coincident = np.abs(c) <= tol
     if coincident.any():
         loses = (p[_OWN] < p[_ALL]) | ((p[_OWN] == p[_ALL]) & (_OWN > _ALL))
-        miss[np.logical_or.reduce((coincident & loses[:, None]).reshape(3, 4, -1)).T] = 1.0
-    return np.clip(miss @ p, 0.0, 1.0)
+        miss[np.logical_or.reduce((coincident & loses[:, None]).reshape(3, 4, -1))] = 1.0
+    miss *= p[:, None]
+    return np.clip(miss[0] + miss[1] + miss[2] + miss[3], 0.0, 1.0)
 
 
 def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
@@ -472,7 +472,7 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     bivariate orthant corrections, all in tail form. A row whose four
     points are not pairwise distinct (the is_bijective rule, which also
     catches a sender whose own two points coincide) gets +inf, so argmin
-    passes over it.
+    passes over it. A row's error adds its weighted misses in pair order.
     """
     pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
@@ -502,6 +502,5 @@ def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np
     miss -= orthant[:wedge.size].reshape(wedge.shape)
     miss[wedge] -= orthant[wedge.size:]
     np.clip(miss, 0.0, 1.0, out=miss)
-    # (m, 4) in C order, as the matvec has always read it
-    p_err = np.clip(np.ascontiguousarray(miss.T) @ p, 0.0, 1.0)
-    return np.where(bijective, p_err, np.inf)
+    miss *= p[:, None]
+    return np.where(bijective, np.clip(miss[0] + miss[1] + miss[2] + miss[3], 0.0, 1.0), np.inf)

@@ -54,8 +54,13 @@ class DesignResult:
 
 
 def d_max(p: float, e: float) -> float:
-    """Largest separation a binary constellation can buy with energy e."""
-    return math.sqrt(e / (p * (1.0 - p)))
+    """Largest separation a binary constellation can buy with energy e:
+    finite for every finite e, since past the float range of the quotient
+    the two square roots are taken apart."""
+    q = e / (p * (1.0 - p))
+    if q < math.inf:
+        return math.sqrt(q)
+    return math.sqrt(e) / math.sqrt(p * (1.0 - p))
 
 
 def max_separation(p: float, e: float, sign: float = 1.0) -> tuple[float, float]:
@@ -247,6 +252,12 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     designers place the weaker one, and labelled in their terms: `swapped`
     when sender 2 alone holds its d_max, `branch` "boundary" when both do
     and "minus" otherwise. numpy and the batched kernels load on first use.
+
+    A batch kernel scores each row on its own, so rows may be grouped into
+    calls freely, and the reported p_err is the kernel's score of the
+    returned design taken alone. A loop whose span D1 + D2 squares past the
+    float range raises OverflowError, as exact_error does for such a
+    constellation.
     """
     import numpy as np
 
@@ -254,8 +265,9 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
         raise ValueError("grid must be at least 2")
     pr = inp.priors
     dmax = (d_max(pr.p1, inp.e1), d_max(pr.p2, inp.e2))
-    if not all(map(math.isfinite, dmax)):
-        raise OverflowError(f"d_max {dmax!r} past the float range: no loop to search")
+    span = dmax[0] + dmax[1]
+    if not math.isfinite(span * span):
+        raise OverflowError(f"loop span D1 + D2 = {span!r} squares past the float range")
     size = _SCAN
     pe = _score_loop(inp, dmax, np.arange(4 * size), size)
     local = np.flatnonzero((pe <= np.roll(pe, 1)) & (pe <= np.roll(pe, -1)))
@@ -307,7 +319,9 @@ def _separations(n, size, dmax):
 
 
 def _score_loop(inp, dmax, n, size):
-    """Exact errors at the loop points n (see _separations), in one batched call.
+    """Exact errors at the loop points n (see _separations), in one batched
+    call; each row's score depends on that row alone, so any grouping of
+    the points gives the same scores.
 
     A separation the coincidence rule calls zero is no design: it scores
     +inf unsent. Every other point is scored as the translate {0, d2 u2,

@@ -388,7 +388,7 @@ def test_cli_exit_codes(capsys, tmp_path):
 
 @pytest.mark.parametrize("scheme", ["individual", "joint", "numerical"])
 def test_cli_design_past_the_float_range_is_a_numerical_failure(capsys, scheme):
-    """Energies whose d_max overflows give no design: `design` exits 3 with
+    """Energies whose amplitudes overflow give no design: `design` exits 3 with
     a message, as `sweep` does, rather than printing infinite amplitudes."""
     argv = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "e1=1e308", "--set", "e2=1e308",
             "--set", f"schemes={scheme}"]
@@ -397,6 +397,20 @@ def test_cli_design_past_the_float_range_is_a_numerical_failure(capsys, scheme):
         out, err = capsys.readouterr()
         assert "inf" not in out and err.startswith("numerical failure: "), (cmd, out, err)
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_cli_numerical_design_refuses_what_evaluate_refuses(capsys):
+    """At energies whose d_max is finite but whose search loop spans a
+    distance that squares past the float range, `design` with the numerical
+    scheme exits 3 as `evaluate` of the joint design does, rather than
+    printing a design picked from overflowed scores."""
+    argv = ["--set", "p1=0.5", "--set", "p2=0.5", "--set", "gamma_m=0", "--set", "gamma_phi=1",
+            "--set", "sigma2=0.1", "--set", "e1=4e307", "--set", "e2=4e307"]
+    assert main(["evaluate", *argv, "--set", "schemes=joint"]) == 3
+    assert main(["design", *argv, "--set", "schemes=numerical"]) == 3
+    out, err = capsys.readouterr()
+    assert "loop span D1 + D2 = 2.5298221281347034e+154 squares past the float range" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 _ONE_POINT = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "schemes=joint"]

@@ -26,6 +26,7 @@ from gmacpam import (
     max_separation,
     numerical_search,
 )
+from gmacpam import _kernels
 from gmacpam.config import convert_snr
 from gmacpam.design import (
     _SCAN, _first_best, _on_shell, _score_loop, _separations, _signed_root_pair,
@@ -61,6 +62,25 @@ def sender2_twin(a20, a21, p2):
 def test_d_max():
     assert d_max(0.1, 1.0) == pytest.approx(10.0 / 3.0, rel=1e-15)
     assert d_max(0.5, 2.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+
+
+def test_d_max_finite_for_every_finite_energy(uniform):
+    """d_max keeps its bits where e / (p (1 - p)) is finite and stays finite
+    past it, so the joint design keeps its branch across the energies where
+    that quotient overflows (it turned "boundary", with a01 = a10, at
+    5e307), and the search refuses a loop whose span D1 + D2 squares past
+    the float range, as exact_error refuses such a design."""
+    for p in (0.5, 0.1, 1e-3):
+        for e in (1.0, 1e300, 4e307, 5e307, 1.7976931348623157e308):
+            q = e / (p * (1.0 - p))
+            want = math.sqrt(q) if math.isfinite(q) else math.sqrt(e) / math.sqrt(p * (1.0 - p))
+            assert d_max(p, e) == want and math.isfinite(want), (p, e)
+    for e in (4e307, 5e307):
+        inp = DesignInput(uniform, e, e, 1.0, 0.1)
+        res = design("joint", inp)
+        assert res.branch == "minus" and len(set(res.combined(inp).points)) == 4, e
+        with pytest.raises(OverflowError, match="loop span .* squares past the float range"):
+            numerical_search(inp)
 
 
 def test_max_separation_examples():
@@ -863,6 +883,27 @@ def test_search_batches_stay_bounded(case2, kernel_calls):
             exact_error(res.combined(inp), 0.05).p_err_exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("which, gamma_phi", [("case1", 1.0), ("case2", 0.924)])
+def test_search_rows_score_alone_as_in_their_batch(request, kernel_calls, which, gamma_phi):
+    """Every row a grid-400 search sends (the fig4 and fig7 sources, 10 dB
+    sum-energy) scores bit-identically alone, in its batch reversed and in
+    its batch as sent: a row's score depends on that row alone, so the
+    search may group its rows freely."""
+    s2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
+    inp = DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2)
+    numerical_search(inp, grid=400)
+    sent = list(kernel_calls)
+    priors = inp.priors.as_array()
+    kernel = getattr(_kernels, "collinear_pe_batch" if gamma_phi == 1.0 else "planar_pe_batch")
+    assert len(sent) == 7
+    for rows, pe in sent:
+        finite = np.isfinite(pe)
+        assert finite.any()
+        alone = np.array([kernel(row[None], priors, s2)[0] for row in rows])
+        for got in (alone, kernel(rows[::-1], priors, s2)[::-1], kernel(rows, priors, s2)):
+            assert np.array_equal(got[finite], pe[finite])
+
+
 # rows the search scores at 10 dB sum-energy: the scan's 158, then at most
 # 4 windows of 21 a round
 LOOP_ROWS = {("case2", 0.0): 200, ("case2", 0.383): 200, ("case2", 0.707): 200,
@@ -890,11 +931,12 @@ def test_search_scores_each_candidate_once(request, kernel_calls, which, gamma_p
 
 
 # sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped, branch)
-# over _search_digest_cases(tier), recorded when the search moved from the
-# separation rectangle to its boundary loop
+# over _search_digest_cases(tier), recorded when the batch kernels came to
+# sum each row's prior-weighted misses in pair order, so that a row's score
+# depends on that row alone
 SEARCH_DIGEST_SHA256 = {
-    "sparse": "b2bbe6275fbeff528359420a6761fbae004152dfe8871faaef9f7c62b7cad111",
-    "dense": "64da98157ed58fcea6c6407eb98173212baf07276bbad1f49dff7ef4ec9a0536",
+    "sparse": "e538c8c1fa5534bbb73f073460b96436c887766fb0c67540ced8bec8dbd5399e",
+    "dense": "5a81ed15f94a64af9573aafcce9cc0ba4d2231a0563bd39e162e1b3944844bb0",
 }
 
 

@@ -626,8 +626,10 @@ def test_planar_batch_non_bijective_is_inf(case2):
         exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
 
 
-# sha256 of the repr of every planar_pe_batch value over _planar_digest_batches()
-PLANAR_BATCH_SHA256 = "90c900b216469bb3f9038338c378da856010f47b77498690ef607bbea3fe2766"
+# sha256 of the repr of every planar_pe_batch value over _planar_digest_batches(),
+# recorded when the kernel came to sum each row's prior-weighted misses in
+# pair order
+PLANAR_BATCH_SHA256 = "c10deb94681b4fe2aa29a067f4f18f4b5b95fed6097eb57acc6d794befe71d85"
 
 
 def _planar_digest_batches(case1, case2):
