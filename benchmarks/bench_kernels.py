@@ -26,7 +26,9 @@ order flipping each round; no calibration load runs. Each row prints, and
 --json writes, the median and the quartiles (IQR) of the per-round ratio
 change / parent of the seconds one repeat takes (below 1: the change is
 faster, whatever the row's unit) and the rounds the change won, with both
-sides' seconds. Cold-start children of the parent import PATH/src.
+sides' seconds and notes (the parent's printed only where it differs).
+Cold-start and preset children of the parent import PATH/src, so the two
+sides' fresh interpreters alternate too.
 
 The Monte-Carlo kernel is timed on one collinear constellation at
 sigma2 = 10^-0.8 and one planar one at sigma2 = 0.25, on both at
@@ -91,15 +93,23 @@ pass, so CPU time near wall time means the threads never overlapped. The
 cold-start rows give the seconds of seven fresh interpreters that import
 gmacpam and make one joint design and one exact_error call at the case-1
 source, 18 dB table convention: gamma_phi = 1 (collinear) and 0.924
-(planar). Each row notes which of numpy and scipy.special the child
-loaded: neither, since only the batched evaluators and Monte Carlo need
-them, so a stray top-level import shows here.
+(planar). Each row notes which of numpy, scipy.special and dataclasses
+the child loaded: none, since only the batched evaluators and Monte Carlo
+need the first two and no record is a dataclass, so a stray top-level
+import shows here. The preset rows give the seconds of seven fresh
+interpreters that each run what the gmacpam console script runs,
+`gmacpam reproduce --preset NAME` at default settings with the CSV
+written to a temporary file, one row per preset (table2, table3, fig4 ...
+fig9; interpreter start and imports included, which is most of a preset's
+time); each notes the sha256 of the CSV and of stdout (the tests pin the
+figure CSVs' digests) and the same loaded modules.
 """
 
 import argparse
 import atexit
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import importlib.metadata
 import io
@@ -306,7 +316,8 @@ def bench_scalar(g):
                          ("exact-planar-first", planar, s2p)):
         rows.append(Row(name, lambda fresh, s2=s2: [a.exact_error(c, s2) for c in fresh],
                         SCALAR_CALLS, "us/call",
-                        prepare=lambda cc=cc: [dataclasses.replace(cc)
+                        prepare=lambda cc=cc: [type(cc)(cc.a00, cc.a01, cc.a10, cc.a11,
+                                                        cc.priors)
                                                for _ in range(SCALAR_CALLS)]))
     return rows
 
@@ -480,8 +491,15 @@ def bench_workers(g):
                 group="workers", cpu_note=True) for w in (1, 2)]
 
 
-# Fresh interpreters per cold-start row.
+# Fresh interpreters per cold-start and preset row.
 COLD_STARTS = 7
+# The modules whose loading a cold-start or preset child reports: the
+# array stack only the batched evaluators and Monte Carlo need, and the
+# dataclasses module (with the inspect it pulls in) that no record needs.
+WATCHED = ("numpy", "scipy.special", "dataclasses")
+_LOADED = f"""
+print(",".join(m for m in {WATCHED!r} if m in sys.modules) or "none", file=sys.stderr)
+"""
 
 _COLD_START = """
 import sys
@@ -489,22 +507,63 @@ import gmacpam
 inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.1, 0.1, 0.9), 1.0, 1.0, {gamma_phi},
                           10.0**-1.8)
 gmacpam.exact_error(gmacpam.design("joint", inp).combined(inp), inp.sigma2)
-print(",".join(m for m in ("numpy", "scipy.special") if m in sys.modules) or "neither")
+""" + _LOADED
+
+# What the gmacpam console script runs, reporting the loaded modules at exit.
+_CLI = """
+import sys
+from gmacpam.cli import main
+code = main()
+""" + _LOADED + """
+sys.exit(code)
 """
 
 
-def bench_cold_start(g):
+def _child_env(g):
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=g.src + (os.pathsep + inherited if inherited else ""))
+    return dict(os.environ, PYTHONPATH=g.src + (os.pathsep + inherited if inherited else ""))
+
+
+def _start(argv, env):
+    """A timed repeat: one fresh interpreter, its output discarded."""
+    return lambda: subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+
+
+def _loaded(stderr):
+    """The WATCHED modules a child reported loaded, on its last stderr line."""
+    return "loaded: " + stderr.splitlines()[-1]
+
+
+def bench_cold_start(g):
+    env = _child_env(g)
     rows = []
     for name, gamma_phi in (("cold-start-collinear", 1.0), ("cold-start-planar", 0.924)):
         argv = [sys.executable, "-c", _COLD_START.format(gamma_phi=gamma_phi)]
         # untimed: fills the bytecode cache and reports the loaded modules
-        loaded = subprocess.run(argv, env=env, check=True, capture_output=True,
-                                text=True).stdout.strip()
-        rows.append(Row(name, lambda argv=argv: subprocess.run(argv, env=env, check=True,
-                                                               stdout=subprocess.DEVNULL),
-                        1, "s/start", f"loaded: {loaded}", repeat=COLD_STARTS))
+        proc = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        rows.append(Row(name, _start(argv, env), 1, "s/start", _loaded(proc.stderr),
+                        repeat=COLD_STARTS))
+    return rows
+
+
+def bench_presets(g, out_dir):
+    """Seconds of one fresh `gmacpam reproduce --preset NAME` at default
+    settings, the CSV written to a file; each row notes the sha256 of the
+    CSV and of stdout, and the loaded modules."""
+    env = _child_env(g)
+    rows = []
+    for preset in g.cli._PRESETS:
+        out = os.path.join(out_dir, f"{preset}-{id(g)}.csv")
+        argv = [sys.executable, "-c", _CLI, "reproduce", "--preset", preset, "--set", f"out={out}"]
+        # untimed: fills the bytecode cache, and its output is the one noted
+        proc = subprocess.run(argv, env=env, check=True, capture_output=True)
+        with open(out, "rb") as fh:
+            csv_sha = hashlib.sha256(fh.read()).hexdigest()
+        note = (f"csv sha256 {csv_sha}, stdout sha256 {hashlib.sha256(proc.stdout).hexdigest()}, "
+                f"{_loaded(proc.stderr.decode())}")
+        rows.append(Row(f"preset-{preset}", _start(argv, env), 1, "s/run", note,
+                        repeat=COLD_STARTS))
     return rows
 
 
@@ -512,7 +571,7 @@ def build_rows(g, ns, out_dir):
     """Every row of package g, in print order."""
     return (bench_mc(g, ns.trials) + bench_batch(g) + bench_scalar(g) + bench_layers(g)
             + bench_sweep(g, out_dir) + bench_search(g) + bench_workers(g)
-            + bench_cold_start(g))
+            + bench_cold_start(g) + bench_presets(g, out_dir))
 
 
 def _cpu_model():
@@ -574,10 +633,13 @@ def run_against(rows, parent_rows, ns):
         q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                           if len(ratios) > 1 else ratios * 3)
         won = sum(r < 1.0 for r in ratios)
-        print(f"{row.name:<22} {median:>7.3f} {q1:>7.3f} {q3:>7.3f} {won:>3}/{len(ratios):<3}")
+        note = row.note if row.note == old.note else f"{row.note}; parent {old.note}"
+        print(f"{row.name:<22} {median:>7.3f} {q1:>7.3f} {q3:>7.3f} {won:>3}/{len(ratios):<3} "
+              f"{note}".rstrip())
         records.append({"name": row.name, "ratio_median": median, "ratio_q1": q1,
                         "ratio_q3": q3, "rounds_won": won, "rounds": len(ratios),
-                        "change_seconds": new_t, "parent_seconds": old_t})
+                        "change_seconds": new_t, "parent_seconds": old_t,
+                        "note": row.note, "parent_note": old.note})
     return records
 
 

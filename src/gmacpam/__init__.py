@@ -1,6 +1,8 @@
 """Binary PAM design and exact MAP error analysis for two correlated
 senders on a shared Gaussian channel."""
 
+import importlib
+
 from . import errors
 from .analysis import (
     ErrorReport,
@@ -18,14 +20,6 @@ from .analysis import (
     qfunc,
     union_bound,
 )
-from .config import (
-    ExperimentConfig,
-    NoisePoint,
-    build_config,
-    convert_snr,
-    parse_config_file,
-)
-from .decoder import decode, score
 from .design import (
     DesignInput,
     DesignResult,
@@ -52,3 +46,26 @@ from .simulate import SimResult, backend_name, derive_seed, simulate
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
 
 __version__ = "0.1.0"
+
+# config and decoder load on first use: nothing on the library path needs
+# them, and the CLI imports config itself. design and simulate cannot wait,
+# since a later import of the submodule of either name would rebind the
+# package attribute from the function to the module.
+_LAZY = {
+    **dict.fromkeys(("ExperimentConfig", "NoisePoint", "build_config", "convert_snr",
+                     "parse_config_file"), "config"),
+    **dict.fromkeys(("decode", "score"), "decoder"),
+}
+
+
+def __getattr__(name):
+    if name in ("config", "decoder"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, "config", "decoder"})

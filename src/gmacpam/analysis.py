@@ -55,8 +55,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import CaseMismatch, CollinearInput, CorrelationAtUnity, NonBijective, NotCollinear
 from .geometry import CombinedConstellation, coincidence_tol, on_real_axis
@@ -111,8 +111,7 @@ def qfunc(x: float) -> float:
     return q if not q < _TINY else 0.0
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """System error probability with per-pair conditional correct probabilities.
 
     p_c_per_pair holds Pr(correct | (u, v) sent) in lexicographic pair
@@ -214,8 +213,8 @@ class _PairGeometry:
 def _pair_geometry(cc: CombinedConstellation) -> _PairGeometry:
     """cc's _PairGeometry, built on the first call and kept in cc's instance
     dict from then on (as functools.cached_property keeps a value, past the
-    frozen dataclass's __setattr__). A constellation that fails the input
-    checks keeps nothing and raises on every call."""
+    record's __setattr__, which refuses every assignment). A constellation
+    that fails the input checks keeps nothing and raises on every call."""
     geo = cc.__dict__.get("_pair_geometry")
     if geo is None:
         geo = cc.__dict__["_pair_geometry"] = _PairGeometry(cc)
@@ -557,7 +556,7 @@ def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
         raise NonBijective("combined points coincide; planar analysis requires distinct points")
     p = geo.priors
     m0, m1, m2, m3 = miss
-    # by position: keywords cost a frozen dataclass about twice as much
+    # by position: keywords make the named tuple's __new__ about twice as slow
     return ErrorReport(min(max(math.fsum(map(operator.mul, p, miss)), 0.0), 1.0),
                        (1.0 - m0, 1.0 - m1, 1.0 - m2, 1.0 - m3), method,
                        math.fsum(map(operator.mul, p, terms)), geo.bijective)

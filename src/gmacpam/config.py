@@ -7,8 +7,8 @@ a file is just a bag of defaults that each `--set` may override.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 from .errors import ConfigError, UnknownConvention
 from .sources import JointSourceDistribution, from_joint, from_marginals_correlation
@@ -35,16 +35,14 @@ def convert_snr(snr_db: float, convention: str, e1: float, e2: float,
     raise UnknownConvention(f"unknown snr convention {convention!r}")
 
 
-@dataclass(frozen=True)
-class NoisePoint:
+class NoisePoint(NamedTuple):
     """One sweep point; snr_db is None when sigma2 was given directly."""
 
     snr_db: float | None
     sigma2: float
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ConfigFields(NamedTuple):
     priors: JointSourceDistribution
     e1: float
     e2: float
@@ -57,22 +55,35 @@ class ExperimentConfig:
     grid: int
     out: str | None
 
-    def __post_init__(self):
-        if not self.noise:
+
+class ExperimentConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, priors: JointSourceDistribution, e1: float, e2: float, gamma_phi: float,
+                noise: tuple[NoisePoint, ...], schemes: tuple[str, ...], trials: int, seed: int,
+                workers: int, grid: int, out: str | None):
+        if not noise:
             raise ConfigError("at least one noise point is required")
-        if not self.schemes:
+        if not schemes:
             raise ConfigError("at least one scheme is required")
-        for s in self.schemes:
+        for s in schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
-        if self.trials < 0:
+        if trials < 0:
             raise ConfigError("trials must be nonnegative")
-        if not 0 <= self.seed < 2**63:
+        if not 0 <= seed < 2**63:
             raise ConfigError("seed must be a nonnegative integer below 2**63")
-        if self.workers < 1:
+        if workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.grid < 2:
+        if grid < 2:
             raise ConfigError("grid must be at least 2")
+        return tuple.__new__(cls, (priors, e1, e2, gamma_phi, noise, schemes, trials, seed,
+                                   workers, grid, out))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the new fields too
+        return cls(*iterable)
 
 
 _KEYS = (

@@ -8,8 +8,8 @@ orientation here means "along your own waveform".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 # unused here; perfbench/spans.py wraps design.exact_error and
 # design.exact_error_collinear by attribute lookup
@@ -19,25 +19,34 @@ from .geometry import CombinedConstellation, coincidence_tol, combine, from_ampl
 from .sources import JointSourceDistribution
 
 
-@dataclass(frozen=True)
-class DesignInput:
+class _DesignFields(NamedTuple):
     priors: JointSourceDistribution
     e1: float
     e2: float
     gamma_phi: float
     sigma2: float
 
-    def __post_init__(self):
-        if not (0.0 < self.e1 < math.inf and 0.0 < self.e2 < math.inf):
+
+class DesignInput(_DesignFields):
+    __slots__ = ()
+
+    def __new__(cls, priors: JointSourceDistribution, e1: float, e2: float, gamma_phi: float,
+                sigma2: float):
+        if not (0.0 < e1 < math.inf and 0.0 < e2 < math.inf):
             raise ValueError("per-sender energies must be finite and positive")
-        if not 0.0 < self.sigma2 < math.inf:
+        if not 0.0 < sigma2 < math.inf:
             raise ValueError("sigma2 must be finite and positive")
-        if not abs(self.gamma_phi) <= 1.0:
+        if not abs(gamma_phi) <= 1.0:
             raise ValueError("gamma_phi must lie in [-1, 1]")
+        return tuple.__new__(cls, (priors, e1, e2, gamma_phi, sigma2))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the new fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(NamedTuple):
     """Transmit amplitudes (sender's own coordinates) plus branch metadata."""
 
     a10: float

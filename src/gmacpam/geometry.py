@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateConstellation
 from .sources import JointSourceDistribution, pair_index
@@ -40,16 +40,25 @@ def on_real_axis(pts, tol) -> bool:
     return all(abs(p.imag) <= tol for p in pts)
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """One sender's two signal points, indexed by the transmitted bit."""
-
+class _Points(NamedTuple):
     s0: complex
     s1: complex
 
-    def __post_init__(self) -> None:
-        if self.s0 == self.s1:
-            raise DegenerateConstellation(f"signal points coincide at {self.s0}")
+
+class Constellation(_Points):
+    """One sender's two signal points, indexed by the transmitted bit."""
+
+    __slots__ = ()
+
+    def __new__(cls, s0: complex, s1: complex):
+        if s0 == s1:
+            raise DegenerateConstellation(f"signal points coincide at {s0}")
+        return tuple.__new__(cls, (s0, s1))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the new points too
+        return cls(*iterable)
 
     @property
     def d(self) -> complex:
@@ -60,15 +69,27 @@ class Constellation:
         return self.s1 if bit else self.s0
 
 
-@dataclass(frozen=True)
-class CombinedConstellation:
-    """Superposition points a_uv = s1u + s2v with their prior probabilities."""
-
+class _CombinedPoints(NamedTuple):
     a00: complex
     a01: complex
     a10: complex
     a11: complex
     priors: JointSourceDistribution
+
+
+class CombinedConstellation(_CombinedPoints):
+    """Superposition points a_uv = s1u + s2v with their prior probabilities.
+
+    Unlike the other records, an instance has a __dict__, where
+    analysis._pair_geometry keeps the constellation's noise-free pair table;
+    attribute assignment still raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
     @property
     def points(self) -> tuple[complex, complex, complex, complex]:

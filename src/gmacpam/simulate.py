@@ -8,9 +8,9 @@ here. simulate imports _kernels on its first call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 import os
+from typing import NamedTuple
 
 from .geometry import CombinedConstellation
 
@@ -46,8 +46,7 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & 0x7FFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     trials: int
     errors: int
     p_hat: float

@@ -8,7 +8,7 @@ Marginals follow the convention p1 = Pr(U = 0) and p2 = Pr(V = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleCorrelation, NonPositiveProbability, SumOutOfTolerance
 
@@ -26,22 +26,31 @@ def pair_index(u: int, v: int) -> int:
     return 2 * u + v
 
 
-@dataclass(frozen=True)
-class JointSourceDistribution:
-    """Joint pmf of the two source bits, every cell strictly positive."""
-
+class _Cells(NamedTuple):
     p00: float
     p01: float
     p10: float
     p11: float
 
-    def __post_init__(self) -> None:
-        cells = (self.p00, self.p01, self.p10, self.p11)
+
+class JointSourceDistribution(_Cells):
+    """Joint pmf of the two source bits, every cell strictly positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, p00: float, p01: float, p10: float, p11: float):
+        cells = (p00, p01, p10, p11)
         if any(not (p > 0.0) for p in cells):
             raise NonPositiveProbability(f"all four cells must be > 0, got {cells}")
         total = math.fsum(cells)
         if abs(total - 1.0) > 1e-12:
             raise SumOutOfTolerance(f"cells sum to {total!r}, expected 1 within 1e-12")
+        return tuple.__new__(cls, cells)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the new cells too
+        return cls(*iterable)
 
     @property
     def p1(self) -> float:

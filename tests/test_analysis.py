@@ -7,7 +7,6 @@ reduced resolution as a second line of defence.
 """
 
 import ast
-import dataclasses
 import hashlib
 import math
 import os
@@ -423,7 +422,7 @@ def test_reused_constellation_reports_equal_fresh_ones(case1, case2, uniform):
     for cc, _ in [*_binding_cases(sources), *_planar_cases(sources)]:
         for db in range(0, 41, 10):
             sigma2 = 10.0 ** (-db / 10.0)
-            assert _outcome(cc, sigma2) == _outcome(dataclasses.replace(cc), sigma2), (cc, db)
+            assert _outcome(cc, sigma2) == _outcome(type(cc)(*cc), sigma2), (cc, db)
         assert analysis._pair_geometry(cc) is analysis._pair_geometry(cc)
 
 

@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import hashlib
 import io
 import math
@@ -863,7 +862,6 @@ print(repr((codes, "scipy.special" in sys.modules)))
 
 _LAZY_USER = """
 import sys
-from dataclasses import astuple
 import gmacpam
 before = {module!r} in sys.modules
 inp = gmacpam.DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, {gphi},
@@ -880,7 +878,7 @@ def _assert_call_loads(module, gphi, call):
     before, after, value = ast.literal_eval(out)
     assert (before, after) == (False, True)
     inp = DesignInput(gmacpam.from_marginals_correlation(0.2, 0.5, 0.4), 1.0, 1.0, gphi, 0.1)
-    scope = {"gmacpam": gmacpam, "inp": inp, "astuple": dataclasses.astuple}
+    scope = {"gmacpam": gmacpam, "inp": inp}
     exec(call, scope)
     assert value == repr(scope["value"])
 
@@ -907,8 +905,8 @@ def test_planar_cli_never_loads_scipy_special(tmp_path):
 
 
 @pytest.mark.parametrize("gphi, call", [
-    (1.0, "res = gmacpam.numerical_search(inp, grid=12); value = astuple(res)"),
-    (0.707, "res = gmacpam.numerical_search(inp, grid=6); value = astuple(res)"),
+    (1.0, "res = gmacpam.numerical_search(inp, grid=12); value = tuple(res)"),
+    (0.707, "res = gmacpam.numerical_search(inp, grid=6); value = tuple(res)"),
 ])
 def test_planar_and_batched_paths_load_scipy_special(gphi, call):
     # the batched search evaluators, collinear and planar, stay on scipy's
@@ -968,8 +966,39 @@ def test_scalar_paths_never_load_numpy(gphi):
 
 
 @pytest.mark.parametrize("call", [
-    "value = astuple(gmacpam.numerical_search(inp, grid=6))",
-    "value = astuple(gmacpam.simulate(gmacpam.design('joint', inp).combined(inp), 0.1, 3000, 7))",
+    "value = tuple(gmacpam.numerical_search(inp, grid=6))",
+    "value = tuple(gmacpam.simulate(gmacpam.design('joint', inp).combined(inp), 0.1, 3000, 7))",
 ])
 def test_search_and_monte_carlo_load_numpy(call):
     _assert_call_loads("numpy", 1.0, call)
+
+
+_IMPORT_PATH = """
+import sys
+import types
+import gmacpam
+loaded = [m for m in ("dataclasses", "inspect", "gmacpam.config", "gmacpam.decoder")
+          if m in sys.modules]
+from gmacpam import decode
+resolved = (gmacpam.build_config is gmacpam.config.build_config,
+            decode is gmacpam.decoder.decode)
+from gmacpam import ExperimentConfig, NoisePoint, convert_snr, parse_config_file, score
+resolved += (ExperimentConfig, NoisePoint, convert_snr, parse_config_file, score) == (
+    gmacpam.config.ExperimentConfig, gmacpam.config.NoisePoint, gmacpam.config.convert_snr,
+    gmacpam.config.parse_config_file, gmacpam.decoder.score),
+import gmacpam._kernels, gmacpam.cli
+functions = tuple(isinstance(f, types.FunctionType) and f.__name__
+                  for f in (gmacpam.design, gmacpam.simulate))
+print(repr((loaded, resolved, functions)))
+"""
+
+
+def test_import_path_leaves_config_and_decoder_for_first_use():
+    # the records are named tuples, so import gmacpam pays for neither
+    # dataclasses nor the inspect it pulls in; config and decoder load when
+    # a name of theirs is first read, and the functions design and simulate
+    # still shadow their submodules once the CLI and the kernels are loaded
+    loaded, resolved, functions = ast.literal_eval(_run_child(_IMPORT_PATH))
+    assert loaded == []
+    assert resolved == (True, True, True)
+    assert functions == ("design", "simulate")
