@@ -8,9 +8,9 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py --json BENCH_1.json
     python3 benchmarks/bench_kernels.py --against ../parent --repeat 11 --json ab.json
 
-Each row is timed --repeat times (cold starts and worker passes: their own
-counts, below) and prints its best and its median figure. With --json PATH
-the same rows go to PATH as JSON: an environment stamp (time, Python,
+Each row is timed --repeat times (cold starts, worker and workload passes:
+their own counts, below) and prints its best and its median figure. With
+--json PATH the same rows go to PATH as JSON: an environment stamp (time, Python,
 numpy and scipy versions, platform, usable CPUs, CPU model, load average
 and the options), then per row its name, unit, best and median figure,
 the seconds of every repeat, the work one repeat does and its note.
@@ -58,7 +58,8 @@ of its pairwise table after its first exact-error call, so the exact,
 union and view rows time the per-noise-level half; the
 exact-collinear-first and exact-planar-first rows time exact_error on a
 copy of the same constellation made afresh for each call (copies made
-outside the timing), which builds both halves. The layer rows give
+outside the timing, followed by a full garbage collection), which builds
+both halves. The layer rows give
 microseconds per call of three costs that repeat in a loop of CLI calls:
 cli-main, one in-process gmacpam.cli.main call of a one-point evaluate
 (case-1 source, gamma_phi = 1, sigma2 = 0.1, joint design) with stdout
@@ -83,7 +84,13 @@ designs, 0-20 dB sum-energy SNR in 0.5 dB steps, no Monte Carlo, for
 gamma_phi = 1 (collinear) and 0.707 (planar); sweep-fine-collinear gives
 microseconds per row of the same collinear sweep run whole through
 cli.main, CSV written to a temporary file, as the collinear-design
-benchmark workload runs it. The mc-fig9-workers1 and
+benchmark workload runs it. The pass-collinear-design, pass-planar-sweep
+and pass-mc-collinear rows give seconds per pass of that perfbench
+workload (perfbench/workload.py's commands, imported from there) run
+through cli.main in this process, its CSVs removed before each repeat,
+41 rounds each; each notes the sha256 of its pass's CSVs. A pass takes
+10-60 ms, so these rows resolve a 2-5% change under --against that a whole
+perfbench run barely separates from host drift. The mc-fig9-workers1 and
 -workers2 rows give seconds per pass over the six simulate calls of the
 mc-collinear benchmark workload (fig9 source and energies, individual
 and joint designs, 0, 8 and 16 dB sum-energy SNR, 500 000 trials each) at
@@ -109,6 +116,7 @@ import argparse
 import atexit
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib
 import importlib.metadata
@@ -315,11 +323,19 @@ def bench_scalar(g):
     for name, cc, s2 in (("exact-collinear-first", collinear, s2c),
                          ("exact-planar-first", planar, s2p)):
         rows.append(Row(name, lambda fresh, s2=s2: [a.exact_error(c, s2) for c in fresh],
-                        SCALAR_CALLS, "us/call",
-                        prepare=lambda cc=cc: [type(cc)(cc.a00, cc.a01, cc.a10, cc.a11,
-                                                        cc.priors)
-                                               for _ in range(SCALAR_CALLS)]))
+                        SCALAR_CALLS, "us/call", prepare=lambda cc=cc: _fresh_copies(cc)))
     return rows
+
+
+def _fresh_copies(cc):
+    """SCALAR_CALLS constructor copies of cc, which keep no noise-free table,
+    then a full collection: the copies just made sit in the oldest
+    generation, so the collector does not walk them in the timed region.
+    (A collection before every row's repeat would not do: it leaves the
+    caches cold, and a 1 ms search timed after one reads 30-100% slower.)"""
+    copies = [type(cc)(cc.a00, cc.a01, cc.a10, cc.a11, cc.priors) for _ in range(SCALAR_CALLS)]
+    gc.collect()
+    return copies
 
 
 # In-process CLI calls per timed repeat.
@@ -491,6 +507,56 @@ def bench_workers(g):
                 group="workers", cpu_note=True) for w in (1, 2)]
 
 
+# Rounds of each pass row: a pass takes 10-60 ms, and a 2-5% change shows
+# in the per-round ratios only over many rounds.
+PASS_ROUNDS = 41
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _workload():
+    """perfbench's workload module (it imports its sibling calibrate)."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workload
+    finally:
+        sys.path.remove(PERFBENCH)
+    return workload
+
+
+def bench_passes(g, out_dir):
+    """Seconds per pass of each perfbench workload's commands through
+    cli.main in this process, the CSVs removed before each repeat; each row
+    notes the sha256 of the pass's CSVs."""
+    workload = _workload()
+    rows = []
+    for name in workload.WORKLOADS:
+        pass_dir = os.path.join(out_dir, f"{name}-{id(g)}")
+        os.mkdir(pass_dir)
+        cmds = workload.commands(name, SEED, pass_dir)
+        files = [os.path.join(pass_dir, f) for f, _ in cmds]
+
+        def fresh(files=files):
+            for path in files:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+
+        def run(_, cmds=cmds):
+            with contextlib.redirect_stderr(io.StringIO()):
+                for _, argv in cmds:
+                    assert g.cli.main(argv) == 0, argv
+
+        # untimed: pays the first calls, and its CSVs are the ones noted
+        run(fresh())
+        digest = hashlib.sha256()
+        for path in files:
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+        rows.append(Row(f"pass-{name}", run, 1, "s/pass", f"csv sha256 {digest.hexdigest()}",
+                        prepare=fresh, repeat=PASS_ROUNDS))
+    return rows
+
+
 # Fresh interpreters per cold-start and preset row.
 COLD_STARTS = 7
 # The modules whose loading a cold-start or preset child reports: the
@@ -570,7 +636,8 @@ def bench_presets(g, out_dir):
 def build_rows(g, ns, out_dir):
     """Every row of package g, in print order."""
     return (bench_mc(g, ns.trials) + bench_batch(g) + bench_scalar(g) + bench_layers(g)
-            + bench_sweep(g, out_dir) + bench_search(g) + bench_workers(g)
+            + bench_sweep(g, out_dir) + bench_search(g) + bench_passes(g, out_dir)
+            + bench_workers(g)
             + bench_cold_start(g) + bench_presets(g, out_dir))
 
 

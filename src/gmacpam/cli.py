@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import operator
 import sys
 from functools import cache
 
@@ -79,72 +78,61 @@ def _fmt_sigma2(value: float) -> str:
 
 
 def _design_row(cfg: ExperimentConfig, scheme: str,
-                sigma2: float) -> tuple[DesignResult, CombinedConstellation, dict]:
-    """One designed scheme: its result, combined constellation and CSV row."""
+                sigma2: float) -> tuple[DesignResult, CombinedConstellation, tuple]:
+    """One designed scheme: its result, combined constellation and CSV row
+    (DESIGN_COLUMNS' cells, the energy check last)."""
     res = design(scheme, DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, sigma2),
                  grid=cfg.grid)
     c1, c2 = from_amplitudes(res.a10, res.a11, res.a20, res.a21, cfg.gamma_phi)
     cc = combine(c1, c2, cfg.priors)
     ok = check_energy(c1, cfg.priors.p1, cfg.e1) and check_energy(c2, cfg.priors.p2, cfg.e2)
-    row = {
-        "scheme": scheme,
-        "branch": res.branch,
-        "swapped": str(res.swapped).lower(),
-        "s10": _fmt(res.a10), "s11": _fmt(res.a11),
-        "s20": _fmt(res.a20), "s21": _fmt(res.a21),
-        "energy_ok": "ok" if ok else "fail",
-    }
-    for name, pt in zip(("a00", "a01", "a10", "a11"), cc.points):
-        row[name + "_re"] = _fmt(pt.real)
-        row[name + "_im"] = _fmt(pt.imag)
+    row = (scheme, res.branch, str(res.swapped).lower(),
+           _fmt(res.a10), _fmt(res.a11), _fmt(res.a20), _fmt(res.a21),
+           *[_fmt(part) for pt in cc.points for part in (pt.real, pt.imag)],
+           "ok" if ok else "fail")
     return res, cc, row
 
 
-def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "", seed_base: int = 0) -> list[dict]:
+def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "",
+                seed_base: int = 0) -> list[tuple[str, ...]]:
+    """The sweep's CSV rows, each a tuple of SWEEP_COLUMNS' cells; the
+    noise and trials cells are formatted once per noise point and sweep."""
     rows = []
-    idx = seed_base
+    trials = str(cfg.trials)
+    labels = [scheme + label_suffix for scheme in cfg.schemes]
     # one constellation per distinct design in this sweep, keyed by its
     # amplitudes (the source and gamma_phi are the sweep's), so a design
     # that does not change with the noise builds its noise-free table once
     combined = {}
     for point in cfg.noise:
+        snr_db, sigma2 = _fmt(point.snr_db), _fmt_sigma2(point.sigma2)
         inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
-        for scheme in cfg.schemes:
+        for scheme, label in zip(cfg.schemes, labels):
             res = design(scheme, inp, grid=cfg.grid)
-            amps = (res.a10, res.a11, res.a20, res.a21)
+            amps = res[:4]
             cc = combined.get(amps)
             if cc is None:
                 cc = combined[amps] = res.combined(inp)
             report = exact_error(cc, point.sigma2)
-            row = {
-                "snr_db": _fmt(point.snr_db),
-                "sigma2": _fmt_sigma2(point.sigma2),
-                "scheme": scheme + label_suffix,
-                "p_err_exact": _fmt(report.p_err_exact),
-                "p_err_union": _fmt(report.p_err_union),
-                "p_err_mc": "",
-                "mc_ci_halfwidth": "",
-                "trials": str(cfg.trials),
-                "seed": "",
-                "status": "ok" if report.bijective else "non-bijective",
-            }
+            status = "ok" if report.bijective else "non-bijective"
             if cfg.trials > 0:
-                sub = derive_seed(cfg.seed, idx)
+                sub = derive_seed(cfg.seed, seed_base + len(rows))
                 sim = simulate(cc, point.sigma2, cfg.trials, sub, cfg.workers)
-                row["p_err_mc"] = _fmt(sim.p_hat)
-                row["mc_ci_halfwidth"] = _fmt(sim.ci_halfwidth)
-                row["seed"] = str(sub)
-            rows.append(row)
-            idx += 1
+                rows.append((snr_db, sigma2, label, _fmt(report.p_err_exact),
+                             _fmt(report.p_err_union), _fmt(sim.p_hat),
+                             _fmt(sim.ci_halfwidth), trials, str(sub), status))
+            else:
+                rows.append((snr_db, sigma2, label, _fmt(report.p_err_exact),
+                             _fmt(report.p_err_union), "", "", trials, "", status))
     return rows
 
 
-def _write_csv(rows: list[dict], columns: tuple[str, ...], out: str | None) -> None:
-    """The header, then each row's cells in column order (a row holds every column)."""
+def _write_csv(rows: list[tuple[str, ...]], columns: tuple[str, ...], out: str | None) -> None:
+    """The header, then each row's cells (in column order)."""
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(operator.itemgetter(*columns), rows))
+        writer.writerows(rows)
 
     if out is None or out == "-":
         emit(sys.stdout)
@@ -170,7 +158,7 @@ def _print_designs(cfg: ExperimentConfig) -> int:
         print(f"  S2 = ({res.a20:.9g}, {res.a21:.9g})")
         pts = ", ".join(f"{p:.6g}" for p in cc.points)
         print(f"  A  = [{pts}]")
-        print(f"  energy check: {row['energy_ok']}")
+        print(f"  energy check: {row[-1]}")
     if cfg.out is not None:
         _write_csv(rows, DESIGN_COLUMNS, cfg.out)
     return 0
@@ -182,7 +170,7 @@ def _single_point(args, cfg: ExperimentConfig) -> tuple[str, NoisePoint, Combine
     inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
     if args.amplitudes is not None:
         label = "given"
-        res = DesignResult(*_parse_amplitudes(args.amplitudes), branch=label, swapped=False)
+        res = DesignResult(*_parse_amplitudes(args.amplitudes), label, False)
     else:
         label = cfg.schemes[0]
         res = design(label, inp, grid=cfg.grid)
@@ -320,15 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print designed constellations, optionally as CSV")
     p.set_defaults(func=cmd_design)
 
+    # without the "=", argparse takes a value with a leading minus for an option
+    amplitudes = ("use these amplitudes instead of a designed scheme; a leading minus "
+                  "needs the --amplitudes=-1,1,-1,1 form")
     p = sub.add_parser("evaluate", parents=[common],
                        help="exact error and union bound at one noise point")
-    p.add_argument("--amplitudes", metavar="A10,A11,A20,A21",
-                   help="evaluate these amplitudes instead of a designed scheme")
+    p.add_argument("--amplitudes", metavar="A10,A11,A20,A21", help=amplitudes)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="Monte-Carlo error estimate at one noise point")
-    p.add_argument("--amplitudes", metavar="A10,A11,A20,A21")
+    p.add_argument("--amplitudes", metavar="A10,A11,A20,A21", help=amplitudes)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],

@@ -113,21 +113,21 @@ def _on_shell(d: float, p: float, e: float) -> tuple[float, float]:
 def antipodal(inp: DesignInput) -> DesignResult:
     r1 = math.sqrt(inp.e1)
     r2 = math.sqrt(inp.e2)
-    return DesignResult(-r1, r1, -r2, r2, branch="antipodal", swapped=False)
+    return DesignResult(-r1, r1, -r2, r2, "antipodal", False)
 
 
 def individually_optimized(inp: DesignInput) -> DesignResult:
     """Each sender maximises its own separation, ignoring the other."""
     s10, s11 = max_separation(inp.priors.p1, inp.e1)
     s20, s21 = max_separation(inp.priors.p2, inp.e2)
-    return DesignResult(s10, s11, s20, s21, branch="individual", swapped=False)
+    return DesignResult(s10, s11, s20, s21, "individual", False)
 
 
 def design_orthogonal(inp: DesignInput) -> DesignResult:
     if inp.gamma_phi != 0.0:
         raise WrongGammaPhi("orthogonal design needs gamma_phi = 0")
     res = individually_optimized(inp)
-    return DesignResult(res.a10, res.a11, res.a20, res.a21, branch="orthogonal", swapped=False)
+    return DesignResult(res.a10, res.a11, res.a20, res.a21, "orthogonal", False)
 
 
 def _roles(inp: DesignInput) -> tuple[bool, tuple[float, float, float], tuple[float, float, float]]:
@@ -157,8 +157,7 @@ def _place(swapped: bool, strong: tuple[float, float, float], weak: tuple[float,
     second = _on_shell(d, weak[0], weak[1])
     s1, s2 = (second, first) if swapped else (first, second)
     sign = math.copysign(1.0, gamma_phi)
-    return DesignResult(s1[0], s1[1], sign * s2[0], sign * s2[1],
-                        branch=branch, swapped=swapped)
+    return DesignResult(s1[0], s1[1], sign * s2[0], sign * s2[1], branch, swapped)
 
 
 def design_collinear(inp: DesignInput) -> DesignResult:
@@ -250,7 +249,9 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     _MINIMA local minima are refined together: each round scores a 21-point
     window about each, one step of the last round either side, in one
     batched call, and moves each to its window's best point. The points lie
-    on a lattice, so a corner stays exact. `grid` is the resolution per
+    on a lattice, so a corner stays exact, and each window's centre and ends
+    lie on the last round's: they keep the scores they got there, so no
+    point is sent to the kernel twice. `grid` is the resolution per
     edge: rounds go on until the step is at most 1 / (10 (grid - 1)) of an
     edge, and past grid 40, which asks more than the scan holds, four more
     follow. So grid 10 takes one round, grid 400 six.
@@ -277,11 +278,14 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     span = dmax[0] + dmax[1]
     if not math.isfinite(span * span):
         raise OverflowError(f"loop span D1 + D2 = {span!r} squares past the float range")
+    score = _loop_scorer(inp, dmax)
     size = _SCAN
-    pe = _score_loop(inp, dmax, np.arange(4 * size), size)
+    points = np.arange(4 * size)
+    pe = scores = score(points, size)
     local = np.flatnonzero((pe <= np.roll(pe, 1)) & (pe <= np.roll(pe, -1)))
     at = local[np.argsort(pe[local], kind="stable")[:_MINIMA]]
     step = _WINDOW // 2
+    offsets, rows = np.arange(-step, step + 1), np.arange(len(at))
     rounds = 1
     while _SCAN * step**rounds < 5 * (grid - 1):
         rounds += 1
@@ -289,12 +293,18 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     # the 14th round's step, 2.5e-16 of a half-edge, is a double's resolution
     for _ in range(min(rounds, 14)):
         size *= step
-        windows = np.sort((at[:, None] * step + np.arange(-step, step + 1)) % (4 * size), axis=1)
+        last, last_scores = points * step, scores
+        windows = np.sort((at[:, None] * step + offsets) % (4 * size), axis=1)
         # the windows' distinct points in order (np.unique's, at less cost)
         points = np.sort(windows, axis=None)
         points = points[np.concatenate(([True], points[1:] != points[:-1]))]
-        pe = _score_loop(inp, dmax, points, size)[np.searchsorted(points, windows)]
-        rows, pick = np.arange(len(at)), _first_best(pe)
+        # the last round's points (each window's centre and ends) keep their scores
+        k = np.searchsorted(last, points)
+        fresh = last.take(k, mode="clip") != points
+        scores = last_scores.take(k, mode="clip")
+        scores[fresh] = score(points[fresh], size)
+        pe = scores[np.searchsorted(points, windows)]
+        pick = _first_best(pe)
         at, pe = windows[rows, pick], pe[rows, pick]
 
     order = np.argsort(at)
@@ -303,8 +313,9 @@ def numerical_search(inp: DesignInput, grid: int = 400) -> DesignResult:
     swapped = d1 < dmax[0]
     a10, a11 = _on_shell(d1, pr.p1, inp.e1)
     a20, a21 = _on_shell(d2, pr.p2, inp.e2)
-    return DesignResult(a10, a11, a20, a21, swapped=swapped, p_err=float(pe[best]),
-                        branch="minus" if swapped or abs(d2) < dmax[1] else "boundary")
+    return DesignResult(a10, a11, a20, a21,
+                        "minus" if swapped or abs(d2) < dmax[1] else "boundary", swapped,
+                        float(pe[best]))
 
 
 def _first_best(pe):
@@ -327,10 +338,12 @@ def _separations(n, size, dmax):
             np.where(first, dmax[1] * t, dmax[1] * np.sign(t)))
 
 
-def _score_loop(inp, dmax, n, size):
-    """Exact errors at the loop points n (see _separations), in one batched
-    call; each row's score depends on that row alone, so any grouping of
-    the points gives the same scores.
+def _loop_scorer(inp, dmax):
+    """score(n, size): the exact errors at the loop points n (see
+    _separations) in one batched call, with what stays fixed over a search
+    (sender 2's axis, the kernel, the coincidence tolerances, the priors and
+    sigma2) worked out once. Each row's score depends on that row alone, so
+    any grouping of the points gives the same scores.
 
     A separation the coincidence rule calls zero is no design: it scores
     +inf unsent. Every other point is scored as the translate {0, d2 u2,
@@ -344,22 +357,33 @@ def _score_loop(inp, dmax, n, size):
 
     from . import _kernels
 
-    d1, d2 = _separations(n, size, dmax)
-    keep = (d1 > coincidence_tol(dmax[0])) & (np.abs(d2) > coincidence_tol(dmax[1]))
+    tol1, tol2 = coincidence_tol(dmax[0]), coincidence_tol(dmax[1])
     u2 = sender2_axis(inp.gamma_phi)
     # kept real on the line so the collinear kernel reads the points as they are
     if abs(inp.gamma_phi) == 1.0:
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
         kernel = _kernels.planar_pe_batch
-    d1, d2 = d1[keep], d2[keep] * u2
-    points = np.zeros((d1.size, 4), dtype=d2.dtype)
-    points[:, 1] = d2
-    points[:, 2] = d1
-    np.add(d1, d2, out=points[:, 3])
-    pe = np.full(len(n), np.inf)
-    pe[keep] = kernel(points, inp.priors.as_array(), inp.sigma2)
-    return pe
+    priors, sigma2 = inp.priors.as_array(), inp.sigma2
+
+    def score(n, size):
+        d1, d2 = _separations(n, size, dmax)
+        keep = (d1 > tol1) & (np.abs(d2) > tol2)
+        every = keep.all()
+        if not every:
+            d1, d2 = d1[keep], d2[keep]
+        d2 = d2 * u2
+        points = np.zeros((d1.size, 4), dtype=d2.dtype)
+        points[:, 1] = d2
+        points[:, 2] = d1
+        np.add(d1, d2, out=points[:, 3])
+        if every:
+            return kernel(points, priors, sigma2)
+        pe = np.full(len(n), np.inf)
+        pe[keep] = kernel(points, priors, sigma2)
+        return pe
+
+    return score
 
 
 def design(scheme: str, inp: DesignInput, grid: int = 400) -> DesignResult:

@@ -415,6 +415,20 @@ def test_cli_numerical_design_refuses_what_evaluate_refuses(capsys):
 _ONE_POINT = [*CASE1_SETS, "--set", "sigma2=0.1", "--set", "schemes=joint"]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_cli_amplitudes_help_names_the_equals_form(capsys, command):
+    """argparse reads a value with a leading minus after a space as an
+    option; the help names the form that works."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--amplitudes=-1,1,-1,1" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_ONE_POINT, "--amplitudes", "-1,1,-1,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     pytest.param([*_ONE_POINT, "--set", "trials"], id="set-without-equals"),
     pytest.param([*_ONE_POINT, "--amplitudes=-1,1,-1"], id="three-amplitudes"),
@@ -646,6 +660,39 @@ def test_cli_reproduce_preset_csv_frozen_digest(tmp_path, capsys, preset):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[preset]
 
 
+_CASE2_SETS = ["--set", "p1=0.2", "--set", "p2=0.5", "--set", "gamma_m=0.4"]
+_FINE_SWEEP = ["--set", "gamma_phi=1", "--set", "snr_convention=sum-energy",
+               "--set", "snr_db=" + " ".join(f"{k * 0.5:g}" for k in range(41)),
+               "--set", "schemes=antipodal individual joint"]
+
+# FROZEN: sha256 of the sweeps the benchmark workloads write: the
+# collinear-design fine sweep (0-20 dB in 0.5 dB steps, closed-form schemes)
+# of the fig4 and fig5 sources, and a planar Monte-Carlo sweep (case-2
+# source, gamma_phi 0.707, 10 dB, all four schemes, grid 10, 2000 trials),
+# whose p_err_mc, mc_ci_halfwidth, seed and status cells no preset digest
+# covers
+BENCH_SWEEP_SHA256 = {
+    "fine-fig4": ("16f088111f9b28d55b69f538f6d0687931f5cd3a62ebd5967cd3d9a962cc5228",
+                  [*CASE1_SETS, *_FINE_SWEEP]),
+    "fine-fig5": ("29ec274a367ec2ec2bbce208598e35df3611eec2c26b6943c0bc91cd74537c4c",
+                  [*_CASE2_SETS, *_FINE_SWEEP]),
+    "planar-mc": ("5f3215a7979ece9754207dacf998a074d60c85757db807b940045f4051bf96cc",
+                  [*_CASE2_SETS, "--set", "gamma_phi=0.707",
+                   "--set", "snr_convention=sum-energy", "--set", "snr_db=10",
+                   "--set", "schemes=antipodal individual joint numerical",
+                   "--set", "grid=10", "--set", "trials=2000", "--set", "seed=20260815"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SWEEP_SHA256))
+def test_cli_benchmark_sweep_csv_frozen_digest(tmp_path, capsys, name):
+    digest, sets = BENCH_SWEEP_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", *sets, "--set", f"out={out}"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_reproduce_settings_override_preset_then_file_then_set(tmp_path, capsys):
     """The preset's keys are the base, a --config file overrides them, and
     each --set overrides both."""
@@ -738,7 +785,8 @@ def test_sweep_builds_one_noise_free_table_per_distinct_design(monkeypatch, sour
     calls = []
     monkeypatch.setattr(cli, "exact_error", lambda cc, s2: calls.append(cc) or exact_error(cc, s2))
     rows = cli._sweep_rows(cfg)
-    assert [(r["p_err_exact"], r["p_err_union"]) for r in rows] == want
+    exact, union = SWEEP_COLUMNS.index("p_err_exact"), SWEEP_COLUMNS.index("p_err_union")
+    assert [(r[exact], r[union]) for r in rows] == want
     assert len(rows) == len(calls) == 41 * 3
     assert len(built) == len(distinct) < 41
 
