@@ -47,7 +47,9 @@ planar-batch rows give rows/s of each batched evaluator on the traffic a
 search sends it: the 158-row scan batch, the first kernel call of the
 search-collinear and search-planar searches (below), captured by
 wrapping the kernel and checked against the scalar exact_error on a
-sample of its rows before it is timed. The
+sample of its rows before it is timed. Each side times its kernel on the
+arguments its own search gave it (each design's separations (d1, d2);
+an older checkout's kernels take four points a row). The
 scalar rows give microseconds per call of exact_error on the same two
 constellations, of union_bound and of the two collinear threshold views
 on the collinear one (threshold: collinear_pair_threshold of a00 against
@@ -378,10 +380,24 @@ def bench_layers(g):
     ]
 
 
-def _assert_matches_scalar(g, pts, got, priors, sigma2, exact):
+def _scan_constellations(g, args, priors):
+    """The constellation of each row of a captured batch-kernel call: its
+    design's translate {0, d2, d1, d1 + d2} from (d1, d2, priors, sigma2),
+    or the four points of a row from the (points, priors, sigma2) form that
+    an older checkout's kernels take."""
+    if len(args) == 3:
+        rows = args[0].tolist()
+    else:
+        rows = [(0.0, d2, d1, d1 + d2) for d1, d2 in zip(args[0].tolist(), args[1].tolist())]
+    return [g.geometry.CombinedConstellation(*map(complex, row), priors) for row in rows]
+
+
+def _assert_matches_scalar(g, args, got, priors, exact):
     """The batch agrees with the scalar engine on a sample of rows."""
-    for k in range(0, pts.shape[0], max(1, pts.shape[0] // 50)):
-        want = exact(g.geometry.CombinedConstellation(*map(complex, pts[k]), priors), sigma2)
+    sigma2 = args[-1]
+    ccs = _scan_constellations(g, args, priors)
+    for k in range(0, len(ccs), max(1, len(ccs) // 50)):
+        want = exact(ccs[k], sigma2)
         assert abs(got[k] - want.p_err_exact) <= 1e-12 * want.p_err_exact, k
 
 
@@ -403,7 +419,7 @@ def _search(g, source, gamma_phi, grid):
 
 
 def _kernel_calls(g, fn):
-    """(kernel, points, priors, sigma2) of every batch-kernel call fn() makes."""
+    """(kernel, *args) of every batch-kernel call fn() makes."""
     calls = []
     saved = {attr: getattr(g._kernels, attr) for attr in ("collinear_pe_batch", "planar_pe_batch")}
     for attr, kernel in saved.items():
@@ -418,17 +434,17 @@ def _kernel_calls(g, fn):
 
 
 def bench_batch(g):
-    """Rows/s of each batch kernel on the scan batch its search sends first."""
+    """Rows/s of each batch kernel on the scan batch its search sends first,
+    called with the arguments the search gave it."""
     rows = []
     for name, (search, *spec) in zip(("collinear-batch", "planar-batch"), SEARCHES):
         inp, run = _search(g, *spec)
-        kernel, pts, pa, sigma2 = _kernel_calls(g, run)[0]
-        _assert_matches_scalar(g, pts, kernel(pts, pa, sigma2), inp.priors, sigma2,
-                               g.analysis.exact_error)
-        rows.append(Row(name, _calls(lambda kernel=kernel, pts=pts, pa=pa, sigma2=sigma2:
-                                     kernel(pts, pa, sigma2), BATCH_CALLS),
-                        BATCH_CALLS * len(pts), "rows/s",
-                        f"the {len(pts)}-row scan batch of {search}; not comparable with "
+        kernel, *args = _kernel_calls(g, run)[0]
+        _assert_matches_scalar(g, args, kernel(*args), inp.priors, g.analysis.exact_error)
+        m = len(args[0])
+        rows.append(Row(name, _calls(lambda kernel=kernel, args=args: kernel(*args), BATCH_CALLS),
+                        BATCH_CALLS * m, "rows/s",
+                        f"the {m}-row scan batch of {search}; not comparable with "
                         "BENCH_3.json's 50 000 random rows"))
     return rows
 

@@ -2,8 +2,10 @@
 
 The kernels are numpy, except safe_disk, which is scalar (Python floats
 and the math module) because its tables hold four points. The batched
-exact-error kernels give each row an error that depends on that row alone and
-take scipy's erfc and owens_t where called, so Monte Carlo never loads scipy.
+exact-error kernels score designs given by their two separations (d1, d2),
+on which the MAP error alone depends; each row's error depends on that row
+alone, and they take scipy's erfc and owens_t where called, so Monte Carlo
+never loads scipy.
 Randomness is counter based: uniform draw j of trial t is a pure function of (seed, 3 t + j)
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
@@ -346,7 +348,9 @@ def _score_trials(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray, sigma2: floa
 # ---------------------------------------------------------------------------
 
 def _qfunc_array(x: np.ndarray) -> np.ndarray:
-    """analysis.qfunc elementwise, on scipy's erfc, with the same underflow rule."""
+    """0.5 erfc(x / sqrt 2) elementwise on scipy's erfc, with analysis.qfunc's
+    underflow rule but not its compensation of x / sqrt 2: near x = 37 it is
+    off by up to about 1 600 ulp (4e-13 relative), qfunc by at most 4."""
     from scipy.special import erfc
 
     q = erfc(x / _SQRT2)
@@ -355,56 +359,58 @@ def _qfunc_array(x: np.ndarray) -> np.ndarray:
     return q
 
 
-# Rival indices in lexicographic pair order: rival k of pair uv is uv ^ k,
-# so k = 2 flips sender 1's bit, k = 1 sender 2's and k = 3 both. A batch
-# of m rows takes all three at once: row 4 j + uv of its (12, m) arrays is
-# rival _RIVALS[j][uv] (_ALL) of point uv (_OWN); each loop runs along m.
+# A batch of m designs takes all three rivals of every point at once: row
+# 4 j + uv of its (12, m) arrays is rival _RIVAL[4 j + uv] of point uv, the
+# pair that flips sender 1's bit u (j = 0, the x block), sender 2's bit v
+# (j = 1, y) or both (j = 2, d); each loop runs along m.
 _UV = np.arange(4)
-_RIVALS = (_UV ^ 2, _UV ^ 1, _UV ^ 3)
-_ALL = np.concatenate(_RIVALS)
 _OWN = np.tile(_UV, 3)
+_RIVAL = np.concatenate((_UV ^ 2, _UV ^ 1, _UV ^ 3))
 
 
-def _rival(pts: np.ndarray, p: np.ndarray, sigma2: float, idx: np.ndarray):
-    """Difference vector c and bound z of rival idx[j] of point j % 4 (row j)
-    in each row of the (m, 4) batch: analysis._tails' z[4 uv + lm], that is
-    -(d^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma d) with d = |c|."""
-    own = _OWN[:idx.size]
-    cols = pts.T.copy()
-    c = (cols[idx].reshape(idx.size // 4, *cols.shape) - cols).reshape(idx.size, len(pts))
+def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
+    """Difference vectors c and bounds z of the rival table of m designs, and
+    each design's coincidence tolerance.
+
+    A design's points are {t, t + d2, t + d1, t + d1 + d2} for any translate
+    t, so point uv's rivals lie at (1 - 2u) d1 (x), (1 - 2v) d2 (y) and their
+    sum (d), the blocks of analysis._planar_point. z is analysis._tails'
+    z[4 uv + lm], -(|c|^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma |c|). The
+    tolerance is geometry.coincidence_tol of the translate t = 0's largest
+    point magnitude, max(|d1|, |d2|, |d1 + d2|).
+    """
+    c = np.empty((12, d1.size), dtype=d2.dtype)
+    c[:2] = d1
+    np.negative(d1, out=c[2:4])
+    c[4:8:2] = d2
+    np.negative(d2, out=c[5:8:2])
+    np.add(c[:4], c[4:8], out=c[8:])
     dist = np.abs(c)
+    tol = np.maximum(np.maximum(dist[0], dist[4]), dist[8])
+    np.maximum(tol, SCALE_FLOOR, out=tol)
+    tol *= COINCIDENCE_RTOL
     # past sigma2 ~ 1e308 the prior term overflows to +-inf, as on the scalar path
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = dist**2 / 2.0 + (sigma2 * np.log(p[own] / p[idx]))[:, None]
+        t = dist**2 / 2.0 + (sigma2 * np.log(p[_OWN] / p[_RIVAL]))[:, None]
         z = -t / (math.sqrt(sigma2) * dist)
-    return c, z
+    return c, z, tol
 
 
-def _row_tol(pts: np.ndarray) -> np.ndarray:
-    """geometry.coincidence_tol of each row of an (m, 4) batch, elementwise,
-    its scale taken as the maximum of the columns (a reduction over 4-wide
-    rows costs more)."""
-    a = np.abs(pts)
-    scale = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
-    return COINCIDENCE_RTOL * np.maximum(scale, SCALE_FLOOR)
+def collinear_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
+                       sigma2: float) -> np.ndarray:
+    """Exact MAP error of each of m designs on the real axis.
 
-
-def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:
-    """Exact collinear MAP error for a batch of real-axis constellations.
-
-    points has shape (m, 4) in lexicographic pair order. Mirrors
-    analysis.exact_error_collinear, vectorised over candidates and pairs,
-    with its binding rule: Phi is monotone, so on each side of a point the
-    rival with the largest z binds. The miss probability sums those two
-    tails, taken in one erfc call, never 1 - P_correct, capped at 1. A
-    coincident rival sets no bound; it kills the point when it takes the
-    shared point (analysis._wins_degenerate: larger prior, then lower index).
-    A row's error adds its four prior-weighted misses in pair order.
+    d1 and d2 are the senders' signed separations, real arrays of length m.
+    Mirrors analysis.exact_error_collinear, vectorised over designs and
+    pairs, with its binding rule: Phi is monotone, so on each side of a
+    point the rival with the largest z binds. The miss probability sums
+    those two tails, taken in one erfc call, never 1 - P_correct, capped at
+    1. A coincident rival sets no bound; it kills the point when it takes
+    the shared point (analysis._wins_degenerate: larger prior, then lower
+    index). A row's error adds its four prior-weighted misses in pair order.
     """
-    pts = np.asarray(points, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
-    c, z = _rival(pts, p, sigma2, _ALL)
-    tol = _row_tol(pts)
+    c, z, tol = _rival(d1, d2, p, sigma2)
     # each rival's bound on the side of the point it sits on, -inf on the other
     bound = np.full((2, *z.shape), -np.inf)
     np.copyto(bound[0], z, where=c > tol)
@@ -416,7 +422,7 @@ def collinear_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) ->
     miss = np.minimum(tail[0] + tail[1], 1.0)
     coincident = np.abs(c) <= tol
     if coincident.any():
-        loses = (p[_OWN] < p[_ALL]) | ((p[_OWN] == p[_ALL]) & (_OWN > _ALL))
+        loses = (p[_OWN] < p[_RIVAL]) | ((p[_OWN] == p[_RIVAL]) & (_OWN > _RIVAL))
         miss[np.logical_or.reduce((coincident & loses[:, None]).reshape(3, 4, -1))] = 1.0
     miss *= p[:, None]
     return np.clip(miss[0] + miss[1] + miss[2] + miss[3], 0.0, 1.0)
@@ -463,22 +469,23 @@ def _pair_corr(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
     return np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT, out=rho)
 
 
-def planar_pe_batch(points: np.ndarray, priors: np.ndarray, sigma2: float) -> np.ndarray:
-    """Exact planar MAP error for a batch of complex constellations.
+def planar_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
+                    sigma2: float) -> np.ndarray:
+    """Exact MAP error of each of m designs in the plane.
 
-    points has shape (m, 4) in lexicographic pair order. Mirrors
-    analysis.exact_error_planar, vectorised over candidates and over the
-    four transmitted pairs: three rival tails, the alpha_uv branch and the
-    bivariate orthant corrections, all in tail form. A row whose four
-    points are not pairwise distinct (the is_bijective rule, which also
-    catches a sender whose own two points coincide) gets +inf, so argmin
-    passes over it. A row's error adds its weighted misses in pair order.
+    d1 is sender 1's separation, a real array of length m, and d2 sender
+    2's separation vector, a complex one. Mirrors analysis.exact_error_planar,
+    vectorised over designs and over the four transmitted pairs: three rival
+    tails, the alpha_uv branch and the bivariate orthant corrections, all in
+    tail form. A design whose points are not pairwise distinct (the
+    is_bijective rule: |d1|, |d2| or |d1 +- d2| at or below the coincidence
+    tolerance) gets +inf, so argmin passes over it. A row's error adds its
+    weighted misses in pair order.
     """
-    pts = np.asarray(points, dtype=np.complex128)
     p = np.asarray(priors, dtype=np.float64)
-    c, z = _rival(pts, p, sigma2, _ALL)
+    c, z, tol = _rival(d1, d2, p, sigma2)
     # the 12 ordered pairs hold each of the 6 pairs twice
-    bijective = np.logical_and.reduce(np.abs(c) > _row_tol(pts), axis=0)
+    bijective = np.logical_and.reduce(np.abs(c) > tol, axis=0)
     # tail = Phi(z), the marginals each orthant needs
     tail = _qfunc_array(-z)
     c_x, c_y = c[:4], c[4:8]

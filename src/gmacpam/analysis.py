@@ -112,18 +112,18 @@ def qfunc(x: float) -> float:
 
 
 class ErrorReport(NamedTuple):
-    """System error probability with per-pair conditional correct probabilities.
+    """System error probability with the per-pair miss probabilities.
 
-    p_c_per_pair holds Pr(correct | (u, v) sent) in lexicographic pair
-    order; p_err_exact is the prior-weighted sum of the per-pair miss
-    probabilities 1 - p_c_uv, accumulated in tail form so small values keep
-    relative precision. method names the exact path that ran: 'collinear'
-    or 'planar'. p_err_union (what union_bound returns) and bijective (what
-    is_bijective returns) are read from the same pairwise table.
+    miss_per_pair holds Pr(error | (u, v) sent) in lexicographic pair order,
+    each in tail form, so a miss far below 1e-16 keeps its relative
+    precision; p_err_exact is their prior-weighted sum. method names the
+    exact path that ran: 'collinear' or 'planar'. p_err_union (what
+    union_bound returns) and bijective (what is_bijective returns) are read
+    from the same pairwise table.
     """
 
     p_err_exact: float
-    p_c_per_pair: tuple[float, float, float, float]
+    miss_per_pair: tuple[float, float, float, float]
     method: str
     p_err_union: float
     bijective: bool
@@ -555,11 +555,10 @@ def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     else:
         raise NonBijective("combined points coincide; planar analysis requires distinct points")
     p = geo.priors
-    m0, m1, m2, m3 = miss
     # by position: keywords make the named tuple's __new__ about twice as slow
     return ErrorReport(min(max(math.fsum(map(operator.mul, p, miss)), 0.0), 1.0),
-                       (1.0 - m0, 1.0 - m1, 1.0 - m2, 1.0 - m3), method,
-                       math.fsum(map(operator.mul, p, terms)), geo.bijective)
+                       tuple(miss), method, math.fsum(map(operator.mul, p, terms)),
+                       geo.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:

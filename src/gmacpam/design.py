@@ -346,12 +346,11 @@ def _loop_scorer(inp, dmax):
     any grouping of the points gives the same scores.
 
     A separation the coincidence rule calls zero is no design: it scores
-    +inf unsent. Every other point is scored as the translate {0, d2 u2,
-    d1, d1 + d2 u2} of its design: on the line that includes a merged design
-    (d1 = +-d2), whose shared point the decoder gives by prior, as
-    exact_error scores it. In the plane two nonzero separations keep the
-    points distinct, so the planar kernel's +inf for non-bijective rows
-    never fires here.
+    +inf unsent. Every other point goes to the kernel as its separations
+    (d1, d2 u2): on the line that includes a merged design (d1 = +-d2),
+    whose shared point the decoder gives by prior, as exact_error scores
+    it. In the plane two nonzero separations keep the points distinct, so
+    the planar kernel's +inf for non-bijective designs never fires here.
     """
     import numpy as np
 
@@ -359,7 +358,7 @@ def _loop_scorer(inp, dmax):
 
     tol1, tol2 = coincidence_tol(dmax[0]), coincidence_tol(dmax[1])
     u2 = sender2_axis(inp.gamma_phi)
-    # kept real on the line so the collinear kernel reads the points as they are
+    # kept real on the line, where the collinear kernel takes real separations
     if abs(inp.gamma_phi) == 1.0:
         u2, kernel = u2.real, _kernels.collinear_pe_batch
     else:
@@ -369,18 +368,10 @@ def _loop_scorer(inp, dmax):
     def score(n, size):
         d1, d2 = _separations(n, size, dmax)
         keep = (d1 > tol1) & (np.abs(d2) > tol2)
-        every = keep.all()
-        if not every:
-            d1, d2 = d1[keep], d2[keep]
-        d2 = d2 * u2
-        points = np.zeros((d1.size, 4), dtype=d2.dtype)
-        points[:, 1] = d2
-        points[:, 2] = d1
-        np.add(d1, d2, out=points[:, 3])
-        if every:
-            return kernel(points, priors, sigma2)
+        if keep.all():
+            return kernel(d1, d2 * u2, priors, sigma2)
         pe = np.full(len(n), np.inf)
-        pe[keep] = kernel(points, priors, sigma2)
+        pe[keep] = kernel(d1[keep], d2[keep] * u2, priors, sigma2)
         return pe
 
     return score

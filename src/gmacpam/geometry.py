@@ -30,7 +30,8 @@ def coincidence_tol(scale: float) -> float:
 
     scale is the constellation's largest point magnitude; a NaN scale gives
     a NaN tolerance. The rule is relative, so it is invariant to rescaling
-    the constellation. _kernels._row_tol applies it to a batch, elementwise.
+    the constellation. _kernels._rival applies it to a batch of designs,
+    elementwise.
     """
     return COINCIDENCE_RTOL * max(scale, SCALE_FLOOR)
 

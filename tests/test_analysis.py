@@ -323,7 +323,7 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
         sigma = math.sqrt(sigma2)
         for i, uv in enumerate(BIT_PAIRS):
             miss = misses[i]
-            assert rep.p_c_per_pair[i] == 1.0 - miss
+            assert rep.miss_per_pair[i] == miss
             lo, hi, alive = collinear_decision_interval(cc, sigma2, uv)
             if not alive:
                 seen["dead"] += 1
@@ -372,7 +372,7 @@ def _planar_cases(sources):
 # (its inputs, exact_error report and union_bound). exact_reports.sha256
 # holds the first 12 hex digits of each line's own sha256, in case order,
 # so that a failure can name the first case that changed.
-EXACT_REPORTS_SHA256 = "24045d21c022d92759103be763bdeee10edc1bb48ec8ad58891af3b4deb62d1c"
+EXACT_REPORTS_SHA256 = "e54b467cc475927c846c4ae0e2f43e4d35107305258806a019698b4757a7b6d3"
 EXACT_REPORTS_PER_CASE = os.path.join(os.path.dirname(__file__), "exact_reports.sha256")
 
 
@@ -731,7 +731,7 @@ def test_frozen_design_point_errors(case1, case2):
     assert exact_error(cc3, S18).p_err_exact == pytest.approx(T3_PE, rel=1e-12)
 
 
-# (sigma2, p_err_exact, p_c_per_pair, union_bound) recorded from the exact
+# (sigma2, p_err_exact, miss_per_pair, union_bound) recorded from the exact
 # engine itself, not from an oracle, and asserted bit for bit, so any change
 # to its floating-point operations shows. The planar point takes both alpha
 # branches; its rows were re-recorded when the orthants moved to the pure
@@ -743,36 +743,40 @@ def test_frozen_design_point_errors(case1, case2):
 EXACT_AND_UNION = {
     "t2-collinear": (
         (10.0**-0.8, 0.002826532657341588,
-         (0.9967123337884441, 0.9287236076013078, 0.8498972478775263, 0.9993996153407413),
+         (0.0032876662115558877, 0.0712763923986922, 0.1501027521224737, 0.0006003846592587064),
          0.0028295283910614926),
         (10.0**-1.8, 2.917504663892292e-12,
-         (0.9999999999993292, 0.9999999998586392, 0.9999999998438966, 0.9999999999997988),
+         (6.707621367001697e-13, 1.4136084171836772e-10, 1.5610332618263962e-10,
+          2.012208735617376e-13),
          2.917504663892292e-12),
     ),
     "planar-0.707": (
         (0.25, 0.07332057083045657,
-         (0.9452278677155046, 0.4668317068335852, 0.899814986447336, 0.9567937149602779),
+         (0.054772132284495456, 0.5331682931664148, 0.10018501355266396, 0.04320628503972217),
          0.08205466179091145),
         (0.04, 0.00010561031731354927,
-         (0.9999862352643683, 0.9978014670344969, 0.9998541036234112, 0.9999740100727471),
+         (1.376473563171743e-05, 0.002198532965503112, 0.00014589637658879434,
+          2.5989927252841226e-05),
          0.00010597527366397692),
         (10.0**-1.3, 0.0004159915521100408,
-         (0.9999125936487502, 0.9924979728006944, 0.9994357067945144, 0.9998549082517842),
+         (8.740635124982318e-05, 0.00750202719930558, 0.0005642932054855684,
+          0.00014509174821579035),
          0.0004197632553297427),
     ),
     "t3-collinear": (
         (10.0**-0.3, 0.1804653296532977,
-         (0.9455041074068052, 0.0, 0.7240456628730716, 0.87010274769603),
+         (0.05449589259319478, 1.0, 0.2759543371269284, 0.12989725230396995),
          0.201514048057348),
         (10.0**-0.9, 0.03723172059658852,
-         (0.9920317546149574, 0.7036969247644869, 0.9484949818318451, 0.9721046476900812),
+         (0.00796824538504261, 0.2963030752355132, 0.05150501816815491, 0.027895352309918794),
          0.03737209239768363),
     ),
     "coincident": (
         (1.0, 0.4086552539314571,
-         (0.8413447460685429, 0.6826894921370859, 0.0, 0.8413447460685429),
+         (0.15865525393145705, 0.3173105078629141, 1.0, 0.15865525393145705),
          0.5786855738370037),
-        (0.01, 0.25, (1.0, 1.0, 0.0, 1.0), 0.25),
+        (0.01, 0.25, (7.619853024160525e-24, 1.523970604832105e-23, 1.0, 7.619853024160525e-24),
+         0.25),
     ),
 }
 
@@ -786,11 +790,11 @@ def test_exact_and_union_frozen(case1, case2, uniform):
     }
     for name, rows in EXACT_AND_UNION.items():
         cc = ccs[name]
-        for sigma2, p_err, p_c, bound in rows:
+        for sigma2, p_err, miss, bound in rows:
             rep = exact_error(cc, sigma2)
             assert rep.method == ("planar" if name.startswith("planar") else "collinear")
             assert rep.p_err_exact == p_err, (name, sigma2)
-            assert rep.p_c_per_pair == p_c, (name, sigma2)
+            assert rep.miss_per_pair == miss, (name, sigma2)
             assert union_bound(cc, sigma2) == bound, (name, sigma2)
             assert rep.p_err_union == bound, (name, sigma2)
             assert rep.bijective == is_bijective(cc) == (name != "coincident"), (name, sigma2)
@@ -809,12 +813,30 @@ def test_report_invariants(case1, case2, uniform):
                 except NonBijective:
                     continue
                 probs = pri.as_tuple()
-                recon = 1.0 - math.fsum(
-                    p * pc for p, pc in zip(probs, rep.p_c_per_pair)
-                )
+                recon = math.fsum(p * m for p, m in zip(probs, rep.miss_per_pair))
                 assert abs(rep.p_err_exact - recon) <= 1e-12
-                assert all(0.0 <= pc <= 1.0 for pc in rep.p_c_per_pair)
+                assert all(0.0 <= m <= 1.0 for m in rep.miss_per_pair)
                 assert 0.0 <= rep.p_err_exact <= 1.0
+
+
+def test_report_keeps_misses_where_one_minus_rounds_to_one(case1, case2):
+    """At high SNR every pair's miss lies far below the spacing of doubles
+    next to 1, so 1 - miss reads exactly 1.0; the report keeps each miss
+    in tail form, positive, on the line the tail past the pair's decision
+    interval, and p_err_exact is their prior-weighted sum."""
+    for cc, sigma2 in ((t2_cc(case1), 10.0**-2.6), (build_cc(-1.0, 0.8, -0.9, 0.7, 0.707, case2),
+                                                     0.004)):
+        rep = exact_error(cc, sigma2)
+        assert all(m > 0.0 and 1.0 - m == 1.0 for m in rep.miss_per_pair), rep
+        assert rep.p_err_exact == math.fsum(
+            p * m for p, m in zip(cc.priors.as_tuple(), rep.miss_per_pair))
+        if rep.method == "collinear":
+            for uv, miss in zip(BIT_PAIRS, rep.miss_per_pair):
+                lo, hi, _ = collinear_decision_interval(cc, sigma2, uv)
+                want = qfunc(hi / math.sqrt(sigma2)) + qfunc(-lo / math.sqrt(sigma2))
+                assert abs(miss - want) <= 5e-13 * want, uv
+        else:
+            assert rep.method == "planar"
 
 
 def test_translation_invariance(case2):

@@ -894,6 +894,33 @@ def test_perfbench_tracer_finds_its_wrap_points():
     _run_child("from spans import Tracer; Tracer().install()", os.path.join(REPO, "perfbench"))
 
 
+_TRACED_SWEEP = """
+import contextlib, io
+from spans import Tracer, layer_metrics
+from workload import commands
+tracer = Tracer()
+tracer.install()
+from gmacpam import cli
+# the collinear-design workload's first command: the fig4 source at grid 400, 10 dB
+(_, argv), *_ = commands("collinear-design", 1, {out!r})
+span = tracer.begin_pass(0)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+tracer.end_pass(span)
+m = layer_metrics(tracer.spans, 0, 1)
+print(repr((code, *(m["kernels.collinear_pe_batch." + k] for k in ("rows", "calls", "bytes_computed")))))
+"""
+
+
+def test_perfbench_trace_counts_search_kernel_rows(tmp_path):
+    # the benchmark's trace mode reads the kernel's rows from its first
+    # argument and its bytes from the first two and the result; a renamed or
+    # re-signed kernel would break a traced run, so run its fig4 search with
+    # the tracer installed: 590 rows in 7 calls, d1, d2 and the scores 8 B each
+    out = _run_child(_TRACED_SWEEP.format(out=str(tmp_path)), os.path.join(REPO, "perfbench"))
+    assert out.strip() == repr((0, 590, 7, 590 * 24))
+
+
 _SCALAR_CLI = """
 import contextlib, io, sys
 from gmacpam.cli import main

@@ -471,14 +471,14 @@ def _assert_on_shells(res, pri):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(rows, scores) of every call of the two batch kernels, in call order."""
+    """(d1, d2, scores) of every call of the two batch kernels, in call order."""
     from gmacpam import _kernels
 
     calls = []
     for attr in ("collinear_pe_batch", "planar_pe_batch"):
-        def counted(points, priors, sigma2, kernel=getattr(_kernels, attr)):
-            calls.append((points, kernel(points, priors, sigma2)))
-            return calls[-1][1]
+        def counted(d1, d2, priors, sigma2, kernel=getattr(_kernels, attr)):
+            calls.append((d1, d2, kernel(d1, d2, priors, sigma2)))
+            return calls[-1][2]
 
         monkeypatch.setattr(_kernels, attr, counted)
     return calls
@@ -547,8 +547,8 @@ def test_search_admits_merged_designs_not_zero_separations(case1, gamma_phi, ker
     assert list(zip(d1, d2)) == [(dm, -dm), (dm, -dm / 2), (dm, 0.0), (dm, dm / 2), (dm, dm),
                                  (dm / 2, dm), (0.0, 0.0), (dm / 2, -dm)]
     pe = _loop_scorer(inp, (dm, dm))(n, 2)
-    ((rows, _),) = kernel_calls
-    assert len(rows) == 6 and np.isinf(pe[[2, 6]]).all()
+    ((sent, _, _),) = kernel_calls
+    assert len(sent) == 6 and np.isinf(pe[[2, 6]]).all()
     for k in (0, 1, 3, 4, 5, 7):
         cc = combine(*from_amplitudes(*_placed(inp, d1[k], d2[k]), gamma_phi), case1)
         rep = exact_error(cc, inp.sigma2)
@@ -572,7 +572,7 @@ def test_search_loop_drops_what_the_coincidence_rule_calls_zero(kernel_calls):
     assert np.isinf(_loop_scorer(inp, dmax)(n.ravel(), size)).tolist() == zero.tolist()
     kernel_calls.clear()
     res = numerical_search(inp, grid=23)
-    assert kernel_calls and all(np.isfinite(pe).all() for _, pe in kernel_calls)
+    assert kernel_calls and all(np.isfinite(pe).all() for *_, pe in kernel_calls)
     assert res.p_err == pytest.approx(exact_error(res.combined(inp), 0.1).p_err_exact,
                                       rel=1e-12)
 
@@ -875,7 +875,7 @@ def test_search_batches_stay_bounded(case2, kernel_calls):
     for grid, rounds in ((10, 1), (40, 1), (41, 5), (400, 6), (10**6, 10), (10**30, 14)):
         kernel_calls.clear()
         res = numerical_search(inp, grid=grid)
-        sizes = [len(rows) for rows, _ in kernel_calls]
+        sizes = [len(d1) for d1, _, _ in kernel_calls]
         assert sizes[0] == 158
         assert len(sizes) == 1 + rounds
         assert max(sizes[1:]) <= 84
@@ -896,11 +896,12 @@ def test_search_rows_score_alone_as_in_their_batch(request, kernel_calls, which,
     priors = inp.priors.as_array()
     kernel = getattr(_kernels, "collinear_pe_batch" if gamma_phi == 1.0 else "planar_pe_batch")
     assert len(sent) == 7
-    for rows, pe in sent:
+    for d1, d2, pe in sent:
         finite = np.isfinite(pe)
         assert finite.any()
-        alone = np.array([kernel(row[None], priors, s2)[0] for row in rows])
-        for got in (alone, kernel(rows[::-1], priors, s2)[::-1], kernel(rows, priors, s2)):
+        alone = np.array([kernel(d1[k:k + 1], d2[k:k + 1], priors, s2)[0] for k in range(len(d1))])
+        for got in (alone, kernel(d1[::-1], d2[::-1], priors, s2)[::-1],
+                    kernel(d1, d2, priors, s2)):
             assert np.array_equal(got[finite], pe[finite])
 
 
@@ -924,21 +925,22 @@ def test_search_scores_each_candidate_once(request, kernel_calls, which, gamma_p
     s2 = convert_snr(10.0, "sum-energy", 1.0, 1.0, gamma_phi)
     numerical_search(DesignInput(request.getfixturevalue(which), 1.0, 1.0, gamma_phi, s2),
                      grid=grid)
-    sent = np.concatenate([rows for rows, _ in kernel_calls])
-    assert len(np.unique(sent, axis=0)) == len(sent)
-    assert (sent[:, 1:3] != 0.0).all()
+    d1 = np.concatenate([d1 for d1, _, _ in kernel_calls]).tolist()
+    d2 = np.concatenate([d2 for _, d2, _ in kernel_calls]).tolist()
+    assert len(set(zip(d1, d2))) == len(d1)
+    assert 0.0 not in d1 and 0.0 not in d2
     assert len(kernel_calls) == (2 if grid == 10 else 7)
-    assert sum(len(rows) for rows, _ in kernel_calls) == LOOP_ROWS[which, gamma_phi]
+    assert len(d1) == LOOP_ROWS[which, gamma_phi]
     assert LOOP_ROWS[which, gamma_phi] <= (221 if grid == 10 else grid_rows / 3)
 
 
 # sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped, branch)
 # over _search_digest_cases(tier), recorded when the batch kernels came to
-# sum each row's prior-weighted misses in pair order, so that a row's score
-# depends on that row alone
+# take each design's separations (d1, d2) and write its rival differences
+# in closed form
 SEARCH_DIGEST_SHA256 = {
-    "sparse": "e538c8c1fa5534bbb73f073460b96436c887766fb0c67540ced8bec8dbd5399e",
-    "dense": "5a81ed15f94a64af9573aafcce9cc0ba4d2231a0563bd39e162e1b3944844bb0",
+    "sparse": "0d5ce1a0c444f0502c0c481a14e37d315f8e362ecb90361d94efc310fea10b34",
+    "dense": "fec3055031c02c129689bd394c272a88853b1f776ec5849e3f06c5cc92a9d196",
 }
 
 

@@ -95,18 +95,22 @@ def test_bijectivity(uniform):
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_tolerance_edge_agrees_everywhere(uniform, factor):
     """A pair of points factor x the coincidence tolerance apart reads as
-    coincident (0.5) or distinct (2) on every path alike. Equal priors make
-    the line's answer hinge on it: a coincident pair leaves its later point
-    no region, a distinct one splits the shared region at the midpoint."""
+    coincident (0.5) or distinct (2) on every path alike. In the plane that
+    is sender 1's separation (a short d2 would put all four points within
+    the tolerance of the real axis); on the line a design a gap short of
+    merged (d1 = +-d2), and equal priors make the line's answer hinge on
+    it: a coincident pair leaves its later point no region, a distinct one
+    splits the shared region at the midpoint. Each constellation is the
+    translate {0, d2, d1, d1 + d2}, whose largest magnitude sets the
+    kernels' scale."""
     sigma2 = 0.1
     priors = uniform.as_array()
-    far = complex(-2.0, 0.5)  # the largest magnitude, so it fixes the scale
-    gap = factor * coincidence_tol(abs(far))
-    a00 = complex(0.1, 0.1)
-    cc = CombinedConstellation(a00, a00 + gap, far, complex(0.5, -1.5), uniform)
     distinct = factor > 1.0
+    d2 = complex(1.2, -1.6)  # |d2| = 2, the scale up to the gap
+    d1 = factor * coincidence_tol(abs(d2))
+    cc = CombinedConstellation(0j, d2, complex(d1), d1 + d2, uniform)
     assert is_bijective(cc) == distinct
-    batch = K.planar_pe_batch(cc.as_array()[None, :], priors, sigma2)[0]
+    batch = K.planar_pe_batch(np.array([d1]), np.array([d2]), priors, sigma2)[0]
     if distinct:
         assert 0.0 < exact_error_planar(cc, sigma2).p_err_exact < 1.0
         assert np.isfinite(batch)
@@ -115,11 +119,14 @@ def test_tolerance_edge_agrees_everywhere(uniform, factor):
             exact_error_planar(cc, sigma2)
         assert batch == np.inf
     # on a line the collinear kernel resolves the pair as the scalar path does
-    line = CombinedConstellation(complex(0.1), complex(0.1 + gap), complex(-2.0),
-                                 complex(0.7), uniform)
-    want = exact_error_collinear(line, sigma2).p_err_exact
-    got = K.collinear_pe_batch(line.as_array().real[None, :], priors, sigma2)[0]
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    d1 = 2.0
+    for sign, scale in ((-1.0, d1), (1.0, 2.0 * d1)):
+        d2 = sign * (d1 - factor * coincidence_tol(scale))
+        line = CombinedConstellation(0j, complex(d2), complex(d1), complex(d1 + d2), uniform)
+        assert is_bijective(line) == distinct
+        want = exact_error_collinear(line, sigma2).p_err_exact
+        got = K.collinear_pe_batch(np.array([d1]), np.array([d2]), priors, sigma2)[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_check_energy():
@@ -187,5 +194,8 @@ def test_scalar_coincidence_tol_is_the_batch_rule(scale):
     # tolerance the batch kernels give the same scale, bit for bit
     tol = coincidence_tol(scale)
     assert type(tol) is float
-    row = K._row_tol(np.array([[0.0, -scale, 0.0, 0.5 * scale]]))
-    assert struct.pack("<d", tol) == struct.pack("<d", float(row[0]))
+    # the designs (-scale, 0) and (0, scale), whose largest point magnitude is scale
+    _, _, batch = K._rival(np.array([-scale, 0.0]), np.array([0.0, scale]),
+                           np.full(4, 0.25), 1.0)
+    for row in batch.tolist():
+        assert struct.pack("<d", tol) == struct.pack("<d", row)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -529,20 +530,44 @@ def test_batch_tail_matches_scalar_tail():
     assert math.isnan(got[-3]) and got[-2] == 0.0 and got[-1] == 1.0
 
 
+# Random designs keep every component on this dyadic grid, so a translate by
+# a grid vector holds the design's separations bit for bit.
+_GRID = 2.0**-30
+
+
+def _on_grid(x):
+    return np.round(x / _GRID) * _GRID
+
+
+def _designs(rng, gamma_phi, n):
+    """n random designs (d1, d2) on the grid: separations uniform on
+    (-4, 4), sender 2's along sender2_axis(gamma_phi), real on the line."""
+    d1 = _on_grid(rng.uniform(-4.0, 4.0, n))
+    d2 = rng.uniform(-4.0, 4.0, n) * sender2_axis(gamma_phi)
+    if abs(gamma_phi) == 1.0:
+        return d1, _on_grid(d2.real)
+    return d1, _on_grid(d2.real) + 1j * _on_grid(d2.imag)
+
+
+def _translate(rng, d1, d2, priors):
+    """The constellation {t, t + d2, t + d1, t + d1 + d2} of the design
+    (d1, d2) at a random grid translate t, real when d2 is."""
+    t = complex(*_on_grid(rng.uniform(-2.0, 2.0, 2)))
+    if not isinstance(d2, complex):
+        t = complex(t.real)
+    return CombinedConstellation(t, t + d2, t + d1, t + d1 + d2, priors)
+
+
 def test_collinear_batch_matches_exact(case1, case2):
+    """Each design's batch error is the scalar error of a random translate."""
     rng = np.random.Generator(np.random.PCG64(55))
     for pri in (case1, case2):
         for snr in BATCH_SNRS_DB:
             sigma2 = 10.0 ** (-snr / 10.0)
-            pts = np.sort(rng.uniform(-2.0, 2.0, size=(64, 4)), axis=1)
-            pts += rng.uniform(0.05, 0.2, size=(64, 1)) * np.arange(4)  # keep gaps
-            pe = K.collinear_pe_batch(pts, pri.as_array(), sigma2)
-            want = [
-                exact_error_collinear(
-                    CombinedConstellation(*map(complex, row), pri), sigma2
-                ).p_err_exact
-                for row in pts
-            ]
+            d1, d2 = _designs(rng, 1.0, 64)
+            pe = K.collinear_pe_batch(d1, d2, pri.as_array(), sigma2)
+            want = [exact_error_collinear(_translate(rng, a, b, pri), sigma2).p_err_exact
+                    for a, b in zip(d1.tolist(), d2.tolist())]
             _assert_batch_matches(pe, want)
 
 
@@ -551,41 +576,58 @@ def test_collinear_batch_keeps_tail_precision(case1):
     for snr in (20.0, 22.0, 24.0, 30.0, 36.0):
         sigma2 = 2.0 / 10.0 ** (snr / 10.0)
         inp = DesignInput(case1, 1.0, 1.0, 1.0, sigma2)
-        cc = design_collinear(inp).combined(inp)
-        want = exact_error_collinear(cc, sigma2).p_err_exact
-        got = K.collinear_pe_batch(cc.as_array().real[None, :], case1.as_array(), sigma2)
+        res = design_collinear(inp)
+        want = exact_error_collinear(res.combined(inp), sigma2).p_err_exact
+        got = K.collinear_pe_batch(np.array([res.a11 - res.a10]), np.array([res.a21 - res.a20]),
+                                   case1.as_array(), sigma2)
         assert 0.0 < want < 1e-9
         assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_collinear_batch_coincident_rivals(case1):
-    # a00 = a01: the more probable pair keeps the shared point, the other
-    # misses surely, exactly as the scalar path resolves it
-    row = np.array([[-1.0, -1.0, 0.5, 2.0]])
-    cc = CombinedConstellation(*map(complex, row[0]), case1)
-    want = exact_error_collinear(cc, 0.1).p_err_exact
-    assert K.collinear_pe_batch(row, case1.as_array(), 0.1)[0] == pytest.approx(want, rel=1e-12)
-    assert want >= case1.prob(0, 1)
+def test_collinear_batch_coincident_rivals(case1, case2):
+    # merged designs: d1 = d2 puts a01 on a10, d1 = -d2 puts a00 on a11; the
+    # more probable pair (the lower index on a tie) keeps the shared point,
+    # the other misses surely, exactly as the scalar path resolves it
+    d1 = np.array([0.75, -1.5, 0.75, -2.0])
+    d2 = np.array([0.75, -1.5, -0.75, 2.0])
+    rng = np.random.Generator(np.random.PCG64(56))
+    for pri in (case1, case2):
+        p = pri.as_array()
+        got = K.collinear_pe_batch(d1, d2, p, 0.1)
+        for k, (a, b) in enumerate(zip(d1.tolist(), d2.tolist())):
+            want = exact_error_collinear(_translate(rng, a, b, pri), 0.1).p_err_exact
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+            i, j = (1, 2) if a == b else (0, 3)
+            assert want >= p[j if p[i] >= p[j] else i]
 
 
-def _planar_rows(rng, gamma_phi, n):
-    """n random amplitude quadruples placed as combined points."""
-    u2 = sender2_axis(gamma_phi)
-    a = rng.uniform(-2.0, 2.0, size=(n, 4))
-    s1 = a[:, :2]
-    s2 = a[:, 2:] * u2
-    return np.stack(
-        [s1[:, 0] + s2[:, 0], s1[:, 0] + s2[:, 1], s1[:, 1] + s2[:, 0], s1[:, 1] + s2[:, 1]],
-        axis=1,
-    )
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 2.0**-1030, 1.0, 1e300, math.inf, math.nan])
+def test_rival_blocks_are_the_separations(case2, scale):
+    """The x and y blocks of the rival table are +-d1 and +-d2 bit for bit,
+    signed (1 - 2u) and (1 - 2v) for point uv, the d block their sum, and
+    each design's tolerance is the scalar rule at its largest point
+    magnitude max(|d1|, |d2|, |d1 + d2|), NaN and inf included. The
+    magnitudes are numpy's: its complex abs can differ from Python's by an
+    ulp (|-0.5 u2| at gamma_phi 0.383 reads 0.49999999999999994 against
+    0.5)."""
+    d1 = scale * np.array([1.0, -1.0, 0.5])
+    for d2 in (np.array([0.0, 0.75, -0.5]), np.array([0.0, 0.75, -0.5]) * sender2_axis(0.383)):
+        c, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
+        x = np.array([d1, d1, -d1, -d1], dtype=c.dtype)
+        y = np.array([d2, -d2, d2, -d2], dtype=c.dtype)
+        assert c[:4].tobytes() == x.tobytes() and c[4:8].tobytes() == y.tobytes()
+        assert c[8:].tobytes() == (x + y).tobytes()
+        for k, mags in enumerate(zip(*(np.abs(v).tolist() for v in (d1, d2, d1 + d2)))):
+            assert struct.pack("<d", coincidence_tol(max(mags))) == struct.pack("<d", tol[k])
 
 
-def _alpha(row, priors, sigma2):
-    """Diagonal offsets alpha_uv of the four pairs (see analysis)."""
+def _alpha(d1, d2, priors, sigma2):
+    """Diagonal offsets alpha_uv of the four pairs of the design (d1, d2)
+    (see analysis)."""
     out = []
     for uv in range(4):
-        c_x = row[uv ^ 2] - row[uv]
-        c_y = row[uv ^ 1] - row[uv]
+        c_x = (1 - 2 * (uv >> 1)) * d1
+        c_y = (1 - 2 * (uv & 1)) * d2
         ratio = priors[uv] * priors[uv ^ 3] / (priors[uv ^ 2] * priors[uv ^ 1])
         out.append(sigma2 * np.log(ratio) - (c_x * np.conj(c_y)).real)
     return out
@@ -593,21 +635,21 @@ def _alpha(row, priors, sigma2):
 
 @pytest.mark.parametrize("gamma_phi", [0.0, 0.383, 0.707, 0.924])
 def test_planar_batch_matches_exact(case1, case2, gamma_phi):
+    """Each design's batch error is the scalar error of a random translate,
+    over both alpha branches."""
     rng = np.random.Generator(np.random.PCG64(57))
     branches = set()
     for pri in (case1, case2):
         priors = pri.as_array()
         for snr in BATCH_SNRS_DB:
             sigma2 = 10.0 ** (-snr / 10.0)
-            pts = _planar_rows(rng, gamma_phi, 32)
-            pe = K.planar_pe_batch(pts, priors, sigma2)
-            want = [
-                exact_error_planar(CombinedConstellation(*row, pri), sigma2).p_err_exact
-                for row in pts
-            ]
+            d1, d2 = _designs(rng, gamma_phi, 32)
+            pe = K.planar_pe_batch(d1, d2, priors, sigma2)
+            want = []
+            for a, b in zip(d1.tolist(), d2.tolist()):
+                want.append(exact_error_planar(_translate(rng, a, b, pri), sigma2).p_err_exact)
+                branches.update(x > 0.0 for x in _alpha(a, b, priors, sigma2))
             _assert_batch_matches(pe, want)
-            for row in pts:
-                branches.update(a > 0.0 for a in _alpha(row, priors, sigma2))
     assert branches == {True, False}
 
 
@@ -615,28 +657,30 @@ def test_planar_batch_non_bijective_is_inf(case2):
     from gmacpam.errors import NonBijective
 
     u2 = complex(0.5, np.sqrt(0.75))
-    good = [-1.0 - u2, -1.0 + u2, 1.0 - u2, 1.0 + u2]
-    # sender 2's own points coincide; then sender 1's within the tolerance
-    same_s2 = [-1.0 + u2, -1.0 + u2, 1.0 + u2, 1.0 + u2]
-    near_s1 = [0.3 - u2, 0.3 + u2, 0.3 + 1e-11 - u2, 0.3 + 1e-11 + u2]
-    pe = K.planar_pe_batch(np.array([good, same_s2, near_s1]), case2.as_array(), 0.1)
+    # a design; then sender 2's own points coincide, sender 1's lie within
+    # the tolerance, and a01 sits on a10 (d2 = d1)
+    d1 = np.array([2.0, 2.0, 1e-11, 1.5])
+    d2 = np.array([2.0 * u2, 0.0, 2.0 * u2, 1.5])
+    pe = K.planar_pe_batch(d1, d2, case2.as_array(), 0.1)
     assert np.isfinite(pe[0])
-    assert pe[1] == np.inf and pe[2] == np.inf
-    with pytest.raises(NonBijective):
-        exact_error_planar(CombinedConstellation(*near_s1, case2), 0.1)
+    assert (pe[1:] == np.inf).all()
+    # off the real axis, so the scalar path takes them as planar
+    t = u2 - 1.0
+    for a, b in zip(d1[1:].tolist(), d2[1:].tolist()):
+        with pytest.raises(NonBijective):
+            exact_error_planar(CombinedConstellation(t, t + b, t + a, t + a + b, case2), 0.1)
 
 
 # sha256 of the repr of every planar_pe_batch value over _planar_digest_batches(),
-# recorded when the kernel came to sum each row's prior-weighted misses in
-# pair order
-PLANAR_BATCH_SHA256 = "c10deb94681b4fe2aa29a067f4f18f4b5b95fed6097eb57acc6d794befe71d85"
+# recorded when the kernel came to take each design's separations
+PLANAR_BATCH_SHA256 = "5ea8e2dd85b55c163b05d3e6c83f65d2b2ddc3af7d47cc671da4061c37ca7340"
 
 
 def _planar_digest_batches(case1, case2):
-    """(rows, priors, sigma2) of the planar batch digest: 100 random rows
-    (_planar_rows) for each source, gamma_phi of {0, 0.383, 0.707, 0.924}
-    and sigma2 of {1, 0.1, 0.01}, 2 400 rows; then the rows {0, d2 u2, 1,
-    1 + d2 u2}, d2 = +-0.1 ... +-2, at gamma_phi 0 and 0.707, the case-2
+    """(d1, d2, priors, sigma2) of the planar batch digest: 100 random
+    designs (_designs) for each source, gamma_phi of {0, 0.383, 0.707,
+    0.924} and sigma2 of {1, 0.1, 0.01}, 2 400 designs; then d1 = 1 and d2 =
+    +-0.1 ... +-2 along sender 2's axis at gamma_phi 0 and 0.707, the case-2
     source and the sigma2 that makes a00's bound against a10 an exact
     zero."""
     rng = np.random.Generator(np.random.PCG64(59))
@@ -644,46 +688,41 @@ def _planar_digest_batches(case1, case2):
     for pri in (case1, case2):
         for gamma_phi in (0.0, 0.383, 0.707, 0.924):
             for sigma2 in (1.0, 0.1, 0.01):
-                batches.append((_planar_rows(rng, gamma_phi, 100), pri.as_array(), sigma2))
+                batches.append((*_designs(rng, gamma_phi, 100), pri.as_array(), sigma2))
     priors = case2.as_array()
     sigma2 = -0.5 / float(np.log(priors[0] / priors[2]))
     d2 = np.concatenate([-np.arange(1, 21) / 10.0, np.arange(1, 21) / 10.0])
     for gamma_phi in (0.0, 0.707):
-        s2 = d2 * sender2_axis(gamma_phi)
-        rows = np.stack([np.zeros_like(s2), s2, 1.0 + 0.0 * s2, 1.0 + s2], axis=1)
-        batches.append((rows, priors, sigma2))
+        batches.append((np.ones(d2.size), d2 * sender2_axis(gamma_phi), priors, sigma2))
     return batches
 
 
 def test_planar_batch_frozen_digest(case1, case2):
-    """Every planar_pe_batch value, bit for bit, over rows that take both
+    """Every planar_pe_batch value, bit for bit, over designs that take both
     alpha branches, an exact zero bound and a zero correlation."""
     h = hashlib.sha256()
     branches, zero_bound, zero_rho = set(), False, False
-    for rows, priors, sigma2 in _planar_digest_batches(case1, case2):
-        h.update(" ".join(map(repr, K.planar_pe_batch(rows, priors, sigma2).tolist())).encode()
+    for d1, d2, priors, sigma2 in _planar_digest_batches(case1, case2):
+        h.update(" ".join(map(repr, K.planar_pe_batch(d1, d2, priors, sigma2).tolist())).encode()
                  + b"\n")
-        for row in rows:
-            branches.update(a > 0.0 for a in _alpha(row, priors, sigma2))
-        (c_x, z_x), (c_y, _), _ = (K._rival(rows, priors, sigma2, idx) for idx in K._RIVALS)
-        zero_bound |= bool(np.any(z_x == 0.0))
-        zero_rho |= bool(np.any(K._pair_corr(c_x, c_y) == 0.0))
+        for a, b in zip(d1.tolist(), d2.tolist()):
+            branches.update(x > 0.0 for x in _alpha(a, b, priors, sigma2))
+        c, z, _ = K._rival(d1, d2, priors, sigma2)
+        zero_bound |= bool(np.any(z[:4] == 0.0))
+        zero_rho |= bool(np.any(K._pair_corr(c[:4], c[4:8]) == 0.0))
     assert branches == {True, False} and zero_bound and zero_rho
     assert h.hexdigest() == PLANAR_BATCH_SHA256
 
 
 @pytest.mark.parametrize("gamma_phi", [1.0, -1.0, 0.383, 0.924])
 def test_batch_errors_invariant_under_negation(case1, case2, gamma_phi):
-    """Mirroring every row through the origin leaves both batch errors
+    """Negating both separations of every design leaves both batch errors
     bit-identical, so numerical_search need not score the mirror images."""
     rng = np.random.Generator(np.random.PCG64(61))
-    collinear = abs(gamma_phi) == 1.0
-    kernel = K.collinear_pe_batch if collinear else K.planar_pe_batch
+    kernel = K.collinear_pe_batch if abs(gamma_phi) == 1.0 else K.planar_pe_batch
     for pri in (case1, case2):
         for sigma2 in np.logspace(0.0, -3.0, 7):
-            pts = _planar_rows(rng, gamma_phi, 500)
-            if collinear:
-                pts = pts.real
-            pe = kernel(pts, pri.as_array(), sigma2)
+            d1, d2 = _designs(rng, gamma_phi, 500)
+            pe = kernel(d1, d2, pri.as_array(), sigma2)
             assert np.all(np.isfinite(pe))
-            assert np.array_equal(kernel(-pts, pri.as_array(), sigma2), pe)
+            assert np.array_equal(kernel(-d1, -d2, pri.as_array(), sigma2), pe)

@@ -43,8 +43,8 @@ _RECORDS = {
         "CombinedConstellation(a00=(-2+0j), a01=0j, a10=(0.5+0j), a11=(2.5+0j), "
         "priors=JointSourceDistribution(p00=0.25, p01=0.25, p10=0.25, p11=0.25))"),
     "ErrorReport": (
-        lambda: ErrorReport(1e-3, (0.999, 0.998, 0.997, 0.9995), "collinear", 1.5e-3, True),
-        "ErrorReport(p_err_exact=0.001, p_c_per_pair=(0.999, 0.998, 0.997, 0.9995), "
+        lambda: ErrorReport(1e-3, (0.001, 0.002, 0.003, 0.0005), "collinear", 1.5e-3, True),
+        "ErrorReport(p_err_exact=0.001, miss_per_pair=(0.001, 0.002, 0.003, 0.0005), "
         "method='collinear', p_err_union=0.0015, bijective=True)"),
     "DesignInput": (
         lambda: DesignInput(JointSourceDistribution(*_CELLS), 1.0, 2.0, 0.5, 0.1),
