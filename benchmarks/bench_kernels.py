@@ -51,11 +51,13 @@ sample of its rows before it is timed. Each side times its kernel on the
 arguments its own search gave it (each design's separations (d1, d2);
 an older checkout's kernels take four points a row). The
 scalar rows give microseconds per call of exact_error on the same two
-constellations, of union_bound and of the two collinear threshold views
-on the collinear one (threshold: collinear_pair_threshold of a00 against
-a11; interval: collinear_decision_interval of a10), and of the joint
-designer at the case-1 source, 18 dB table convention, for gamma_phi = 1
-(collinear) and 0.924 (planar). A constellation keeps the noise-free half
+constellations (on each, union_bound is first checked to equal the
+report's p_err_union and to be at least p_err_exact), of union_bound and
+of the two collinear threshold views on the collinear one (threshold:
+collinear_pair_threshold of a00 against a11; interval:
+collinear_decision_interval of a10), and of the joint designer at the
+case-1 source, 18 dB table convention, for gamma_phi = 1 (collinear) and
+0.924 (planar). A constellation keeps the noise-free half
 of its pairwise table after its first exact-error call, so the exact,
 union and view rows time the per-noise-level half; the
 exact-collinear-first and exact-planar-first rows time exact_error on a
@@ -304,6 +306,9 @@ def bench_scalar(g):
     case1 = g.sources.from_marginals_correlation(0.1, 0.1, 0.9)
     joint_collinear = g.design.DesignInput(case1, 1.0, 1.0, 1.0, 10.0**-1.8)
     joint_planar = g.design.DesignInput(case1, 1.0, 1.0, 0.924, 10.0**-1.8)
+    for cc, s2 in ((collinear, s2c), (planar, s2p)):
+        rep = a.exact_error(cc, s2)
+        assert a.union_bound(cc, s2) == rep.p_err_union >= rep.p_err_exact, cc
     rows = []
     for name, fn in (
         ("exact-collinear", lambda: a.exact_error(collinear, s2c)),

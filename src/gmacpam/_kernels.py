@@ -369,12 +369,14 @@ _RIVAL = np.concatenate((_UV ^ 2, _UV ^ 1, _UV ^ 3))
 
 
 def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
-    """Difference vectors c and bounds z of the rival table of m designs, and
-    each design's coincidence tolerance.
+    """Difference vectors c, their magnitudes dist and bounds z of the rival
+    table of m designs, and each design's coincidence tolerance.
 
     A design's points are {t, t + d2, t + d1, t + d1 + d2} for any translate
     t, so point uv's rivals lie at (1 - 2u) d1 (x), (1 - 2v) d2 (y) and their
-    sum (d), the blocks of analysis._planar_point. z is analysis._tails'
+    sum (d), the blocks of analysis._planar_point. A magnitude is hypot of
+    the parts, as Python's abs of a complex (numpy's complex abs can differ
+    by an ulp); rows 10 and 11 negate rows 9 and 8. z is analysis._tails'
     z[4 uv + lm], -(|c|^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma |c|). The
     tolerance is geometry.coincidence_tol of the translate t = 0's largest
     point magnitude, max(|d1|, |d2|, |d1 + d2|).
@@ -385,7 +387,14 @@ def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
     c[4:8:2] = d2
     np.negative(d2, out=c[5:8:2])
     np.add(c[:4], c[4:8], out=c[8:])
-    dist = np.abs(c)
+    if c.dtype.kind == "c":
+        dist = np.empty((12, d1.size))
+        dist[:4] = np.abs(d1)
+        dist[4:8] = np.hypot(d2.real, d2.imag)
+        np.hypot(c[8:10].real, c[8:10].imag, out=dist[8:10])
+        dist[10:] = dist[9:7:-1]
+    else:  # hypot(x, 0) = |x|, as np.abs gives it
+        dist = np.abs(c)
     tol = np.maximum(np.maximum(dist[0], dist[4]), dist[8])
     np.maximum(tol, SCALE_FLOOR, out=tol)
     tol *= COINCIDENCE_RTOL
@@ -393,7 +402,7 @@ def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = dist**2 / 2.0 + (sigma2 * np.log(p[_OWN] / p[_RIVAL]))[:, None]
         z = -t / (math.sqrt(sigma2) * dist)
-    return c, z, tol
+    return c, dist, z, tol
 
 
 def collinear_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
@@ -410,7 +419,7 @@ def collinear_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
     index). A row's error adds its four prior-weighted misses in pair order.
     """
     p = np.asarray(priors, dtype=np.float64)
-    c, z, tol = _rival(d1, d2, p, sigma2)
+    c, dist, z, tol = _rival(d1, d2, p, sigma2)
     # each rival's bound on the side of the point it sits on, -inf on the other
     bound = np.full((2, *z.shape), -np.inf)
     np.copyto(bound[0], z, where=c > tol)
@@ -420,7 +429,7 @@ def collinear_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
     np.maximum(top, bound[:, 8:], out=top)
     tail = _qfunc_array(np.negative(top, out=top))
     miss = np.minimum(tail[0] + tail[1], 1.0)
-    coincident = np.abs(c) <= tol
+    coincident = dist <= tol
     if coincident.any():
         loses = (p[_OWN] < p[_RIVAL]) | ((p[_OWN] == p[_RIVAL]) & (_OWN > _RIVAL))
         miss[np.logical_or.reduce((coincident & loses[:, None]).reshape(3, 4, -1))] = 1.0
@@ -461,9 +470,9 @@ def _bvn_lower_orthant(h: np.ndarray, k: np.ndarray, rho: np.ndarray,
     return val
 
 
-def _pair_corr(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
-    """Cosine between difference vectors, clipped as analysis._pair_corr."""
-    denom = np.abs(c_a) * np.abs(c_b)
+def _pair_corr(c_a: np.ndarray, c_b: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Cosine between difference vectors, given the product of their
+    lengths, clipped as analysis._pair_corr."""
     dot = c_a.real * c_b.real + c_a.imag * c_b.imag
     rho = np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0)
     return np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT, out=rho)
@@ -483,9 +492,9 @@ def planar_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
     weighted misses in pair order.
     """
     p = np.asarray(priors, dtype=np.float64)
-    c, z, tol = _rival(d1, d2, p, sigma2)
+    c, dist, z, tol = _rival(d1, d2, p, sigma2)
     # the 12 ordered pairs hold each of the 6 pairs twice
-    bijective = np.logical_and.reduce(np.abs(c) > tol, axis=0)
+    bijective = np.logical_and.reduce(dist > tol, axis=0)
     # tail = Phi(z), the marginals each orthant needs
     tail = _qfunc_array(-z)
     c_x, c_y = c[:4], c[4:8]
@@ -502,8 +511,8 @@ def planar_pe_batch(d1: np.ndarray, d2: np.ndarray, priors: np.ndarray,
     on = 4 * x.shape[1] * wedge
     h = np.concatenate(((x + 2 * on).ravel(), x[wedge] + 2 * wedge.size))
     k = np.concatenate(((x + wedge.size - on).ravel(), x[wedge] + wedge.size))
-    orthant = _bvn_lower_orthant(z.take(h), z.take(k), _pair_corr(c.take(h), c.take(k)),
-                                 tail.take(h), tail.take(k))
+    rho = _pair_corr(c.take(h), c.take(k), dist.take(h) * dist.take(k))
+    orthant = _bvn_lower_orthant(z.take(h), z.take(k), rho, tail.take(h), tail.take(k))
     miss = tail[:4] + tail[4:8]
     np.add(miss, tail[8:], out=miss, where=wedge)
     miss -= orthant[:wedge.size].reshape(wedge.shape)

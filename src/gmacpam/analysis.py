@@ -13,8 +13,8 @@ event that all three statistics are negative.
 Each exact-error and union-bound call reads one pairwise table for its
 constellation and noise level, in two halves. The noise-free half is built
 once per constellation object, on its first call, and kept with it: the
-points, the priors, the coincidence tolerance, the collinear and bijective
-flags, each distinct pair's distance d, d^2/2 and log prior ratios (a
+points, the priors, the collinear and bijective flags (by the coincidence
+tolerance), each distinct pair's distance d, d^2/2 and log prior ratios (a
 coincident pair's bound is +-inf), the side each collinear rival sits on,
 and each planar point's alpha_uv terms and pair correlations. The noise
 half is two flat lists filled per call, in one pass over the distinct
@@ -44,10 +44,12 @@ constellation:
 
 Both paths accumulate tail terms directly (never 1 - P_correct), keeping
 relative precision at arbitrarily small error rates. The union bound sums
-p_uv Pr(Delta_{uv,lm} > 0) over ordered pairs from the same table, starting
-each per-pair sum from the exact path's own leading floats so the bound
-cannot round below the exact value; the high-SNR variants replace the
-tilted thresholds by plain midpoints.
+p_uv Pr(Delta_{uv,lm} > 0) from the same table, each point's term its three
+rival tails added in one order on both paths (_union). Rounded addition of
+non-negatives is monotone, so a term is at least any two of its tails
+summed (the collinear miss) and at least its partial sums less orthants
+(the planar miss): the bound cannot round below the exact value. The
+high-SNR variants replace the tilted thresholds by midpoints.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool
 # and each point's rivals j != i in order with their flat index 4i + j.
 _PAIRS = tuple((i, j, 4 * i + j, 4 * j + i) for i in range(4) for j in range(i + 1, 4))
 _RIVALS = tuple(tuple((j, 4 * i + j) for j in range(4) if j != i) for i in range(4))
-# Each point's rivals that flip u, flip v and flip both, as flat indices 4i + j.
-_FLIPS = tuple((4 * i + (i ^ 2), 4 * i + (i ^ 1), 4 * i + (i ^ 3)) for i in range(4))
+# Each point i with its rivals that flip u, flip v and flip both, as flat indices 4i + j.
+_FLIPS = tuple((i, 4 * i + (i ^ 2), 4 * i + (i ^ 1), 4 * i + (i ^ 3)) for i in range(4))
 
 
 def _check_noise(sigma2: float) -> None:
@@ -165,7 +167,7 @@ class _PairGeometry:
     Point i = 2u + v is a_uv. After the input checks (every point finite,
     by cc.scale(), and the largest distance squaring to a finite number),
     one pass over the six unordered pairs fills: the points as stored, the
-    priors, the coincidence tolerance, the collinear and bijective flags;
+    priors, the collinear and bijective flags (by the coincidence tolerance);
     for each distinct pair, its two flat indices 4i + j and 4j + i, d^2/2,
     d and both log prior ratios (spread); for each coincident pair, z and
     tail at both flat indices (NaN elsewhere), resolved by the decoder's
@@ -180,7 +182,7 @@ class _PairGeometry:
     def __init__(self, cc: CombinedConstellation):
         self.pts = pts = cc.points
         self.priors = p = cc.priors.as_tuple()
-        self.tol = tol = coincidence_tol(cc.scale())
+        tol = coincidence_tol(cc.scale())
         # abs of a negated difference is bit-equal, so one distance per pair
         dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
         far = max(dist)
@@ -294,44 +296,35 @@ def collinear_decision_interval(
     return lo, hi, True
 
 
-def _line_terms(geo: _PairGeometry, z: list, tail: list) -> tuple[list[float], list[float]]:
-    """(miss probability, union term) of each point on the real axis.
+def _line_misses(geo: _PairGeometry, z: list, tail: list) -> list[float]:
+    """The miss probability of each point on the real axis.
 
     Q is monotone in the threshold, so on each side of point i the binding
-    rival is the one with the largest tail (the first met on a tie). The
-    miss probability sums those two tails, so it keeps full relative
-    precision however small it gets; it is capped at 1, which an empty
-    region reaches in exact arithmetic, and is 1 when a coincident rival
-    takes the shared point (z = +inf). The union term starts from the same
-    two floats and then adds the other rivals' tails in the order they drop
-    out; floating-point addition of non-negatives is monotone, so the
-    computed bound can never round below the computed exact value. The
+    rival is the one with the largest tail. The miss probability sums those
+    two tails, so it keeps full relative precision however small it gets;
+    it is capped at 1, which an empty region reaches in exact arithmetic,
+    and is 1 when a coincident rival takes the shared point (z = +inf). The
     side of each rival comes from the noise-free geometry, z and the tails
     from _tails.
     """
     side = geo.side
-    miss, terms = [], []
+    miss = []
     for rivals in _RIVALS:
-        below = above = 0.0  # binding tail on each side of i; a 0 swapped into rest adds 0
-        rest, dead = [], False
+        below = above = 0.0  # binding tail on each side of i
+        dead = False
         for _, k in rivals:
             t = tail[k]
             if side[k] > 0:
                 if t > above:
-                    above, t = t, above
+                    above = t
             elif side[k] < 0:
                 if t > below:
-                    below, t = t, below
+                    below = t
             else:
-                # only here can z = +inf leave core below 1: on a side its tail of 1 binds
+                # only here can z = +inf leave below + above under 1: on a side its tail of 1 binds
                 dead = dead or z[k] == math.inf
-            rest.append(t)
-        core = below + above
-        miss.append(1.0 if dead else min(1.0, core))
-        for t in rest:
-            core += t
-        terms.append(core)
-    return miss, terms
+        miss.append(1.0 if dead else min(1.0, below + above))
+    return miss
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +431,7 @@ def bvn_lower_orthant(h: float, k: float, rho: float) -> float:
     Owen's (1956) identity Phi2 = (Phi(h) + Phi(k))/2 - T(h, ah) - T(k, ak)
     - c, with Phi from qfunc and T from owens_t, so it runs on the math
     module alone; a zero bound takes T(0, +-inf) = +-1/4 exactly. Its error
-    is within 1e-15 of max(Phi(h), Phi(k)), the scale _planar_terms
+    is within 1e-15 of max(Phi(h), Phi(k)), the scale _planar_misses
     subtracts it from. NaN in h or k gives NaN. Correlations within 1e-12
     of +/-1 are rejected; callers should use the collinear path for
     effectively one-dimensional geometry.
@@ -497,15 +490,14 @@ def _planar_point(pts, p, i: int) -> tuple:
     c_d = pts[d] - pts[i]
     m_x, m_y, m_d = abs(c_x), abs(c_y), abs(c_d)
     cross = c_x.real * c_y.real + c_x.imag * c_y.imag
-    return (*_FLIPS[i], math.log(p[i] * p[d] / (p[x] * p[y])), cross,
+    return (*_FLIPS[i][1:], math.log(p[i] * p[d] / (p[x] * p[y])), cross,
             _pair_corr(c_d.real * c_x.real + c_d.imag * c_x.imag, m_d * m_x),
             _pair_corr(c_d.real * c_y.real + c_d.imag * c_y.imag, m_d * m_y),
             _pair_corr(cross, m_x * m_y))
 
 
-def _planar_terms(geo: _PairGeometry, sigma2: float, z: list,
-                  tail: list) -> tuple[list[float], list[float]]:
-    """(miss probability, union term) of each point off the real axis.
+def _planar_misses(geo: _PairGeometry, sigma2: float, z: list, tail: list) -> list[float]:
+    """The miss probability of each point off the real axis.
 
     Inclusion-exclusion over the three rival exceedance events, split on the
     diagonal offset alpha_uv. For alpha_uv <= 0 the two adjacent conditions
@@ -514,13 +506,11 @@ def _planar_terms(geo: _PairGeometry, sigma2: float, z: list,
     alpha_uv > 0 the joint adjacent event is a subset of the diagonal event,
     collapsing the triple term, and miss = T_x + T_y + T_d - B_dx - B_dy
     with B the diagonal-adjacent joint exceedances. Every piece is a small
-    orthant quantity, so miss keeps relative precision at high SNR; the
-    union term T_x + T_y + T_d extends the same partial sums by
-    non-negative tails only, so it cannot round below miss. Everything but
-    z, the tails and the sigma2 factor of alpha_uv comes from the noise-free
-    geometry (_planar_point).
+    orthant quantity, so miss keeps relative precision at high SNR.
+    Everything but z, the tails and the sigma2 factor of alpha_uv comes from
+    the noise-free geometry (_planar_point).
     """
-    miss, terms = [], []
+    miss = []
     for x, y, d, log_prior, cross, rho_dx, rho_dy, rho_xy in geo.planar:
         alpha = sigma2 * log_prior - cross
         adj = tail[x] + tail[y]
@@ -532,8 +522,7 @@ def _planar_terms(geo: _PairGeometry, sigma2: float, z: list,
         else:
             m = adj - _bvn(z[x], z[y], rho_xy, tail[x], tail[y])
         miss.append(min(1.0, max(0.0, m)))
-        terms.append(adj + tail[d])
-    return miss, terms
+    return miss
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +530,28 @@ def _planar_terms(geo: _PairGeometry, sigma2: float, z: list,
 # ---------------------------------------------------------------------------
 
 
+def _union(p: tuple, tail: list) -> float:
+    """Sum over the points of p_i (T_x + T_y + T_d), on either geometry."""
+    return math.fsum([p[i] * (tail[x] + tail[y] + tail[d]) for i, x, y, d in _FLIPS])
+
+
 def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     """Exact MAP error probability, routed by constellation geometry: one
-    pass fills z and the tails (_tails), takes each point's miss and union
-    term on the path the geometry takes and sums both over the priors."""
+    pass fills z and the tails (_tails), takes each point's miss on the path
+    the geometry takes, sums the misses over the priors and adds _union."""
     geo, z, tail = _tails(cc, sigma2)
     if geo.collinear:
         method = "collinear"
-        miss, terms = _line_terms(geo, z, tail)
+        miss = _line_misses(geo, z, tail)
     elif geo.bijective:
         method = "planar"
-        miss, terms = _planar_terms(geo, sigma2, z, tail)
+        miss = _planar_misses(geo, sigma2, z, tail)
     else:
         raise NonBijective("combined points coincide; planar analysis requires distinct points")
     p = geo.priors
     # by position: keywords make the named tuple's __new__ about twice as slow
     return ErrorReport(min(max(math.fsum(map(operator.mul, p, miss)), 0.0), 1.0),
-                       tuple(miss), method, math.fsum(map(operator.mul, p, terms)),
-                       geo.bijective)
+                       tuple(miss), method, _union(p, tail), geo.bijective)
 
 
 def exact_error_collinear(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
@@ -586,17 +579,12 @@ def union_bound(cc: CombinedConstellation, sigma2: float) -> float:
     """Sum of pairwise error probabilities p_uv Pr(Delta_{uv,lm} > 0).
 
     Coincident pairs contribute their deterministic outcome: the full prior
-    when the rival wins the shared point, nothing when it loses. Per-pair
-    terms accumulate in the order the exact path of the same geometry uses,
-    so the computed bound never rounds below the computed exact error.
+    when the rival wins the shared point, nothing when it loses. It is
+    exact_error's p_err_union (_union), which the module docstring shows
+    never rounds below the computed exact error.
     """
-    geo, z, tail = _tails(cc, sigma2)
-    if geo.collinear:
-        terms = _line_terms(geo, z, tail)[1]
-    else:
-        # summed as _planar_terms sums them
-        terms = [tail[x] + tail[y] + tail[d] for x, y, d in _FLIPS]
-    return math.fsum(map(operator.mul, geo.priors, terms))
+    geo, _, tail = _tails(cc, sigma2)
+    return _union(geo.priors, tail)
 
 
 def closed_form_qam(d1_len: float, d2_len: float, sigma: float) -> float:

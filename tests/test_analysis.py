@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from gmacpam import (
+    CombinedConstellation,
     DesignInput,
     closed_form_qam,
     collinear_sign_case,
@@ -51,6 +52,7 @@ from gmacpam.errors import (
     NonBijective,
     NotCollinear,
 )
+from gmacpam.geometry import coincidence_tol
 from gmacpam.sources import BIT_PAIRS
 
 from conftest import build_cc, collinear_cc
@@ -319,7 +321,7 @@ def test_binding_rival_by_tail_is_binding_rival_by_threshold(case1, case2, unifo
     seen = {"dead": 0, "empty": 0, "one-sided": 0, "two-sided": 0}
     for cc, sigma2 in _binding_cases((case1, case2, uniform)):
         rep = exact_error(cc, sigma2)
-        misses, _ = analysis._line_terms(*analysis._tails(cc, sigma2))
+        misses = analysis._line_misses(*analysis._tails(cc, sigma2))
         sigma = math.sqrt(sigma2)
         for i, uv in enumerate(BIT_PAIRS):
             miss = misses[i]
@@ -372,7 +374,7 @@ def _planar_cases(sources):
 # (its inputs, exact_error report and union_bound). exact_reports.sha256
 # holds the first 12 hex digits of each line's own sha256, in case order,
 # so that a failure can name the first case that changed.
-EXACT_REPORTS_SHA256 = "e54b467cc475927c846c4ae0e2f43e4d35107305258806a019698b4757a7b6d3"
+EXACT_REPORTS_SHA256 = "cf31e6d18eb2e80e937fa179709483d5f92d87fbc4f089c850bb3c4867e1d649"
 EXACT_REPORTS_PER_CASE = os.path.join(os.path.dirname(__file__), "exact_reports.sha256")
 
 
@@ -424,6 +426,63 @@ def test_reused_constellation_reports_equal_fresh_ones(case1, case2, uniform):
             sigma2 = 10.0 ** (-db / 10.0)
             assert _outcome(cc, sigma2) == _outcome(type(cc)(*cc), sigma2), (cc, db)
         assert analysis._pair_geometry(cc) is analysis._pair_geometry(cc)
+
+
+def test_each_union_term_is_at_least_its_miss(case1, case2, uniform):
+    """On both paths each point's union term, its three rival tails added
+    in _FLIPS order, is at least its miss, over merged designs (and so dead
+    points), distinct ones and both alpha branches; union_bound is exact_error's p_err_union bit
+    for bit wherever exact_error returns, and at least p_err_exact."""
+    sources = (case1, case2, uniform)
+    rng = np.random.Generator(np.random.PCG64(3141))
+    seen = set()
+    for cc, sigma2 in [*_binding_cases(sources), *_planar_cases(sources)]:
+        for sigma2 in (float(sigma2), *(10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()):
+            try:
+                rep = exact_error(cc, sigma2)
+            except NonBijective:
+                continue
+            geo, _, tail = analysis._tails(cc, sigma2)
+            for i, x, y, d in analysis._FLIPS:
+                assert tail[x] + tail[y] + tail[d] >= rep.miss_per_pair[i], (cc, sigma2, i)
+            assert union_bound(cc, sigma2) == rep.p_err_union >= rep.p_err_exact, (cc, sigma2)
+            if rep.method == "planar":
+                seen.update(sigma2 * pt[3] - pt[4] > 0.0 for pt in geo.planar)
+            elif rep.bijective:
+                seen.add("distinct")
+            else:
+                # a merged pair's loser is dead: its miss is 1
+                assert 1.0 in rep.miss_per_pair, (cc, sigma2)
+                seen.add("merged")
+    assert seen == {True, False, "merged", "distinct"}, seen
+
+
+def test_union_bound_on_non_bijective_planar(case2, uniform):
+    """Off the real axis a merged pair stops the exact path, not the union
+    bound: it is sum_i p_i (T_x + T_y + T_d), where a coincident rival's
+    tail is 1 when it takes the shared point and 0 when it loses it."""
+    u2 = complex(0.5, math.sqrt(0.75))
+    t = u2 - 1.0
+    for pri in (case2, uniform):
+        p = pri.as_tuple()
+        # a01 on a10 (d2 = d1), then sender 2's own points merged (d2 = 0)
+        for a, b in ((1.5, 1.5), (2.0, 0.0)):
+            cc = CombinedConstellation(t, t + b, t + a, t + a + b, pri)
+            pts, tol = cc.points, coincidence_tol(cc.scale())
+            for sigma2 in (1.0, 0.1, 0.01):
+                with pytest.raises(NonBijective):
+                    exact_error(cc, sigma2)
+
+                def rival_tail(i, j):
+                    d = abs(pts[j] - pts[i])
+                    if d <= tol:
+                        return 1.0 if (p[j], -j) > (p[i], -i) else 0.0
+                    return qfunc((d**2 / 2.0 + sigma2 * math.log(p[i] / p[j])) /
+                                 (math.sqrt(sigma2) * d))
+
+                want = math.fsum(p[i] * (rival_tail(i, i ^ 2) + rival_tail(i, i ^ 1)
+                                         + rival_tail(i, i ^ 3)) for i in range(4))
+                assert union_bound(cc, sigma2) == want, (pri, a, b, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -737,14 +796,15 @@ def test_frozen_design_point_errors(case1, case2):
 # branches; its rows were re-recorded when the orthants moved to the pure
 # Python Owen's T, and every float that changed lies closer to a 40-digit
 # mpmath evaluation of the same constellation (at 10^-1.3 the error went
-# from 1.7e-14 to 1.7e-15 relative). At the T3 point's 10^-0.3 and the
-# planar point's 0.04 the bound's last digit depends on the order of the
-# union-term additions.
+# from 1.7e-14 to 1.7e-15 relative). Each bound adds every point's three
+# rival tails in _FLIPS order on either path, and its last digit depends on
+# that order: the t2 bound at 10^-0.8 moved by 1 ulp when the collinear
+# path came to take it.
 EXACT_AND_UNION = {
     "t2-collinear": (
         (10.0**-0.8, 0.002826532657341588,
          (0.0032876662115558877, 0.0712763923986922, 0.1501027521224737, 0.0006003846592587064),
-         0.0028295283910614926),
+         0.002829528391061492),
         (10.0**-1.8, 2.917504663892292e-12,
          (6.707621367001697e-13, 1.4136084171836772e-10, 1.5610332618263962e-10,
           2.012208735617376e-13),

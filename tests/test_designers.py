@@ -936,11 +936,10 @@ def test_search_scores_each_candidate_once(request, kernel_calls, which, gamma_p
 
 # sha256 of the repr of every (a10, a11, a20, a21, p_err, swapped, branch)
 # over _search_digest_cases(tier), recorded when the batch kernels came to
-# take each design's separations (d1, d2) and write its rival differences
-# in closed form
+# take each rival's magnitude as Python's abs of a complex takes it (hypot)
 SEARCH_DIGEST_SHA256 = {
-    "sparse": "0d5ce1a0c444f0502c0c481a14e37d315f8e362ecb90361d94efc310fea10b34",
-    "dense": "fec3055031c02c129689bd394c272a88853b1f776ec5849e3f06c5cc92a9d196",
+    "sparse": "e1cbb6e326721c063fd47d60ea8c4b9b1f34f5c9e40b0fe87a4d30950457be29",
+    "dense": "84d48cc7d48f9e99431550e9ff910d95f1121ddaba55ca1ee79fc06e6886a071",
 }
 
 

@@ -195,7 +195,7 @@ def test_scalar_coincidence_tol_is_the_batch_rule(scale):
     tol = coincidence_tol(scale)
     assert type(tol) is float
     # the designs (-scale, 0) and (0, scale), whose largest point magnitude is scale
-    _, _, batch = K._rival(np.array([-scale, 0.0]), np.array([0.0, scale]),
-                           np.full(4, 0.25), 1.0)
+    *_, batch = K._rival(np.array([-scale, 0.0]), np.array([0.0, scale]),
+                         np.full(4, 0.25), 1.0)
     for row in batch.tolist():
         assert struct.pack("<d", tol) == struct.pack("<d", row)

@@ -604,21 +604,40 @@ def test_collinear_batch_coincident_rivals(case1, case2):
 @pytest.mark.parametrize("scale", [0.0, 5e-324, 2.0**-1030, 1.0, 1e300, math.inf, math.nan])
 def test_rival_blocks_are_the_separations(case2, scale):
     """The x and y blocks of the rival table are +-d1 and +-d2 bit for bit,
-    signed (1 - 2u) and (1 - 2v) for point uv, the d block their sum, and
-    each design's tolerance is the scalar rule at its largest point
-    magnitude max(|d1|, |d2|, |d1 + d2|), NaN and inf included. The
-    magnitudes are numpy's: its complex abs can differ from Python's by an
-    ulp (|-0.5 u2| at gamma_phi 0.383 reads 0.49999999999999994 against
-    0.5)."""
+    signed (1 - 2u) and (1 - 2v) for point uv, the d block their sum; each
+    magnitude is Python's abs of its difference, and each design's
+    tolerance is the scalar rule at its largest point magnitude max(|d1|,
+    |d2|, |d1 + d2|), NaN and inf included. numpy's complex abs can differ
+    from Python's by an ulp (|-0.5 u2| at gamma_phi 0.383 reads
+    0.49999999999999994 against 0.5)."""
     d1 = scale * np.array([1.0, -1.0, 0.5])
     for d2 in (np.array([0.0, 0.75, -0.5]), np.array([0.0, 0.75, -0.5]) * sender2_axis(0.383)):
-        c, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
+        c, dist, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
         x = np.array([d1, d1, -d1, -d1], dtype=c.dtype)
         y = np.array([d2, -d2, d2, -d2], dtype=c.dtype)
         assert c[:4].tobytes() == x.tobytes() and c[4:8].tobytes() == y.tobytes()
         assert c[8:].tobytes() == (x + y).tobytes()
-        for k, mags in enumerate(zip(*(np.abs(v).tolist() for v in (d1, d2, d1 + d2)))):
-            assert struct.pack("<d", coincidence_tol(max(mags))) == struct.pack("<d", tol[k])
+        mags = [[abs(complex(v)) for v in row] for row in c.tolist()]
+        assert list(map(repr, dist.ravel().tolist())) == list(map(repr, sum(mags, [])))
+        for k, m in enumerate(zip(mags[0], mags[4], mags[8])):
+            assert struct.pack("<d", coincidence_tol(max(m))) == struct.pack("<d", tol[k])
+
+
+@pytest.mark.parametrize("gamma_phi", [0.383, -0.707, 0.924])
+def test_rival_magnitudes_are_the_scalar_engines(case2, gamma_phi):
+    """On random dyadic designs in the plane, whose translate t = 0 takes
+    every difference exactly, each magnitude of the rival table is the
+    scalar engine's abs of that rival's difference and each design's
+    tolerance is coincidence_tol(cc.scale()), bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(63))
+    d1, d2 = _designs(rng, gamma_phi, 200)
+    _, dist, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
+    for k, (a, b) in enumerate(zip(d1.tolist(), d2.tolist())):
+        cc = CombinedConstellation(0j, b, complex(a), a + b, case2)
+        pts = cc.points
+        want = [abs(pts[j] - pts[i]) for i, j in zip(K._OWN.tolist(), K._RIVAL.tolist())]
+        assert dist[:, k].tolist() == want, (a, b)
+        assert tol[k] == coincidence_tol(cc.scale()), (a, b)
 
 
 def _alpha(d1, d2, priors, sigma2):
@@ -672,8 +691,8 @@ def test_planar_batch_non_bijective_is_inf(case2):
 
 
 # sha256 of the repr of every planar_pe_batch value over _planar_digest_batches(),
-# recorded when the kernel came to take each design's separations
-PLANAR_BATCH_SHA256 = "5ea8e2dd85b55c163b05d3e6c83f65d2b2ddc3af7d47cc671da4061c37ca7340"
+# recorded when the kernel came to take each rival's magnitude by hypot
+PLANAR_BATCH_SHA256 = "8ec72ea404b5b9c63ad123929cfc50366158a830ac1133695fd7cb9f43edfc96"
 
 
 def _planar_digest_batches(case1, case2):
@@ -707,9 +726,9 @@ def test_planar_batch_frozen_digest(case1, case2):
                  + b"\n")
         for a, b in zip(d1.tolist(), d2.tolist()):
             branches.update(x > 0.0 for x in _alpha(a, b, priors, sigma2))
-        c, z, _ = K._rival(d1, d2, priors, sigma2)
+        c, dist, z, _ = K._rival(d1, d2, priors, sigma2)
         zero_bound |= bool(np.any(z[:4] == 0.0))
-        zero_rho |= bool(np.any(K._pair_corr(c[:4], c[4:8]) == 0.0))
+        zero_rho |= bool(np.any(K._pair_corr(c[:4], c[4:8], dist[:4] * dist[4:8]) == 0.0))
     assert branches == {True, False} and zero_bound and zero_rho
     assert h.hexdigest() == PLANAR_BATCH_SHA256
 
