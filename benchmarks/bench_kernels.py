@@ -92,7 +92,8 @@ benchmark workload runs it. The pass-collinear-design, pass-planar-sweep
 and pass-mc-collinear rows give seconds per pass of that perfbench
 workload (perfbench/workload.py's commands, imported from there) run
 through cli.main in this process, its CSVs removed before each repeat,
-41 rounds each; each notes the sha256 of its pass's CSVs. A pass takes
+41 rounds each; each notes the sha256 of its pass's CSVs and the
+exact_error calls the CLI layer makes in a pass. A pass takes
 10-60 ms, so these rows resolve a 2-5% change under --against that a whole
 perfbench run barely separates from host drift. The mc-fig9-workers1 and
 -workers2 rows give seconds per pass over the six simulate calls of the
@@ -113,7 +114,11 @@ interpreters that each run what the gmacpam console script runs,
 written to a temporary file, one row per preset (table2, table3, fig4 ...
 fig9; interpreter start and imports included, which is most of a preset's
 time); each notes the sha256 of the CSV and of stdout (the tests pin the
-figure CSVs' digests) and the same loaded modules.
+figure CSVs' digests) and the same loaded modules. The
+presets-one-process row gives the seconds of seven fresh interpreters that
+each run all eight presets through cli.main, one after another, after
+checking that every CSV and stdout equals the one its own interpreter
+writes; it notes each preset's CSV and stdout sha256.
 """
 
 import argparse
@@ -545,10 +550,23 @@ def _workload():
     return workload
 
 
+def _cli_exact_calls(g, fn):
+    """The exact_error calls the CLI layer makes during fn()."""
+    calls = []
+    real = g.cli.exact_error
+    g.cli.exact_error = lambda *args: calls.append(args) or real(*args)
+    try:
+        fn()
+    finally:
+        g.cli.exact_error = real
+    return len(calls)
+
+
 def bench_passes(g, out_dir):
     """Seconds per pass of each perfbench workload's commands through
     cli.main in this process, the CSVs removed before each repeat; each row
-    notes the sha256 of the pass's CSVs."""
+    notes the sha256 of the pass's CSVs and the exact_error calls the CLI
+    layer makes in a pass."""
     workload = _workload()
     rows = []
     for name in workload.WORKLOADS:
@@ -567,13 +585,14 @@ def bench_passes(g, out_dir):
                 for _, argv in cmds:
                     assert g.cli.main(argv) == 0, argv
 
-        # untimed: pays the first calls, and its CSVs are the ones noted
-        run(fresh())
+        # untimed: pays the first calls, and its CSVs and calls are the ones noted
+        exact = _cli_exact_calls(g, lambda run=run, fresh=fresh: run(fresh()))
         digest = hashlib.sha256()
         for path in files:
             with open(path, "rb") as fh:
                 digest.update(fh.read())
-        rows.append(Row(f"pass-{name}", run, 1, "s/pass", f"csv sha256 {digest.hexdigest()}",
+        rows.append(Row(f"pass-{name}", run, 1, "s/pass",
+                        f"csv sha256 {digest.hexdigest()}, {exact} exact_error calls",
                         prepare=fresh, repeat=PASS_ROUNDS))
     return rows
 
@@ -634,23 +653,60 @@ def bench_cold_start(g):
     return rows
 
 
+# Every reproduce preset through cli.main in one interpreter, each CSV and
+# each stdout written to the directory given as the first argument.
+_ALL_PRESETS = """
+import contextlib, io, os, sys
+from gmacpam.cli import _PRESETS, main
+for preset in _PRESETS:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["reproduce", "--preset", preset,
+                     "--set", "out=" + os.path.join(sys.argv[1], preset + ".csv")])
+    assert code == 0, preset
+    with open(os.path.join(sys.argv[1], preset + ".stdout"), "w", encoding="utf-8") as fh:
+        fh.write(stdout.getvalue())
+"""
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def bench_presets(g, out_dir):
     """Seconds of one fresh `gmacpam reproduce --preset NAME` at default
     settings, the CSV written to a file; each row notes the sha256 of the
-    CSV and of stdout, and the loaded modules."""
+    CSV and of stdout, and the loaded modules. Then seconds of all presets
+    in one fresh interpreter, whose CSVs and stdouts must match the
+    separate runs'; it notes each one's sha256."""
     env = _child_env(g)
     rows = []
+    digests = {}
     for preset in g.cli._PRESETS:
         out = os.path.join(out_dir, f"{preset}-{id(g)}.csv")
         argv = [sys.executable, "-c", _CLI, "reproduce", "--preset", preset, "--set", f"out={out}"]
         # untimed: fills the bytecode cache, and its output is the one noted
         proc = subprocess.run(argv, env=env, check=True, capture_output=True)
-        with open(out, "rb") as fh:
-            csv_sha = hashlib.sha256(fh.read()).hexdigest()
-        note = (f"csv sha256 {csv_sha}, stdout sha256 {hashlib.sha256(proc.stdout).hexdigest()}, "
+        digests[preset] = (_sha256(out), hashlib.sha256(proc.stdout).hexdigest())
+        note = (f"csv sha256 {digests[preset][0]}, stdout sha256 {digests[preset][1]}, "
                 f"{_loaded(proc.stderr.decode())}")
         rows.append(Row(f"preset-{preset}", _start(argv, env), 1, "s/run", note,
                         repeat=COLD_STARTS))
+
+    one_dir = os.path.join(out_dir, f"presets-{id(g)}")
+    os.mkdir(one_dir)
+    argv = [sys.executable, "-c", _ALL_PRESETS, one_dir]
+    # untimed: its CSVs and stdouts are the ones checked and noted
+    subprocess.run(argv, env=env, check=True)
+    one = {preset: tuple(_sha256(os.path.join(one_dir, preset + ext))
+                         for ext in (".csv", ".stdout"))
+           for preset in g.cli._PRESETS}
+    assert one == digests, "one process and one process per preset differ"
+    note = "; ".join(f"{preset} csv sha256 {csv_sha}, stdout sha256 {out_sha}"
+                     for preset, (csv_sha, out_sha) in one.items())
+    rows.append(Row("presets-one-process", _start(argv, env), 1, "s/run", note,
+                    repeat=COLD_STARTS))
     return rows
 
 

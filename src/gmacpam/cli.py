@@ -8,7 +8,6 @@ by the scheme column and plot p_err_exact (log scale) against snr_db.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from functools import cache
@@ -96,7 +95,13 @@ def _design_row(cfg: ExperimentConfig, scheme: str,
 def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "",
                 seed_base: int = 0) -> list[tuple[str, ...]]:
     """The sweep's CSV rows, each a tuple of SWEEP_COLUMNS' cells; the
-    noise and trials cells are formatted once per noise point and sweep."""
+    noise and trials cells are formatted once per noise point and sweep.
+
+    exact_error runs once per distinct design at each noise point: a scheme
+    that lands on the amplitudes of an earlier scheme at that point (joint
+    on its boundary branch is individual) reuses that row's exact, union
+    and status cells. Monte Carlo still runs once a row, on the row's own
+    derived seed."""
     rows = []
     trials = str(cfg.trials)
     labels = [scheme + label_suffix for scheme in cfg.schemes]
@@ -107,38 +112,43 @@ def _sweep_rows(cfg: ExperimentConfig, label_suffix: str = "",
     for point in cfg.noise:
         snr_db, sigma2 = _fmt(point.snr_db), _fmt_sigma2(point.sigma2)
         inp = DesignInput(cfg.priors, cfg.e1, cfg.e2, cfg.gamma_phi, point.sigma2)
+        # the exact, union and status cells of each design at this point
+        reported = {}
         for scheme, label in zip(cfg.schemes, labels):
             res = design(scheme, inp, grid=cfg.grid)
             amps = res[:4]
             cc = combined.get(amps)
             if cc is None:
                 cc = combined[amps] = res.combined(inp)
-            report = exact_error(cc, point.sigma2)
-            status = "ok" if report.bijective else "non-bijective"
+            cells = reported.get(amps)
+            if cells is None:
+                report = exact_error(cc, point.sigma2)
+                cells = reported[amps] = (_fmt(report.p_err_exact), _fmt(report.p_err_union),
+                                          "ok" if report.bijective else "non-bijective")
+            p_exact, p_union, status = cells
             if cfg.trials > 0:
                 sub = derive_seed(cfg.seed, seed_base + len(rows))
                 sim = simulate(cc, point.sigma2, cfg.trials, sub, cfg.workers)
-                rows.append((snr_db, sigma2, label, _fmt(report.p_err_exact),
-                             _fmt(report.p_err_union), _fmt(sim.p_hat),
+                rows.append((snr_db, sigma2, label, p_exact, p_union, _fmt(sim.p_hat),
                              _fmt(sim.ci_halfwidth), trials, str(sub), status))
             else:
-                rows.append((snr_db, sigma2, label, _fmt(report.p_err_exact),
-                             _fmt(report.p_err_union), "", "", trials, "", status))
+                rows.append((snr_db, sigma2, label, p_exact, p_union, "", "", trials, "", status))
     return rows
 
 
 def _write_csv(rows: list[tuple[str, ...]], columns: tuple[str, ...], out: str | None) -> None:
-    """The header, then each row's cells (in column order)."""
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
+    """The header, then each row's cells (in column order), joined by commas
+    into one string and written at once. No cell is ever quoted: every cell
+    the package writes is a formatted number, a scheme label (a scheme of
+    SCHEMES, with a gamma_phi token after "@gphi=" in a multi-gamma preset),
+    a branch name, a status word or true/false, none of which can hold a
+    comma, a quote or a line break."""
+    text = "".join(",".join(row) + "\n" for row in (columns, *rows))
     if out is None or out == "-":
-        emit(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+            fh.write(text)
         print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
 
 

@@ -27,9 +27,9 @@ from gmacpam import (
 )
 from gmacpam import analysis, cli
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
-from gmacpam.config import CONVENTIONS
+from gmacpam.config import CONVENTIONS, SCHEMES
 from gmacpam.errors import ConfigError, UnknownConvention
-from gmacpam.simulate import backend_name, derive_seed
+from gmacpam.simulate import backend_name, derive_seed, simulate
 
 from conftest import build_cc
 
@@ -693,6 +693,50 @@ def test_cli_benchmark_sweep_csv_frozen_digest(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_WRITER_RUNS = {
+    **{preset: ["reproduce", "--preset", preset] for preset in cli._PRESETS},
+    "planar-mc": ["sweep", *BENCH_SWEEP_SHA256["planar-mc"][1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_RUNS))
+def test_write_csv_matches_csv_writer(tmp_path, capsys, monkeypatch, name):
+    """Each preset's CSV (the table presets' design rows included) and a
+    Monte-Carlo sweep's, written as one joined string, is what csv.writer
+    writes: no cell the package emits needs quoting."""
+    written = []
+    real = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda rows, columns, out: written.append((rows, columns)) or
+                        real(rows, columns, out))
+    out = tmp_path / f"{name}.csv"
+    assert main([*_WRITER_RUNS[name], "--set", f"out={out}"]) == 0
+    capsys.readouterr()
+    (rows, columns), = written
+    assert rows
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    assert out.read_text(encoding="utf-8") == want.getvalue()
+
+
+def test_no_emitted_cell_needs_quoting():
+    """Every kind of cell the package writes is free of the characters that
+    make csv.writer quote: scheme labels with and without a gamma_phi
+    suffix, branch names, status and flag words, and formatted numbers at
+    their edge values."""
+    labels = [scheme + suffix for scheme in SCHEMES
+              for suffix in ("", *(f"@gphi={g}" for g in ("0", "-0.924", "1e-3", "1_0", "+1")))]
+    words = ["antipodal", "individual", "orthogonal", "boundary", "minus",
+             "ok", "fail", "non-bijective", "true", "false", ""]
+    edges = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300]
+    numbers = [_fmt(None), *map(_fmt, edges), *map(cli._fmt_sigma2, edges),
+               _fmt(20260815), str(derive_seed(20260815, 3))]
+    for cell in labels + words + numbers:
+        assert not set(cell) & set(',"\r\n'), cell
+
+
 def test_cli_reproduce_settings_override_preset_then_file_then_set(tmp_path, capsys):
     """The preset's keys are the base, a --config file overrides them, and
     each --set overrides both."""
@@ -767,28 +811,59 @@ _FINE_SNR = " ".join(f"{k * 0.5:g}" for k in range(41))
                          ids=["fig4", "fig5"])
 def test_sweep_builds_one_noise_free_table_per_distinct_design(monkeypatch, source):
     """A 0-20 dB sweep at 0.5 dB steps of the closed-form schemes builds one
-    noise-free table per distinct constellation, calls exact_error once a
-    row, and writes the rows a table per row would."""
+    noise-free table per distinct constellation, calls exact_error once per
+    distinct design and noise point (joint on its boundary branch repeats
+    individual), and writes the rows a table and a call per row would."""
     cfg = build_config({**source, "gamma_phi": "1", "snr_db": _FINE_SNR,
                         "snr_convention": "sum-energy", "schemes": "antipodal individual joint"})
     want = []
     distinct = set()
+    per_point = set()
     for point in cfg.noise:
         inp = DesignInput(cfg.priors, 1.0, 1.0, 1.0, point.sigma2)
         for scheme in cfg.schemes:
             res = design(scheme, inp)
-            distinct.add((res.a10, res.a11, res.a20, res.a21))
+            amps = (res.a10, res.a11, res.a20, res.a21)
+            distinct.add(amps)
+            per_point.add((amps, point.sigma2))
             report = exact_error(res.combined(inp), point.sigma2)
             want.append((_fmt(report.p_err_exact), _fmt(report.p_err_union)))
 
     built = _count_noise_free_tables(monkeypatch)
     calls = []
-    monkeypatch.setattr(cli, "exact_error", lambda cc, s2: calls.append(cc) or exact_error(cc, s2))
+    monkeypatch.setattr(cli, "exact_error",
+                        lambda cc, s2: calls.append((id(cc), s2)) or exact_error(cc, s2))
     rows = cli._sweep_rows(cfg)
     exact, union = SWEEP_COLUMNS.index("p_err_exact"), SWEEP_COLUMNS.index("p_err_union")
     assert [(r[exact], r[union]) for r in rows] == want
-    assert len(rows) == len(calls) == 41 * 3
+    assert len(rows) == 41 * 3
+    assert len(set(calls)) == len(calls) == len(per_point) < 41 * 3
     assert len(built) == len(distinct) < 41
+
+
+def test_sweep_reuses_exact_cells_but_not_monte_carlo():
+    """Where joint lands on individual's design, the two rows share their
+    exact, union and status cells, but each keeps its own derived seed and
+    its own Monte-Carlo run on it."""
+    cfg = build_config({"p1": "0.1", "p2": "0.1", "gamma_m": "0.9", "gamma_phi": "1",
+                        "snr_db": "4", "snr_convention": "sum-energy",
+                        "schemes": "individual joint", "trials": "3000", "seed": "77"})
+    point = cfg.noise[0]
+    inp = DesignInput(cfg.priors, 1.0, 1.0, 1.0, point.sigma2)
+    res = design("individual", inp)
+    assert design("joint", inp)[:4] == res[:4]
+    cc = res.combined(inp)
+
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in cli._sweep_rows(cfg)]
+    assert len(rows) == 2
+    shared = ("p_err_exact", "p_err_union", "status")
+    assert [rows[0][k] for k in shared] == [rows[1][k] for k in shared]
+    assert [row["seed"] for row in rows] == [str(derive_seed(77, i)) for i in range(2)]
+    assert rows[0]["seed"] != rows[1]["seed"]
+    for row in rows:
+        sim = simulate(cc, point.sigma2, 3000, int(row["seed"]))
+        assert row["p_err_mc"] == _fmt(sim.p_hat)
+        assert row["mc_ci_halfwidth"] == _fmt(sim.ci_halfwidth)
 
 
 def test_consecutive_sweeps_share_no_noise_free_table(monkeypatch):
