@@ -39,10 +39,12 @@ after checking that its count over all trials equals the sum over two
 chunks. Trials inside a point's safe disk are decided without scoring,
 so the kernel runs faster at lower error rates; each row notes the exact
 error rate of its point, the share of trials that leave the disk and the
-64-bit words drawn per trial, counted at the SplitMix finaliser around
-an untimed call (the radius word of every trial, the source word past
-the smallest cut when that cut is at least 1/2 and of every trial
-otherwise, the angle word of the scored trials). The collinear-batch and
+64-bit words drawn per trial, counted around an untimed call at the
+stage of the SplitMix finaliser that every drawn word goes through (the
+radius word of every trial, the source word past the smallest cut when
+that cut is at least 1/2 and of every trial otherwise, a source word drawn
+again for a trial whose source bucket a cdf cut splits, the angle word of
+the scored trials). The collinear-batch and
 planar-batch rows give rows/s of each batched evaluator on the traffic a
 search sends it: the 158-row scan batch, the first kernel call of the
 search-collinear and search-planar searches (below), captured by
@@ -118,7 +120,13 @@ figure CSVs' digests) and the same loaded modules. The
 presets-one-process row gives the seconds of seven fresh interpreters that
 each run all eight presets through cli.main, one after another, after
 checking that every CSV and stdout equals the one its own interpreter
-writes; it notes each preset's CSV and stdout sha256.
+writes; it notes each preset's CSV and stdout sha256. Interpreter start
+and imports are most of that row, so the presets-same-process row gives
+the seconds per pass of all eight presets through cli.main in this
+process, as the pass rows run the perfbench workloads (CSVs removed
+before each repeat, 41 rounds), after checking that each CSV and stdout
+equals the one the preset's own interpreter writes: the presets' own
+work.
 """
 
 import argparse
@@ -259,14 +267,18 @@ def _live_share(g, tables, sigma2, trials):
 
 
 def _words_drawn(g, fn):
-    """64-bit words that fn() draws through the kernels' SplitMix finaliser."""
+    """64-bit words that fn() draws, counted at the stage of the SplitMix
+    finaliser that every drawn word goes through: _mix, all but the last
+    step, which only the words the kernel goes on to use take. An older
+    checkout has no _mix; there every drawn word takes _splitmix whole."""
+    stage = "_mix" if hasattr(g._kernels, "_mix") else "_splitmix"
     sizes = []
-    finaliser = g._kernels._splitmix
-    g._kernels._splitmix = lambda z, tmp: sizes.append(z.size) or finaliser(z, tmp)
+    mix = getattr(g._kernels, stage)
+    setattr(g._kernels, stage, lambda z, tmp: sizes.append(z.size) or mix(z, tmp))
     try:
         fn()
     finally:
-        g._kernels._splitmix = finaliser
+        setattr(g._kernels, stage, mix)
     return sum(sizes)
 
 
@@ -679,7 +691,9 @@ def bench_presets(g, out_dir):
     settings, the CSV written to a file; each row notes the sha256 of the
     CSV and of stdout, and the loaded modules. Then seconds of all presets
     in one fresh interpreter, whose CSVs and stdouts must match the
-    separate runs'; it notes each one's sha256."""
+    separate runs'; it notes each one's sha256. Last, seconds per pass of
+    all presets through cli.main in this process, their CSVs removed
+    before each repeat, whose CSVs and stdouts must match too."""
     env = _child_env(g)
     rows = []
     digests = {}
@@ -707,7 +721,37 @@ def bench_presets(g, out_dir):
                      for preset, (csv_sha, out_sha) in one.items())
     rows.append(Row("presets-one-process", _start(argv, env), 1, "s/run", note,
                     repeat=COLD_STARTS))
+
+    warm_dir = os.path.join(out_dir, f"presets-warm-{id(g)}")
+    os.mkdir(warm_dir)
+    csvs = [os.path.join(warm_dir, preset + ".csv") for preset in g.cli._PRESETS]
+
+    def fresh():
+        for path in csvs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+    def run(_):
+        return {preset: hashlib.sha256(_reproduce(g, preset, csv).encode()).hexdigest()
+                for preset, csv in zip(g.cli._PRESETS, csvs)}
+
+    # untimed: pays the first calls, and its outputs are the ones checked
+    stdouts = run(fresh())
+    warm = {preset: (_sha256(csv), stdouts[preset]) for preset, csv in zip(g.cli._PRESETS, csvs)}
+    assert warm == digests, "this process and one process per preset differ"
+    rows.append(Row("presets-same-process", run, 1, "s/pass",
+                    "every csv and stdout sha256 as in the preset rows", prepare=fresh,
+                    repeat=PASS_ROUNDS))
     return rows
+
+
+def _reproduce(g, preset, out):
+    """stdout of `reproduce --preset PRESET` through cli.main in this
+    process, its CSV written to out."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert g.cli.main(["reproduce", "--preset", preset, "--set", f"out={out}"]) == 0, preset
+    return stdout.getvalue()
 
 
 def build_rows(g, ns, out_dir):

@@ -10,14 +10,22 @@ Randomness is counter based: uniform draw j of trial t is a pure function of (se
 through a SplitMix64 finaliser (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11), so Monte Carlo error counts are invariant to chunking, worker
 count and block size. Each trial owns three counters: one source draw
-and two Box-Muller uniforms for the complex noise sample. The kernel
-draws the radius word (the 64-bit word behind the radius uniform) of
-every trial; when the smallest safe-disk cut (see safe_disk) is at least
-1/2, the source word only of trials at or past it, since one below it
-decodes correctly whatever its sent point; and the angle word only of
-trials at or past their own point's cut. Words not drawn keep their
-counters reserved, and every cut is compared on the raw word (word_cut),
-which is exact, so every count is the one the full decision gives.
+and two Box-Muller uniforms for the complex noise sample. Every cut is
+compared on the raw word (word_cut), which is exact. The finaliser's
+last step keeps the top 31 bits of its input, so the kernel picks the
+trials to look at on the words before it (pre_cut) and finishes only
+theirs. It takes the radius word (the 64-bit word behind the radius
+uniform) of every trial that far; when the smallest safe-disk cut (see
+safe_disk) is at least 1/2, the source word only of trials at or past
+it, since one below it decodes correctly whatever its sent point, and
+otherwise the source word of every trial; when few trials are expected
+past their cuts, the top byte of that word looks up the trial's cut
+(_bucket_cuts), and only the trials at or past it are finished. It draws
+the angle word only of the trials it scores: those at or past their own
+point's cut, and on the bucket path a few inside it, which the full
+decision gets right as it does every trial there. Words not drawn keep
+their counters reserved, so every count is the one the full decision
+gives.
 """
 
 from __future__ import annotations
@@ -42,17 +50,36 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
-def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser of the words in z, in place; tmp is scratch of
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser of the words in z, in place, up to its last
+    xorshift: the stage every drawn word goes through. tmp is scratch of
     z's shape. The word of counter c is the finaliser of seed + (c + 1) *
     golden; uint64 arithmetic wraps, so any grouping of that sum gives it."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=tmp)
         z ^= tmp
         z *= _U64(mix)
-    np.right_shift(z, _U64(31), out=tmp)
-    z ^= tmp
     return z
+
+
+def _finish(y: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The finaliser's last step, w = y ^ (y >> 31), in place; tmp is
+    scratch of y's shape. It leaves the top 31 bits of y as they are, so
+    w >= c implies y >= pre_cut(c), and w and y share their top byte."""
+    np.right_shift(y, _U64(31), out=tmp)
+    y ^= tmp
+    return y
+
+
+def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of the words in z, in place (see _mix)."""
+    return _finish(_mix(z, tmp), tmp)
+
+
+def pre_cut(c: int) -> int:
+    """Smallest word y before the finaliser's last step whose top 31 bits
+    can give a final word w >= c: c with its low 33 bits cleared."""
+    return c & ~((1 << 33) - 1)
 
 
 def _uniforms(w: np.ndarray) -> np.ndarray:
@@ -187,6 +214,41 @@ def _counter_ramp(block: int) -> np.ndarray:
     return ramp
 
 
+# Source words fall into 256 buckets by their top byte, which the word
+# before the finaliser's last step already has (see _finish): bucket k
+# holds the words [k 2**56, (k + 1) 2**56).
+_BUCKET_FIRST = np.arange(256, dtype=_U64) << _U64(56)
+_BUCKET_LAST = _BUCKET_FIRST | _U64((1 << 56) - 1)
+# The pair of a bucket that a cdf cut splits
+_SPLIT = 4
+# Largest expected share of a block's trials past their bucket's cut for
+# which the candidate path runs; past it, the full-block finish is cheaper
+# (see mc_error_count; measured break-even 26-30%).
+_SPARSE_SHARE = 0.25
+
+
+def _bucket_cuts(cut: np.ndarray, cdf_cut: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per source bucket, the pre_cut of the radius-word cut of its pair and
+    that pair; a bucket a cdf cut splits takes the smallest pre_cut of all
+    and the pair _SPLIT. cut holds each pair's word cut, cdf_cut the
+    source's cdf cuts (word_cut of each cdf entry below 1)."""
+    cdf = np.array(cdf_cut, dtype=_U64)
+    first = np.searchsorted(cdf, _BUCKET_FIRST, side="right")
+    last = np.searchsorted(cdf, _BUCKET_LAST, side="right")
+    pre = np.array([pre_cut(c) for c in cut.tolist()], dtype=_U64)
+    whole = first == last
+    return (np.where(whole, pre[first], pre.min()),
+            np.where(whole, first, _SPLIT).astype(np.uint8))
+
+
+def _pairs(w0: np.ndarray, cdf_cut: list) -> np.ndarray:
+    """Sent pair #{k : w0 >= cdf_cut[k]} of each source word in w0."""
+    idx = np.zeros(w0.size, dtype=np.uint8)
+    for c in cdf_cut:
+        idx += (w0 >= c).view(np.uint8)
+    return idx
+
+
 def mc_error_count(
     ax: np.ndarray,
     ay: np.ndarray,
@@ -209,15 +271,32 @@ def mc_error_count(
 
     A trial with u1 below its point's safe-disk cut (safe_disk) decodes
     correctly whatever u2 is, so it is counted as correct without drawing
-    u2 or scoring; the rest are drawn and decided as above. Each block of
-    _MC_BLOCK trials draws the radius word w1 of every trial and, when the
-    smallest cut is at least 1/2, the source word only of trials whose w1
-    is at or past it: the others are inside every disk. Cuts are compared
-    on the words, w >= word_cut(c) for u >= c, which is exact. The blocks'
-    remaining trials (sent pair, radius word, angle counter) are collected
-    and scored by _score_trials in batches of at most _MC_BLOCK trials
-    across blocks, so at high SNR, where about 1% of trials leave their
-    disk, a call runs the scoring stage once rather than once a block.
+    u2 or scoring; the rest are drawn and decided as above. Cuts are
+    compared on the words, w >= word_cut(c) for u >= c, which is exact.
+    Each block of _MC_BLOCK trials takes one of three paths:
+
+    - screen, when the smallest cut is at least 1/2: every trial's radius
+      word before the finaliser's last step, y1 (see _finish), is compared
+      with the pre_cut of the smallest cut. Only the trials at or past it,
+      a superset of those past the cut, get their radius word finished and
+      their source word drawn;
+    - candidates, when fewer than _SPARSE_SHARE of the trials are expected
+      past their cuts: every trial's source and radius words are taken to
+      y0 and y1, and y1 is compared with the pre_cut of y0's top byte
+      (_bucket_cuts). Only the trials at or past it get their radius word
+      finished, and all of them are scored: their pair is their bucket's,
+      or, in a bucket a cdf cut splits, drawn again from its counter when
+      its batch is scored. The few inside their own disk decode correctly
+      when scored, as every trial there does;
+    - full block, otherwise: every source and radius word is finished.
+
+    The screen and the full block test the finished radius word of each of
+    their trials against its own point's cut, exactly, and keep those at or
+    past it. The blocks' remaining trials (sent pair, radius word, angle
+    counter) are collected and scored by _score_trials in batches of at
+    most _MC_BLOCK trials across blocks, so at high SNR, where about 1% of
+    trials leave their disk, a call runs the scoring stage once rather than
+    once a block.
     """
     _check_seed(seed)
     cut = np.array([word_cut(c) for c in safe_disk(ax, ay, bias, sigma2)[1].tolist()],
@@ -228,8 +307,16 @@ def mc_error_count(
     # only trials past it need a source word. Gathering those trials costs
     # more than the words it spares when the cut is below about 1/2
     # (measured break-even 0.45-0.5), so there, and when a point has no
-    # disk (cut 0), every trial draws its source word.
-    screen = cut.min() if cut.min() >= word_cut(0.5) else _U64(0)
+    # disk (cut 0), every trial draws its source word, and the bucket cuts
+    # pick the trials to finish when few are expected past them.
+    screen = bool(cut.min() >= word_cut(0.5))
+    if screen:
+        threshold = _U64(pre_cut(int(cut.min())))
+        sparse = False
+    else:
+        table, table_pair = _bucket_cuts(cut, cdf_cut)
+        # each bucket holds 1/256 of the source words
+        sparse = 1.0 - math.ldexp(table.mean(dtype=np.float64), -64) < _SPARSE_SHARE
     b = min(_MC_BLOCK, n)
     ramp = _counter_ramp(_MC_BLOCK)[:b]
     words = np.empty_like(ramp)
@@ -238,8 +325,17 @@ def mc_error_count(
     # radius words and angle counters), and the scoring's scratch
     idx_q, w1_q, z2_q = np.empty(b, dtype=np.uint8), np.empty_like(ramp), np.empty_like(ramp)
     work = np.empty((6, b))
+    # the block's source buckets, as take indices: a narrower index would
+    # make each take convert it to a temporary of this size
+    bucket = np.empty(b if sparse else 0, dtype=np.int64)
 
     def score(size: int) -> int:
+        # a trial from a bucket a cdf cut splits gets its pair here
+        split = np.flatnonzero(idx_q[:size] == _SPLIT)
+        if split.size:
+            # the source counter of a trial is its angle counter less 2 golden
+            z0 = z2_q.take(split) - _U64(2 * _GOLDEN & _MASK64)
+            idx_q[split] = _pairs(_splitmix(z0, work[0, :split.size].view(_U64)), cdf_cut)
         return _score_trials(ax, ay, bias, sigma2, idx_q[:size], w1_q[:size], z2_q[:size], work)
 
     size = 0
@@ -250,39 +346,53 @@ def mc_error_count(
         first = 3 * (start + done)
         offset = [_U64(((first + j + 1) * _GOLDEN + seed) & _MASK64) for j in range(3)]
         done += m
-        if screen:
-            w1 = _splitmix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
-            rows = np.flatnonzero(w1 >= screen)
+        if screen or sparse:
+            if sparse:
+                y0 = _mix(np.add(ramp[:m], offset[0], out=words[:m]), tmp[:m])
+                np.right_shift(y0, _U64(56), out=bucket[:m].view(_U64))
+            y1 = _mix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
+            if sparse:
+                threshold = np.take(table, bucket[:m], out=tmp[:m], mode="clip")
+            rows = np.flatnonzero(y1 >= threshold)
             if rows.size == 0:
                 continue
-            w1 = w1.take(rows)
-            # in-range indices: mode "clip" writes to out directly, where
-            # "raise" would fill a buffered copy of it
-            z0 = np.take(ramp, rows, out=words[:rows.size], mode="clip")
-            z0 += offset[0]
+            w1 = _finish(y1.take(rows), tmp[:rows.size])
+            if screen:
+                # in-range indices: mode "clip" writes to out directly,
+                # where "raise" would fill a buffered copy of it
+                z0 = np.take(ramp, rows, out=words[:rows.size], mode="clip")
+                z0 += offset[0]
+                idx = _pairs(_splitmix(z0, tmp[:rows.size]), cdf_cut)
+            else:
+                idx = np.take(table_pair, bucket.take(rows))
         else:
-            # no screen: the source words go first, so that both streams
-            # fit in `words` in turn
+            # the source words go first, so that both streams fit in
+            # `words` in turn
             rows = None
-            z0 = np.add(ramp[:m], offset[0], out=words[:m])
-        w0 = _splitmix(z0, tmp[:z0.size])
-        idx = np.zeros(w0.size, dtype=np.uint8)
-        for c in cdf_cut:
-            idx += (w0 >= c).view(np.uint8)
-        if rows is None:
+            idx = _pairs(_splitmix(np.add(ramp[:m], offset[0], out=words[:m]), tmp[:m]), cdf_cut)
             w1 = _splitmix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
-        live = np.flatnonzero(w1 >= np.take(cut, idx, out=tmp[:idx.size], mode="clip"))
-        if live.size == 0:
-            continue
-        if size + live.size > b:
+        if sparse:
+            # every candidate is scored: the few inside their own disk (from
+            # a split bucket, or past the pre_cut only) decode correctly
+            live = None
+        else:
+            live = np.flatnonzero(w1 >= np.take(cut, idx, out=tmp[:idx.size], mode="clip"))
+            if live.size == 0:
+                continue
+        count = idx.size if live is None else live.size
+        if size + count > b:
             errors += score(size)
             size = 0
-        end = size + live.size
-        np.take(idx, live, out=idx_q[size:end], mode="clip")
-        np.take(w1, live, out=w1_q[size:end], mode="clip")
+        end = size + count
+        if live is None:
+            idx_q[size:end] = idx
+            w1_q[size:end] = w1
+        else:
+            np.take(idx, live, out=idx_q[size:end], mode="clip")
+            np.take(w1, live, out=w1_q[size:end], mode="clip")
+            rows = live if rows is None else rows.take(live)
         # the scored trials' rows in the block give their angle counters
-        z2 = np.take(ramp, live if rows is None else rows.take(live), out=z2_q[size:end],
-                     mode="clip")
+        z2 = np.take(ramp, rows, out=z2_q[size:end], mode="clip")
         z2 += offset[2]
         size = end
     if size:

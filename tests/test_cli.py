@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from gmacpam import (
 )
 from gmacpam import analysis, cli
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
-from gmacpam.config import CONVENTIONS, SCHEMES
+from gmacpam.config import _KEYS, CONVENTIONS, SCHEMES
 from gmacpam.errors import ConfigError, UnknownConvention
 from gmacpam.simulate import backend_name, derive_seed, simulate
 
@@ -477,6 +478,69 @@ def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys, command, seed
             "config error: seed must be a nonnegative integer below 2**63\n")
     assert not out.exists()
     assert build_config(cfg_with(seed=str(2**63 - 1))).seed == 2**63 - 1
+
+
+# Values no key takes as valid: non-finite, huge and subnormal numbers,
+# blanks, lists, brackets and words.
+_GARBAGE = ("nan", "-NaN", "inf", "-inf", "1e308", "-1e308", "5e-324", "", " ", "1,2",
+            "[1, 2]", "0.1 0.2 0.3", "bogus", "joint joint", "0x10", "true")
+_FUZZ_PRESETS = ("table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """A valid call of one of the five commands (at most 300 trials, grid
+    10, one or two workers, CSVs to rows.csv in the working directory)
+    with 0-2 of its keys, or its amplitudes, set to garbage."""
+    command = rng.choice(("design", "evaluate", "simulate", "sweep", "reproduce"))
+    sets = {"trials": "300", "workers": rng.choice("12"), "grid": "10", "out": "rows.csv"}
+    if command == "reproduce":
+        argv = ["reproduce", "--preset", rng.choice(_FUZZ_PRESETS)]
+    else:
+        argv = [command]
+        sets.update(p1="0.1", p2="0.1", gamma_m="0.9", gamma_phi=rng.choice(("1", "0.707")),
+                    schemes="individual joint" if command in ("design", "sweep") else "joint")
+        sets.update({"snr_db": "0 10", "snr_convention": "sum-energy"} if command == "sweep"
+                    else {"sigma2": "0.1"})
+    amplitudes = "-1,1,-1,1" if command in ("evaluate", "simulate") and rng.random() < 0.5 else None
+    for key in rng.sample(sorted(_KEYS) + ["amplitudes"], rng.randint(0, 2)):
+        if key == "amplitudes":
+            amplitudes = ",".join(rng.choice(_GARBAGE + ("1", "-1")) for _ in range(4))
+        else:
+            sets[key] = rng.choice(_GARBAGE)
+    argv += [a for key, value in sets.items() for a in ("--set", f"{key}={value}")]
+    if amplitudes is not None and command in ("evaluate", "simulate"):
+        argv.append(f"--amplitudes={amplitudes}")
+    return argv
+
+
+def _assert_fuzz_exits_cleanly(seed, calls, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(calls):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        codes.append(code)
+    # every outcome occurs, so the draw tests the garbage and not only the parser
+    assert set(codes) == {0, 2, 3}, codes
+
+
+def test_cli_exit_codes_under_garbage_settings(tmp_path, monkeypatch, capsys):
+    """300 seeded calls of the five commands, each with 0-2 keys (or the
+    amplitudes) set to garbage, all exit 0, 2 or 3, with no traceback."""
+    _assert_fuzz_exits_cleanly(20261021, 300, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.slow
+def test_cli_exit_codes_under_garbage_settings_wide(tmp_path, monkeypatch, capsys):
+    """The same property on a larger draw."""
+    _assert_fuzz_exits_cleanly(7, 1500, tmp_path, monkeypatch, capsys)
 
 
 def test_build_parser_returns_one_parser():

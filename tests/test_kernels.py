@@ -341,16 +341,18 @@ def test_safe_disk_frozen_digest(case1, case2, uniform):
 
 
 def _words_drawn(monkeypatch, tables, sigma2, n):
-    """64-bit words the kernel draws over trials [0, n), counted at its
-    SplitMix finaliser."""
+    """64-bit words the kernel draws over trials [0, n), counted at the
+    stage of the SplitMix finaliser that every drawn word goes through (all
+    but its last step, which only the words the kernel goes on to use
+    take)."""
     words = []
-    finaliser = K._splitmix
+    mix = K._mix
 
     def counted(z, tmp):
         words.append(z.size)
-        return finaliser(z, tmp)
+        return mix(z, tmp)
 
-    monkeypatch.setattr(K, "_splitmix", counted)
+    monkeypatch.setattr(K, "_mix", counted)
     K.mc_error_count(*tables, sigma2, 20260815, 0, n)
     return sum(words)
 
@@ -404,6 +406,118 @@ def test_word_cut_is_exact(case1, case2):
             assert np.array_equal(np.array(words, dtype=np.uint64) >= np.uint64(t), u >= c)
         else:
             assert c == 1.0 and words == [2**64 - 1] and u[0] < 1.0
+
+
+def _unfinish(w: int) -> int:
+    """The word y before the finaliser's last step that gives w: the
+    inverse of y ^ (y >> 31) on 64 bits."""
+    return w ^ (w >> 31) ^ (w >> 62)
+
+
+def _kernel_cuts(case1, case2):
+    """Every radius-word and cdf cut the kernel compares on the case-1 and
+    case-2 collinear designs from 0 to 24 dB (word_cut of 1, 2**64, is
+    never compared, and is left out), and edge cuts up to the largest
+    word_cut below 2**64, 2**64 - 2**11."""
+    cuts = {0, 2**11, 2**31, 2**33 - 2**11, 2**33, 2**33 + 2**11, 2**56, 2**63,
+            2**64 - 2**33, 2**64 - 2**11, K.word_cut(float(np.nextafter(1.0, 0.0)))}
+    for pri in (case1, case2):
+        for snr_db in range(0, 25, 4):
+            (ax, ay, bias, cdf), sigma2 = _design_tables(pri, snr_db)
+            cuts.update(map(K.word_cut, K.safe_disk(ax, ay, bias, sigma2)[1].tolist()
+                            + cdf[:3].tolist()))
+    assert 2**64 - 2**11 in cuts
+    return sorted(c for c in cuts if c < 2**64)
+
+
+def test_last_xorshift_keeps_the_top_31_bits(case1, case2):
+    """The finaliser's last step leaves a word's top 31 bits, so its top
+    byte, as they are: w >= c implies y >= pre_cut(c) for the word y before
+    it, at the words just below, at and just above each cut the kernel
+    compares and its pre_cut, and on random words."""
+    rng = np.random.Generator(np.random.PCG64(36))
+    randoms = rng.integers(0, 2**64, 4000, dtype=np.uint64).tolist()
+    for c in _kernel_cuts(case1, case2):
+        p = K.pre_cut(c)
+        assert p <= c and p % 2**33 == 0 and c - p < 2**33
+        ws = {w for base in (c, p, p + 2**33) for w in (base - 1, base, base + 1)
+              if 0 <= w < 2**64} | {0, 2**64 - 1} | set(randoms[:40])
+        ws, ys = sorted(ws), [_unfinish(w) for w in sorted(ws)]
+        assert K._finish(np.array(ys, dtype=np.uint64), np.empty(len(ys), np.uint64)).tolist() == ws
+        for w, y in zip(ws, ys):
+            assert w >> 33 == y >> 33 and w >> 56 == y >> 56
+            assert y >= p or w < c, (c, w)
+    y = np.array(randoms, dtype=np.uint64)
+    w = K._finish(y.copy(), np.empty_like(y))
+    assert np.array_equal(w >> np.uint64(33), y >> np.uint64(33))
+    assert [_unfinish(v) for v in w.tolist()] == randoms
+
+
+# cdfs whose cuts fall on bucket edges (multiples of 1/256) and one word
+# (2**-53) inside a bucket, below and above an edge
+EDGE_CDFS = {
+    "edges": (0.25, 0.5, 0.75),
+    "inside": (0.25 + 2.0**-53, 0.5 - 2.0**-53, 0.75 + 2.0**-53),
+}
+
+
+def test_bucket_cuts_at_bucket_ends_and_cdf_cuts(case1, case2):
+    """Every source word whose bucket is whole (holds no cdf cut past its
+    first word) draws the bucket's pair, and its bucket cut is that pair's
+    pre_cut; a bucket a cdf cut splits takes the smallest pre_cut of all.
+    Checked at each bucket's first and last word and at each cdf cut and
+    its neighbours, on the designs' cuts and the EDGE_CDFS."""
+    tables = []
+    for pri in (case1, case2):
+        for snr_db in range(0, 25, 4):
+            (ax, ay, bias, cdf), sigma2 = _design_tables(pri, snr_db)
+            tables.append((K.safe_disk(ax, ay, bias, sigma2)[1], cdf[:3]))
+    cut = tables[0][0]
+    tables += [(cut, np.array(cdf)) for cdf in EDGE_CDFS.values()]
+    tables.append((cut, np.array([0.1, 0.1, 1.0])))  # a repeated cut, and one rounding to 1
+    firsts = [k << 56 for k in range(256)]
+    for cuts, cdf in tables:
+        cut = np.array([K.word_cut(c) for c in cuts.tolist()], dtype=np.uint64)
+        cdf_cut = [w for w in map(K.word_cut, cdf.tolist()) if w < 2**64]
+        table, pair = K._bucket_cuts(cut, [np.uint64(w) for w in cdf_cut])
+        pre = [K.pre_cut(c) for c in cut.tolist()]
+        split = {c >> 56 for c in cdf_cut if c % 2**56}
+        assert len(split) <= 3
+        words = firsts + [f + 2**56 - 1 for f in firsts]
+        words += [w for c in cdf_cut for w in (c - 1, c, c + 1) if 0 <= w < 2**64]
+        for w in words:
+            k, b = sum(w >= c for c in cdf_cut), w >> 56
+            if b in split:
+                assert pair[b] == K._SPLIT and table[b] == min(pre), (w, cdf)
+            else:
+                assert pair[b] == k and table[b] == pre[k], (w, cdf)
+
+
+@pytest.mark.parametrize("path", ["candidates", "full block"])
+@pytest.mark.parametrize("cdf", list(EDGE_CDFS))
+@pytest.mark.parametrize("name", ["gamma+1", "gamma0"])
+def test_bucket_edge_sources_match_reference(request, monkeypatch, name, cdf, path):
+    """Sources whose cdf cuts fall on bucket edges, or one word inside a
+    bucket, give the decoder replay's count on MC_RANGES on the candidate
+    path (which finishes fewer radius words than there are trials) and on
+    the full-block path (which finishes every source and radius word)."""
+    amps, gamma_phi, source, sigma2, _ = MC_FROZEN[name]
+    ax, ay, bias, _ = _decoder_tables(build_cc(*amps, gamma_phi, request.getfixturevalue(source)),
+                                      sigma2)
+    tables = (ax, ay, bias, np.array([*EDGE_CDFS[cdf], 1.0]))
+    assert K.safe_disk(ax, ay, bias, sigma2)[1].min() < 0.5
+    monkeypatch.setattr(K, "_SPARSE_SHARE", 1.0 if path == "candidates" else 0.0)
+    finished = []
+    finish = K._finish
+    monkeypatch.setattr(K, "_finish", lambda y, tmp: finished.append(y.size) or finish(y, tmp))
+    for start, n in MC_RANGES:
+        want = _reference_count(*tables, sigma2, MC_SEEDS[0], start, n)
+        finished.clear()
+        assert K.mc_error_count(*tables, sigma2, MC_SEEDS[0], start, n) == want, (start, n)
+        if path == "candidates":
+            assert sum(finished) < n
+        else:
+            assert sum(finished) >= 2 * n
 
 
 # MC_FROZEN's collinear and planar constellations whose smallest cut at
