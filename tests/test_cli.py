@@ -484,7 +484,6 @@ def test_cli_seed_out_of_range_is_a_config_error(tmp_path, capsys, command, seed
 # blanks, lists, brackets and words.
 _GARBAGE = ("nan", "-NaN", "inf", "-inf", "1e308", "-1e308", "5e-324", "", " ", "1,2",
             "[1, 2]", "0.1 0.2 0.3", "bogus", "joint joint", "0x10", "true")
-_FUZZ_PRESETS = ("table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
 
 
 def _fuzz_argv(rng: random.Random) -> list[str]:
@@ -494,7 +493,7 @@ def _fuzz_argv(rng: random.Random) -> list[str]:
     command = rng.choice(("design", "evaluate", "simulate", "sweep", "reproduce"))
     sets = {"trials": "300", "workers": rng.choice("12"), "grid": "10", "out": "rows.csv"}
     if command == "reproduce":
-        argv = ["reproduce", "--preset", rng.choice(_FUZZ_PRESETS)]
+        argv = ["reproduce", "--preset", rng.choice(list(cli._PRESETS))]
     else:
         argv = [command]
         sets.update(p1="0.1", p2="0.1", gamma_m="0.9", gamma_phi=rng.choice(("1", "0.707")),
