@@ -16,6 +16,7 @@ from .analysis import (
     exact_error_planar,
     high_snr_correct_prob,
     high_snr_union_bound,
+    is_bijective,
     is_collinear,
     qfunc,
     union_bound,
@@ -39,7 +40,6 @@ from .geometry import (
     check_energy,
     combine,
     from_amplitudes,
-    is_bijective,
     pair_geometry,
 )
 from .simulate import SimResult, backend_name, derive_seed, simulate

@@ -150,8 +150,9 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
     sigma2)) less 4 * 2**-53, which covers the rounding of expm1.
 
     rho_i and cut_i are 0 for a point with a coincident rival (|c| at or
-    below the coincidence tolerance), and for every point when a table
-    entry or sigma2 is not a finite normal number, a score could
+    below the coincidence tolerance of the four points' largest pairwise
+    distance, as the scalar engine takes it), and for every point when a
+    table entry or sigma2 is not a finite normal number, a score could
     overflow, or a rho_i is not a finite number: those trials all take
     the full decision.
 
@@ -175,7 +176,8 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
     # below overflows either
     if not math.isfinite(4.0 * (max(abias) + max(reach) * max(amp) / sigma2)):
         return zeros
-    tol = coincidence_tol(max(amp))
+    p0, p1, p2, p3 = pts
+    tol = coincidence_tol(max(map(abs, (p1 - p0, p2 - p0, p3 - p0, p2 - p1, p3 - p1, p3 - p2))))
     floor = _DISK_TINY * (1.0 + sigma2)
     rho = []
     for i, a in enumerate(pts):
@@ -488,8 +490,9 @@ def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
     the parts, as Python's abs of a complex (numpy's complex abs can differ
     by an ulp); rows 10 and 11 negate rows 9 and 8. z is analysis._tails'
     z[4 uv + lm], -(|c|^2/2 + sigma2 ln(p_uv / p_lm)) / (sigma |c|). The
-    tolerance is geometry.coincidence_tol of the translate t = 0's largest
-    point magnitude, max(|d1|, |d2|, |d1 + d2|).
+    tolerance is geometry.coincidence_tol of the design's largest pairwise
+    distance, the longer diagonal max(|d1 + d2|, |d1 - d2|) (rows 8 and 9):
+    by the parallelogram law its square is at least |d1|^2 + |d2|^2.
     """
     c = np.empty((12, d1.size), dtype=d2.dtype)
     c[:2] = d1
@@ -505,7 +508,7 @@ def _rival(d1: np.ndarray, d2: np.ndarray, p: np.ndarray, sigma2: float):
         dist[10:] = dist[9:7:-1]
     else:  # hypot(x, 0) = |x|, as np.abs gives it
         dist = np.abs(c)
-    tol = np.maximum(np.maximum(dist[0], dist[4]), dist[8])
+    tol = np.maximum(dist[8], dist[9])
     np.maximum(tol, SCALE_FLOOR, out=tol)
     tol *= COINCIDENCE_RTOL
     # past sigma2 ~ 1e308 the prior term overflows to +-inf, as on the scalar path

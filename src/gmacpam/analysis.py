@@ -14,23 +14,24 @@ Each exact-error and union-bound call reads one pairwise table for its
 constellation and noise level, in two halves. The noise-free half is built
 once per constellation object, on its first call, and kept with it: the
 points, the priors, the collinear and bijective flags (by the coincidence
-tolerance), each distinct pair's distance d, d^2/2 and log prior ratios (a
-coincident pair's bound is +-inf), the side each collinear rival sits on,
-and each planar point's alpha_uv terms and pair correlations. The noise
-half is two flat lists filled per call, in one pass over the distinct
-pairs, with no object around them: for each of the 12 ordered pairs, the
-standardised bound z with Pr(Delta > 0) = Phi(z) and that tail
-probability. The same call then takes each point's miss and union term
-and builds the report. The collinear threshold views read only the
-noise-free half. Two exact evaluation paths read the table and cover every
-constellation:
+tolerance of its largest pairwise distance), each distinct pair's distance
+d, d^2/2 and log prior ratios (a coincident pair's bound is +-inf), the
+side each collinear rival sits on, and each planar point's alpha_uv terms
+and pair correlations. The noise half is two flat lists filled per call,
+in one pass over the distinct pairs, with no object around them: for each
+of the 12 ordered pairs, the standardised bound z with Pr(Delta > 0) =
+Phi(z) and that tail probability. The same call then takes each point's
+miss and union term and builds the report. The collinear threshold views
+read only the noise-free half. Two exact evaluation paths read the table
+and cover every constellation:
 
 * collinear (all points on the real axis): each Delta < 0 condition is a
   half-line constraint on Re[N], so the correct region is an interval and
   the miss probability is the pair of Gaussian tails past its two binding
   thresholds; Q is monotone, so on each side of the point the binding
   rival is the one whose table tail is larger;
-* planar: the diagonal statistic decomposes as
+* planar (a superposition a_uv = s1u + s2v off the axis; other points
+  raise NotSuperposition): the diagonal statistic decomposes as
   Delta_{uv, comp(uv)} = Delta_1 + Delta_2 + alpha_uv with
   alpha_uv = sigma2 ln(p_uv p_compuv / (p_adj1 p_adj2)) - Re[x conj(y)],
   where x, y are the two adjacent difference vectors. When alpha_uv <= 0
@@ -60,7 +61,8 @@ import sys
 from functools import cache
 from typing import NamedTuple
 
-from .errors import CaseMismatch, CollinearInput, CorrelationAtUnity, NonBijective, NotCollinear
+from .errors import (CaseMismatch, CollinearInput, CorrelationAtUnity, NonBijective, NotCollinear,
+                     NotSuperposition)
 from .geometry import CombinedConstellation, coincidence_tol, on_real_axis
 from .sources import pair_index
 
@@ -68,6 +70,13 @@ _TWO_PI = 2.0 * math.pi
 
 # |rho| above this is delegated to the collinear path.
 _RHO_LIMIT = 1.0 - 1e-12
+
+# Largest difference between sender 2's steps a01 - a00 and a11 - a10,
+# relative to the largest point magnitude, that the planar path takes as
+# rounding. combine's rounding reaches 2.0 eps of it, and a translated or
+# rotated copy of its points 4.4 eps, on 200 000 seeded constellations;
+# this is 16 eps.
+_SKEW_RTOL = 2.0**-48
 
 
 # qfunc and the batched _kernels._qfunc_array flush a tail below the
@@ -133,8 +142,14 @@ class ErrorReport(NamedTuple):
 
 def is_collinear(cc: CombinedConstellation) -> bool:
     """True when every combined point sits on the real axis within the
-    coincidence tolerance."""
-    return on_real_axis(cc.points, coincidence_tol(cc.scale()))
+    coincidence tolerance, as cc's pairwise table reads it."""
+    return _pair_geometry(cc).collinear
+
+
+def is_bijective(cc: CombinedConstellation) -> bool:
+    """True when no two of the four combined points coincide, by the
+    coincidence tolerance, as cc's pairwise table reads it."""
+    return _pair_geometry(cc).bijective
 
 
 def _wins_degenerate(uv_idx: int, lm_idx: int, p_uv: float, p_lm: float) -> bool:
@@ -165,29 +180,34 @@ class _PairGeometry:
     levels pays for it once.
 
     Point i = 2u + v is a_uv. After the input checks (every point finite,
-    by cc.scale(), and the largest distance squaring to a finite number),
-    one pass over the six unordered pairs fills: the points as stored, the
-    priors, the collinear and bijective flags (by the coincidence tolerance);
-    for each distinct pair, its two flat indices 4i + j and 4j + i, d^2/2,
-    d and both log prior ratios (spread); for each coincident pair, z and
-    tail at both flat indices (NaN elsewhere), resolved by the decoder's
-    prior / lexicographic rule: z = -inf when i keeps the shared point,
-    +inf when it loses it. A collinear constellation also keeps, at flat
-    index 4i + j, the side of point i that rival j sits on (side: +1
-    above, -1 below, 0 within the tolerance); a bijective planar one keeps,
-    per point, its three rivals, the log prior factor and the cross term of
-    alpha_uv and the three pair correlations its orthants take (planar).
+    by cc.scale(), and the largest pairwise distance squaring to a finite
+    number), one pass over the six unordered pairs fills: the points as
+    stored, the priors, the collinear and bijective flags (by the
+    coincidence tolerance of the largest pairwise distance, the one rule
+    of the package, which a translation leaves alone); for each distinct
+    pair, its two flat indices 4i + j and 4j + i, d^2/2, d and both log
+    prior ratios (spread); for each coincident pair, z and tail at both
+    flat indices (NaN elsewhere), resolved by the decoder's prior /
+    lexicographic rule: z = -inf when i keeps the shared point, +inf when
+    it loses it. A collinear constellation also keeps, at flat index
+    4i + j, the side of point i that rival j sits on (side: +1 above, -1
+    below, 0 within the tolerance); a bijective planar one keeps, per
+    point, its three rivals, the log prior factor and the cross term of
+    alpha_uv and the three pair correlations its orthants take (planar),
+    or None when sender 2's steps a01 - a00 and a11 - a10 differ by more
+    than _SKEW_RTOL of cc.scale(): such points are no superposition.
     """
 
     def __init__(self, cc: CombinedConstellation):
         self.pts = pts = cc.points
         self.priors = p = cc.priors.as_tuple()
-        tol = coincidence_tol(cc.scale())
+        scale = cc.scale()
         # abs of a negated difference is bit-equal, so one distance per pair
         dist = [abs(pts[j] - pts[i]) for i, j, _, _ in _PAIRS]
         far = max(dist)
         if not math.isfinite(far * far):
             raise OverflowError(f"largest pairwise distance {far!r} squares past the float range")
+        tol = coincidence_tol(far)
         self.collinear = on_real_axis(pts, tol)
         self.z = z = [math.nan] * 16
         self.tail = tail = [math.nan] * 16
@@ -209,7 +229,11 @@ class _PairGeometry:
                 side[ij] = s = 1 if c > tol else -1 if c < -tol else 0
                 side[ji] = -s
         elif self.bijective:
-            self.planar = [_planar_point(pts, p, i) for i in range(4)]
+            # alpha_uv takes each diagonal as the sum of its two sides;
+            # points that are no superposition keep planar None
+            skew = abs((pts[1] - pts[0]) - (pts[3] - pts[2]))
+            self.planar = ([_planar_point(pts, p, i) for i in range(4)]
+                           if skew <= _SKEW_RTOL * scale else None)
 
 
 def _pair_geometry(cc: CombinedConstellation) -> _PairGeometry:
@@ -483,7 +507,8 @@ def _planar_point(pts, p, i: int) -> tuple:
     """The noise-free terms of point i's planar miss: the flat indices
     4i + j of its rivals j that flip u, flip v and flip both (_FLIPS), the
     log prior factor and the cross term of alpha_uv, and the correlations
-    of the (d, x), (d, y) and (x, y) statistics."""
+    of the (d, x), (d, y) and (x, y) statistics. alpha_uv holds only for a
+    superposition, whose diagonal difference c_d is c_x + c_y."""
     x, y, d = i ^ 2, i ^ 1, i ^ 3
     c_x = pts[x] - pts[i]
     c_y = pts[y] - pts[i]
@@ -543,11 +568,14 @@ def exact_error(cc: CombinedConstellation, sigma2: float) -> ErrorReport:
     if geo.collinear:
         method = "collinear"
         miss = _line_misses(geo, z, tail)
-    elif geo.bijective:
+    elif not geo.bijective:
+        raise NonBijective("combined points coincide; planar analysis requires distinct points")
+    elif geo.planar is None:
+        raise NotSuperposition("a01 - a00 and a11 - a10 differ: the combined points are no "
+                               "superposition a_uv = s1u + s2v, which planar analysis requires")
+    else:
         method = "planar"
         miss = _planar_misses(geo, sigma2, z, tail)
-    else:
-        raise NonBijective("combined points coincide; planar analysis requires distinct points")
     p = geo.priors
     # by position: keywords make the named tuple's __new__ about twice as slow
     return ErrorReport(min(max(math.fsum(map(operator.mul, p, miss)), 0.0), 1.0),

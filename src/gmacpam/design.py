@@ -345,12 +345,17 @@ def _loop_scorer(inp, dmax):
     sigma2) worked out once. Each row's score depends on that row alone, so
     any grouping of the points gives the same scores.
 
-    A separation the coincidence rule calls zero is no design: it scores
-    +inf unsent. Every other point goes to the kernel as its separations
-    (d1, d2 u2): on the line that includes a merged design (d1 = +-d2),
-    whose shared point the decoder gives by prior, as exact_error scores
-    it. In the plane two nonzero separations keep the points distinct, so
-    the planar kernel's +inf for non-bijective designs never fires here.
+    A separation at or below coincidence_tol(D_k), sender k's largest
+    separation, is zero, and a zero separation is no Constellation: it
+    scores +inf unsent. This rule asks whether one sender's two points
+    coincide, not whether two combined points do (the kernels' rule, at
+    the design's largest pairwise distance); D_k is a separation, so it is
+    free of translation as well. Every other point goes to the kernel as
+    its separations (d1, d2 u2): on the line that includes a merged design
+    (d1 = +-d2), whose shared point the decoder gives by prior, as
+    exact_error scores it. In the plane two nonzero separations keep the
+    points distinct, so the planar kernel's +inf for non-bijective designs
+    never fires here.
     """
     import numpy as np
 

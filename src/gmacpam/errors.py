@@ -33,6 +33,11 @@ class NonBijective(GmacpamError):
     """Two combined constellation points coincide where distinctness is required."""
 
 
+class NotSuperposition(GmacpamError):
+    """Four combined points that are no superposition a_uv = s1u + s2v went to
+    the planar path, which requires one."""
+
+
 class CorrelationAtUnity(GmacpamError):
     """Bivariate normal correlation too close to +/-1 for the orthant routine."""
 

@@ -11,7 +11,6 @@ per-component variance sigma2.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from typing import NamedTuple
 
@@ -28,9 +27,10 @@ SCALE_FLOOR = 1e-300
 def coincidence_tol(scale: float) -> float:
     """Distance at or below which two points of a constellation coincide.
 
-    scale is the constellation's largest point magnitude; a NaN scale gives
-    a NaN tolerance. The rule is relative, so it is invariant to rescaling
-    the constellation. _kernels._rival applies it to a batch of designs,
+    scale is the constellation's largest pairwise distance; a NaN scale
+    gives a NaN tolerance. The rule is relative to a distance between
+    points, so it is invariant to rescaling, rotating and translating the
+    constellation. _kernels._rival applies it to a batch of designs,
     elementwise.
     """
     return COINCIDENCE_RTOL * max(scale, SCALE_FLOOR)
@@ -107,7 +107,7 @@ class CombinedConstellation(_CombinedPoints):
         return self.points[pair_index(u, v)]
 
     def scale(self) -> float:
-        """Largest point magnitude, used for relative coincidence tests.
+        """Largest point magnitude, the size the points' rounding grows with.
 
         A point with a NaN or infinite part, or a finite one whose magnitude
         overflows, raises OverflowError naming it, so no caller computes
@@ -161,13 +161,6 @@ def combine(
         a11=c1.s1 + c2.s1,
         priors=priors,
     )
-
-
-def is_bijective(cc: CombinedConstellation) -> bool:
-    """True when no two of the four combined points coincide, by the
-    coincidence_tol rule."""
-    tol = coincidence_tol(cc.scale())
-    return all(abs(a - b) > tol for a, b in itertools.combinations(cc.points, 2))
 
 
 def check_energy(c: Constellation, p: float, e: float) -> bool:

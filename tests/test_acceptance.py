@@ -31,7 +31,7 @@ from gmacpam.design import (
     max_separation,
     numerical_search,
 )
-from gmacpam.geometry import is_bijective
+from gmacpam.analysis import is_bijective
 from gmacpam.simulate import derive_seed, simulate
 from gmacpam.sources import from_joint
 

@@ -95,21 +95,32 @@ def test_bijectivity(uniform):
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_tolerance_edge_agrees_everywhere(uniform, factor):
     """A pair of points factor x the coincidence tolerance apart reads as
-    coincident (0.5) or distinct (2) on every path alike. In the plane that
-    is sender 1's separation (a short d2 would put all four points within
-    the tolerance of the real axis); on the line a design a gap short of
-    merged (d1 = +-d2), and equal priors make the line's answer hinge on
-    it: a coincident pair leaves its later point no region, a distinct one
-    splits the shared region at the midpoint. Each constellation is the
-    translate {0, d2, d1, d1 + d2}, whose largest magnitude sets the
-    kernels' scale."""
+    coincident (0.5) or distinct (2) on every path alike, and so does a
+    copy of the points shifted by t = 1e9 or 1e9 + 1e9j: the scalar
+    verdict there is the kernels' verdict on the design (d1, d2). In the
+    plane the pair is sender 1's separation (a short d2 would put all four
+    points within the tolerance of the real axis); on the line a design a
+    gap short of merged (d1 = +-d2), and equal priors make the line's
+    answer hinge on it: a coincident pair leaves its later point no
+    region, a distinct one splits the shared region at the midpoint. The
+    separations are some 2 000 long, so that a gap of a few 1e-6 outlasts
+    the shift's rounding (half an ulp of 1e9 is 6e-8)."""
     sigma2 = 0.1
     priors = uniform.as_array()
     distinct = factor > 1.0
-    d2 = complex(1.2, -1.6)  # |d2| = 2, the scale up to the gap
+
+    def verdicts(d1, d2):
+        """Every copy's is_bijective, and the kernels' verdict on (d1, d2)."""
+        _, dist, _, tol = K._rival(np.array([d1]), np.array([d2]), priors, sigma2)
+        pts = (0j, d2, complex(d1), d1 + d2)
+        copies = [CombinedConstellation(*(a + t for a in pts), uniform)
+                  for t in (0.0, 1e9, 1e9 + 1e9j)]
+        return [is_bijective(cc) for cc in copies] + [bool((dist > tol).all())], copies[0]
+
+    d2 = complex(1200.0, -1600.0)  # |d2| = 2000, the scale up to the gap
     d1 = factor * coincidence_tol(abs(d2))
-    cc = CombinedConstellation(0j, d2, complex(d1), d1 + d2, uniform)
-    assert is_bijective(cc) == distinct
+    seen, cc = verdicts(d1, d2)
+    assert seen == [distinct] * 4
     batch = K.planar_pe_batch(np.array([d1]), np.array([d2]), priors, sigma2)[0]
     if distinct:
         assert 0.0 < exact_error_planar(cc, sigma2).p_err_exact < 1.0
@@ -118,12 +129,13 @@ def test_tolerance_edge_agrees_everywhere(uniform, factor):
         with pytest.raises(NonBijective):
             exact_error_planar(cc, sigma2)
         assert batch == np.inf
-    # on a line the collinear kernel resolves the pair as the scalar path does
-    d1 = 2.0
-    for sign, scale in ((-1.0, d1), (1.0, 2.0 * d1)):
-        d2 = sign * (d1 - factor * coincidence_tol(scale))
-        line = CombinedConstellation(0j, complex(d2), complex(d1), complex(d1 + d2), uniform)
-        assert is_bijective(line) == distinct
+    # on a line the collinear kernel resolves the pair as the scalar path
+    # does; either way the largest pairwise distance is about 2 d1
+    d1 = 2000.0
+    for sign in (-1.0, 1.0):
+        d2 = sign * (d1 - factor * coincidence_tol(2.0 * d1))
+        seen, line = verdicts(d1, d2)
+        assert seen == [distinct] * 4
         want = exact_error_collinear(line, sigma2).p_err_exact
         got = K.collinear_pe_batch(np.array([d1]), np.array([d2]), priors, sigma2)[0]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -200,8 +200,8 @@ def _screen_cases():
         if near != "plain":
             i, j = rng.choice(4, size=2, replace=False)
             step = np.exp(2j * math.pi * rng.uniform()) if planar else rng.choice([-1.0, 1.0])
-            for _ in range(2):  # the tolerance follows the largest point
-                tol = coincidence_tol(np.max(np.abs(pts)))
+            for _ in range(2):  # the tolerance follows the largest pairwise distance
+                tol = coincidence_tol(np.max(np.abs(pts[:, None] - pts)))
                 pts[j] = pts[i] + (1.01 if near == "outside" else 0.99) * tol * step
         pr = rng.dirichlet(np.ones(4))
         if k // 6 % 2:
@@ -299,7 +299,7 @@ def test_safe_disk_off_past_the_float_range(point0, bias0, sigma2):
 
 
 # sha256 of the repr of every safe_disk rho and cut over _safe_disk_tables()
-SAFE_DISK_SHA256 = "2316288bcae1675462c8f56d3fad933c12dce054aa04400f45da86b5df936e78"
+SAFE_DISK_SHA256 = "57cb25935a593dbebec3200e50e61fb444528002e7d35c9a9ceabc905413b530"
 
 
 def _safe_disk_tables(case1, case2, uniform):
@@ -720,10 +720,10 @@ def test_rival_blocks_are_the_separations(case2, scale):
     """The x and y blocks of the rival table are +-d1 and +-d2 bit for bit,
     signed (1 - 2u) and (1 - 2v) for point uv, the d block their sum; each
     magnitude is Python's abs of its difference, and each design's
-    tolerance is the scalar rule at its largest point magnitude max(|d1|,
-    |d2|, |d1 + d2|), NaN and inf included. numpy's complex abs can differ
-    from Python's by an ulp (|-0.5 u2| at gamma_phi 0.383 reads
-    0.49999999999999994 against 0.5)."""
+    tolerance is the scalar rule at its largest pairwise distance, the
+    longer diagonal max(|d1 + d2|, |d1 - d2|), NaN and inf included.
+    numpy's complex abs can differ from Python's by an ulp (|-0.5 u2| at
+    gamma_phi 0.383 reads 0.49999999999999994 against 0.5)."""
     d1 = scale * np.array([1.0, -1.0, 0.5])
     for d2 in (np.array([0.0, 0.75, -0.5]), np.array([0.0, 0.75, -0.5]) * sender2_axis(0.383)):
         c, dist, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
@@ -733,7 +733,7 @@ def test_rival_blocks_are_the_separations(case2, scale):
         assert c[8:].tobytes() == (x + y).tobytes()
         mags = [[abs(complex(v)) for v in row] for row in c.tolist()]
         assert list(map(repr, dist.ravel().tolist())) == list(map(repr, sum(mags, [])))
-        for k, m in enumerate(zip(mags[0], mags[4], mags[8])):
+        for k, m in enumerate(zip(mags[8], mags[9])):
             assert struct.pack("<d", coincidence_tol(max(m))) == struct.pack("<d", tol[k])
 
 
@@ -742,7 +742,7 @@ def test_rival_magnitudes_are_the_scalar_engines(case2, gamma_phi):
     """On random dyadic designs in the plane, whose translate t = 0 takes
     every difference exactly, each magnitude of the rival table is the
     scalar engine's abs of that rival's difference and each design's
-    tolerance is coincidence_tol(cc.scale()), bit for bit."""
+    tolerance is coincidence_tol of the largest of them, bit for bit."""
     rng = np.random.Generator(np.random.PCG64(63))
     d1, d2 = _designs(rng, gamma_phi, 200)
     _, dist, _, tol = K._rival(d1, d2, case2.as_array(), 0.1)
@@ -751,7 +751,7 @@ def test_rival_magnitudes_are_the_scalar_engines(case2, gamma_phi):
         pts = cc.points
         want = [abs(pts[j] - pts[i]) for i, j in zip(K._OWN.tolist(), K._RIVAL.tolist())]
         assert dist[:, k].tolist() == want, (a, b)
-        assert tol[k] == coincidence_tol(cc.scale()), (a, b)
+        assert tol[k] == coincidence_tol(max(want)), (a, b)
 
 
 def _alpha(d1, d2, priors, sigma2):
