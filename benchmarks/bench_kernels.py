@@ -97,7 +97,12 @@ through cli.main in this process, its CSVs removed before each repeat,
 41 rounds each; each notes the sha256 of its pass's CSVs and the
 exact_error calls the CLI layer makes in a pass. A pass takes
 10-60 ms, so these rows resolve a 2-5% change under --against that a whole
-perfbench run barely separates from host drift. The mc-fig9-workers1 and
+perfbench run barely separates from host drift. The mc-fixed-cost row
+gives microseconds per simulate call at 1 000 trials over the 16
+(constellation, sigma2) pairs of one planar-sweep pass, captured by
+wrapping cli.simulate, on fresh copies of the pass's constellations each
+repeat, shared by the calls as the pass's rows share them (41 rounds):
+what a call pays whatever its trial count. The mc-fig9-workers1 and
 -workers2 rows give seconds per pass over the six simulate calls of the
 mc-collinear benchmark workload (fig9 source and energies, individual
 and joint designs, 0, 8 and 16 dB sum-energy SNR, 500 000 trials each) at
@@ -609,6 +614,48 @@ def bench_passes(g, out_dir):
     return rows
 
 
+# Trials of each call of the mc-fixed-cost row: few enough that a call's
+# cost is mostly what it pays whatever its trial count.
+FIXED_COST_TRIALS = 1000
+
+
+def bench_fixed_cost(g, out_dir):
+    """Microseconds per simulate call at FIXED_COST_TRIALS trials over the
+    (constellation, sigma2) pairs of the simulate calls of one planar-sweep
+    benchmark pass, captured by wrapping cli.simulate. Each repeat runs on
+    fresh copies of the pass's constellations, shared by its calls as the
+    pass's rows share them, so nothing a constellation keeps outlives a
+    repeat."""
+    workload = _workload()
+    pass_dir = os.path.join(out_dir, f"fixed-cost-{id(g)}")
+    os.mkdir(pass_dir)
+    calls = []
+    real = g.cli.simulate
+    g.cli.simulate = lambda cc, sigma2, trials, seed, workers=1: (
+        calls.append((cc, sigma2, seed)) or real(cc, sigma2, trials, seed, workers))
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            for _, argv in workload.commands("planar-sweep", SEED, pass_dir):
+                assert g.cli.main(argv) == 0, argv
+    finally:
+        g.cli.simulate = real
+
+    def fresh():
+        copies = {}
+        pairs = [(copies.setdefault(id(cc), type(cc)(*cc)), sigma2, seed)
+                 for cc, sigma2, seed in calls]
+        gc.collect()
+        return pairs
+
+    def run(pairs):
+        for cc, sigma2, seed in pairs:
+            g.simulate.simulate(cc, sigma2, FIXED_COST_TRIALS, seed)
+
+    return [Row("mc-fixed-cost", run, len(calls), "us/call",
+                f"{len(calls)} calls on {len({id(cc) for cc, _, _ in calls})} constellations",
+                prepare=fresh, repeat=PASS_ROUNDS)]
+
+
 # Fresh interpreters per cold-start and preset row.
 COLD_STARTS = 7
 # The modules whose loading a cold-start or preset child reports: the
@@ -758,6 +805,7 @@ def build_rows(g, ns, out_dir):
     """Every row of package g, in print order."""
     return (bench_mc(g, ns.trials) + bench_batch(g) + bench_scalar(g) + bench_layers(g)
             + bench_sweep(g, out_dir) + bench_search(g) + bench_passes(g, out_dir)
+            + bench_fixed_cost(g, out_dir)
             + bench_workers(g)
             + bench_cold_start(g) + bench_presets(g, out_dir))
 

@@ -25,13 +25,18 @@ the angle word only of the trials it scores: those at or past their own
 point's cut, and on the bucket path a few inside it, which the full
 decision gets right as it does every trial there. Words not drawn keep
 their counters reserved, so every count is the one the full decision
-gives.
+gives. Everything a count reads before its first block (McTables: the
+decoder tables, the cuts, the path and its bucket table) is a function of
+the constellation and sigma2 alone, so simulate builds it once per
+constellation and noise level (mc_tables) and every call and worker
+chunk at that level reads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,15 +55,22 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 
+# The finaliser's (shift, multiplier) steps and its last shift, and the
+# other shifts of the Monte-Carlo kernel, as numpy scalars: building one
+# costs as much as a small block's ufunc call.
+_MIX_STEPS = ((_U64(30), _U64(_MIX1)), (_U64(27), _U64(_MIX2)))
+_U64_31, _U64_11, _U64_56 = _U64(31), _U64(11), _U64(56)
+
+
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The SplitMix64 finaliser of the words in z, in place, up to its last
     xorshift: the stage every drawn word goes through. tmp is scratch of
     z's shape. The word of counter c is the finaliser of seed + (c + 1) *
     golden; uint64 arithmetic wraps, so any grouping of that sum gives it."""
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, _U64(shift), out=tmp)
+    for shift, mix in _MIX_STEPS:
+        np.right_shift(z, shift, out=tmp)
         z ^= tmp
-        z *= _U64(mix)
+        z *= mix
     return z
 
 
@@ -66,7 +78,7 @@ def _finish(y: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The finaliser's last step, w = y ^ (y >> 31), in place; tmp is
     scratch of y's shape. It leaves the top 31 bits of y as they are, so
     w >= c implies y >= pre_cut(c), and w and y share their top byte."""
-    np.right_shift(y, _U64(31), out=tmp)
+    np.right_shift(y, _U64_31, out=tmp)
     y ^= tmp
     return y
 
@@ -82,14 +94,17 @@ def pre_cut(c: int) -> int:
     return c & ~((1 << 33) - 1)
 
 
-def _uniforms(w: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draws (w >> 11) 2**-53 of the 64-bit words w, written
-    over w: the result is a float64 view of w's memory."""
-    w >>= _U64(11)
+def _uniforms(w: np.ndarray, factor: float = _INV_2_53) -> np.ndarray:
+    """Uniform [0,1) draws u = (w >> 11) 2**-53 of the 64-bit words w,
+    written over w: the result is a float64 view of w's memory. A factor
+    2**-53 c gives u c in place of u, rounded as the product of u with c
+    is: w >> 11 and u are exact, so both are one rounding of the same real
+    product."""
+    w >>= _U64_11
     # below 2**53, so the signed view converts exactly (and faster); the
     # cast reads each word before it writes its draw, so it runs in place
     u = w.view(np.float64)
-    np.multiply(w.view(np.int64), _INV_2_53, out=u)
+    np.multiply(w.view(np.int64), factor, out=u)
     return u
 
 
@@ -112,6 +127,9 @@ def uniforms_numpy(seed: int, counters: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte-Carlo trial kernel
 # ---------------------------------------------------------------------------
+
+# 2 pi 2**-53: _uniforms' factor for the angle 2 pi u2
+_ANGLE_FACTOR = _INV_2_53 * 2.0 * math.pi
 
 # Trials per block, and the most trials one scoring batch takes: small
 # enough that a block's temporaries (three 256 KB word arrays and the
@@ -156,26 +174,36 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
     overflow, or a rho_i is not a finite number: those trials all take
     the full decision.
 
-    The tables hold four points, so this one is scalar: Python floats and
-    the math module, not numpy. Magnitudes are abs of a complex, which is
-    libm's hypot as np.hypot is; both arrays come back as float64.
+    The tables hold four points, so the work is scalar (_safe_disk, on
+    Python floats and the math module, not numpy). Magnitudes are abs of a
+    complex, which is libm's hypot as np.hypot is; both arrays come back as
+    float64.
     """
-    zeros = (np.zeros(len(ax)), np.zeros(len(ax)))
-    xs, ys, bs = ax.tolist(), ay.tolist(), bias.tolist()
+    disk = _safe_disk(ax.tolist(), ay.tolist(), bias.tolist(), sigma2)
+    rho, cut = disk or ([0.0] * len(ax),) * 2
+    return np.array(rho), np.array(cut)
+
+
+def _safe_disk(xs: list, ys: list, bs: list, sigma2: float) -> tuple[list, list] | None:
+    """safe_disk's rho and cut as lists, from the tables as lists of floats;
+    None in place of the zeros where a table entry or sigma2 is not a
+    finite normal number or a score could overflow, so that a table that
+    is not None bounds every score the kernel computes."""
+    zeros = ([0.0] * len(xs), [0.0] * len(xs))
     if not (_FLOAT_MIN <= sigma2 < math.inf and all(map(math.isfinite, xs + ys + bs))):
-        return zeros
+        return None
     pts = [complex(x, y) for x, y in zip(xs, ys)]
     try:
         amp = [abs(a) for a in pts]
     except OverflowError:  # a magnitude past the float range: no score bound
-        return zeros
+        return None
     radius = RADIUS_MAX * math.sqrt(sigma2)
     reach = [m + radius for m in amp]
     abias = [abs(b) for b in bs]
     # 4x a bound on every score the kernel computes; past it, no distance
     # below overflows either
     if not math.isfinite(4.0 * (max(abias) + max(reach) * max(amp) / sigma2)):
-        return zeros
+        return None
     p0, p1, p2, p3 = pts
     tol = coincidence_tol(max(map(abs, (p1 - p0, p2 - p0, p3 - p0, p2 - p1, p3 - p1, p3 - p2))))
     floor = _DISK_TINY * (1.0 + sigma2)
@@ -202,7 +230,7 @@ def safe_disk(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray,
     if not all(map(math.isfinite, x)):
         return zeros
     cut = [max(-math.expm1(-v) - 4.0 * _INV_2_53, 0.0) for v in x]
-    return np.array(rho), np.array(cut)
+    return rho, cut
 
 
 @functools.cache
@@ -218,11 +246,13 @@ def _counter_ramp(block: int) -> np.ndarray:
 
 # Source words fall into 256 buckets by their top byte, which the word
 # before the finaliser's last step already has (see _finish): bucket k
-# holds the words [k 2**56, (k + 1) 2**56).
-_BUCKET_FIRST = np.arange(256, dtype=_U64) << _U64(56)
-_BUCKET_LAST = _BUCKET_FIRST | _U64((1 << 56) - 1)
-# The pair of a bucket that a cdf cut splits
+# holds the words [k 2**56, (k + 1) 2**56). _SPLIT is the pair of a bucket
+# that a cdf cut splits.
 _SPLIT = 4
+# 2 golden, modulo 2**64
+_TWO_GOLDEN = _U64(2 * _GOLDEN & _MASK64)
+# (j + 1) golden: stream j's part of a block's counter offset
+_STREAM_GOLDEN = tuple((j + 1) * _GOLDEN for j in range(3))
 # Largest expected share of a block's trials past their bucket's cut for
 # which the candidate path runs; past it, the full-block finish is cheaper
 # (see mc_error_count; measured break-even 26-30%).
@@ -233,22 +263,81 @@ def _bucket_cuts(cut: np.ndarray, cdf_cut: list) -> tuple[np.ndarray, np.ndarray
     """Per source bucket, the pre_cut of the radius-word cut of its pair and
     that pair; a bucket a cdf cut splits takes the smallest pre_cut of all
     and the pair _SPLIT. cut holds each pair's word cut, cdf_cut the
-    source's cdf cuts (word_cut of each cdf entry below 1)."""
-    cdf = np.array(cdf_cut, dtype=_U64)
-    first = np.searchsorted(cdf, _BUCKET_FIRST, side="right")
-    last = np.searchsorted(cdf, _BUCKET_LAST, side="right")
-    pre = np.array([pre_cut(c) for c in cut.tolist()], dtype=_U64)
-    whole = first == last
-    return (np.where(whole, pre[first], pre.min()),
-            np.where(whole, first, _SPLIT).astype(np.uint8))
-
-
-def _pairs(w0: np.ndarray, cdf_cut: list) -> np.ndarray:
-    """Sent pair #{k : w0 >= cdf_cut[k]} of each source word in w0."""
-    idx = np.zeros(w0.size, dtype=np.uint8)
+    source's cdf cuts (word_cut of each cdf entry below 1), in order."""
+    pre = [pre_cut(c) for c in cut.tolist()]
+    pre.append(min(pre))  # at _SPLIT
+    pair = np.zeros(256, dtype=np.uint8)
+    cdf_cut = list(map(int, cdf_cut))
+    # every word of the buckets past c's own reaches c, and so does every
+    # word of c's own when c is its first word; otherwise c splits it
     for c in cdf_cut:
-        idx += (w0 >= c).view(np.uint8)
-    return idx
+        pair[c >> 56:] += 1
+    for c in cdf_cut:
+        if c % (1 << 56):
+            pair[c >> 56] = _SPLIT
+    return np.array(pre, dtype=_U64).take(pair), pair
+
+
+def _pairs(w0: np.ndarray, cdf_cut: np.ndarray) -> np.ndarray:
+    """Sent pair #{k : w0 >= cdf_cut[k]} of each source word in w0; cdf_cut
+    is a uint64 column, shape (k, 1)."""
+    return np.add.reduce((w0 >= cdf_cut).view(np.uint8), axis=0, dtype=np.uint8)
+
+
+class McTables(NamedTuple):
+    """What mc_error_count reads of one constellation at one sigma2 before
+    its first block, as mc_tables builds it: the decoder tables ax, ay,
+    bias and cdf (rows of one array), sigma2, planar (some ay is not 0),
+    finite (the tables bound every score, see _safe_disk), each pair's
+    safe-disk word cut, the cdf's word cuts below 2**64 (a column), and
+    the tables of the block path (see mc_error_count): on the screen,
+    threshold, the pre_cut of the smallest cut; on the candidate path, the
+    bucket cuts and pairs of _bucket_cuts; on the full block, neither."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    bias: np.ndarray
+    cdf: np.ndarray
+    sigma2: float
+    planar: bool
+    finite: bool
+    cut: np.ndarray
+    cdf_cut: np.ndarray
+    threshold: np.uint64 | None
+    table: np.ndarray | None
+    table_pair: np.ndarray | None
+
+
+# The screen runs when every cut is at least the word cut of 1/2.
+_SCREEN_CUT = word_cut(0.5)
+
+
+def mc_tables(xs: list, ys: list, bs: list, cdf: list, sigma2: float) -> McTables:
+    """The McTables of the decoder tables ax, ay, bias and cdf, given as
+    lists of floats, at sigma2."""
+    disk = _safe_disk(xs, ys, bs, sigma2)
+    cut = [word_cut(c) for c in disk[1]] if disk else [0] * len(xs)
+    # a cdf entry that rounds to 1 has no word at or past it
+    cdf_words = [w for w in map(word_cut, cdf[:3]) if w <= _MASK64]
+    cdf_cut = np.array(cdf_words, dtype=_U64).reshape(-1, 1)
+    decoder = np.array((xs, ys, bs, cdf))
+    cut_words = np.array(cut, dtype=_U64)
+    threshold = table = table_pair = None
+    # Radius words below the smallest cut are inside every point's disk, so
+    # only trials past it need a source word. Gathering those trials costs
+    # more than the words it spares when the cut is below about 1/2
+    # (measured break-even 0.45-0.5), so there, and when a point has no
+    # disk (cut 0), every trial draws its source word, and the bucket cuts
+    # pick the trials to finish when few are expected past them.
+    if min(cut) >= _SCREEN_CUT:
+        threshold = _U64(pre_cut(min(cut)))
+    else:
+        buckets = _bucket_cuts(cut_words, cdf_words)
+        # each bucket holds 1/256 of the source words
+        if 1.0 - math.ldexp(buckets[0].mean(dtype=np.float64), -64) < _SPARSE_SHARE:
+            table, table_pair = buckets
+    return McTables(*decoder, sigma2, any(ys), disk is not None, cut_words, cdf_cut, threshold,
+                    table, table_pair)
 
 
 def mc_error_count(
@@ -260,9 +349,12 @@ def mc_error_count(
     seed: int,
     start: int,
     n: int,
+    tables: McTables | None = None,
 ) -> int:
     """Number of MAP decoding errors over trials [start, start + n); seed
-    as simulate's.
+    as simulate's. tables, when given, is what mc_tables builds from the
+    other tables at sigma2 (simulate keeps it with the constellation);
+    otherwise the call builds it.
 
     Per trial t: pair idx = #{k < 3 : u0 >= cdf[k]} (the source draw),
     received sample a[idx] + r exp(i 2 pi u2) with Box-Muller radius
@@ -301,72 +393,66 @@ def mc_error_count(
     once a block.
     """
     _check_seed(seed)
-    cut = np.array([word_cut(c) for c in safe_disk(ax, ay, bias, sigma2)[1].tolist()],
-                   dtype=_U64)
-    # a cdf entry that rounds to 1 has no word at or past it
-    cdf_cut = [_U64(w) for w in map(word_cut, cdf[:3].tolist()) if w <= _MASK64]
-    # Radius words below the smallest cut are inside every point's disk, so
-    # only trials past it need a source word. Gathering those trials costs
-    # more than the words it spares when the cut is below about 1/2
-    # (measured break-even 0.45-0.5), so there, and when a point has no
-    # disk (cut 0), every trial draws its source word, and the bucket cuts
-    # pick the trials to finish when few are expected past them.
-    screen = bool(cut.min() >= word_cut(0.5))
-    if screen:
-        threshold = _U64(pre_cut(int(cut.min())))
-        sparse = False
-    else:
-        table, table_pair = _bucket_cuts(cut, cdf_cut)
-        # each bucket holds 1/256 of the source words
-        sparse = 1.0 - math.ldexp(table.mean(dtype=np.float64), -64) < _SPARSE_SHARE
+    if tables is None:
+        tables = mc_tables(ax.tolist(), ay.tolist(), bias.tolist(), cdf.tolist(), sigma2)
+    cut, cdf_cut, threshold, table = tables.cut, tables.cdf_cut, tables.threshold, tables.table
+    screen = threshold is not None
+    sparse = table is not None
     b = min(_MC_BLOCK, n)
     ramp = _counter_ramp(_MC_BLOCK)[:b]
-    words = np.empty_like(ramp)
-    tmp = np.empty_like(ramp)
-    # the trials left to score, collected across blocks (sent pairs,
-    # radius words and angle counters), and the scoring's scratch
-    idx_q, w1_q, z2_q = np.empty(b, dtype=np.uint8), np.empty_like(ramp), np.empty_like(ramp)
-    work = np.empty((6, b))
-    # the block's source buckets, as take indices: a narrower index would
-    # make each take convert it to a temporary of this size
-    bucket = np.empty(b if sparse else 0, dtype=np.int64)
+    words = np.empty(b, dtype=_U64)
+    tmp = np.empty(b, dtype=_U64)
+    # the trials left to score, collected across blocks: their sent pairs,
+    # and their radius words and angle counters in rows 0 and 6 of the
+    # scoring's scratch (see _score_trials)
+    idx_q = np.empty(b, dtype=np.uint8)
+    work = np.empty((8, b))
+    queued = work.view(_U64)
+    w1_q, z2_q = queued[0], queued[6]
+    if sparse:
+        # the block's source buckets, as take indices: a narrower index
+        # would make each take convert it to a temporary of this size
+        bucket = np.empty(b, dtype=np.int64)
 
     def score(size: int) -> int:
-        # a trial from a bucket a cdf cut splits gets its pair here
-        split = np.flatnonzero(idx_q[:size] == _SPLIT)
-        if split.size:
-            # the source counter of a trial is its angle counter less 2 golden
-            z0 = z2_q.take(split) - _U64(2 * _GOLDEN & _MASK64)
-            idx_q[split] = _pairs(_splitmix(z0, work[0, :split.size].view(_U64)), cdf_cut)
-        return _score_trials(ax, ay, bias, sigma2, idx_q[:size], w1_q[:size], z2_q[:size], work)
+        if sparse:
+            # a trial from a bucket a cdf cut splits gets its pair here
+            split = (idx_q[:size] == _SPLIT).nonzero()[0]
+            if split.size:
+                # the source counter of a trial is its angle counter less 2 golden
+                z0 = z2_q.take(split) - _TWO_GOLDEN
+                idx_q[split] = _pairs(_splitmix(z0, tmp[:split.size]), cdf_cut)
+        return _score_trials(tables.ax, tables.ay, tables.bias, sigma2, idx_q[:size], work,
+                             tables.planar, tables.finite)
 
     size = 0
     errors = 0
     done = 0
     while done < n:
         m = min(b, n - done)
-        first = 3 * (start + done)
-        offset = [_U64(((first + j + 1) * _GOLDEN + seed) & _MASK64) for j in range(3)]
+        # stream j's counters in this block: the ramp plus (3 first + j + 1) golden + seed
+        base = 3 * (start + done) * _GOLDEN + seed
+        offset = [_U64((base + g) & _MASK64) for g in _STREAM_GOLDEN]
         done += m
         if screen or sparse:
             if sparse:
                 y0 = _mix(np.add(ramp[:m], offset[0], out=words[:m]), tmp[:m])
-                np.right_shift(y0, _U64(56), out=bucket[:m].view(_U64))
+                np.right_shift(y0, _U64_56, out=bucket[:m].view(_U64))
             y1 = _mix(np.add(ramp[:m], offset[1], out=words[:m]), tmp[:m])
             if sparse:
-                threshold = np.take(table, bucket[:m], out=tmp[:m], mode="clip")
-            rows = np.flatnonzero(y1 >= threshold)
+                threshold = table.take(bucket[:m], out=tmp[:m], mode="clip")
+            rows = (y1 >= threshold).nonzero()[0]
             if rows.size == 0:
                 continue
             w1 = _finish(y1.take(rows), tmp[:rows.size])
             if screen:
                 # in-range indices: mode "clip" writes to out directly,
                 # where "raise" would fill a buffered copy of it
-                z0 = np.take(ramp, rows, out=words[:rows.size], mode="clip")
+                z0 = ramp.take(rows, out=words[:rows.size], mode="clip")
                 z0 += offset[0]
                 idx = _pairs(_splitmix(z0, tmp[:rows.size]), cdf_cut)
             else:
-                idx = np.take(table_pair, bucket.take(rows))
+                idx = tables.table_pair.take(bucket.take(rows))
         else:
             # the source words go first, so that both streams fit in
             # `words` in turn
@@ -378,7 +464,7 @@ def mc_error_count(
             # a split bucket, or past the pre_cut only) decode correctly
             live = None
         else:
-            live = np.flatnonzero(w1 >= np.take(cut, idx, out=tmp[:idx.size], mode="clip"))
+            live = (w1 >= cut.take(idx, out=tmp[:idx.size], mode="clip")).nonzero()[0]
             if live.size == 0:
                 continue
         count = idx.size if live is None else live.size
@@ -390,11 +476,11 @@ def mc_error_count(
             idx_q[size:end] = idx
             w1_q[size:end] = w1
         else:
-            np.take(idx, live, out=idx_q[size:end], mode="clip")
-            np.take(w1, live, out=w1_q[size:end], mode="clip")
+            idx.take(live, out=idx_q[size:end], mode="clip")
+            w1.take(live, out=w1_q[size:end], mode="clip")
             rows = live if rows is None else rows.take(live)
         # the scored trials' rows in the block give their angle counters
-        z2 = np.take(ramp, rows, out=z2_q[size:end], mode="clip")
+        z2 = ramp.take(rows, out=z2_q[size:end], mode="clip")
         z2 += offset[2]
         size = end
     if size:
@@ -403,48 +489,54 @@ def mc_error_count(
 
 
 def _score_trials(ax: np.ndarray, ay: np.ndarray, bias: np.ndarray, sigma2: float,
-                  idx: np.ndarray, w1: np.ndarray, z2: np.ndarray, work: np.ndarray) -> int:
-    """Decoding errors among trials with sent pairs idx, radius words w1
-    and angle counters z2 (the angle words before the finaliser). Every
-    array of the batch's length lives in w1, z2 (both overwritten) or a row
-    of work, float64 scratch of shape (6, m), m >= idx.size, that the
-    caller keeps for its whole call: a batch frees nothing large, which
-    would let the allocator hand the pages back and fault them in again
-    for the next one. When every ay is 0 (collinear geometry) the
-    quadrature terms are skipped: they add only +-0 to a score, which
-    cannot change a comparison, so sin is never evaluated there."""
-    rim, top, *scores = (row[:idx.size] for row in work)
-    planar = bool(np.any(ay != 0.0))
-    r = _uniforms(w1)
-    ang = _uniforms(_splitmix(z2, rim.view(_U64)))
+                  idx: np.ndarray, work: np.ndarray, planar: bool, finite: bool) -> int:
+    """Decoding errors among the m = idx.size trials with sent pairs idx,
+    whose radius words and angle counters (the angle words before the
+    finaliser) are rows 0 and 6 of work, viewed as uint64. work is float64
+    scratch of shape (8, b), b >= m, that the caller keeps for its whole
+    call, and every array of the batch's length is a row of it (the rows
+    are overwritten): a batch frees nothing large, which would let the
+    allocator hand the pages back and fault them in again for the next
+    one. planar is False when every ay is 0 (collinear geometry), and then
+    the quadrature terms are skipped: they add only +-0 to a score, which
+    cannot change a comparison, so sin is never evaluated there. finite is
+    True when the tables bound every score (see _safe_disk), so no score is
+    NaN and the batch skips the search for one."""
+    m = idx.size
+    w = work[:, :m]
+    words = w.view(_U64)
+    r = _uniforms(words[0], -_INV_2_53)  # -u1
+    ang = _uniforms(_splitmix(words[6], words[7]), _ANGLE_FACTOR)  # 2 pi u2
+    rim = w[7]
 
-    np.negative(r, out=r)
     np.log1p(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     r *= math.sqrt(sigma2)
-    ang *= 2.0 * math.pi
     if planar:
         np.sin(ang, out=rim)
         rim *= r
-        rim += np.take(ay, idx, out=top, mode="clip")
+        rim += ay.take(idx, out=w[1], mode="clip")
     rre = np.cos(ang, out=ang)
     rre *= r
-    rre += np.take(ax, idx, out=top, mode="clip")
-    quad = r  # r is spent; reuse it for the quadrature terms
+    rre += ax.take(idx, out=w[1], mode="clip")
 
-    for k, s in enumerate(scores):
-        np.multiply(rre, ax[k], out=s)
+    # score k = (rre ax[k] + rim ay[k]) / sigma2 + bias[k], one row at a
+    # time: numpy would buffer a (4, m) block of rows, up to 64 KB an operand
+    scores = w[2:6]
+    quad = r  # r is spent; reuse it for the quadrature terms
+    for s, a_x, a_y, b_k in zip(scores, ax.tolist(), ay.tolist(), bias.tolist()):
+        np.multiply(rre, a_x, out=s)
         if planar:
-            s += np.multiply(rim, ay[k], out=quad)
+            s += np.multiply(rim, a_y, out=quad)
         s /= sigma2
-        s += bias[k]
-    np.maximum(scores[0], scores[1], out=top)
+        s += b_k
+    top = np.maximum(scores[0], scores[1], out=w[1])
     np.maximum(top, scores[2], out=top)
     np.maximum(top, scores[3], out=top)
-    if np.isnan(top).any():
+    if not finite and np.isnan(top).any():
         # overflowing inputs; argmax counts a NaN as the maximum
-        best = np.argmax(np.stack(scores), axis=0)
+        best = np.argmax(scores, axis=0)
     else:
         # first k attaining the maximum = the number of leading scores below it
         below = scores[0] != top

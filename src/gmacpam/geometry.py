@@ -82,7 +82,8 @@ class CombinedConstellation(_CombinedPoints):
     """Superposition points a_uv = s1u + s2v with their prior probabilities.
 
     Unlike the other records, an instance has a __dict__, where
-    analysis._pair_geometry keeps the constellation's noise-free pair table;
+    analysis._pair_geometry keeps the constellation's noise-free pair table
+    and simulate._mc_tables the Monte-Carlo tables of its last noise level;
     attribute assignment still raises AttributeError.
     """
 

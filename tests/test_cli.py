@@ -26,7 +26,7 @@ from gmacpam import (
     parse_config_file,
     union_bound,
 )
-from gmacpam import analysis, cli
+from gmacpam import _kernels, analysis, cli
 from gmacpam.cli import DESIGN_COLUMNS, SWEEP_COLUMNS, _fmt, build_parser, main
 from gmacpam.config import _KEYS, CONVENTIONS, SCHEMES
 from gmacpam.errors import ConfigError, UnknownConvention
@@ -754,6 +754,24 @@ def test_cli_benchmark_sweep_csv_frozen_digest(tmp_path, capsys, name):
     assert main(["sweep", *sets, "--set", f"out={out}"]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_benchmark_sweep_builds_one_mc_setup_per_design(tmp_path, capsys, monkeypatch):
+    """The planar Monte-Carlo benchmark sweep (gamma_phi 0.707: four rows on
+    two designs at one noise point, as perfbench's planar-sweep command
+    runs it) builds the Monte-Carlo tables twice: the rows of one design
+    share its constellation, which keeps them for its last sigma2."""
+    builds, sims = [], []
+    build = _kernels.mc_tables
+    monkeypatch.setattr(_kernels, "mc_tables", lambda *args: builds.append(args) or build(*args))
+    real = cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda cc, *args: sims.append(cc) or real(cc, *args))
+    out = tmp_path / "planar-mc.csv"
+    assert main(["sweep", *BENCH_SWEEP_SHA256["planar-mc"][1], "--set", f"out={out}"]) == 0
+    capsys.readouterr()
+    assert len(sims) == 4 and len({id(cc) for cc in sims}) == 2
+    assert len(builds) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_SWEEP_SHA256["planar-mc"][0]
 
 
 _WRITER_RUNS = {

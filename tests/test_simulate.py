@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gmacpam import DesignInput, decode, design_collinear, exact_error, simulate
+from gmacpam import DesignInput, _kernels, decode, design_collinear, exact_error, simulate
 from gmacpam._kernels import mc_error_count, uniforms_numpy
 from gmacpam.simulate import _decoder_tables, derive_seed
 from gmacpam.sources import BIT_PAIRS
@@ -119,6 +119,67 @@ def test_argument_validation(t2cc):
         simulate(t2cc, 0.1, 10, -1)
     with pytest.raises(ValueError):
         simulate(t2cc, 0.1, 10, 2**63)
+
+
+def _counted_builds(monkeypatch):
+    """The sigma2 of each Monte-Carlo table build, appended to the list returned."""
+    builds = []
+    build = _kernels.mc_tables
+    monkeypatch.setattr(_kernels, "mc_tables",
+                        lambda xs, ys, bs, cdf, sigma2: builds.append(sigma2) or
+                        build(xs, ys, bs, cdf, sigma2))
+    return builds
+
+
+def _fresh(cc):
+    """A copy of cc that keeps nothing."""
+    return type(cc)(*cc)
+
+
+def test_mc_tables_kept_for_the_last_sigma2(t2cc, monkeypatch):
+    """A constellation builds its Monte-Carlo tables once per noise level in
+    a row of calls at it, rebuilds them at a new one (it keeps only the
+    last), and counts as a fresh copy of itself does at every level."""
+    builds = _counted_builds(monkeypatch)
+    cc = _fresh(t2cc)
+    levels = (10.0**-0.8, 10.0**-0.6, 10.0**-0.6, 10.0**-0.8)
+    got = [simulate(cc, s2, 20_000, 20260815 + k).errors for k, s2 in enumerate(levels)]
+    assert builds == [levels[0], levels[1], levels[3]]
+    want = [simulate(_fresh(t2cc), s2, 20_000, 20260815 + k).errors
+            for k, s2 in enumerate(levels)]
+    assert got == want and min(got) > 0
+
+
+def test_workers_share_one_setup(t2cc, monkeypatch):
+    """One and two workers count from the same kept tables, built once, and
+    give the same count."""
+    builds = _counted_builds(monkeypatch)
+    cc = _fresh(t2cc)
+    one = simulate(cc, 10.0**-0.8, 100_000, 7, workers=1)
+    two = simulate(cc, 10.0**-0.8, 100_000, 7, workers=2)
+    assert len(builds) == 1
+    assert one == two and one.errors > 0
+
+
+def test_setup_raises_simulates_errors(t2cc, monkeypatch):
+    """The inputs simulate refuses raise its errors before any table is
+    built, and a constellation that fails keeps nothing: the scores that
+    would overflow (also at 0 trials), points that are not finite or
+    square past the float range, and a bad seed."""
+    builds = _counted_builds(monkeypatch)
+    cc = _fresh(t2cc)
+    for trials in (1000, 0):
+        with pytest.raises(ValueError, match="decoder scores overflow"):
+            simulate(cc, 1e-310, trials, 3)
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer below 2\*\*63$"):
+        simulate(cc, 0.1, 10, 2**63)
+    for bad, match in ((math.nan, "is not finite"), (math.inf, "is not finite"),
+                       (1e200, "squares past the float range")):
+        with pytest.raises(OverflowError, match=match):
+            simulate(cc._replace(a11=complex(bad, 0.0)), 0.1, 10, 3)
+    assert builds == [] and "_mc_tables" not in cc.__dict__
+    assert simulate(cc, 0.1, 1000, 3) == simulate(_fresh(t2cc), 0.1, 1000, 3)
+    assert builds == [0.1, 0.1]
 
 
 def _replay_misses(cc, sigma2, seed, n):
